@@ -22,7 +22,6 @@ from .bath import (
     phase_shift,
     phase_shift_modes,
     spectral_density,
-    suggested_fock_levels,
 )
 from .evolution import (
     COMPUTATIONAL,
@@ -41,20 +40,9 @@ from .evolution import (
     low_decoherence_time,
     max_decoherence,
     pure_state,
+    random_density_matrix,
 )
-from .model import (
-    ChargeHamiltonianWindow,
-    ChargeQubitCircuit,
-    TwoLevelParams,
-    basis_change,
-    charge_hamiltonian,
-    charging_energy,
-    dimensionless_gate_charge,
-    eta_from_circuit,
-    gate_unitary,
-    josephson_energy,
-    two_level_fields,
-)
+from .model import basis_change, gate_unitary
 from .oracle import (
     BathTruncationWarning,
     CompositeSystem,
@@ -72,7 +60,6 @@ from .units import (
     HBAR_UEV_S,
     KB_UEV_PER_K,
     TIME_UNIT_S,
-    UnitSystem,
     gate_time,
     temperature_to_beta,
     time_units_to_seconds,

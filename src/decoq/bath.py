@@ -40,8 +40,8 @@ class BathSpec:
     """Ohmic-family bath: J(w) = eta * w**s * exp(-w/omega_c), beta = 1/kT.
 
     beta may be math.inf for a zero-temperature bath.  Sub-Ohmic exponents
-    (s < 1) are rejected by the integral routines because the low-frequency
-    limit implemented here is derived for s >= 1 only.
+    (s < 1) are rejected because the low-frequency limit implemented here is
+    derived for s >= 1 only.
     """
 
     eta: float
@@ -56,8 +56,11 @@ class BathSpec:
             raise ValueError(f"omega_c must be finite and > 0, got {self.omega_c}")
         if math.isnan(self.beta) or self.beta <= 0.0:
             raise ValueError(f"beta must be > 0 (inf allowed), got {self.beta}")
-        if not math.isfinite(self.s) or self.s <= 0.0:
-            raise ValueError(f"s must be finite and > 0, got {self.s}")
+        if not math.isfinite(self.s) or self.s < 1.0:
+            raise ValueError(
+                f"s must be finite and >= 1, got {self.s}: the low-frequency limit "
+                "of the dephasing integrand is implemented for s >= 1 only"
+            )
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,7 @@ def _b2_integrand(w: float, t: float, spec: BathSpec) -> float:
     )
 
 
-def _b2_envelope(w: float, spec: BathSpec) -> float:
+def _b2_envelope(w: float, t: float, spec: BathSpec) -> float:
     # 8*sin^2(wt/2) = 4*(1 - cos(wt)); this is the non-oscillatory half
     return (
         4.0
@@ -170,29 +173,22 @@ def _b2_envelope(w: float, spec: BathSpec) -> float:
     )
 
 
+def _c_envelope(w: float, t: float, spec: BathSpec) -> float:
+    return spec.eta * w ** (spec.s - 2.0) * math.exp(-w / spec.omega_c)
+
+
 def _c_integrand(w: float, t: float, spec: BathSpec) -> float:
     if w <= 0.0:
         return 0.0
-    return spec.eta * w ** (spec.s - 2.0) * math.exp(-w / spec.omega_c) * _x_minus_sin(w * t)
+    return _c_envelope(w, t, spec) * _x_minus_sin(w * t)
 
 
-def _quad(func, a, b, args, *, epsrel, epsabs=0.0, limit=200, points=None):
-    out = sint.quad(
-        func, a, b, args=args, epsabs=epsabs, epsrel=epsrel, limit=limit, points=points,
-        full_output=1,
-    )
-    return out[0], out[1]
+def _c_linear(w: float, t: float, spec: BathSpec) -> float:
+    # the w t half of w t - sin(w t), divided by t
+    return spec.eta * w ** (spec.s - 1.0) * math.exp(-w / spec.omega_c)
 
 
-def _quad_weighted(func, a, b, args, *, weight, wvar, epsrel, epsabs, limit=300):
-    out = sint.quad(
-        func, a, b, args=args, weight=weight, wvar=wvar, epsabs=epsabs, epsrel=epsrel,
-        limit=limit, full_output=1,
-    )
-    return out[0], out[1]
-
-
-def _tail_bound_b2(spec: BathSpec, omega_max: float) -> float:
+def _tail_bound_b2(spec: BathSpec, omega_max: float, t: float) -> float:
     # integrand <= 8 eta w^(s-2) e^(-w/wc) coth(beta*Omega/2) beyond Omega
     c = _coth_scalar(0.5 * spec.beta * omega_max) if math.isfinite(spec.beta) else 1.0
     if spec.s <= 2.0:
@@ -229,12 +225,55 @@ def _validate_rtol(rtol: float):
         raise ValueError(f"rtol must lie in (0, 1e-3], got {rtol}")
 
 
-def _reject_subohmic(spec: BathSpec):
-    if spec.s < 1.0:
-        raise ValueError(
-            "sub-Ohmic exponents (s < 1) are not supported: the low-frequency "
-            "limit of the dephasing integrand is implemented for s >= 1 only"
-        )
+def _oscillatory_integral(
+    name, integrand, smooth, scale, envelope, weight, tail_bound, t, spec, rtol
+):
+    """int_0^inf integrand(w, t, spec) dw by adaptive quadrature.
+
+    The domain is truncated where the cutoff has decayed by e^-60 and
+    tail_bound(spec, omega_max, t) is folded into the error estimate.  Up to
+    MAX_BREAKPOINTS oscillation periods every period boundary is a
+    breakpoint.  Beyond that the first period is integrated as it is and the
+    rest as scale * smooth - envelope * weight(w t), the last term by QUADPACK's
+    oscillatory-weighted rule.  Raises QuadratureError if the combined error
+    estimate exceeds rtol * value.
+    """
+    _validate_time(t)
+    _validate_rtol(rtol)
+    if t == 0.0 or spec.eta == 0.0:
+        return 0.0
+
+    omega_max = DOMAIN_EFOLDS * spec.omega_c
+    inner = rtol / 4.0
+    n_osc = omega_max * t / (2.0 * math.pi)
+    args = (t, spec)
+
+    if n_osc <= MAX_BREAKPOINTS:
+        pts = [2.0 * math.pi * k / t for k in range(1, int(n_osc) + 1)]
+        pts = [p for p in pts if 0.0 < p < omega_max] or None
+        limit = 200 + (len(pts) if pts else 0)
+        value, err = sint.quad(
+            integrand, 0.0, omega_max, args=args, epsabs=0.0, epsrel=inner, limit=limit,
+            points=pts, full_output=1,
+        )[:2]
+    else:
+        w1 = 2.0 * math.pi / t  # first oscillation period, kept un-split
+        v0, e0 = sint.quad(
+            integrand, 0.0, w1, args=args, epsabs=0.0, epsrel=inner, limit=100, full_output=1
+        )[:2]
+        v1, e1 = sint.quad(
+            smooth, w1, omega_max, args=args, epsabs=0.0, epsrel=inner, limit=300, full_output=1
+        )[:2]
+        v2, e2 = sint.quad(
+            envelope, w1, omega_max, args=args, weight=weight, wvar=t,
+            epsabs=inner * (abs(v0) + scale * abs(v1)), epsrel=inner, limit=300, full_output=1,
+        )[:2]
+        value = v0 + scale * v1 - v2
+        err = e0 + scale * e1 + e2
+
+    err += tail_bound(spec, omega_max, t)
+    _check_converged(name, value, err, rtol)
+    return float(value)
 
 
 def dephasing_exponent(t: float, spec: BathSpec, rtol: float = 1e-8) -> float:
@@ -242,43 +281,14 @@ def dephasing_exponent(t: float, spec: BathSpec, rtol: float = 1e-8) -> float:
 
     B2(t) = 8 * int_0^inf dw J(w)/w^2 * sin^2(w t/2) * coth(beta w/2)
 
-    The domain is truncated where the cutoff has decayed by e^-60 and an
-    analytic tail bound is folded into the error estimate.  For many
-    oscillation periods the 1 - cos(w t) split is integrated with an
-    oscillatory-weighted rule.  Raises QuadratureError if the combined
+    For many oscillation periods the 1 - cos(w t) split is integrated with
+    an oscillatory-weighted rule.  Raises QuadratureError if the combined
     error estimate exceeds rtol * value.
     """
-    _validate_time(t)
-    _validate_rtol(rtol)
-    _reject_subohmic(spec)
-    if t == 0.0 or spec.eta == 0.0:
-        return 0.0
-
-    omega_max = DOMAIN_EFOLDS * spec.omega_c
-    inner = rtol / 4.0
-    n_osc = omega_max * t / (2.0 * math.pi)
-
-    if n_osc <= MAX_BREAKPOINTS:
-        pts = [2.0 * math.pi * k / t for k in range(1, int(n_osc) + 1)]
-        pts = [p for p in pts if 0.0 < p < omega_max] or None
-        limit = 200 + (len(pts) if pts else 0)
-        value, err = _quad(
-            _b2_integrand, 0.0, omega_max, (t, spec), epsrel=inner, limit=limit, points=pts
-        )
-    else:
-        w1 = 2.0 * math.pi / t  # first oscillation period, kept un-split
-        v0, e0 = _quad(_b2_integrand, 0.0, w1, (t, spec), epsrel=inner, limit=100)
-        v1, e1 = _quad(_b2_envelope, w1, omega_max, (spec,), epsrel=inner, limit=300)
-        v2, e2 = _quad_weighted(
-            _b2_envelope, w1, omega_max, (spec,), weight="cos", wvar=t,
-            epsrel=inner, epsabs=inner * (abs(v0) + abs(v1)),
-        )
-        value = v0 + v1 - v2
-        err = e0 + e1 + e2
-
-    err += _tail_bound_b2(spec, omega_max)
-    _check_converged("dephasing exponent", value, err, rtol)
-    return float(value)
+    return _oscillatory_integral(
+        "dephasing exponent", _b2_integrand, _b2_envelope, 1.0, _b2_envelope, "cos",
+        _tail_bound_b2, t, spec, rtol,
+    )
 
 
 def dephasing_exponent_zero_t(t: float, spec: BathSpec) -> float:
@@ -298,7 +308,6 @@ def phase_shift(t: float, spec: BathSpec, rtol: float = 1e-8) -> float:
     other exponents fall back to quadrature.
     """
     _validate_time(t)
-    _reject_subohmic(spec)
     if spec.s == 1.0:
         return spec.eta * _x_minus_atan(spec.omega_c * t)
     return phase_shift_quadrature(t, spec, rtol)
@@ -306,44 +315,10 @@ def phase_shift(t: float, spec: BathSpec, rtol: float = 1e-8) -> float:
 
 def phase_shift_quadrature(t: float, spec: BathSpec, rtol: float = 1e-8) -> float:
     """C(t) by adaptive quadrature (cross-check path for the closed form)."""
-    _validate_time(t)
-    _validate_rtol(rtol)
-    _reject_subohmic(spec)
-    if t == 0.0 or spec.eta == 0.0:
-        return 0.0
-
-    omega_max = DOMAIN_EFOLDS * spec.omega_c
-    inner = rtol / 4.0
-    n_osc = omega_max * t / (2.0 * math.pi)
-
-    if n_osc <= MAX_BREAKPOINTS:
-        pts = [2.0 * math.pi * k / t for k in range(1, int(n_osc) + 1)]
-        pts = [p for p in pts if 0.0 < p < omega_max] or None
-        limit = 200 + (len(pts) if pts else 0)
-        value, err = _quad(
-            _c_integrand, 0.0, omega_max, (t, spec), epsrel=inner, limit=limit, points=pts
-        )
-    else:
-        w1 = 2.0 * math.pi / t
-
-        def linear_part(w, sp=spec):
-            return sp.eta * w ** (sp.s - 1.0) * math.exp(-w / sp.omega_c)
-
-        def sine_envelope(w, sp=spec):
-            return sp.eta * w ** (sp.s - 2.0) * math.exp(-w / sp.omega_c)
-
-        v0, e0 = _quad(_c_integrand, 0.0, w1, (t, spec), epsrel=inner, limit=100)
-        v1, e1 = _quad(linear_part, w1, omega_max, (), epsrel=inner, limit=300)
-        v2, e2 = _quad_weighted(
-            sine_envelope, w1, omega_max, (), weight="sin", wvar=t,
-            epsrel=inner, epsabs=inner * t * abs(v1),
-        )
-        value = v0 + t * v1 - v2
-        err = e0 + t * e1 + e2
-
-    err += _tail_bound_c(spec, omega_max, t)
-    _check_converged("phase shift", value, err, rtol)
-    return float(value)
+    return _oscillatory_integral(
+        "phase shift", _c_integrand, _c_linear, t, _c_envelope, "sin",
+        _tail_bound_c, t, spec, rtol,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +376,3 @@ def influence_exponent(chi_fwd: int, chi_bwd: int, dephasing: float, shift: floa
     diff = chi_fwd - chi_bwd
     return complex(-dephasing * diff * diff / 4.0, -shift * (chi_fwd**2 - chi_bwd**2))
 
-
-def suggested_fock_levels(beta: float, omega: float, efolds: float = 30.0) -> int:
-    """Smallest n_fock with beta*omega*(n_fock - 1) >= efolds (thermal tail cut)."""
-    if math.isnan(beta) or beta <= 0.0 or omega <= 0.0:
-        raise ValueError("beta and omega must be positive")
-    if not math.isfinite(beta):
-        return 2
-    return int(math.ceil(efolds / (beta * omega))) + 1

@@ -46,6 +46,7 @@ from .evolution import (
     low_decoherence_time,
     max_decoherence,
     pure_state,
+    random_density_matrix,
 )
 from .oracle import (
     CompositeSystem,
@@ -96,14 +97,7 @@ class RunConfig:
     def validate(self):
         if not math.isfinite(self.e_j) or self.e_j <= 0.0:
             raise ValueError(f"e_j must be positive, got {self.e_j}")
-        if not math.isfinite(self.temp_mk) or self.temp_mk <= 0.0:
-            raise ValueError(f"temp_mk must be positive, got {self.temp_mk}")
-        if not math.isfinite(self.eta) or self.eta < 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if not math.isfinite(self.omega_c) or self.omega_c <= 0.0:
-            raise ValueError(f"omega_c must be positive, got {self.omega_c}")
-        if not math.isfinite(self.s) or self.s < 1.0:
-            raise ValueError(f"ohmic exponent must be >= 1, got {self.s}")
+        self.bath_spec()
         if not math.isfinite(self.t_max) or self.t_max <= 0.0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         if self.n_samples < 2:
@@ -225,12 +219,6 @@ def _sibling_svg(path: str) -> str:
     return root + ".svg"
 
 
-def _random_density_matrix(rng) -> QubitState:
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = a @ a.conj().T
-    return QubitState(rho / np.trace(rho).real)
-
-
 # ---------------------------------------------------------------- curve
 
 def cmd_curve(cfg: RunConfig, args) -> int:
@@ -298,6 +286,9 @@ def _tld_report(cfg: RunConfig) -> tuple[dict, int]:
             "tau_gate_ps": REFERENCE_TAU_G_PS,
             "tau_gate_rel_dev": tau_gate_ps / REFERENCE_TAU_G_PS - 1.0,
         },
+        "d_at_gate": float(
+            max_decoherence(dephasing_exponent(tau_gate_units, spec, cfg.quad_tol))
+        ),
     }
     try:
         tau = low_decoherence_time(
@@ -318,9 +309,6 @@ def _tld_report(cfg: RunConfig) -> tuple[dict, int]:
         )
         return report, 2
     tau_ps = tau * TIME_UNIT_S / _SECONDS_PER_PS
-    d_at_gate = float(
-        max_decoherence(dephasing_exponent(tau_gate_units, spec, cfg.quad_tol))
-    )
     covers = tau >= tau_gate_units
     report.update(
         {
@@ -328,7 +316,6 @@ def _tld_report(cfg: RunConfig) -> tuple[dict, int]:
             "tau_ld_units": tau,
             "tau_ld_ps": tau_ps,
             "ratio_ld_over_gate": tau / tau_gate_units,
-            "d_at_gate": d_at_gate,
             "verdict": (
                 "low-decoherence window covers the idle gate"
                 if covers
@@ -386,23 +373,17 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         row_cfg = dataclasses.replace(cfg, **{field: value})
         try:
             row_cfg.validate()
-            spec = row_cfg.bath_spec()
-            tau_gate = 1.0 / row_cfg.e_j
-            d_gate = float(
-                max_decoherence(dephasing_exponent(tau_gate, spec, row_cfg.quad_tol))
-            )
-            tau = low_decoherence_time(
-                row_cfg.threshold, spec, row_cfg.t_max, quad_rtol=row_cfg.quad_tol
-            )
-            rows.append((value, tau, tau * TIME_UNIT_S / _SECONDS_PER_PS, d_gate, "ok"))
-        except NoCrossingError as exc:
-            rows.append(
-                (value, math.nan, math.nan, math.nan,
-                 f"no-crossing: D(t_max)={exc.d_at_t_max:.3e}")
-            )
+            report, _ = _tld_report(row_cfg)
         except (ValueError, QuadratureError) as exc:
             rows.append((value, math.nan, math.nan, math.nan,
                          f"error: {str(exc).replace(',', ';')}"))
+        else:
+            if report["no_crossing"]:
+                rows.append((value, math.nan, math.nan, report["d_at_gate"],
+                             f"no-crossing: D(t_max)={report['d_at_t_max']:.3e}"))
+            else:
+                rows.append((value, report["tau_ld_units"], report["tau_ld_ps"],
+                             report["d_at_gate"], "ok"))
 
     out_csv = args.out or "sweep.csv"
     with open(out_csv, "w", encoding="utf-8") as fh:
@@ -486,7 +467,7 @@ def _check_pure_dephasing_oracle(cfg: RunConfig, corrupt: str | None) -> tuple[b
 def _check_closed_vs_influence_sum(cfg: RunConfig, rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(200):
-        state = _random_density_matrix(rng)
+        state = random_density_matrix(rng)
         b2 = float(rng.uniform(0.0, 2.0))
         shift = float(rng.uniform(0.0, 1.0))
         t = float(rng.uniform(0.0, 2.0))
@@ -499,7 +480,7 @@ def _check_closed_vs_influence_sum(cfg: RunConfig, rng) -> tuple[bool, str]:
 def _check_norm_pipeline(cfg: RunConfig, rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(200):
-        state = _random_density_matrix(rng)
+        state = random_density_matrix(rng)
         b2 = float(rng.uniform(0.0, 2.0))
         t = float(rng.uniform(0.0, 2.0))
         real = evolve_real(state, b2, t, cfg.e_j)

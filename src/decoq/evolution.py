@@ -135,6 +135,13 @@ def pure_state(theta: float, phi: float = 0.0) -> QubitState:
     return QubitState(np.outer(psi, psi.conj()), EIGENBASIS)
 
 
+def random_density_matrix(rng: np.random.Generator, basis: str = EIGENBASIS) -> QubitState:
+    """Random full-rank 2x2 density matrix from a Ginibre draw."""
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = a @ a.conj().T
+    return QubitState(rho / np.trace(rho).real, basis)
+
+
 def _require_eigenbasis(state: QubitState):
     if state.basis != EIGENBASIS:
         raise ValueError("evolution operates on eigenbasis states; convert first")

@@ -1,28 +1,16 @@
-"""Charge-qubit circuit model and its two-level reduction.
+"""Charge-qubit operators at the degeneracy point.
 
-A small superconducting island coupled to a gate through C_g and to a
-Josephson junction (critical current I_c, capacitance C_J) realizes the
-charge Hamiltonian
-
-    H = sum_n [E_ch (n - n_g)^2 |n><n|] - E_J/2 sum_n (|n><n+1| + h.c.)
-
-with E_ch = e^2/(C_g + C_J), E_J = I_c hbar/(2e), n_g = C_g V_g/(2e).
-Near n_g = 1/2 the two lowest charge states dominate and the system reduces
-to a two-level Hamiltonian H_s = -B_z/2 sigma_z - B_x/2 sigma_x with
-B_z = E_ch (1 - 2 n_g) and B_x = E_J.
+Near n_g = 1/2 the two lowest charge states of the island span the qubit,
+whose Hamiltonian is H_s = -(E_J/2) sigma_x in the charge basis.  This
+module holds the Pauli matrices, the idle-gate unitary and the change
+between the charge basis and the eigenbasis of H_s.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .evolution import COMPUTATIONAL, EIGENBASIS, QubitState
-from .units import HBAR_UEV_S
-
-ELEMENTARY_CHARGE_C = 1.602177e-19
-# resistance quantum h/(2e)^2, fixed value for reproducibility
-RESISTANCE_QUANTUM_OHM = 6453.20
 
 pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
 pauli_z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -30,108 +18,6 @@ pauli_z = np.array([[1, 0], [0, -1]], dtype=complex)
 # columns are the degeneracy-point eigenstates phi_0 = (|0>-|1>)/sqrt2,
 # phi_1 = (|0>+|1>)/sqrt2 expressed in the charge basis
 _EIG_COLUMNS = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ChargeQubitCircuit:
-    """Circuit parameters: capacitances in farad, voltage in volt, current in ampere."""
-
-    c_g: float
-    c_j: float
-    v_g: float
-    i_c: float
-
-    def __post_init__(self):
-        for name in ("c_g", "c_j", "i_c"):
-            val = getattr(self, name)
-            if not math.isfinite(val) or val <= 0.0:
-                raise ValueError(f"{name} must be positive and finite, got {val}")
-        if not math.isfinite(self.v_g):
-            raise ValueError(f"v_g must be finite, got {self.v_g}")
-
-
-@dataclass(frozen=True)
-class TwoLevelParams:
-    """Effective fields (ueV) of the two-level reduction."""
-
-    b_z: float
-    b_x: float
-
-
-@dataclass(frozen=True)
-class ChargeHamiltonianWindow:
-    """Charge Hamiltonian restricted to the window n_min..n_max (inclusive)."""
-
-    n_min: int
-    n_max: int
-    matrix: np.ndarray
-
-
-def charging_energy(c_g: float, c_j: float) -> float:
-    """Single-electron charging energy e^2/(C_g + C_J) in ueV."""
-    if not (math.isfinite(c_g) and c_g > 0.0 and math.isfinite(c_j) and c_j > 0.0):
-        raise ValueError("capacitances must be positive and finite")
-    return 1e6 * ELEMENTARY_CHARGE_C / (c_g + c_j)
-
-
-def josephson_energy(i_c: float) -> float:
-    """Josephson energy I_c hbar/(2e) in ueV for I_c in ampere."""
-    if not math.isfinite(i_c) or i_c <= 0.0:
-        raise ValueError(f"critical current must be positive, got {i_c}")
-    return i_c * HBAR_UEV_S / (2.0 * ELEMENTARY_CHARGE_C)
-
-
-def dimensionless_gate_charge(c_g: float, v_g: float) -> float:
-    """Gate charge in Cooper-pair units: n_g = C_g V_g/(2e)."""
-    if not math.isfinite(c_g) or c_g <= 0.0:
-        raise ValueError(f"gate capacitance must be positive, got {c_g}")
-    if not math.isfinite(v_g):
-        raise ValueError(f"gate voltage must be finite, got {v_g}")
-    return c_g * v_g / (2.0 * ELEMENTARY_CHARGE_C)
-
-
-def two_level_fields(e_ch: float, n_g: float, e_j: float) -> TwoLevelParams:
-    """Effective fields B_z = E_ch (1 - 2 n_g), B_x = E_J near degeneracy."""
-    if not math.isfinite(e_ch) or e_ch <= 0.0:
-        raise ValueError(f"charging energy must be positive, got {e_ch}")
-    if not math.isfinite(e_j) or e_j <= 0.0:
-        raise ValueError(f"Josephson energy must be positive, got {e_j}")
-    if not math.isfinite(n_g):
-        raise ValueError(f"gate charge must be finite, got {n_g}")
-    return TwoLevelParams(b_z=e_ch * (1.0 - 2.0 * n_g), b_x=e_j)
-
-
-def eta_from_circuit(resistance_ohm: float, c_t: float, c_j: float) -> float:
-    """Dimensionless Ohmic coupling eta = (R/R_Q) (C_t/C_J)^2.
-
-    R is the impedance seen by the island, C_t the coupling capacitance and
-    R_Q = h/(2e)^2 ~ 6453.2 ohm the (Cooper-pair) resistance quantum.
-    """
-    if not math.isfinite(resistance_ohm) or resistance_ohm < 0.0:
-        raise ValueError(f"resistance must be >= 0, got {resistance_ohm}")
-    if not (math.isfinite(c_t) and c_t > 0.0 and math.isfinite(c_j) and c_j > 0.0):
-        raise ValueError("capacitances must be positive and finite")
-    return (resistance_ohm / RESISTANCE_QUANTUM_OHM) * (c_t / c_j) ** 2
-
-
-def charge_hamiltonian(
-    e_ch: float, n_g: float, e_j: float, n_min: int, n_max: int
-) -> ChargeHamiltonianWindow:
-    """Tridiagonal charge Hamiltonian on the window n_min..n_max.
-
-    Diagonal entries E_ch (n - n_g)^2, nearest-neighbor entries -E_J/2.
-    """
-    if n_max - n_min + 1 < 2:
-        raise ValueError("charge window must contain at least two states")
-    if not math.isfinite(e_ch) or e_ch <= 0.0:
-        raise ValueError(f"charging energy must be positive, got {e_ch}")
-    if not math.isfinite(e_j) or e_j < 0.0:
-        raise ValueError(f"Josephson energy must be >= 0, got {e_j}")
-    n = np.arange(n_min, n_max + 1, dtype=float)
-    h = np.diag(e_ch * (n - n_g) ** 2)
-    off = -0.5 * e_j * np.ones(n.size - 1)
-    h += np.diag(off, 1) + np.diag(off, -1)
-    return ChargeHamiltonianWindow(n_min=n_min, n_max=n_max, matrix=h)
 
 
 def gate_unitary(e_j: float, tau: float) -> np.ndarray:

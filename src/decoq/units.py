@@ -6,23 +6,10 @@ temperatures 1/ueV.  The dimensionless simulation time t carries units of
 """
 
 import math
-from dataclasses import dataclass
 
 HBAR_UEV_S = 6.582119e-10
 KB_UEV_PER_K = 86.17333
 TIME_UNIT_S = HBAR_UEV_S
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Frozen record of the physical constants used throughout."""
-
-    hbar_ueV_s: float = HBAR_UEV_S
-    kB_ueV_per_K: float = KB_UEV_PER_K
-    time_unit_s: float = TIME_UNIT_S
-
-
-UNITS = UnitSystem()
 
 
 def temperature_to_beta(temp_mk: float) -> float:

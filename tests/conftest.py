@@ -1,22 +1,7 @@
 import numpy as np
 import pytest
 
-from decoq.evolution import COMPUTATIONAL, EIGENBASIS, QubitState
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)
-
-
-def random_density_matrix(rng, basis: str = EIGENBASIS) -> QubitState:
-    """Random full-rank 2x2 density matrix via a Ginibre draw."""
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = a @ a.conj().T
-    return QubitState(rho / np.trace(rho).real, basis)
-
-
-def random_pure_state(rng, basis: str = EIGENBASIS) -> QubitState:
-    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-    psi /= np.linalg.norm(psi)
-    return QubitState(np.outer(psi, psi.conj()), basis)

@@ -32,6 +32,7 @@ from decoq.evolution import (
     evolve_real,
     max_decoherence,
     pure_state,
+    random_density_matrix,
 )
 from decoq.oracle import (
     CompositeSystem,
@@ -42,7 +43,6 @@ from decoq.oracle import (
     split_vs_closed_form,
 )
 from decoq.units import gate_time, temperature_to_beta
-from conftest import random_density_matrix
 
 E_J = 51.8
 ETA = 1e-6

@@ -18,7 +18,6 @@ from decoq.bath import (
     phase_shift_modes,
     phase_shift_quadrature,
     spectral_density,
-    suggested_fock_levels,
 )
 from decoq.units import temperature_to_beta
 
@@ -57,7 +56,8 @@ class TestBathSpec:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("eta", -1e-6), ("omega_c", 0.0), ("beta", -1.0), ("beta", 0.0), ("s", -0.5)],
+        [("eta", -1e-6), ("omega_c", 0.0), ("beta", -1.0), ("beta", 0.0), ("s", -0.5),
+         ("s", 0.5)],
     )
     def test_rejects_bad_values(self, field, value):
         kw = {field: value}
@@ -173,6 +173,21 @@ class TestPhaseShift:
         assert phase_shift_quadrature(t, spec, 1e-10) == pytest.approx(closed, rel=1e-8)
         assert phase_shift(t, spec) == pytest.approx(closed, rel=1e-12)
 
+    @pytest.mark.parametrize("s", [2.0, 3.0])
+    @pytest.mark.parametrize("t", [0.05, 1.0, 10.0])
+    def test_superohmic_quadrature_matches_closed_form(self, s, t):
+        # t = 0.05 takes the per-period breakpoint path, t = 1 and 10 the
+        # oscillatory-weighted one; the closed form integrates J(w)/w^2 (w t)
+        # and J(w)/w^2 sin(w t) separately
+        spec = bench_spec(s=s)
+        x = spec.omega_c * t
+        closed = spec.eta * (
+            t * math.gamma(s) * spec.omega_c**s
+            - math.gamma(s - 1.0) * spec.omega_c ** (s - 1.0)
+            * (1.0 + x * x) ** (-0.5 * (s - 1.0)) * math.sin((s - 1.0) * math.atan(x))
+        )
+        assert phase_shift_quadrature(t, spec, 1e-10) == pytest.approx(closed, rel=1e-9)
+
     def test_independent_of_temperature(self):
         # the shift integral carries no thermal factor
         assert phase_shift(0.7, bench_spec()) == phase_shift(
@@ -247,8 +262,3 @@ class TestHelpers:
             _check_converged("thing", 1.0, 0.5, 1e-8)
         assert err.value.value == 1.0
         assert err.value.error_estimate == 0.5
-
-    def test_suggested_fock_levels(self):
-        assert suggested_fock_levels(math.inf, 8.0) == 2
-        # ceil(30/(beta*omega)) + 1 at 30 mK, omega = 8 ueV
-        assert suggested_fock_levels(BETA_30MK, 8.0) == 11

@@ -14,6 +14,7 @@ from decoq.cli import (
     main,
     parse_config_file,
 )
+from decoq.evolution import max_decoherence
 from decoq.units import TIME_UNIT_S, temperature_to_beta
 
 
@@ -194,6 +195,10 @@ class TestSweepCommand:
         # must be recorded as such, not crash the sweep
         assert by_value[10.0][4].startswith("no-crossing")
         assert math.isnan(float(by_value[10.0][1]))
+        # D at the gate time is known without a crossing and is written
+        spec = RunConfig(temp_mk=10.0).bath_spec()
+        expected = max_decoherence(dephasing_exponent(1.0 / 51.8, spec))
+        assert float(by_value[10.0][3]) == expected
         assert by_value[30.0][4] == "ok"
         assert float(by_value[100.0][1]) < float(by_value[30.0][1])
 

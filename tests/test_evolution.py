@@ -23,9 +23,9 @@ from decoq.evolution import (
     low_decoherence_time,
     max_decoherence,
     pure_state,
+    random_density_matrix,
 )
 from decoq.units import temperature_to_beta
-from conftest import random_density_matrix, random_pure_state
 
 E_J = 51.8
 

@@ -1,105 +1,15 @@
 import math
 
 import numpy as np
-import pytest
 
-from decoq.evolution import COMPUTATIONAL, EIGENBASIS, evolve_ideal, pure_state
-from decoq.model import (
-    ChargeQubitCircuit,
-    basis_change,
-    charge_hamiltonian,
-    charging_energy,
-    dimensionless_gate_charge,
-    eta_from_circuit,
-    gate_unitary,
-    josephson_energy,
-    two_level_fields,
+from decoq.evolution import (
+    COMPUTATIONAL,
+    EIGENBASIS,
+    evolve_ideal,
+    pure_state,
+    random_density_matrix,
 )
-from conftest import random_density_matrix
-
-
-def test_charging_energy_value():
-    # 1e6 * 1.602177e-19 / 2.565e-16, hand-checked
-    assert charging_energy(2.065e-16, 0.5e-16) == pytest.approx(624.6304093567252, rel=1e-12)
-
-
-def test_charging_energy_scaling():
-    assert charging_energy(1e-16, 1e-16) == pytest.approx(0.5 * charging_energy(0.5e-16, 0.5e-16), rel=1e-12)
-
-
-def test_josephson_energy_values():
-    # I_c * hbar / (2e), hand-checked at both reference currents
-    assert josephson_energy(25.17e-9) == pytest.approx(51.70213254528057, rel=1e-12)
-    assert josephson_energy(2.521764453058354e-08) == pytest.approx(51.8, rel=1e-12)
-
-
-@pytest.mark.parametrize("c_g,c_j", [(0.0, 1e-16), (1e-16, 0.0), (-1e-16, 1e-16)])
-def test_charging_energy_rejects_nonpositive(c_g, c_j):
-    with pytest.raises(ValueError):
-        charging_energy(c_g, c_j)
-
-
-def test_josephson_energy_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        josephson_energy(-1e-9)
-
-
-def test_gate_charge_degeneracy_point():
-    # C_g V_g = e puts the island exactly at n_g = 1/2
-    assert dimensionless_gate_charge(1e-18, 0.1602177) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_two_level_fields():
-    params = two_level_fields(624.63, 0.5, 51.8)
-    assert params.b_z == 0.0
-    assert params.b_x == 51.8
-    detuned = two_level_fields(100.0, 0.4, 51.8)
-    assert detuned.b_z == pytest.approx(20.0, rel=1e-12)
-
-
-def test_eta_from_circuit_value():
-    # (R/6453.20) * (C_t/C_J)^2, hand-checked
-    assert eta_from_circuit(100.0, 2e-18, 1e-16) == pytest.approx(6.198475175106924e-06, rel=1e-12)
-    assert eta_from_circuit(0.0, 2e-18, 1e-16) == 0.0
-
-
-def test_circuit_dataclass_validation():
-    with pytest.raises(ValueError):
-        ChargeQubitCircuit(c_g=-1e-18, c_j=1e-16, v_g=0.1, i_c=2e-8)
-    ok = ChargeQubitCircuit(c_g=1e-18, c_j=1e-16, v_g=0.1, i_c=2e-8)
-    assert ok.i_c == 2e-8
-
-
-class TestChargeHamiltonian:
-    def test_matrix_structure(self):
-        win = charge_hamiltonian(600.0, 0.5, 50.0, -1, 2)
-        h = win.matrix
-        assert h.shape == (4, 4)
-        assert np.allclose(h, h.T)
-        np.testing.assert_allclose(
-            np.diag(h), 600.0 * (np.arange(-1, 3) - 0.5) ** 2, rtol=1e-14
-        )
-        np.testing.assert_allclose(np.diag(h, 1), -25.0 * np.ones(3), rtol=1e-14)
-        assert h[0, 2] == 0.0 and h[0, 3] == 0.0
-
-    def test_two_state_window_gap_at_degeneracy(self):
-        # restricted to {0, 1} at n_g = 1/2 the spectrum is E_ch/4 -+ E_J/2
-        win = charge_hamiltonian(600.0, 0.5, 50.0, 0, 1)
-        evals = np.linalg.eigvalsh(win.matrix)
-        assert evals[1] - evals[0] == pytest.approx(50.0, rel=1e-12)
-
-    def test_ground_state_is_symmetric_combination(self):
-        # charge regime E_ch >> E_J: ground state -> (|0> + |1>)/sqrt(2)
-        win = charge_hamiltonian(600.0, 0.5, 50.0, -3, 4)
-        evals, evecs = np.linalg.eigh(win.matrix)
-        ground = evecs[:, 0]
-        i0 = -win.n_min
-        overlap = abs(ground[i0] + ground[i0 + 1]) / math.sqrt(2.0)
-        assert overlap > 0.999
-
-    def test_window_too_small(self):
-        with pytest.raises(ValueError):
-            charge_hamiltonian(600.0, 0.5, 50.0, 0, 0)
+from decoq.model import basis_change, gate_unitary
 
 
 class TestGateUnitary:

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from decoq.bath import dephasing_exponent_modes
-from decoq.evolution import COMPUTATIONAL, QubitState, evolve_ideal, pure_state
+from decoq.evolution import (
+    COMPUTATIONAL,
+    QubitState,
+    evolve_ideal,
+    pure_state,
+    random_density_matrix,
+)
 from decoq.model import basis_change
 from decoq.oracle import (
     BathTruncationWarning,
@@ -20,7 +26,6 @@ from decoq.oracle import (
     thermal_bath_state,
 )
 from decoq.units import temperature_to_beta
-from conftest import random_density_matrix
 
 BETA_30MK = temperature_to_beta(30.0)
 

@@ -7,7 +7,6 @@ from decoq.units import (
     HBAR_UEV_S,
     KB_UEV_PER_K,
     TIME_UNIT_S,
-    UNITS,
     gate_time,
     temperature_to_beta,
     time_units_to_seconds,
@@ -18,7 +17,6 @@ def test_constants():
     assert HBAR_UEV_S == 6.582119e-10
     assert KB_UEV_PER_K == 86.17333
     assert TIME_UNIT_S == HBAR_UEV_S
-    assert UNITS.hbar_ueV_s == HBAR_UEV_S
 
 
 def test_beta_at_30_mk():
