@@ -7,6 +7,8 @@ influence functional survive:
     C(t)  =     integral dw J(w) w^-2 (w t - sin(w t))
 
 with the power-law spectral density J(w) = eta * w^s * exp(-w/omega_c).
+For s = 1 both have closed forms at any temperature; other exponents use
+adaptive quadrature, and scipy.integrate is imported only when it runs.
 
 Convention note: the exponential cutoff is the decaying form exp(-w/omega_c);
 a growing exponential would make every moment of J divergent.
@@ -16,14 +18,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate as sint
-from scipy.special import gamma, gammaincc
+from scipy.special import gamma, gammaincc, loggamma, zeta
 
 # quadrature truncation: J(w) is down by e^-60 at the domain edge
 DOMAIN_EFOLDS = 60.0
 # beyond this many oscillation periods the integral is split into a smooth
 # part plus an oscillatory-weighted part instead of per-period breakpoints
 MAX_BREAKPOINTS = 600
+# Ohmic B2: below y = SERIES_Y * (1 + a) the thermal log-gamma difference is
+# summed as a y^2 series; its ratio (y/(1+a))^2 <= 1e-2 makes SERIES_TERMS
+# terms exact to double precision
+SERIES_Y = 0.1
+SERIES_TERMS = 8
 
 
 class QuadratureError(RuntimeError):
@@ -114,12 +120,20 @@ def _coth_scalar(x: float) -> float:
     return 1.0 / math.tanh(x)
 
 
-def _x_minus_sin(x):
-    """x - sin(x), series-protected against cancellation for small x."""
-    x = np.asarray(x, dtype=float)
+def _x_minus_sin_series(x):
     x2 = x * x
-    series = (x * x2 / 6.0) * (1.0 - x2 / 20.0 + x2 * x2 / 840.0 - x2**3 / 60480.0)
-    out = np.where(np.abs(x) < 0.1, series, x - np.sin(x))
+    return (x * x2 / 6.0) * (1.0 - x2 / 20.0 + x2 * x2 / 840.0 - x2**3 / 60480.0)
+
+
+def _x_minus_sin(x):
+    """x - sin(x), series-protected against cancellation for small x.
+
+    A float stays on math: the C(t) integrand calls this once per point.
+    """
+    if isinstance(x, float):
+        return _x_minus_sin_series(x) if abs(x) < 0.1 else x - math.sin(x)
+    x = np.asarray(x, dtype=float)
+    out = np.where(np.abs(x) < 0.1, _x_minus_sin_series(x), x - np.sin(x))
     return out if out.ndim else float(out)
 
 
@@ -238,6 +252,8 @@ def _oscillatory_integral(
     oscillatory-weighted rule.  Raises QuadratureError if the combined error
     estimate exceeds rtol * value.
     """
+    import scipy.integrate as sint
+
     _validate_time(t)
     _validate_rtol(rtol)
     if t == 0.0 or spec.eta == 0.0:
@@ -277,9 +293,49 @@ def _oscillatory_integral(
 
 
 def dephasing_exponent(t: float, spec: BathSpec, rtol: float = 1e-8) -> float:
-    """Continuum dephasing exponent B2(t) by adaptive quadrature.
+    """Continuum dephasing exponent B2(t).
 
     B2(t) = 8 * int_0^inf dw J(w)/w^2 * sin^2(w t/2) * coth(beta w/2)
+
+    For s = 1 the closed form of _ohmic_b2 is used; other exponents fall
+    back to quadrature.  rtol bounds the quadrature error and is validated
+    on both paths.
+    """
+    if spec.s == 1.0:
+        _validate_time(t)
+        _validate_rtol(rtol)
+        return _ohmic_b2(t, spec)
+    return dephasing_exponent_quadrature(t, spec, rtol)
+
+
+def _ohmic_b2(t: float, spec: BathSpec) -> float:
+    """B2(t) for s = 1 at any temperature, from coth(x) = 1 + 2 sum e^(-2nx).
+
+    B2 = 4 eta [ln(1 + omega_c^2 t^2)/2 + 2 lnG(1+a) - 2 Re lnG(1+a+iy)],
+    a = 1/(beta omega_c), y = t/beta (Palma, Suominen & Ekert, Proc. R. Soc.
+    A 452, 567 (1996); Leggett et al., RMP 59, 1 (1987)).  For small y the
+    log-gamma difference cancels; it is summed instead as
+    sum_k (-1)^(k+1) psi^(2k-1)(1+a) y^(2k)/(2k)!, with each polygamma
+    psi^(2k-1)(1+a)/(2k)! written as the Hurwitz zeta(2k, 1+a)/(2k).
+    """
+    if t == 0.0 or spec.eta == 0.0:
+        return 0.0
+    thermal = 0.0
+    if math.isfinite(spec.beta):
+        a = 1.0 / (spec.beta * spec.omega_c)
+        y = t / spec.beta
+        if y < SERIES_Y * (1.0 + a):
+            k = np.arange(SERIES_TERMS, 0, -1)  # smallest term first
+            terms = (-1.0) ** (k + 1) * zeta(2.0 * k, 1.0 + a) * y ** (2 * k) / (2 * k)
+            thermal = float(np.sum(terms))
+        else:
+            thermal = float(loggamma(1.0 + a) - loggamma(complex(1.0 + a, y)).real)
+    zero_t = 0.5 * math.log1p((spec.omega_c * t) ** 2)
+    return 4.0 * spec.eta * (zero_t + 2.0 * thermal)
+
+
+def dephasing_exponent_quadrature(t: float, spec: BathSpec, rtol: float = 1e-8) -> float:
+    """B2(t) by adaptive quadrature (the only path for s != 1).
 
     For many oscillation periods the 1 - cos(w t) split is integrated with
     an oscillatory-weighted rule.  Raises QuadratureError if the combined

@@ -8,8 +8,9 @@ Subcommands:
     verify   built-in cross-checks of the numerical machinery -> JSON
 
 Exit codes: 0 success, 1 usage or configuration error, 2 the requested
-quantity could not be produced (no threshold crossing, quadrature
-failure), 3 a verification or consistency check failed.
+quantity could not be produced (no threshold crossing, or a quadrature
+failure, which only the s != 1 path can raise), 3 a verification or
+consistency check failed.
 """
 
 import argparse

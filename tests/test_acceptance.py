@@ -21,6 +21,7 @@ from decoq.bath import (
     BathSpec,
     dephasing_exponent,
     dephasing_exponent_modes,
+    dephasing_exponent_quadrature,
     discretize_bath,
     phase_shift_quadrature,
 )
@@ -114,7 +115,7 @@ def test_03_zero_temperature_closed_form():
     worst = 0.0
     for t in (1e-3, 1e-2, 1e-1, 1.0, 10.0):
         closed = 2.0 * ETA * math.log1p((OMEGA_C * t) ** 2)
-        got = dephasing_exponent(t, spec, 1e-10)
+        got = dephasing_exponent_quadrature(t, spec, 1e-10)
         worst = max(worst, abs(got - closed) / closed)
     _report("zero-temperature-closed-form", worst <= 1e-8, f"worst rel {worst:.3e}")
 

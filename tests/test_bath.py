@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from decoq.bath import (
     BathSpec,
@@ -11,6 +13,7 @@ from decoq.bath import (
     coth,
     dephasing_exponent,
     dephasing_exponent_modes,
+    dephasing_exponent_quadrature,
     dephasing_exponent_zero_t,
     discretize_bath,
     influence_exponent,
@@ -95,7 +98,9 @@ class TestDephasingExponent:
     def test_zero_temperature_closed_form(self, t):
         spec = bench_spec(beta=math.inf)
         closed = dephasing_exponent_zero_t(t, spec)
-        assert dephasing_exponent(t, spec, 1e-10) == pytest.approx(closed, rel=1e-8)
+        quad = dephasing_exponent_quadrature(t, spec, 1e-10)
+        assert quad == pytest.approx(closed, rel=1e-8, abs=0.0)
+        assert dephasing_exponent(t, spec) == pytest.approx(closed, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("t", [0.3, 1.0, 5.0])
     def test_finite_temperature_against_cutoff_free_thermal_form(self, t):
@@ -124,8 +129,8 @@ class TestDephasingExponent:
         # t = 2 pi * 600 / (60 w_c); values on both sides must line up
         spec = bench_spec()
         t_switch = 2.0 * math.pi * 600.0 / (60.0 * spec.omega_c)
-        lo = dephasing_exponent(0.99 * t_switch, spec, 1e-10)
-        hi = dephasing_exponent(1.01 * t_switch, spec, 1e-10)
+        lo = dephasing_exponent_quadrature(0.99 * t_switch, spec, 1e-10)
+        hi = dephasing_exponent_quadrature(1.01 * t_switch, spec, 1e-10)
         assert hi > lo
         assert (hi - lo) / lo < 0.05
 
@@ -162,6 +167,73 @@ class TestDephasingExponent:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             dephasing_exponent(-0.5, bench_spec())
+
+
+def mpmath_ohmic_b2(t, spec):
+    """30-digit B2 for s = 1 from the same log-gamma closed form."""
+    with mpmath.workdps(30):
+        beta = mpmath.mpf(spec.beta)
+        a = 1 / (beta * spec.omega_c)
+        y = mpmath.mpf(t) / beta
+        thermal = mpmath.loggamma(1 + a) - mpmath.re(mpmath.loggamma(mpmath.mpc(1 + a, y)))
+        zero_t = mpmath.log1p((spec.omega_c * mpmath.mpf(t)) ** 2) / 2
+        return float(4 * spec.eta * (zero_t + 2 * thermal))
+
+
+class TestOhmicClosedForm:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        temp_mk=st.floats(1.0, 300.0),
+        log_omega_c=st.floats(math.log10(50.0), 4.0),
+        log_t=st.floats(-7.0, 3.0),
+    )
+    # short times at a hot, narrow bath, where the thermal term dominates
+    # and log-gamma differences cancel worst; and the far corner
+    @example(temp_mk=300.0, log_omega_c=math.log10(50.0), log_t=-7.0)
+    @example(temp_mk=100.0, log_omega_c=math.log10(50.0), log_t=-5.0)
+    @example(temp_mk=1.0, log_omega_c=4.0, log_t=3.0)
+    def test_matches_mpmath(self, temp_mk, log_omega_c, log_t):
+        # covers both the y^2 series and the log-gamma branch
+        spec = bench_spec(omega_c=10.0**log_omega_c, beta=temperature_to_beta(temp_mk))
+        t = 10.0**log_t
+        ref = mpmath_ohmic_b2(t, spec)
+        assert dephasing_exponent(t, spec) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "temp_mk, omega_c, t",
+        [(1.0, 200.0, 1e-4), (30.0, 1e4, 1e3)],
+    )
+    def test_quadrature_defect_points_match_mpmath(self, temp_mk, omega_c, t):
+        # the quadrature path is off by 6e-7 and 4e-3 here
+        spec = bench_spec(omega_c=omega_c, beta=temperature_to_beta(temp_mk))
+        ref = mpmath_ohmic_b2(t, spec)
+        assert dephasing_exponent(t, spec) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_series_branch_switch_is_continuous(self):
+        # y = t/beta crosses 0.1 (1 + a) at the switch between the branches
+        spec = bench_spec()
+        a = 1.0 / (spec.beta * spec.omega_c)
+        t_switch = 0.1 * (1.0 + a) * spec.beta
+        for t in (t_switch * (1.0 - 1e-12), t_switch * (1.0 + 1e-12)):
+            ref = mpmath_ohmic_b2(t, spec)
+            assert dephasing_exponent(t, spec) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("temp_mk", [10.0, 30.0, 100.0, 300.0])
+    @pytest.mark.parametrize("omega_c", [50.0, 200.0])
+    def test_matches_quadrature(self, temp_mk, omega_c):
+        # beta * omega_c stays below ~600 here; colder or wider baths make
+        # the quadrature itself inexact at short times
+        spec = bench_spec(omega_c=omega_c, beta=temperature_to_beta(temp_mk))
+        converged = 0
+        for t in np.geomspace(1e-4, 100.0, 13):
+            t = float(t)
+            try:
+                quad = dephasing_exponent_quadrature(t, spec, 1e-10)
+            except QuadratureError:
+                continue
+            converged += 1
+            assert dephasing_exponent(t, spec) == pytest.approx(quad, rel=1e-8, abs=0.0)
+        assert converged >= 12
 
 
 class TestPhaseShift:

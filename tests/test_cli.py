@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +134,16 @@ class TestCurveCommand:
         assert float(rows[7][3]) == pytest.approx(0.5 * (1 - math.exp(-b2)), rel=1e-8)
         assert (tmp_path / "curve.svg").exists()
 
+    def test_hot_bath_long_window(self, tmp_path):
+        # at 300 mK the old quadrature raised for every t >= 100
+        out = tmp_path / "curve.csv"
+        code = main(
+            ["curve", "--temp-mk", "300", "--t-max", "100", "--samples", "2", "--out", str(out)]
+        )
+        assert code == 0
+        _, _, rows = read_csv(out)
+        assert all(math.isfinite(float(r[1])) for r in rows)
+
     def test_deterministic_output(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -166,6 +180,16 @@ class TestTldCommand:
         assert report["tau_gate_ps"] == pytest.approx(12.7068, abs=1e-3)
         assert "tau_ld_rel_dev" in report["reference"]
         assert report["config"]["e_j"] == 51.8
+
+    def test_long_window_matches_default(self, tmp_path):
+        # the old quadrature failed inside t <= 1000 and the command exited 2
+        reports = []
+        for extra in ([], ["--t-max", "1000"]):
+            out = tmp_path / f"tld{len(extra)}.json"
+            assert main(["tld", *extra, "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        default, long = (r["tau_ld_units"] for r in reports)
+        assert long == pytest.approx(default, rel=1e-4)
 
     def test_uncoupled_bath_exits_two(self, tmp_path):
         out = tmp_path / "tld.json"
@@ -264,3 +288,28 @@ class TestExitCodes:
     def test_presets_cover_pole_and_equator(self):
         assert PRESETS["point"][0] == 0.0
         assert PRESETS["line2"][0] == pytest.approx(math.pi / 2.0)
+
+
+class TestLazyImport:
+    def test_ohmic_runs_do_not_load_scipy_integrate(self, tmp_path):
+        # quadrature is the s != 1 path only; import decoq and an s = 1
+        # tld must not pay for scipy.integrate
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import sys\n"
+            "import decoq\n"
+            "loaded = ['scipy.integrate' in sys.modules]\n"
+            "from decoq.cli import main\n"
+            f"assert main(['tld', '--out', {str(tmp_path / 'tld.json')!r}]) == 0\n"
+            "loaded.append('scipy.integrate' in sys.modules)\n"
+            "print('scipy.integrate loaded:', loaded)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "scipy.integrate loaded: [False, False]"
