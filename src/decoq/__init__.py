@@ -12,11 +12,9 @@ __version__ = "0.1.0"
 from .bath import (
     BathSpec,
     DiscreteBath,
-    QuadratureError,
     coth,
     dephasing_exponent,
     dephasing_exponent_modes,
-    dephasing_exponent_zero_t,
     discretize_bath,
     influence_exponent,
     phase_shift,

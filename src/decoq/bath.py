@@ -7,38 +7,34 @@ influence functional survive:
     C(t)  =     integral dw J(w) w^-2 (w t - sin(w t))
 
 with the power-law spectral density J(w) = eta * w^s * exp(-w/omega_c).
-For s = 1 both have closed forms at any temperature; other exponents use
-adaptive quadrature, and scipy.integrate is imported only when it runs.
+Both are evaluated exactly for every s >= 1 and any temperature, with
+nothing but the math module: C(t) in closed form, B2(t) from the expansion
+coth(beta w/2) = 1 + 2 sum_n exp(-n beta w), whose every term integrates to
+an elementary function (Leggett et al., RMP 59, 1 (1987); Palma, Suominen &
+Ekert, Proc. R. Soc. A 452, 567 (1996)).
 
 Convention note: the exponential cutoff is the decaying form exp(-w/omega_c);
 a growing exponential would make every moment of J divergent.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gamma, gammaincc, loggamma, zeta
 
-# quadrature truncation: J(w) is down by e^-60 at the domain edge
-DOMAIN_EFOLDS = 60.0
-# beyond this many oscillation periods the integral is split into a smooth
-# part plus an oscillatory-weighted part instead of per-period breakpoints
-MAX_BREAKPOINTS = 600
-# Ohmic B2: below y = SERIES_Y * (1 + a) the thermal log-gamma difference is
-# summed as a y^2 series; its ratio (y/(1+a))^2 <= 1e-2 makes SERIES_TERMS
-# terms exact to double precision
-SERIES_Y = 0.1
-SERIES_TERMS = 8
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, message: str, value: float, error_estimate: float):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
+# thermal sum of B2: terms n < EM_N are summed directly, the rest by
+# Euler-Maclaurin at q = EM_N + a.  The summand is analytic at distance >= q
+# from the real axis, so the Bernoulli corrections B_2j/(2j)! below shrink
+# like (2 pi q)^-2j; seven of them leave B2 exact to double precision at
+# any t (checked against mpmath for s up to 10).
+EM_N = 20
+EM_COEFFS = tuple(
+    b / math.factorial(2 * j)
+    for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6), 1)
+)
+# below this (nu + 2) * omega_c t the closed form of C(t) cancels; its odd
+# power series, whose ratio is at most ((nu + 2) omega_c t / 2)^2, replaces it
+C_SERIES_U = 0.5
 
 
 @dataclass(frozen=True)
@@ -112,37 +108,12 @@ def coth(x):
     return out if out.ndim else float(out)
 
 
-def _coth_scalar(x: float) -> float:
-    if x >= 20.0:
-        return 1.0
-    if x < 1e-4:
-        return 1.0 / x + x / 3.0 - x**3 / 45.0
-    return 1.0 / math.tanh(x)
-
-
-def _x_minus_sin_series(x):
-    x2 = x * x
-    return (x * x2 / 6.0) * (1.0 - x2 / 20.0 + x2 * x2 / 840.0 - x2**3 / 60480.0)
-
-
 def _x_minus_sin(x):
-    """x - sin(x), series-protected against cancellation for small x.
-
-    A float stays on math: the C(t) integrand calls this once per point.
-    """
-    if isinstance(x, float):
-        return _x_minus_sin_series(x) if abs(x) < 0.1 else x - math.sin(x)
-    x = np.asarray(x, dtype=float)
-    out = np.where(np.abs(x) < 0.1, _x_minus_sin_series(x), x - np.sin(x))
-    return out if out.ndim else float(out)
-
-
-def _x_minus_atan(x):
-    """x - arctan(x), series-protected for small x."""
+    """x - sin(x) on arrays, series-protected against cancellation for small x."""
     x = np.asarray(x, dtype=float)
     x2 = x * x
-    series = (x * x2) * (1.0 / 3.0 - x2 / 5.0 + x2 * x2 / 7.0 - x2**3 / 9.0)
-    out = np.where(np.abs(x) < 0.05, series, x - np.arctan(x))
+    series = (x * x2 / 6.0) * (1.0 - x2 / 20.0 + x2 * x2 / 840.0 - x2**3 / 60480.0)
+    out = np.where(np.abs(x) < 0.1, series, x - np.sin(x))
     return out if out.ndim else float(out)
 
 
@@ -159,74 +130,60 @@ def spectral_density(omega, spec: BathSpec):
 # continuum integrals
 
 
-def _b2_integrand(w: float, t: float, spec: BathSpec) -> float:
-    if w <= 0.0:
-        if spec.s == 1.0 and math.isfinite(spec.beta):
-            return 4.0 * spec.eta * t * t / spec.beta  # removable w -> 0 limit
-        return 0.0
-    si = math.sin(0.5 * w * t)
-    return (
-        8.0
-        * spec.eta
-        * w ** (spec.s - 2.0)
-        * math.exp(-w / spec.omega_c)
-        * si
-        * si
-        * _coth_scalar(0.5 * spec.beta * w)
+def _g(mu: float, r: float) -> float:
+    """G_mu(r) = Gamma(mu) [1 - Re (1 - i r)^-mu], with G_0(r) = log(1 + r^2)/2.
+
+    p^-mu G_mu(t/p) = int_0^inf dw w^(mu-1) exp(-p w) (1 - cos w t).  The
+    two terms below are non-negative for mu > 0; for -1/2 <= mu < 0 they
+    differ in sign, but neither exceeds twice their sum.
+    """
+    half_l = 0.5 * math.log1p(r * r)
+    if mu == 0.0:
+        return half_l
+    return math.gamma(mu) * (
+        -math.expm1(-mu * half_l)
+        + 2.0 * math.exp(-mu * half_l) * math.sin(0.5 * mu * math.atan(r)) ** 2
     )
 
 
-def _b2_envelope(w: float, t: float, spec: BathSpec) -> float:
-    # 8*sin^2(wt/2) = 4*(1 - cos(wt)); this is the non-oscillatory half
-    return (
-        4.0
-        * spec.eta
-        * w ** (spec.s - 2.0)
-        * math.exp(-w / spec.omega_c)
-        * _coth_scalar(0.5 * spec.beta * w)
+def _g_below(nu: float, r: float) -> float:
+    """G_(nu-1)(r), the Euler-Maclaurin integral of the thermal sum.
+
+    For nu < 1/2 the two terms of _g would cancel to a part in 1/nu; the
+    form -Gamma(nu-1) Re[(1 - i r) expm1(-nu log(1 - i r))] keeps every
+    term of order nu and tends to r atan(r) - log(1 + r^2)/2 at nu = 0.
+    """
+    if nu >= 0.5:
+        return _g(nu - 1.0, r)
+    half_l = 0.5 * math.log1p(r * r)
+    th = math.atan(r)
+    if nu == 0.0:
+        return r * th - half_l
+    return math.gamma(nu - 1.0) * (
+        -math.expm1(-nu * half_l) * math.cos(nu * th)
+        + 2.0 * math.sin(0.5 * nu * th) ** 2
+        - r * math.exp(-nu * half_l) * math.sin(nu * th)
     )
 
 
-def _c_envelope(w: float, t: float, spec: BathSpec) -> float:
-    return spec.eta * w ** (spec.s - 2.0) * math.exp(-w / spec.omega_c)
+def _thermal_sum(nu: float, a: float, y: float) -> float:
+    """sum_{n >= 1} m^-nu G_nu(y/m) with m = n + a."""
+    total = sum((n + a) ** -nu * _g(nu, y / (n + a)) for n in range(1, EM_N))
+    q = EM_N + a
+    r = y / q
+    total += q ** (1.0 - nu) * _g_below(nu, r) + 0.5 * q**-nu * _g(nu, r)
+    for j, c in enumerate(EM_COEFFS, 1):
+        total += c * q ** (1.0 - nu - 2 * j) * _g(nu + 2 * j - 1, r)
+    return total
 
 
-def _c_integrand(w: float, t: float, spec: BathSpec) -> float:
-    if w <= 0.0:
-        return 0.0
-    return _c_envelope(w, t, spec) * _x_minus_sin(w * t)
-
-
-def _c_linear(w: float, t: float, spec: BathSpec) -> float:
-    # the w t half of w t - sin(w t), divided by t
-    return spec.eta * w ** (spec.s - 1.0) * math.exp(-w / spec.omega_c)
-
-
-def _tail_bound_b2(spec: BathSpec, omega_max: float, t: float) -> float:
-    # integrand <= 8 eta w^(s-2) e^(-w/wc) coth(beta*Omega/2) beyond Omega
-    c = _coth_scalar(0.5 * spec.beta * omega_max) if math.isfinite(spec.beta) else 1.0
-    if spec.s <= 2.0:
-        tail = omega_max ** (spec.s - 2.0) * spec.omega_c * math.exp(-DOMAIN_EFOLDS)
-    else:
-        p = spec.s - 1.0
-        tail = spec.omega_c**p * gamma(p) * gammaincc(p, DOMAIN_EFOLDS)
-    return 8.0 * spec.eta * c * tail
-
-
-def _tail_bound_c(spec: BathSpec, omega_max: float, t: float) -> float:
-    # integrand <= eta t w^(s-1) e^(-w/wc) beyond Omega
-    p = spec.s
-    return spec.eta * t * spec.omega_c**p * gamma(p) * gammaincc(p, DOMAIN_EFOLDS)
-
-
-def _check_converged(name, value, err, rtol):
-    if not err <= rtol * abs(value):
-        raise QuadratureError(
-            f"{name} quadrature did not converge: value={value:.6e}, "
-            f"error estimate={err:.3e}, requested rtol={rtol:.1e}",
-            value,
-            err,
+def _finite(value: float, name: str, t: float, spec: BathSpec) -> float:
+    if not math.isfinite(value):
+        raise ValueError(
+            f"{name} is not finite in double precision at s={spec.s}, "
+            f"omega_c={spec.omega_c}, t={t}"
         )
+    return value
 
 
 def _validate_time(t: float):
@@ -234,147 +191,86 @@ def _validate_time(t: float):
         raise ValueError(f"time must be finite and >= 0, got {t}")
 
 
-def _validate_rtol(rtol: float):
-    if not 0.0 < rtol <= 1e-3:
-        raise ValueError(f"rtol must lie in (0, 1e-3], got {rtol}")
-
-
-def _oscillatory_integral(
-    name, integrand, smooth, scale, envelope, weight, tail_bound, t, spec, rtol
-):
-    """int_0^inf integrand(w, t, spec) dw by adaptive quadrature.
-
-    The domain is truncated where the cutoff has decayed by e^-60 and
-    tail_bound(spec, omega_max, t) is folded into the error estimate.  Up to
-    MAX_BREAKPOINTS oscillation periods every period boundary is a
-    breakpoint.  Beyond that the first period is integrated as it is and the
-    rest as scale * smooth - envelope * weight(w t), the last term by QUADPACK's
-    oscillatory-weighted rule.  Raises QuadratureError if the combined error
-    estimate exceeds rtol * value.
-    """
-    import scipy.integrate as sint
-
-    _validate_time(t)
-    _validate_rtol(rtol)
-    if t == 0.0 or spec.eta == 0.0:
-        return 0.0
-
-    omega_max = DOMAIN_EFOLDS * spec.omega_c
-    inner = rtol / 4.0
-    n_osc = omega_max * t / (2.0 * math.pi)
-    args = (t, spec)
-
-    if n_osc <= MAX_BREAKPOINTS:
-        pts = [2.0 * math.pi * k / t for k in range(1, int(n_osc) + 1)]
-        pts = [p for p in pts if 0.0 < p < omega_max] or None
-        limit = 200 + (len(pts) if pts else 0)
-        value, err = sint.quad(
-            integrand, 0.0, omega_max, args=args, epsabs=0.0, epsrel=inner, limit=limit,
-            points=pts, full_output=1,
-        )[:2]
-    else:
-        w1 = 2.0 * math.pi / t  # first oscillation period, kept un-split
-        v0, e0 = sint.quad(
-            integrand, 0.0, w1, args=args, epsabs=0.0, epsrel=inner, limit=100, full_output=1
-        )[:2]
-        v1, e1 = sint.quad(
-            smooth, w1, omega_max, args=args, epsabs=0.0, epsrel=inner, limit=300, full_output=1
-        )[:2]
-        v2, e2 = sint.quad(
-            envelope, w1, omega_max, args=args, weight=weight, wvar=t,
-            epsabs=inner * (abs(v0) + scale * abs(v1)), epsrel=inner, limit=300, full_output=1,
-        )[:2]
-        value = v0 + scale * v1 - v2
-        err = e0 + scale * e1 + e2
-
-    err += tail_bound(spec, omega_max, t)
-    _check_converged(name, value, err, rtol)
-    return float(value)
-
-
-def dephasing_exponent(t: float, spec: BathSpec, rtol: float = 1e-8) -> float:
+def dephasing_exponent(t: float, spec: BathSpec) -> float:
     """Continuum dephasing exponent B2(t).
 
     B2(t) = 8 * int_0^inf dw J(w)/w^2 * sin^2(w t/2) * coth(beta w/2)
 
-    For s = 1 the closed form of _ohmic_b2 is used; other exponents fall
-    back to quadrature.  rtol bounds the quadrature error and is validated
-    on both paths.
+    With nu = s - 1, x = omega_c t, a = 1/(beta omega_c) and y = t/beta,
+    coth = 1 + 2 sum_n exp(-n beta w) integrates term by term to
+
+    B2 = 4 eta [omega_c^nu G_nu(x) + 2 beta^-nu sum_{n>=1} (n+a)^-nu G_nu(y/(n+a))],
+
+    which at s = 1 is 4 eta [ln(1 + x^2)/2 + 2 lnG(1+a) - 2 Re lnG(1+a+iy)]
+    and at beta = inf keeps only its first term.  Raises ValueError if B2
+    is not finite in double precision.
     """
-    if spec.s == 1.0:
-        _validate_time(t)
-        _validate_rtol(rtol)
-        return _ohmic_b2(t, spec)
-    return dephasing_exponent_quadrature(t, spec, rtol)
-
-
-def _ohmic_b2(t: float, spec: BathSpec) -> float:
-    """B2(t) for s = 1 at any temperature, from coth(x) = 1 + 2 sum e^(-2nx).
-
-    B2 = 4 eta [ln(1 + omega_c^2 t^2)/2 + 2 lnG(1+a) - 2 Re lnG(1+a+iy)],
-    a = 1/(beta omega_c), y = t/beta (Palma, Suominen & Ekert, Proc. R. Soc.
-    A 452, 567 (1996); Leggett et al., RMP 59, 1 (1987)).  For small y the
-    log-gamma difference cancels; it is summed instead as
-    sum_k (-1)^(k+1) psi^(2k-1)(1+a) y^(2k)/(2k)!, with each polygamma
-    psi^(2k-1)(1+a)/(2k)! written as the Hurwitz zeta(2k, 1+a)/(2k).
-    """
+    _validate_time(t)
     if t == 0.0 or spec.eta == 0.0:
         return 0.0
-    thermal = 0.0
-    if math.isfinite(spec.beta):
-        a = 1.0 / (spec.beta * spec.omega_c)
-        y = t / spec.beta
-        if y < SERIES_Y * (1.0 + a):
-            k = np.arange(SERIES_TERMS, 0, -1)  # smallest term first
-            terms = (-1.0) ** (k + 1) * zeta(2.0 * k, 1.0 + a) * y ** (2 * k) / (2 * k)
-            thermal = float(np.sum(terms))
-        else:
-            thermal = float(loggamma(1.0 + a) - loggamma(complex(1.0 + a, y)).real)
-    zero_t = 0.5 * math.log1p((spec.omega_c * t) ** 2)
-    return 4.0 * spec.eta * (zero_t + 2.0 * thermal)
-
-
-def dephasing_exponent_quadrature(t: float, spec: BathSpec, rtol: float = 1e-8) -> float:
-    """B2(t) by adaptive quadrature (the only path for s != 1).
-
-    For many oscillation periods the 1 - cos(w t) split is integrated with
-    an oscillatory-weighted rule.  Raises QuadratureError if the combined
-    error estimate exceeds rtol * value.
-    """
-    return _oscillatory_integral(
-        "dephasing exponent", _b2_integrand, _b2_envelope, 1.0, _b2_envelope, "cos",
-        _tail_bound_b2, t, spec, rtol,
-    )
+    nu = spec.s - 1.0
+    try:
+        total = spec.omega_c**nu * _g(nu, spec.omega_c * t)
+        if math.isfinite(spec.beta):
+            a = 1.0 / (spec.beta * spec.omega_c)
+            total += 2.0 * spec.beta**-nu * _thermal_sum(nu, a, t / spec.beta)
+        b2 = 4.0 * spec.eta * total
+    except OverflowError:
+        b2 = math.inf
+    return _finite(b2, "B2", t, spec)
 
 
 def dephasing_exponent_zero_t(t: float, spec: BathSpec) -> float:
-    """Closed form at T = 0 for s = 1: B2(t) = 2 eta ln(1 + omega_c^2 t^2)."""
-    _validate_time(t)
-    if spec.s != 1.0:
-        raise ValueError("zero-temperature closed form is implemented for s = 1 only")
-    return 2.0 * spec.eta * math.log1p((spec.omega_c * t) ** 2)
+    """B2(t) of the same bath at T = 0; 2 eta ln(1 + omega_c^2 t^2) for s = 1.
+
+    The beta = inf case of dephasing_exponent, kept by name because the
+    benchmark's reference tests (perfbench/tests) import it.
+    """
+    return dephasing_exponent(t, replace(spec, beta=math.inf))
 
 
-def phase_shift(t: float, spec: BathSpec, rtol: float = 1e-8) -> float:
+def _c_unit(nu: float, x: float) -> float:
+    """C(t) / (eta omega_c^nu) at x = omega_c t.
+
+    Gamma(nu+1) x - Gamma(nu) (1+x^2)^(-nu/2) sin(nu atan x), which is
+    x - atan x at nu = 0; for small (nu + 2) x its odd-power series
+    sum_{j>=1} (-1)^(j+1) Gamma(nu+2j+1)/(2j+1)! x^(2j+1).
+    """
+    if (nu + 2.0) * x < C_SERIES_U:
+        x2 = x * x
+        term = math.gamma(nu + 3.0) / 6.0 * x * x2
+        total = 0.0
+        j = 1
+        while abs(term) > 1e-17 * abs(total):
+            total += term
+            term *= -(nu + 2 * j + 1) * (nu + 2 * j + 2) / ((2 * j + 2) * (2 * j + 3)) * x2
+            j += 1
+        return total
+    if nu == 0.0:
+        return x - math.atan(x)
+    return math.gamma(nu + 1.0) * x - math.gamma(nu) * (1.0 + x * x) ** (-0.5 * nu) * math.sin(
+        nu * math.atan(x)
+    )
+
+
+def phase_shift(t: float, spec: BathSpec) -> float:
     """Bath-induced phase-shift integral C(t).
 
     C(t) = int_0^inf dw J(w)/w^2 * (w t - sin(w t))
+         = eta omega_c^nu [Gamma(nu+1) x - Gamma(nu) (1+x^2)^(-nu/2) sin(nu atan x)]
 
-    For s = 1 the closed form eta * (omega_c t - arctan(omega_c t)) is used;
-    other exponents fall back to quadrature.
+    with nu = s - 1 and x = omega_c t; eta (x - atan x) at s = 1.  Raises
+    ValueError if C is not finite in double precision.
     """
     _validate_time(t)
-    if spec.s == 1.0:
-        return spec.eta * _x_minus_atan(spec.omega_c * t)
-    return phase_shift_quadrature(t, spec, rtol)
-
-
-def phase_shift_quadrature(t: float, spec: BathSpec, rtol: float = 1e-8) -> float:
-    """C(t) by adaptive quadrature (cross-check path for the closed form)."""
-    return _oscillatory_integral(
-        "phase shift", _c_integrand, _c_linear, t, _c_envelope, "sin",
-        _tail_bound_c, t, spec, rtol,
-    )
+    if t == 0.0 or spec.eta == 0.0:
+        return 0.0
+    nu = spec.s - 1.0
+    try:
+        c = spec.eta * spec.omega_c**nu * _c_unit(nu, spec.omega_c * t)
+    except OverflowError:
+        c = math.inf
+    return _finite(c, "C", t, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ Subcommands:
     sweep    low-decoherence time across a parameter axis -> CSV + SVG
     verify   built-in cross-checks of the numerical machinery -> JSON
 
-Exit codes: 0 success, 1 usage or configuration error, 2 the requested
-quantity could not be produced (no threshold crossing, or a quadrature
-failure, which only the s != 1 path can raise), 3 a verification or
-consistency check failed.
+Exit codes: 0 success, 1 usage or configuration error (including a bath
+whose B2 or C is not finite in double precision), 2 no threshold crossing
+on the window, 3 a verification or consistency check failed.
 """
 
 import argparse
@@ -26,7 +25,6 @@ import numpy as np
 from . import __version__
 from .bath import (
     BathSpec,
-    QuadratureError,
     dephasing_exponent,
     dephasing_exponent_modes,
     discretize_bath,
@@ -91,6 +89,8 @@ class RunConfig:
     t_max: float = 10.0
     n_samples: int = 400
     threshold: float = 1e-4
+    # accepted so existing config files and scripts keep working; no kernel
+    # reads it since B2 and C are evaluated exactly
     quad_tol: float = 1e-8
     seed: int = 1234
     initial_states: tuple = ("point", "line1", "line2")
@@ -228,8 +228,8 @@ def cmd_curve(cfg: RunConfig, args) -> int:
     b2 = np.empty_like(times)
     shift = np.empty_like(times)
     for i, t in enumerate(times):
-        b2[i] = dephasing_exponent(float(t), spec, cfg.quad_tol)
-        shift[i] = phase_shift(float(t), spec, cfg.quad_tol)
+        b2[i] = dephasing_exponent(float(t), spec)
+        shift[i] = phase_shift(float(t), spec)
     d = max_decoherence(b2)
     norms = {}
     for name in cfg.initial_states:
@@ -288,13 +288,11 @@ def _tld_report(cfg: RunConfig) -> tuple[dict, int]:
             "tau_gate_rel_dev": tau_gate_ps / REFERENCE_TAU_G_PS - 1.0,
         },
         "d_at_gate": float(
-            max_decoherence(dephasing_exponent(tau_gate_units, spec, cfg.quad_tol))
+            max_decoherence(dephasing_exponent(tau_gate_units, spec))
         ),
     }
     try:
-        tau = low_decoherence_time(
-            cfg.threshold, spec, cfg.t_max, quad_rtol=cfg.quad_tol
-        )
+        tau = low_decoherence_time(cfg.threshold, spec, cfg.t_max)
     except NoCrossingError as exc:
         report.update(
             {
@@ -375,7 +373,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         try:
             row_cfg.validate()
             report, _ = _tld_report(row_cfg)
-        except (ValueError, QuadratureError) as exc:
+        except ValueError as exc:
             rows.append((value, math.nan, math.nan, math.nan,
                          f"error: {str(exc).replace(',', ';')}"))
         else:
@@ -442,7 +440,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 def _check_discrete_vs_continuum(cfg: RunConfig) -> tuple[bool, str]:
     spec = BathSpec(eta=1e-6, omega_c=200.0, beta=temperature_to_beta(30.0))
     t = 0.5
-    reference = dephasing_exponent(t, spec, 1e-10)
+    reference = dephasing_exponent(t, spec)
     bath = discretize_bath(spec, 200000, 60.0 * spec.omega_c)
     approx = dephasing_exponent_modes(t, bath, spec.beta)
     rel = abs(approx - reference) / reference
@@ -573,7 +571,10 @@ def _add_common(sub):
     sub.add_argument("--t-max", type=float, dest="t_max", help="time window (hbar/ueV)")
     sub.add_argument("--samples", type=int, help="number of grid samples")
     sub.add_argument("--threshold", type=float, help="decoherence threshold")
-    sub.add_argument("--quad-tol", type=float, dest="quad_tol", help="quadrature rtol")
+    sub.add_argument(
+        "--quad-tol", type=float, dest="quad_tol",
+        help="validated and echoed but unused: B2 and C are exact",
+    )
     sub.add_argument("--seed", type=int, help="seed for randomized checks")
     sub.add_argument("--out", help="output path")
 
@@ -637,9 +638,9 @@ def main(argv=None) -> int:
         cfg = dataclasses.replace(cfg, t_max=0.5)
     try:
         return args.func(cfg, args)
-    except QuadratureError as exc:
-        print(f"error: quadrature did not converge: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def run():

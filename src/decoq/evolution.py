@@ -367,12 +367,11 @@ def low_decoherence_time(
     spec: BathSpec,
     t_max: float,
     rtol: float = 1e-4,
-    quad_rtol: float = 1e-8,
 ) -> float:
     """Smallest t with max_decoherence(B2(t)) = threshold, to relative rtol.
 
     The dephasing exponent is memoized per call, so the bracketing and
-    bisection probes never recompute a quadrature at the same t.  Raises
+    bisection probes never evaluate B2 twice at the same t.  Raises
     NoCrossingError (carrying d(t_max)) if the threshold is never reached,
     ValueError for thresholds outside (0, 1/2).
     """
@@ -384,7 +383,7 @@ def low_decoherence_time(
 
     def d_of_t(t: float) -> float:
         if t not in cache:
-            cache[t] = max_decoherence(dephasing_exponent(t, spec, quad_rtol))
+            cache[t] = max_decoherence(dephasing_exponent(t, spec))
         return cache[t]
 
     return _find_crossing(d_of_t, threshold, t_max, rtol)

@@ -21,9 +21,8 @@ from decoq.bath import (
     BathSpec,
     dephasing_exponent,
     dephasing_exponent_modes,
-    dephasing_exponent_quadrature,
     discretize_bath,
-    phase_shift_quadrature,
+    phase_shift,
 )
 from decoq.cli import main
 from decoq.evolution import (
@@ -115,9 +114,9 @@ def test_03_zero_temperature_closed_form():
     worst = 0.0
     for t in (1e-3, 1e-2, 1e-1, 1.0, 10.0):
         closed = 2.0 * ETA * math.log1p((OMEGA_C * t) ** 2)
-        got = dephasing_exponent_quadrature(t, spec, 1e-10)
+        got = dephasing_exponent(t, spec)
         worst = max(worst, abs(got - closed) / closed)
-    _report("zero-temperature-closed-form", worst <= 1e-8, f"worst rel {worst:.3e}")
+    _report("zero-temperature-closed-form", worst <= 1e-12, f"worst rel {worst:.3e}")
 
 
 def test_04_shift_integral_closed_form():
@@ -126,9 +125,9 @@ def test_04_shift_integral_closed_form():
     for t in (1e-3, 1e-2, 1e-1, 1.0, 10.0):
         x = OMEGA_C * t
         closed = ETA * (x - math.atan(x))
-        got = phase_shift_quadrature(t, spec, 1e-10)
+        got = phase_shift(t, spec)
         worst = max(worst, abs(got - closed) / closed)
-    _report("shift-integral-closed-form", worst <= 1e-8, f"worst rel {worst:.3e}")
+    _report("shift-integral-closed-form", worst <= 1e-12, f"worst rel {worst:.3e}")
 
 
 def test_05_discrete_vs_continuum():
@@ -136,7 +135,7 @@ def test_05_discrete_vs_continuum():
     bath = discretize_bath(spec, 200000, 60.0 * OMEGA_C)
     worst = 0.0
     for t in (1e-3, 1e-2, 1e-1, 1.0, 10.0):
-        cont = dephasing_exponent(t, spec, 1e-10)
+        cont = dephasing_exponent(t, spec)
         disc = dephasing_exponent_modes(t, bath, spec.beta)
         worst = max(worst, abs(disc - cont) / cont)
     _report("discrete-vs-continuum", worst <= 1e-4, f"worst rel {worst:.3e}")

@@ -182,8 +182,8 @@ class TestDeviation:
 class TestMaxDecoherence:
     def test_values(self):
         assert max_decoherence(0.0) == 0.0
-        assert max_decoherence(1e-4) == pytest.approx(0.5e-4, rel=1e-3)
-        assert float(max_decoherence(1e3)) == pytest.approx(0.5, rel=1e-12)
+        assert max_decoherence(1e-4) == pytest.approx(0.5e-4, rel=1e-3, abs=0.0)
+        assert float(max_decoherence(1e3)) == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
     def test_monotone_and_array(self):
         b2 = np.linspace(0.0, 5.0, 50)
@@ -220,7 +220,7 @@ class TestFindCrossing:
     def test_no_crossing_error_carries_level(self):
         with pytest.raises(NoCrossingError) as err:
             _find_crossing(lambda t: 0.01 * t, 0.3, 10.0, 1e-6)
-        assert err.value.d_at_t_max == pytest.approx(0.1, rel=1e-12)
+        assert err.value.d_at_t_max == pytest.approx(0.1, rel=1e-12, abs=0.0)
 
     def test_non_monotone_fallback_finds_first_crossing(self):
         # bump at t = 1 plus a slow ramp: the doubling probes see the
@@ -242,7 +242,7 @@ class TestLowDecoherenceTime:
 
         tau = low_decoherence_time(1e-4, self.SPEC, 5.0)
         d_tau = float(max_decoherence(dephasing_exponent(tau, self.SPEC)))
-        assert d_tau == pytest.approx(1e-4, rel=1e-2)
+        assert d_tau == pytest.approx(1e-4, rel=1e-2, abs=0.0)
         assert 0.0 < tau < 5.0
 
     def test_stronger_coupling_shortens_window(self):
