@@ -24,6 +24,7 @@ from .bath import (
 from .evolution import (
     COMPUTATIONAL,
     EIGENBASIS,
+    CrossingNotResolvedError,
     DecoherenceCurve,
     DeviationOperator,
     NoCrossingError,

@@ -44,6 +44,10 @@ class NoCrossingError(RuntimeError):
         self.d_at_t_max = d_at_t_max
 
 
+class CrossingNotResolvedError(ValueError):
+    """The crossing bracket reached adjacent doubles without meeting rtol."""
+
+
 @dataclass(frozen=True)
 class QubitState:
     """Validated 2x2 density matrix with an explicit basis tag."""
@@ -306,8 +310,15 @@ def _find_crossing(
 ) -> float:
     """First t in (0, t_max] with d(t) >= threshold, by doubling + bisection.
 
-    Falls back to a dense first-crossing scan (with a warning) if the
-    doubling probes ever see d decrease.
+    Returns the midpoint of a bracket [lo, hi] with d(lo) < threshold <=
+    d(hi) and hi - lo <= rtol * hi.  Above the seed probe the bracket comes
+    from doubling; below it, from halving down to the smallest positive
+    double (bisection from lo = 0 halves hi), so a crossing at any
+    representable t is found.  A level already at the threshold on the
+    smallest positive double returns that double.  Raises
+    CrossingNotResolvedError when the bracket shrinks to adjacent doubles
+    without meeting rtol.  Falls back to a dense first-crossing scan (with
+    a warning) if the doubling probes ever see d decrease.
     """
     d_end = d_of_t(t_max)
     if d_end < threshold:
@@ -351,10 +362,15 @@ def _find_crossing(
                     break
         if hi is None:
             hi = t_max
-    for _ in range(60):
-        if hi - lo <= rtol * max(hi, 1e-300):
-            break
+    while hi - lo > rtol * hi:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            if lo == 0.0:
+                return hi
+            raise CrossingNotResolvedError(
+                f"crossing bracket [{lo:.17g}, {hi:.17g}] holds no double "
+                f"between its ends but is wider than rtol={rtol:g} allows"
+            )
         if d_of_t(mid) >= threshold:
             hi = mid
         else:
@@ -373,7 +389,8 @@ def low_decoherence_time(
     The dephasing exponent is memoized per call, so the bracketing and
     bisection probes never evaluate B2 twice at the same t.  Raises
     NoCrossingError (carrying d(t_max)) if the threshold is never reached,
-    ValueError for thresholds outside (0, 1/2).
+    CrossingNotResolvedError if double precision cannot resolve the
+    crossing to rtol, ValueError for thresholds outside (0, 1/2).
     """
     if not 0.0 < threshold < 0.5:
         raise ValueError(f"threshold must lie in (0, 1/2), got {threshold}")

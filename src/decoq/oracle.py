@@ -2,12 +2,31 @@
 
 The composite Hilbert space is the qubit tensored with a handful of
 oscillator modes, each truncated to n_fock levels.  Everything here is
-plain dense linear algebra: build the Hamiltonians, exponentiate by
+exact linear algebra on that truncated Hamiltonian: exponentiate by
 eigendecomposition, partial-trace the bath out.  The point is to have an
 independent check of the reduced closed-form map and of the accuracy
 order of the symmetric propagator splitting, so this module deliberately
 shares no formulas with the closed-form path beyond the Hamiltonian
 itself.
+
+The coupling-plus-bath part H_ib = sigma_z x sum_k g_k (a_k + a_k^dag)
++ 1 x sum_k omega_k n_k is block-diagonal in sigma_z, and each block is
+a Kronecker sum of the one-mode operators
+h_{+-,k} = omega_k n_k +- g_k (a_k + a_k^dag).  With a product thermal
+state diag(p_k) per mode, the bath trace of exp(-i H_ib t) rho_0
+exp(i H_ib t) keeps the populations and multiplies the charge coherence
+rho_01 by
+
+    chi(t) = prod_k tr[exp(-i h_{+,k} t) diag(p_k) exp(i h_{-,k} t)],
+
+so one n_fock x n_fock eigendecomposition per mode and sign replaces the
+composite one.  The split step A(t/2) B(t) A(t/2) therefore acts on the
+2x2 state as A(t/2) (rho_01 -> chi rho_01) A(t/2), and the exact
+evolution is the same map with A = 1 whenever E_J = 0.  chi is still a
+trace of matrix exponentials of the truncated mode operators, not the
+closed-form B^2 of the continuum or mode-sum formulas, so the check stays
+independent.  Dense d x d algebra is kept only where sigma_z is not
+conserved: the exact evolution at E_J != 0 and the splitting-order fit.
 
 Conventions match the rest of the package: the qubit part of the
 Hamiltonian is -E_J/2 sigma_x in the charge basis, the bath couples
@@ -122,21 +141,47 @@ def build_hamiltonians(system: CompositeSystem) -> tuple[np.ndarray, np.ndarray]
 
 @functools.lru_cache(maxsize=8)
 def _eigensystem(system: CompositeSystem):
-    """Cached eigendecompositions of H_total and of the bath-coupling part."""
+    """Cached per-mode eigensystems of the two sigma_z blocks of H_ib.
+
+    One entry per mode k, each a pair ((evals, evecs) of h_{+,k},
+    (evals, evecs) of h_{-,k}) with h_{+-,k} = omega_k n_k +- g_k (a_k +
+    a_k^dag) on that mode's n_fock levels.  These n_fock x n_fock
+    eigendecompositions are all the split map, and the exact map at
+    E_J = 0, need; the composite H_ib is never built.
+    """
+    out = []
+    for m in system.modes:
+        a = _lowering(m.n_fock)
+        number = m.omega * (a.T @ a)
+        coupling = m.g * (a + a.T)
+        pair = tuple(np.linalg.eigh(number + sign * coupling) for sign in (1.0, -1.0))
+        for evals, evecs in pair:
+            evals.flags.writeable = False
+            evecs.flags.writeable = False
+        out.append(pair)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=2)
+def _dense_eigensystem(system: CompositeSystem):
+    """Cached eigendecomposition of the composite H_total, for E_J != 0.
+
+    Its eigenvectors take 8 d^2 bytes, so only the two most recent
+    systems are kept.
+    """
     h_sys, h_ib = build_hamiltonians(system)
     evals, evecs = np.linalg.eigh(h_sys + h_ib)
-    evals_ib, evecs_ib = np.linalg.eigh(h_ib)
-    for arr in (h_sys, h_ib, evals, evecs, evals_ib, evecs_ib):
-        arr.flags.writeable = False
-    return h_sys, h_ib, evals, evecs, evals_ib, evecs_ib
+    evals.flags.writeable = False
+    evecs.flags.writeable = False
+    return evals, evecs
 
 
 def _propagator(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
-def thermal_bath_state(modes, beta: float) -> np.ndarray:
-    """Truncated thermal state of the bath, diagonal in the Fock basis.
+def _mode_weights(modes, beta: float) -> list[np.ndarray]:
+    """Truncated Boltzmann weights of each mode's Fock levels.
 
     beta = inf puts every mode in its ground state.  Warns when the
     highest retained level still carries relative weight above
@@ -144,7 +189,7 @@ def thermal_bath_state(modes, beta: float) -> np.ndarray:
     """
     if math.isnan(beta) or beta <= 0.0:
         raise ValueError(f"inverse temperature must be positive, got {beta}")
-    out = np.eye(1)
+    weights = []
     for m in modes:
         if math.isinf(beta):
             probs = np.zeros(m.n_fock)
@@ -157,10 +202,22 @@ def thermal_bath_state(modes, beta: float) -> np.ndarray:
                     f"{top_weight:.2e} in its highest Fock level; "
                     "increase n_fock for a faithful thermal state",
                     BathTruncationWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             probs = np.exp(-beta * m.omega * np.arange(m.n_fock))
             probs /= probs.sum()
+        weights.append(probs)
+    return weights
+
+
+def thermal_bath_state(modes, beta: float) -> np.ndarray:
+    """Truncated thermal state of the bath, diagonal in the Fock basis.
+
+    The Kronecker product of the per-mode weights; beta = inf puts every
+    mode in its ground state, and it warns as _mode_weights does.
+    """
+    out = np.eye(1)
+    for probs in _mode_weights(modes, beta):
         out = np.kron(out, np.diag(probs))
     return out
 
@@ -171,24 +228,47 @@ def _to_computational(state: QubitState) -> tuple[QubitState, bool]:
     return basis_change(state), True
 
 
-def _reduce(rho_full: np.ndarray, bath_dim: int, back_to_eigen: bool) -> QubitState:
-    reduced = np.einsum("aibi->ab", rho_full.reshape(2, bath_dim, 2, bath_dim))
+def _finish(reduced: np.ndarray, back_to_eigen: bool) -> QubitState:
     reduced = 0.5 * (reduced + reduced.conj().T)
     out = QubitState(reduced, COMPUTATIONAL)
     return basis_change(out) if back_to_eigen else out
+
+
+def _split_map(system: CompositeSystem, state: QubitState, beta: float, t: float) -> QubitState:
+    """Reduced state after A(t/2) B(t) A(t/2), bath traced out per mode.
+
+    The bath trace commutes with the qubit-only A, so B acts on the 2x2
+    charge-basis state as rho_01 -> chi(t) rho_01 (see module docstring).
+    """
+    comp, was_eigen = _to_computational(state)
+    a_half = gate_unitary(system.e_j, 0.5 * t)
+    chi = 1.0 + 0.0j
+    for (plus, minus), p in zip(_eigensystem(system), _mode_weights(system.modes, beta)):
+        u_plus = _propagator(*plus, t)
+        u_minus = _propagator(*minus, t)
+        chi *= np.sum(u_plus * p * u_minus.conj())
+    rho = a_half @ comp.rho @ a_half.conj().T
+    rho = rho * np.array([[1.0, chi], [np.conj(chi), 1.0]])
+    return _finish(a_half @ rho @ a_half.conj().T, was_eigen)
 
 
 def evolve_exact(system: CompositeSystem, state: QubitState, beta: float, t: float) -> QubitState:
     """Numerically exact reduced state at time t from a product initial state.
 
     The qubit state may be given in either basis; the result comes back in
-    the same basis it arrived in.
+    the same basis it arrived in.  At E_J = 0 sigma_z is conserved, so the
+    split map with A = 1 is exact; otherwise the composite H_total is
+    diagonalized.
     """
+    if system.e_j == 0.0:
+        return _split_map(system, state, beta, t)
     comp, was_eigen = _to_computational(state)
-    _, _, evals, evecs, _, _ = _eigensystem(system)
+    evals, evecs = _dense_eigensystem(system)
     rho0 = np.kron(comp.rho, thermal_bath_state(system.modes, beta))
     u = _propagator(evals, evecs, t)
-    return _reduce(u @ rho0 @ u.conj().T, system.bath_dim, was_eigen)
+    nb = system.bath_dim
+    rho_full = (u @ rho0 @ u.conj().T).reshape(2, nb, 2, nb)
+    return _finish(np.einsum("aibi->ab", rho_full), was_eigen)
 
 
 def evolve_split(system: CompositeSystem, state: QubitState, beta: float, t: float) -> QubitState:
@@ -197,12 +277,7 @@ def evolve_split(system: CompositeSystem, state: QubitState, beta: float, t: flo
     A is the bare-qubit propagator, B covers the coupling plus the bath
     energy for the full step.
     """
-    comp, was_eigen = _to_computational(state)
-    _, _, _, _, evals_ib, evecs_ib = _eigensystem(system)
-    a_half = np.kron(gate_unitary(system.e_j, 0.5 * t), np.eye(system.bath_dim))
-    u = a_half @ _propagator(evals_ib, evecs_ib, t) @ a_half
-    rho0 = np.kron(comp.rho, thermal_bath_state(system.modes, beta))
-    return _reduce(u @ rho0 @ u.conj().T, system.bath_dim, was_eigen)
+    return _split_map(system, state, beta, t)
 
 
 @dataclass(frozen=True)
@@ -233,7 +308,7 @@ def error_scaling(
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("step sizes must be strictly increasing")
 
-    h_sys, h_ib, evals, _, _, _ = _eigensystem(system)
+    h_sys, h_ib = build_hamiltonians(system)
     comm = h_sys @ h_ib - h_ib @ h_sys
     scale = np.linalg.norm(h_sys) * np.linalg.norm(h_ib)
     if scale == 0.0 or np.linalg.norm(comm) <= 1e-14 * scale:
@@ -241,6 +316,7 @@ def error_scaling(
             "the two propagator factors commute, so the splitting is exact "
             "and there is no error to fit"
         )
+    evals, _ = _dense_eigensystem(system)
     if times[-1] * np.max(np.abs(evals)) > 1.5:
         warnings.warn(
             "largest step is not small against the total Hamiltonian norm; "

@@ -205,6 +205,21 @@ class TestTldCommand:
         default, long = (r["tau_ld_units"] for r in reports)
         assert long == pytest.approx(default, rel=1e-4)
 
+    def test_crossing_far_below_the_seed_probe(self, tmp_path):
+        # at s = 80 B2 ~ 3.5e299 t^2, so D reaches 1e-4 near t = 2.4e-152,
+        # far below the 1e-4 seed probe; the window must resolve to rtol
+        config = tmp_path / "s80.cfg"
+        config.write_text("s = 80\n")
+        out = tmp_path / "tld.json"
+        assert main(["tld", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        tau, rtol = report["tau_ld_units"], 1e-4
+        spec = RunConfig(s=80.0).bath_spec()
+        d = lambda t: float(max_decoherence(dephasing_exponent(t, spec)))  # noqa: E731
+        # tau is the midpoint of a bracket no wider than rtol * hi
+        assert d(tau * (1.0 + rtol)) >= 1e-4 > d(tau * (1.0 - 2.0 * rtol))
+        assert 2e-152 < tau < 3e-152
+
     def test_uncoupled_bath_exits_two(self, tmp_path):
         out = tmp_path / "tld.json"
         code = main(["tld", "--eta", "0", "--out", str(out)])

@@ -8,6 +8,7 @@ from decoq.bath import BathSpec
 from decoq.evolution import (
     COMPUTATIONAL,
     EIGENBASIS,
+    CrossingNotResolvedError,
     DecoherenceCurve,
     DeviationOperator,
     NoCrossingError,
@@ -216,6 +217,27 @@ class TestFindCrossing:
     def test_seed_already_above_threshold(self):
         tau = _find_crossing(lambda t: 0.4, 0.1, 10.0, 1e-6)
         assert tau < 1e-4
+
+    def test_crossing_far_below_seed_is_resolved(self):
+        # a crossing 2^-200 below the seed probe: halving past the old
+        # 60-step cap, then bisection to rtol
+        c = 1e-4 * 2.0**-200 * 1.37
+        tau = _find_crossing(lambda t: 0.5 * (1.0 - math.exp(-t / c)), 0.25, 10.0, 1e-9)
+        assert tau == pytest.approx(c * math.log(2.0), rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "d,rtol",
+        [
+            # rtol below the spacing of doubles at the crossing
+            (lambda t: 0.5 * (1.0 - math.exp(-t)), 1e-20),
+            # crossing among subnormals, where doubles are 5e-324 apart
+            (lambda t: 0.4 if t >= 1e-320 else 0.0, 1e-6),
+        ],
+        ids=["rtol-below-spacing", "subnormal-crossing"],
+    )
+    def test_unresolvable_bracket_raises(self, d, rtol):
+        with pytest.raises(CrossingNotResolvedError, match="no double between"):
+            _find_crossing(d, 0.25, 10.0, rtol)
 
     def test_no_crossing_error_carries_level(self):
         with pytest.raises(NoCrossingError) as err:

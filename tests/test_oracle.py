@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoq.bath import dephasing_exponent_modes
 from decoq.evolution import (
@@ -12,12 +14,13 @@ from decoq.evolution import (
     pure_state,
     random_density_matrix,
 )
-from decoq.model import basis_change
+from decoq.model import basis_change, gate_unitary
 from decoq.oracle import (
     BathTruncationWarning,
     CompositeSystem,
     DimensionCapError,
     TruncatedBathMode,
+    build_hamiltonians,
     discrete_bath_from_modes,
     error_scaling,
     evolve_exact,
@@ -25,6 +28,7 @@ from decoq.oracle import (
     split_vs_closed_form,
     thermal_bath_state,
 )
+from decoq import oracle
 from decoq.units import temperature_to_beta
 
 BETA_30MK = temperature_to_beta(30.0)
@@ -32,6 +36,49 @@ BETA_30MK = temperature_to_beta(30.0)
 
 def one_mode_system(e_j=51.8, omega=8.0, g=0.5, n_fock=14):
     return CompositeSystem(e_j=e_j, modes=(TruncatedBathMode(omega, g, n_fock),))
+
+
+def _expm_herm(h, t):
+    evals, evecs = np.linalg.eigh(h)
+    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+
+
+def dense_reference(system, state, beta, t, split):
+    """Reduced state by full-space propagation and partial trace.
+
+    split=False propagates with H_sys + H_ib, split=True with
+    A(t/2) exp(-i H_ib t) A(t/2); the result is in the input basis.
+    """
+    h_sys, h_ib = build_hamiltonians(system)
+    if split:
+        a_half = np.kron(gate_unitary(system.e_j, 0.5 * t), np.eye(system.bath_dim))
+        u = a_half @ _expm_herm(h_ib, t) @ a_half
+    else:
+        u = _expm_herm(h_sys + h_ib, t)
+    comp = state if state.basis == COMPUTATIONAL else basis_change(state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BathTruncationWarning)
+        rho0 = np.kron(comp.rho, thermal_bath_state(system.modes, beta))
+    nb = system.bath_dim
+    full = (u @ rho0 @ u.conj().T).reshape(2, nb, 2, nb)
+    out = QubitState(np.einsum("aibi->ab", full), COMPUTATIONAL)
+    return (out if state.basis == COMPUTATIONAL else basis_change(out)).rho
+
+
+@st.composite
+def composite_systems(draw, max_bath_dim=256):
+    """1-3 modes whose Fock levels keep the composite dimension <= 2 * max_bath_dim."""
+    n_modes = draw(st.integers(1, 3))
+    budget, modes = max_bath_dim, []
+    for k in range(n_modes):
+        # leave at least two levels for every mode still to come
+        cap = min(16, budget // 2 ** (n_modes - k - 1))
+        n_fock = draw(st.integers(2, cap))
+        budget //= n_fock
+        omega = draw(st.floats(2.0, 40.0))
+        g = draw(st.floats(0.0, 1.0))
+        modes.append(TruncatedBathMode(omega, g, n_fock))
+    return tuple(modes)
 
 
 class TestConstruction:
@@ -73,6 +120,15 @@ class TestThermalBathState:
     def test_warns_when_truncation_is_too_tight(self):
         with pytest.warns(BathTruncationWarning):
             thermal_bath_state((TruncatedBathMode(1.0, 0.5, 3),), BETA_30MK)
+
+    @pytest.mark.parametrize("e_j", [0.0, 51.8])
+    def test_evolutions_warn_when_truncation_is_too_tight(self, e_j):
+        system = CompositeSystem(e_j=e_j, modes=(TruncatedBathMode(1.0, 0.5, 3),))
+        state = pure_state(0.5)
+        with pytest.warns(BathTruncationWarning):
+            evolve_exact(system, state, BETA_30MK, 0.1)
+        with pytest.warns(BathTruncationWarning):
+            evolve_split(system, state, BETA_30MK, 0.1)
 
 
 class TestDecoupledLimit:
@@ -143,6 +199,66 @@ class TestSplitVsClosedForm:
         assert float(bath.g_sq[0]) == pytest.approx(0.25, rel=1e-12)
 
 
+class TestFactorisedAgainstDense:
+    """The per-mode factorisation against full-space linear algebra."""
+
+    @pytest.mark.parametrize("n_fock", [8, 16])
+    def test_benchmark_dimensions(self, rng, n_fock):
+        modes = (TruncatedBathMode(15.0, 0.3, n_fock), TruncatedBathMode(24.0, 0.2, n_fock))
+        for basis in (COMPUTATIONAL, "eigenbasis"):
+            state = random_density_matrix(rng, basis)
+            for t in (0.01, 0.3, 1.7):
+                for e_j in (0.0, 51.8):
+                    system = CompositeSystem(e_j=e_j, modes=modes)
+                    split = evolve_split(system, state, BETA_30MK, t)
+                    assert split.basis == basis
+                    np.testing.assert_allclose(
+                        split.rho, dense_reference(system, state, BETA_30MK, t, True),
+                        rtol=0, atol=1e-12,
+                    )
+                system = CompositeSystem(e_j=0.0, modes=modes)
+                np.testing.assert_allclose(
+                    evolve_exact(system, state, BETA_30MK, t).rho,
+                    dense_reference(system, state, BETA_30MK, t, False),
+                    rtol=0, atol=1e-12,
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        modes=composite_systems(),
+        beta=st.one_of(st.just(math.inf), st.floats(1.0, 300.0).map(temperature_to_beta)),
+        t=st.floats(1e-3, 3.0),
+        e_j=st.sampled_from([0.0, 51.8]),
+        basis=st.sampled_from([COMPUTATIONAL, "eigenbasis"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fuzz(self, modes, beta, t, e_j, basis, seed):
+        state = random_density_matrix(np.random.default_rng(seed), basis)
+        system = CompositeSystem(e_j=e_j, modes=modes)
+        zero = CompositeSystem(e_j=0.0, modes=modes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BathTruncationWarning)
+            split = evolve_split(system, state, beta, t).rho
+            exact = evolve_exact(zero, state, beta, t).rho
+        assert np.max(np.abs(split - dense_reference(system, state, beta, t, True))) <= 1e-12
+        assert np.max(np.abs(exact - dense_reference(zero, state, beta, t, False))) <= 1e-12
+
+    def test_large_system_never_builds_the_composite(self, monkeypatch):
+        # d = 2048: only the dense E_J != 0 exact evolution may build it
+        def refuse(system):
+            raise AssertionError("composite Hamiltonian built")
+
+        monkeypatch.setattr(oracle, "build_hamiltonians", refuse)
+        modes = (TruncatedBathMode(15.0, 0.3, 32), TruncatedBathMode(24.0, 0.2, 32))
+        state = pure_state(0.7, 0.2)
+        pure, driven = (CompositeSystem(e_j=e_j, modes=modes) for e_j in (0.0, 51.8))
+        assert pure.dim == 2048
+        assert isinstance(evolve_exact(pure, state, BETA_30MK, 0.4), QubitState)
+        assert isinstance(evolve_split(driven, state, BETA_30MK, 0.4), QubitState)
+        with pytest.raises(AssertionError, match="composite"):
+            evolve_exact(driven, state, BETA_30MK, 0.4)
+
+
 class TestBasisHandling:
     def test_exact_evolution_consistent_between_bases(self, rng):
         system = one_mode_system()
@@ -181,6 +297,16 @@ class TestErrorScaling:
 
     def test_zero_coupling_rejected(self):
         system = one_mode_system(g=0.0, n_fock=4)
+        with pytest.raises(RuntimeError, match="commute"):
+            error_scaling(system, pure_state(0.5), BETA_30MK, np.geomspace(1e-3, 1e-2, 6))
+
+    @pytest.mark.parametrize("e_j,g", [(0.0, 0.5), (51.8, 0.0)], ids=["e_j=0", "g=0"])
+    def test_commuting_case_rejected_before_diagonalising(self, monkeypatch, e_j, g):
+        def refuse(*args, **kwargs):
+            raise AssertionError("diagonalised before the commutator check")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        system = one_mode_system(e_j=e_j, g=g, n_fock=7)
         with pytest.raises(RuntimeError, match="commute"):
             error_scaling(system, pure_state(0.5), BETA_30MK, np.geomspace(1e-3, 1e-2, 6))
 
