@@ -25,7 +25,6 @@ from .evolution import (
     COMPUTATIONAL,
     EIGENBASIS,
     CrossingNotResolvedError,
-    DecoherenceCurve,
     DeviationOperator,
     NoCrossingError,
     QubitState,

@@ -7,9 +7,15 @@ Subcommands:
     sweep    low-decoherence time across a parameter axis -> CSV + SVG
     verify   built-in cross-checks of the numerical machinery -> JSON
 
+Every physics flag sets the run-configuration field of the same meaning.
+A setting takes, lowest precedence first: the built-in default, the
+subcommand's own default (curve looks at t_max = 0.5, not 10), a flat
+key = value file given by --config, then the flag.
+
 Exit codes: 0 success, 1 usage or configuration error (including a bath
-whose B2 or C is not finite in double precision), 2 no threshold crossing
-on the window, 3 a verification or consistency check failed.
+whose B2 or C is not finite in double precision, a repeated initial
+state and an output path that cannot be written), 2 no threshold
+crossing on the window, 3 a verification or consistency check failed.
 """
 
 import argparse
@@ -32,7 +38,6 @@ from .bath import (
 )
 from .evolution import (
     COMPUTATIONAL,
-    DecoherenceCurve,
     NoCrossingError,
     QubitState,
     bloch_supremum_scan,
@@ -89,9 +94,6 @@ class RunConfig:
     t_max: float = 10.0
     n_samples: int = 400
     threshold: float = 1e-4
-    # accepted so existing config files and scripts keep working; no kernel
-    # reads it since B2 and C are evaluated exactly
-    quad_tol: float = 1e-8
     seed: int = 1234
     initial_states: tuple = ("point", "line1", "line2")
 
@@ -105,8 +107,6 @@ class RunConfig:
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
         if not (0.0 < self.threshold < 0.5):
             raise ValueError(f"threshold must lie in (0, 0.5), got {self.threshold}")
-        if not (0.0 < self.quad_tol <= 1e-3):
-            raise ValueError(f"quad_tol must lie in (0, 1e-3], got {self.quad_tol}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.initial_states:
@@ -116,6 +116,11 @@ class RunConfig:
                 raise ValueError(
                     f"unknown initial state {name!r}; choose from {sorted(PRESETS)}"
                 )
+        # each state names a CSV column, and a column must not repeat
+        if len(set(self.initial_states)) < len(self.initial_states):
+            raise ValueError(
+                f"initial states repeat: {', '.join(self.initial_states)}"
+            )
 
     def bath_spec(self) -> BathSpec:
         return BathSpec(
@@ -131,20 +136,27 @@ class RunConfig:
         return out
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_INT_FIELDS = {"n_samples", "seed"}
+# flag -> (RunConfig field it sets, help) for the flags every subcommand
+# takes; argparse stores each under its field name
+_OPTIONS = {
+    "--ej": ("e_j", "Josephson energy (ueV)"),
+    "--temp-mk": ("temp_mk", "temperature (mK)"),
+    "--eta": ("eta", "dimensionless Ohmic coupling"),
+    "--cutoff": ("omega_c", "cutoff frequency omega_c (ueV)"),
+    "--t-max": ("t_max", "time window (hbar/ueV)"),
+    "--samples": ("n_samples", "number of grid samples"),
+    "--threshold": ("threshold", "decoherence threshold"),
+    "--seed": ("seed", "seed for randomized checks"),
+}
 
-
-def _coerce(key: str, value: str):
-    if key == "initial_states":
-        return tuple(part.strip() for part in value.split(",") if part.strip())
-    if key in _INT_FIELDS:
-        return int(value)
-    return float(value)
+# defaults of one subcommand that differ from RunConfig's: curves look at a
+# short window, reports keep the long one
+_COMMAND_DEFAULTS = {"curve": {"t_max": 0.5}}
 
 
 def parse_config_file(path: str) -> dict:
     """Read a flat key = value file; '#' starts a comment."""
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     overrides = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -156,50 +168,31 @@ def parse_config_file(path: str) -> dict:
             value = value.strip().strip("\"'")
             if not sep or not key or not value:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
-            if key not in _CONFIG_FIELDS:
+            if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if types[key] is tuple:
+                overrides[key] = tuple(p.strip() for p in value.split(",") if p.strip())
+                continue
             try:
-                overrides[key] = _coerce(key, value)
+                overrides[key] = types[key](value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return overrides
 
 
-_FLAG_TO_FIELD = {
-    "ej": "e_j",
-    "temp_mk": "temp_mk",
-    "eta": "eta",
-    "cutoff": "omega_c",
-    "t_max": "t_max",
-    "samples": "n_samples",
-    "threshold": "threshold",
-    "quad_tol": "quad_tol",
-    "seed": "seed",
-    "state": "initial_states",
-}
-
-
-def build_config(args) -> tuple[RunConfig, set]:
-    """Defaults, then config file, then explicit flags.  Returns the set of
-    explicitly overridden field names alongside the config."""
+def build_config(args) -> RunConfig:
+    """RunConfig defaults, then the subcommand's, then the config file, then flags."""
     values = dataclasses.asdict(RunConfig())
-    explicit = set()
-    if getattr(args, "config", None):
-        file_overrides = parse_config_file(args.config)
-        values.update(file_overrides)
-        explicit |= set(file_overrides)
-    for flag, field in _FLAG_TO_FIELD.items():
-        arg_val = getattr(args, flag, None)
-        if arg_val is None:
-            continue
-        if field == "initial_states":
-            arg_val = tuple(arg_val)
-        values[field] = arg_val
-        explicit.add(field)
+    values.update(_COMMAND_DEFAULTS.get(args.command, {}))
+    if args.config:
+        values.update(parse_config_file(args.config))
+    for field in values:
+        if getattr(args, field, None) is not None:
+            values[field] = getattr(args, field)
     values["initial_states"] = tuple(values["initial_states"])
     cfg = RunConfig(**values)
     cfg.validate()
-    return cfg, explicit
+    return cfg
 
 
 def _g17(x) -> str:
@@ -215,9 +208,31 @@ def _metadata_lines(cfg: RunConfig, kind: str) -> list:
     ]
 
 
-def _sibling_svg(path: str) -> str:
-    root, _ = os.path.splitext(path)
-    return root + ".svg"
+def _write_csv(path: str, cfg: RunConfig, kind: str, columns, rows) -> None:
+    """Metadata comments, header, then rows: floats at .17g, strings as they are."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in _metadata_lines(cfg, kind):
+            fh.write(line + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else _g17(v) for v in row) + "\n")
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_plot(csv_path: str, series, **labels) -> None:
+    """SVG next to the CSV; data with nothing finite to plot skips it with a note."""
+    out_svg = os.path.splitext(csv_path)[0] + ".svg"
+    try:
+        write_svg(out_svg, series, **labels)
+    except ValueError as exc:
+        print(f"note: skipped {out_svg}: {exc}", file=sys.stderr)
+        return
+    print(f"wrote {out_svg}")
 
 
 # ---------------------------------------------------------------- curve
@@ -231,41 +246,27 @@ def cmd_curve(cfg: RunConfig, args) -> int:
         b2[i] = dephasing_exponent(float(t), spec)
         shift[i] = phase_shift(float(t), spec)
     d = max_decoherence(b2)
-    norms = {}
-    for name in cfg.initial_states:
-        state = pure_state(*PRESETS[name])
-        norms[name] = deviation_norm_closed_form(state, b2, times, cfg.e_j)
-    curve = DecoherenceCurve(times=times, dephasing=b2, shift=shift, d=d, norms=norms)
+    norms = [
+        deviation_norm_closed_form(pure_state(*PRESETS[name]), b2, times, cfg.e_j)
+        for name in cfg.initial_states
+    ]
 
     out_csv = args.out or "curve.csv"
     columns = ["t", "b_squared", "c_shift", "D"] + [f"norm_{n}" for n in cfg.initial_states]
-    with open(out_csv, "w", encoding="utf-8") as fh:
-        for line in _metadata_lines(cfg, "curve"):
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for i in range(times.size):
-            row = [times[i], b2[i], shift[i], d[i]]
-            row += [norms[n][i] for n in cfg.initial_states]
-            fh.write(",".join(_g17(v) for v in row) + "\n")
+    _write_csv(out_csv, cfg, "curve", columns, zip(times, b2, shift, d, *norms))
     print(f"wrote {out_csv} ({times.size} samples)")
 
-    series = [Series(label="D(t)", x=curve.times, y=curve.d, mode="points")]
-    for name in cfg.initial_states:
-        series.append(Series(label=f"norm {name}", x=curve.times, y=curve.norms[name]))
-    out_svg = _sibling_svg(out_csv)
-    try:
-        write_svg(
-            out_svg,
-            series,
-            title="decoherence measures",
-            xlabel="t (hbar/ueV)",
-            ylabel="deviation",
-            log_y=args.log_y,
-        )
-    except ValueError as exc:
-        print(f"note: skipped {out_svg}: {exc}", file=sys.stderr)
-        return 0
-    print(f"wrote {out_svg}")
+    series = [Series(label="D(t)", x=times, y=d, mode="points")]
+    for name, norm in zip(cfg.initial_states, norms):
+        series.append(Series(label=f"norm {name}", x=times, y=norm))
+    _write_plot(
+        out_csv,
+        series,
+        title="decoherence measures",
+        xlabel="t (hbar/ueV)",
+        ylabel="deviation",
+        log_y=args.log_y,
+    )
     return 0
 
 
@@ -329,9 +330,7 @@ def _tld_report(cfg: RunConfig) -> tuple[dict, int]:
 def cmd_tld(cfg: RunConfig, args) -> int:
     report, code = _tld_report(cfg)
     out = args.out or "tld.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, report)
     if report["no_crossing"]:
         print(
             "no crossing: D(t_max) = "
@@ -385,35 +384,23 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                              report["d_at_gate"], "ok"))
 
     out_csv = args.out or "sweep.csv"
-    with open(out_csv, "w", encoding="utf-8") as fh:
-        for line in _metadata_lines(cfg, f"sweep axis={args.axis}"):
-            fh.write(line + "\n")
-        fh.write("value,tau_ld_units,tau_ld_ps,d_at_gate,status\n")
-        for value, tau, tau_ps, d_gate, status in rows:
-            fh.write(
-                ",".join([_g17(value), _g17(tau), _g17(tau_ps), _g17(d_gate), status])
-                + "\n"
-            )
+    _write_csv(out_csv, cfg, f"sweep axis={args.axis}",
+               ["value", "tau_ld_units", "tau_ld_ps", "d_at_gate", "status"], rows)
     print(f"wrote {out_csv} ({len(rows)} points)")
 
     xs = np.array([r[0] for r in rows])
     ys = np.array([r[1] for r in rows])
-    out_svg = _sibling_svg(out_csv)
-    try:
-        write_svg(
-            out_svg,
-            [
-                Series(label="tau_ld", x=xs, y=ys, mode="line"),
-                Series(label="points", x=xs, y=ys, mode="points"),
-            ],
-            title=f"low-decoherence time vs {args.axis}",
-            xlabel=args.axis,
-            ylabel="tau_ld (hbar/ueV)",
-            log_y=args.log_y,
-        )
-        print(f"wrote {out_svg}")
-    except ValueError as exc:
-        print(f"note: skipped {out_svg}: {exc}", file=sys.stderr)
+    _write_plot(
+        out_csv,
+        [
+            Series(label="tau_ld", x=xs, y=ys, mode="line"),
+            Series(label="points", x=xs, y=ys, mode="points"),
+        ],
+        title=f"low-decoherence time vs {args.axis}",
+        xlabel=args.axis,
+        ylabel="tau_ld (hbar/ueV)",
+        log_y=args.log_y,
+    )
 
     if args.check:
         # decoherence accumulates faster when the bath is hotter or more
@@ -546,9 +533,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         "checks": checks,
         "all_pass": all_pass,
     }
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, payload)
     print(f"wrote {out}")
     return 0 if all_pass else 3
 
@@ -564,18 +549,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub):
     sub.add_argument("--config", help="flat key = value configuration file")
-    sub.add_argument("--ej", type=float, dest="ej", help="Josephson energy (ueV)")
-    sub.add_argument("--temp-mk", type=float, dest="temp_mk", help="temperature (mK)")
-    sub.add_argument("--eta", type=float, help="dimensionless Ohmic coupling")
-    sub.add_argument("--cutoff", type=float, help="cutoff frequency omega_c (ueV)")
-    sub.add_argument("--t-max", type=float, dest="t_max", help="time window (hbar/ueV)")
-    sub.add_argument("--samples", type=int, help="number of grid samples")
-    sub.add_argument("--threshold", type=float, help="decoherence threshold")
-    sub.add_argument(
-        "--quad-tol", type=float, dest="quad_tol",
-        help="validated and echoed but unused: B2 and C are exact",
-    )
-    sub.add_argument("--seed", type=int, help="seed for randomized checks")
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    for flag, (field, help_text) in _OPTIONS.items():
+        sub.add_argument(flag, type=types[field], dest=field, help=help_text)
     sub.add_argument("--out", help="output path")
 
 
@@ -588,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = subs.add_parser("curve", help="decoherence measures on a time grid")
     _add_common(p_curve)
     p_curve.add_argument(
-        "--state", action="append", choices=sorted(PRESETS),
+        "--state", action="append", choices=sorted(PRESETS), dest="initial_states",
         help="initial state preset, repeatable (default: all three)"
     )
     p_curve.add_argument("--log-y", action="store_true", dest="log_y")
@@ -629,16 +605,8 @@ def main(argv=None) -> int:
         print("error: --check supports only the T and eta axes", file=sys.stderr)
         return 1
     try:
-        cfg, explicit = build_config(args)
+        return args.func(build_config(args), args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.func is cmd_curve and "t_max" not in explicit:
-        # short default window for curves; reports keep the long one
-        cfg = dataclasses.replace(cfg, t_max=0.5)
-    try:
-        return args.func(cfg, args)
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

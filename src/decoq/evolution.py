@@ -19,7 +19,7 @@ for complex coherences.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
@@ -34,6 +34,13 @@ _BASES = (EIGENBASIS, COMPUTATIONAL)
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = -1e-10
+
+# relative width of the final bracket of the low-decoherence-time root find
+ROOT_RTOL = 1e-4
+# first probe of the root find; doubling and halving bracket from here
+T_SEED = 1e-4
+# theta and phi points of the Bloch-sphere grid search
+BLOCH_GRID = 200
 
 
 class NoCrossingError(RuntimeError):
@@ -88,47 +95,6 @@ class DeviationOperator:
             raise ValueError("deviation operator must be traceless")
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
-
-
-@dataclass(frozen=True)
-class DecoherenceCurve:
-    """Sampled decoherence quantities on a common, strictly increasing time grid."""
-
-    times: np.ndarray
-    dephasing: np.ndarray
-    shift: np.ndarray
-    d: np.ndarray
-    norms: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        # copy before freezing so caller arrays keep their own flags
-        t = np.array(self.times, dtype=float)
-        b2 = np.array(self.dephasing, dtype=float)
-        c = np.array(self.shift, dtype=float)
-        d = np.array(self.d, dtype=float)
-        if t.ndim != 1 or t.size < 2:
-            raise ValueError("times must be a 1-d grid with at least two samples")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        for name, arr in (("dephasing", b2), ("shift", c), ("d", d)):
-            if arr.shape != t.shape:
-                raise ValueError(f"{name} must match the time grid shape")
-        if np.any(d < 0.0) or np.any(d > 0.5 + 1e-12):
-            raise ValueError("d samples must lie in [0, 1/2]")
-        frozen_norms = {}
-        for name, arr in self.norms.items():
-            series = np.array(arr, dtype=float)
-            if series.shape != t.shape:
-                raise ValueError(f"norm series {name!r} must match the time grid")
-            series.setflags(write=False)
-            frozen_norms[name] = series
-        for arr in (t, b2, c, d):
-            arr.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "dephasing", b2)
-        object.__setattr__(self, "shift", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "norms", frozen_norms)
 
 
 def pure_state(theta: float, phi: float = 0.0) -> QubitState:
@@ -281,7 +247,7 @@ def max_decoherence(dephasing):
 
 
 def bloch_supremum_scan(
-    dephasing: float, t: float, e_j: float, n_theta: int = 200, n_phi: int = 200
+    dephasing: float, t: float, e_j: float
 ) -> tuple[float, float, float]:
     """Grid-search the closed-form deviation norm over the pure-state sphere.
 
@@ -289,15 +255,15 @@ def bloch_supremum_scan(
     a brute-force check that the supremum equals max_decoherence and is
     attained at theta = 0.
     """
-    theta = np.linspace(0.0, math.pi, n_theta)
-    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    theta = np.linspace(0.0, math.pi, BLOCH_GRID)
+    phi = np.linspace(0.0, 2.0 * math.pi, BLOCH_GRID, endpoint=False)
     th, ph = np.meshgrid(theta, phi, indexing="ij")
     decay = -np.expm1(-dephasing)
     val = 0.5 * decay * np.sqrt(
         np.cos(th) ** 2 + np.sin(th) ** 2 * np.sin(ph + 0.5 * t * e_j) ** 2
     )
     k = int(np.argmax(val))
-    i, j = divmod(k, n_phi)
+    i, j = divmod(k, BLOCH_GRID)
     return float(val[i, j]), float(theta[i]), float(phi[j])
 
 
@@ -306,7 +272,6 @@ def _find_crossing(
     threshold: float,
     t_max: float,
     rtol: float,
-    t_seed: float = 1e-4,
 ) -> float:
     """First t in (0, t_max] with d(t) >= threshold, by doubling + bisection.
 
@@ -330,7 +295,7 @@ def _find_crossing(
 
     lo = 0.0
     hi = None
-    t = min(t_seed, t_max)
+    t = min(T_SEED, t_max)
     prev = d_of_t(t)
     if prev >= threshold:
         hi = t
@@ -382,15 +347,14 @@ def low_decoherence_time(
     threshold: float,
     spec: BathSpec,
     t_max: float,
-    rtol: float = 1e-4,
 ) -> float:
-    """Smallest t with max_decoherence(B2(t)) = threshold, to relative rtol.
+    """Smallest t with max_decoherence(B2(t)) = threshold, to relative ROOT_RTOL.
 
     The dephasing exponent is memoized per call, so the bracketing and
     bisection probes never evaluate B2 twice at the same t.  Raises
     NoCrossingError (carrying d(t_max)) if the threshold is never reached,
     CrossingNotResolvedError if double precision cannot resolve the
-    crossing to rtol, ValueError for thresholds outside (0, 1/2).
+    crossing to ROOT_RTOL, ValueError for thresholds outside (0, 1/2).
     """
     if not 0.0 < threshold < 0.5:
         raise ValueError(f"threshold must lie in (0, 1/2), got {threshold}")
@@ -403,4 +367,4 @@ def low_decoherence_time(
             cache[t] = max_decoherence(dephasing_exponent(t, spec))
         return cache[t]
 
-    return _find_crossing(d_of_t, threshold, t_max, rtol)
+    return _find_crossing(d_of_t, threshold, t_max, ROOT_RTOL)

@@ -53,9 +53,12 @@ TRUNCATION_WEIGHT_TOL = 1e-13
 # round-off and carry no information about the step size
 ERROR_FLOOR = 1e-13
 
+# largest composite Hilbert-space dimension a CompositeSystem may have
+MAX_DIM = 4096
+
 
 class DimensionCapError(ValueError):
-    """Composite Hilbert space would exceed the configured cap."""
+    """Composite Hilbert space would exceed MAX_DIM."""
 
 
 class BathTruncationWarning(UserWarning):
@@ -85,7 +88,6 @@ class CompositeSystem:
 
     e_j: float
     modes: tuple[TruncatedBathMode, ...]
-    max_dim: int = 4096
 
     def __post_init__(self):
         if not math.isfinite(self.e_j) or self.e_j < 0.0:
@@ -94,9 +96,9 @@ class CompositeSystem:
             raise ValueError("at least one bath mode is required")
         if not all(isinstance(m, TruncatedBathMode) for m in self.modes):
             raise TypeError("modes must be TruncatedBathMode instances")
-        if self.dim > self.max_dim:
+        if self.dim > MAX_DIM:
             raise DimensionCapError(
-                f"composite dimension {self.dim} exceeds the cap {self.max_dim}; "
+                f"composite dimension {self.dim} exceeds the cap {MAX_DIM}; "
                 "reduce n_fock or the number of modes"
             )
 

@@ -8,12 +8,14 @@ general plotting library.
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
 DEFAULT_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_WIDTH = 720
+_HEIGHT = 480
 _MARGIN_LEFT = 76.0
 _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 40.0
@@ -28,7 +30,6 @@ class Series:
     x: np.ndarray
     y: np.ndarray
     mode: str = "line"
-    color: str | None = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -69,8 +70,6 @@ def render_svg(
     xlabel: str = "",
     ylabel: str = "",
     log_y: bool = False,
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     """Render the series list to an SVG document string."""
     series = list(series)
@@ -83,8 +82,8 @@ def render_svg(
         if y_lo == y_hi:
             y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -94,9 +93,9 @@ def render_svg(
         return _MARGIN_TOP + (y_hi - yy) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
 
     # axes box and ticks
@@ -112,7 +111,7 @@ def render_svg(
         )
         parts.append(
             f'<text x="{gx:.2f}" y="{_MARGIN_TOP + plot_h + 18}" '
-            f'text-anchor="middle">{escape(_fmt(float(xt)))}</text>'
+            f'text-anchor="middle">{escape(_fmt(float(xt)), quote=False)}</text>'
         )
     if log_y:
         lo_dec = math.floor(y_lo)
@@ -133,12 +132,12 @@ def render_svg(
         )
         parts.append(
             f'<text x="{_MARGIN_LEFT - 6}" y="{gy + 4:.2f}" '
-            f'text-anchor="end">{escape(_fmt(yt))}</text>'
+            f'text-anchor="end">{escape(_fmt(yt), quote=False)}</text>'
         )
 
     # series
     for i, s in enumerate(series):
-        color = s.color or DEFAULT_COLORS[i % len(DEFAULT_COLORS)]
+        color = DEFAULT_COLORS[i % len(DEFAULT_COLORS)]
         ok = np.isfinite(s.x) & np.isfinite(s.y)
         if log_y:
             ok &= s.y > 0.0
@@ -169,29 +168,29 @@ def render_svg(
     # labels and legend
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-size="15">{escape(title)}</text>'
+            f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
+            f'font-size="15">{escape(title, quote=False)}</text>'
         )
     if xlabel:
         parts.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 14}" '
-            f'text-anchor="middle">{escape(xlabel)}</text>'
+            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 14}" '
+            f'text-anchor="middle">{escape(xlabel, quote=False)}</text>'
         )
     if ylabel:
         cy = _MARGIN_TOP + plot_h / 2
         parts.append(
             f'<text x="18" y="{cy:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 18 {cy:.1f})">{escape(ylabel)}</text>'
+            f'transform="rotate(-90 18 {cy:.1f})">{escape(ylabel, quote=False)}</text>'
         )
     for i, s in enumerate(series):
-        color = s.color or DEFAULT_COLORS[i % len(DEFAULT_COLORS)]
+        color = DEFAULT_COLORS[i % len(DEFAULT_COLORS)]
         ly = _MARGIN_TOP + 16 + 18 * i
         lx = _MARGIN_LEFT + plot_w - 150
         parts.append(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 26}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{lx + 32}" y="{ly}">{escape(s.label)}</text>')
+        parts.append(f'<text x="{lx + 32}" y="{ly}">{escape(s.label, quote=False)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 from decoq import __version__
 from decoq.bath import dephasing_exponent
 from decoq.cli import (
+    _OPTIONS,
     PRESETS,
     RunConfig,
     build_config,
@@ -52,12 +54,9 @@ class TestRunConfig:
             ("s", 0.5),
             ("threshold", 0.5),
             ("n_samples", 1),
-            ("quad_tol", 1e-2),
         ],
     )
     def test_rejects_bad_field(self, field, value):
-        import dataclasses
-
         cfg = dataclasses.replace(RunConfig(), **{field: value})
         with pytest.raises(ValueError):
             cfg.validate()
@@ -79,12 +78,37 @@ class TestConfigFile:
         )
         parser = build_parser()
         args = parser.parse_args(["tld", "--config", str(path), "--temp-mk", "30"])
-        cfg, explicit = build_config(args)
+        cfg = build_config(args)
         assert cfg.eta == 2e-6  # file beats default
         assert cfg.temp_mk == 30.0  # flag beats file
         assert cfg.initial_states == ("point", "line2")
         assert cfg.seed == 7
-        assert {"eta", "temp_mk", "initial_states", "seed"} <= explicit
+        assert cfg.t_max == 10.0  # reports keep the long window
+
+        # curve's own window beats the RunConfig default, the file beats
+        # that, and the flag beats the file
+        window = tmp_path / "window.cfg"
+        window.write_text("t_max = 2\n")
+        for argv, t_max in (
+            (["curve"], 0.5),
+            (["curve", "--config", str(path)], 0.5),
+            (["curve", "--config", str(window)], 2.0),
+            (["curve", "--config", str(window), "--t-max", "3"], 3.0),
+        ):
+            assert build_config(parser.parse_args(argv)).t_max == t_max, argv
+
+    def test_flags_store_under_config_fields(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        parser = build_parser()
+        required = {"sweep": ["--axis", "T", "--values", "1,2"]}
+        for command in ("curve", "tld", "sweep", "verify"):
+            argv = [command] + required.get(command, [])
+            for flag, (field, _) in _OPTIONS.items():
+                assert field in fields
+                args = parser.parse_args(argv + [flag, "3"])
+                assert getattr(args, field) == 3, (command, flag)
+        args = parser.parse_args(["curve", "--state", "line1", "--state", "point"])
+        assert build_config(args).initial_states == ("line1", "point")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -321,6 +345,43 @@ class TestExitCodes:
         assert err[0].startswith("error: B2 is not finite in double precision at s=80.0, "
                                  "omega_c=10000.0, t=")
 
+    def test_removed_quad_tol_is_rejected(self, tmp_path):
+        config = tmp_path / "old.cfg"
+        config.write_text("quad_tol = 1e-8\n")
+        out = str(tmp_path / "t.json")
+        assert main(["tld", "--quad-tol", "1e-8", "--out", out]) == 1
+        assert main(["tld", "--config", str(config), "--out", out]) == 1
+        assert not os.path.exists(out)
+
+    def test_repeated_state_exits_one(self, tmp_path, capsys):
+        # each state is a CSV column; a repeat would write a duplicate header
+        config = tmp_path / "dup.cfg"
+        config.write_text("initial_states = point, line1, point\n")
+        out = tmp_path / "c.csv"
+        assert main(["curve", "--state", "point", "--state", "point", "--out", str(out)]) == 1
+        assert main(["curve", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: initial states repeat: point, point",
+                       "error: initial states repeat: point, line1, point"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--samples", "4"],
+            ["tld"],
+            ["sweep", "--axis", "T", "--values", "30,100"],
+            ["verify"],
+        ],
+        ids=["curve", "tld", "sweep", "verify"],
+    )
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "out.dat"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert __version__ in capsys.readouterr().out
@@ -330,10 +391,23 @@ class TestExitCodes:
         assert PRESETS["line2"][0] == pytest.approx(math.pi / 2.0)
 
 
+def run_python(script):
+    """Run script in a fresh interpreter that imports decoq from src/; its stdout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestLazyImport:
     def test_runs_do_not_load_scipy(self, tmp_path):
         # decoq runs on numpy alone, the s != 1 kernel included
-        src = Path(__file__).resolve().parents[1] / "src"
         config = tmp_path / "s2.cfg"
         config.write_text("s = 2\n")
         script = (
@@ -349,12 +423,16 @@ class TestLazyImport:
             "    loaded.append(scipy_loaded())\n"
             "print('scipy loaded:', loaded)\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
-        ))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
-            timeout=120,
+        stdout = run_python(script)
+        assert stdout.splitlines()[-1] == "scipy loaded: [False, False, False]"
+
+    def test_cli_import_skips_network_stack(self):
+        # html.escape, not xml.sax.saxutils, escapes SVG text: the latter
+        # drags urllib.request, http.client, email and ssl into every launch
+        heavy = ("xml.sax", "urllib.request", "http.client", "email", "ssl")
+        script = (
+            "import sys\n"
+            "import decoq.cli\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "scipy loaded: [False, False, False]"
+        assert run_python(script).strip() == "[]"

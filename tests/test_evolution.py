@@ -9,7 +9,6 @@ from decoq.evolution import (
     COMPUTATIONAL,
     EIGENBASIS,
     CrossingNotResolvedError,
-    DecoherenceCurve,
     DeviationOperator,
     NoCrossingError,
     QubitState,
@@ -286,25 +285,6 @@ class TestLowDecoherenceTime:
 
 
 class TestRecords:
-    def test_decoherence_curve_validation(self):
-        t = np.array([0.0, 0.1, 0.2])
-        ok = DecoherenceCurve(
-            times=t,
-            dephasing=np.array([0.0, 0.1, 0.2]),
-            shift=np.zeros(3),
-            d=np.array([0.0, 0.04, 0.09]),
-            norms={"point": np.zeros(3)},
-        )
-        assert not ok.times.flags.writeable
-        with pytest.raises(ValueError):
-            DecoherenceCurve(
-                times=np.array([0.0, 0.2, 0.1]),
-                dephasing=np.zeros(3),
-                shift=np.zeros(3),
-                d=np.zeros(3),
-                norms={},
-            )
-
     def test_deviation_operator_validation(self):
         with pytest.raises(ValueError):
             DeviationOperator(np.diag([0.2, 0.1]).astype(complex), EIGENBASIS)
