@@ -38,6 +38,7 @@ from .evolution import (
     low_decoherence_time,
     max_decoherence,
     pure_state,
+    pure_state_norm,
     random_density_matrix,
 )
 from .model import basis_change, gate_unitary

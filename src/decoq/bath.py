@@ -17,10 +17,12 @@ Convention note: the exponential cutoff is the decaying form exp(-w/omega_c);
 a growing exponential would make every moment of J divergent.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
+from ._np import np
 
 # thermal sum of B2: terms n < EM_N are summed directly, the rest by
 # Euler-Maclaurin at q = EM_N + a.  The summand is analytic at distance >= q

@@ -26,9 +26,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
+from ._np import linspace, np
 from .bath import (
     BathSpec,
     dephasing_exponent,
@@ -50,6 +49,7 @@ from .evolution import (
     low_decoherence_time,
     max_decoherence,
     pure_state,
+    pure_state_norm,
     random_density_matrix,
 )
 from .oracle import (
@@ -239,22 +239,19 @@ def _write_plot(csv_path: str, series, **labels) -> None:
 
 def cmd_curve(cfg: RunConfig, args) -> int:
     spec = cfg.bath_spec()
-    times = np.linspace(0.0, cfg.t_max, cfg.n_samples)
-    b2 = np.empty_like(times)
-    shift = np.empty_like(times)
-    for i, t in enumerate(times):
-        b2[i] = dephasing_exponent(float(t), spec)
-        shift[i] = phase_shift(float(t), spec)
-    d = max_decoherence(b2)
+    times = linspace(0.0, cfg.t_max, cfg.n_samples)
+    b2 = [dephasing_exponent(t, spec) for t in times]
+    shift = [phase_shift(t, spec) for t in times]
+    d = [max_decoherence(b) for b in b2]
     norms = [
-        deviation_norm_closed_form(pure_state(*PRESETS[name]), b2, times, cfg.e_j)
+        [pure_state_norm(*PRESETS[name], b, t, cfg.e_j) for b, t in zip(b2, times)]
         for name in cfg.initial_states
     ]
 
     out_csv = args.out or "curve.csv"
     columns = ["t", "b_squared", "c_shift", "D"] + [f"norm_{n}" for n in cfg.initial_states]
     _write_csv(out_csv, cfg, "curve", columns, zip(times, b2, shift, d, *norms))
-    print(f"wrote {out_csv} ({times.size} samples)")
+    print(f"wrote {out_csv} ({len(times)} samples)")
 
     series = [Series(label="D(t)", x=times, y=d, mode="points")]
     for name, norm in zip(cfg.initial_states, norms):
@@ -288,9 +285,7 @@ def _tld_report(cfg: RunConfig) -> tuple[dict, int]:
             "tau_gate_ps": REFERENCE_TAU_G_PS,
             "tau_gate_rel_dev": tau_gate_ps / REFERENCE_TAU_G_PS - 1.0,
         },
-        "d_at_gate": float(
-            max_decoherence(dephasing_exponent(tau_gate_units, spec))
-        ),
+        "d_at_gate": max_decoherence(dephasing_exponent(tau_gate_units, spec)),
     }
     try:
         tau = low_decoherence_time(cfg.threshold, spec, cfg.t_max)
@@ -388,8 +383,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                ["value", "tau_ld_units", "tau_ld_ps", "d_at_gate", "status"], rows)
     print(f"wrote {out_csv} ({len(rows)} points)")
 
-    xs = np.array([r[0] for r in rows])
-    ys = np.array([r[1] for r in rows])
+    xs = [r[0] for r in rows]
+    ys = [r[1] for r in rows]
     _write_plot(
         out_csv,
         [
@@ -405,19 +400,18 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     if args.check:
         # decoherence accumulates faster when the bath is hotter or more
         # strongly coupled, so tau_ld must not grow along these axes
-        order = np.argsort(xs)
         prev = None
-        for idx in order:
-            if not math.isfinite(ys[idx]):
+        for _, y in sorted(zip(xs, ys), key=lambda xy: xy[0]):
+            if not math.isfinite(y):
                 continue
-            if prev is not None and ys[idx] > prev * (1.0 + 1e-9):
+            if prev is not None and y > prev * (1.0 + 1e-9):
                 print(
                     f"check failed: tau_ld rises from {prev:.6g} to "
-                    f"{ys[idx]:.6g} along increasing {args.axis}",
+                    f"{y:.6g} along increasing {args.axis}",
                     file=sys.stderr,
                 )
                 return 3
-            prev = ys[idx]
+            prev = y
         print(f"monotonicity check passed along {args.axis}")
     return 0
 
@@ -472,7 +466,7 @@ def _check_norm_pipeline(cfg: RunConfig, rng) -> tuple[bool, str]:
         real = evolve_real(state, b2, t, cfg.e_j)
         ideal = evolve_ideal(state, t, cfg.e_j)
         direct = deviation_norm(deviation(real, ideal))
-        closed = float(deviation_norm_closed_form(state, b2, t, cfg.e_j))
+        closed = deviation_norm_closed_form(state, b2, t, cfg.e_j)
         worst = max(worst, abs(direct - closed))
     return worst <= 1e-12, f"max norm diff {worst:.3e} (tol 1e-12)"
 
@@ -482,7 +476,7 @@ def _check_bloch_supremum(cfg: RunConfig, rng) -> tuple[bool, str]:
     for _ in range(20):
         b2 = float(rng.uniform(1e-4, 1.5))
         t = float(rng.uniform(0.05, 2.0))
-        bound = float(max_decoherence(b2))
+        bound = max_decoherence(b2)
         scanned, _, _ = bloch_supremum_scan(b2, t, cfg.e_j)
         worst = max(worst, abs(scanned - bound))
     return worst <= 1e-6, f"max |scan - bound| {worst:.3e} (tol 1e-6)"
@@ -544,6 +538,7 @@ class _Parser(argparse.ArgumentParser):
     # usage errors exit with 1, keeping 2 and 3 for runtime outcomes
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 

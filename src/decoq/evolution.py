@@ -17,14 +17,16 @@ general expression above is the one that agrees with exact diagonalization
 for complex coherences.
 """
 
+from __future__ import annotations
+
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-import numpy as np
-
+from ._np import linspace, np
 from .bath import BathSpec, dephasing_exponent
 
 EIGENBASIS = "eigenbasis"
@@ -152,8 +154,6 @@ def evolve_real(state: QubitState, dephasing: float, t: float, e_j: float) -> Qu
     return QubitState(out, EIGENBASIS)
 
 
-# overlap[j, xi] = <phi_j | xi> between eigenstates and sigma_z eigenstates
-_OVERLAP = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
 _CHI = (1, -1)
 
 
@@ -173,6 +173,8 @@ def evolve_real_influence_sum(
     _require_eigenbasis(state)
     _validate_evolution_args(dephasing, t, e_j)
     rho = state.rho
+    # overlap[j, xi] = <phi_j | xi> between eigenstates and sigma_z eigenstates
+    overlap = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
     lam = (0.5 * e_j, -0.5 * e_j)
     F = [
         [np.exp(influence_exponent(_CHI[xi], _CHI[sg], dephasing, shift)) for sg in range(2)]
@@ -191,11 +193,11 @@ def evolve_real_influence_sum(
                 ph = np.exp(0.5j * t * (lam[mu] + lam[nu] - lam[alpha] - lam[beta_i]))
                 acc += (
                     ph
-                    * _OVERLAP[alpha, xi]
-                    * _OVERLAP[beta_i, xi]
+                    * overlap[alpha, xi]
+                    * overlap[beta_i, xi]
                     * rho[p, q]
-                    * _OVERLAP[q, sg]
-                    * _OVERLAP[nu, sg]
+                    * overlap[q, sg]
+                    * overlap[nu, sg]
                     * F[xi][sg]
                 )
             out[m, n] = acc
@@ -216,34 +218,43 @@ def deviation_norm(dev: DeviationOperator) -> float:
     return float(math.hypot(s[1, 1].real, abs(s[1, 0])))
 
 
-def deviation_norm_closed_form(state: QubitState, dephasing, t, e_j: float):
+def deviation_norm_closed_form(
+    state: QubitState, dephasing: float, t: float, e_j: float
+) -> float:
     """Deviation norm without running the evolution pipeline.
 
     ||sigma||(t) = 1/2 (1 - e^{-B2}) sqrt((rho_00 - rho_11)^2
                                           + |rho_01 - rho_10 e^{i t E_J}|^2)
 
     For a real initial coherence the second term reduces to
-    4 |rho_10|^2 sin^2(E_J t / 2).  Accepts scalar or array dephasing/t.
+    4 |rho_10|^2 sin^2(E_J t / 2).
     """
     _require_eigenbasis(state)
     rho = state.rho
-    b2 = np.asarray(dephasing, dtype=float)
-    if np.any(b2 < 0.0):
-        raise ValueError("dephasing exponent must be >= 0")
-    decay = -np.expm1(-b2)  # 1 - e^{-B2}, accurate for small B2
     pop = (rho[0, 0] - rho[1, 1]).real
-    coh = np.abs(rho[0, 1] - rho[1, 0] * np.exp(1j * np.asarray(t) * e_j))
-    out = 0.5 * decay * np.sqrt(pop * pop + coh * coh)
-    return out if out.ndim else float(out)
+    coh = abs(rho[0, 1] - rho[1, 0] * cmath.exp(1j * t * e_j))
+    return max_decoherence(dephasing) * math.sqrt(pop * pop + coh * coh)
 
 
-def max_decoherence(dephasing):
+def pure_state_norm(theta: float, phi: float, dephasing: float, t: float, e_j: float) -> float:
+    """deviation_norm_closed_form of pure_state(theta, phi), on floats alone.
+
+    ||sigma||(t) = 1/2 (1 - e^{-B2}) sqrt(cos^2 theta + sin^2 theta sin^2(phi + t E_J/2))
+
+    sin(phi + t E_J/2) is taken by its angle-sum formula, so the sum of
+    the two angles is never rounded.
+    """
+    half = 0.5 * t * e_j
+    s = math.sin(theta) * (math.sin(phi) * math.cos(half) + math.cos(phi) * math.sin(half))
+    c = math.cos(theta)
+    return max_decoherence(dephasing) * math.sqrt(c * c + s * s)
+
+
+def max_decoherence(dephasing: float) -> float:
     """Worst-case deviation norm over all initial states: D = (1 - e^{-B2})/2."""
-    b2 = np.asarray(dephasing, dtype=float)
-    if np.any(b2 < 0.0):
+    if dephasing < 0.0:
         raise ValueError("dephasing exponent must be >= 0")
-    out = 0.5 * (-np.expm1(-b2))
-    return out if out.ndim else float(out)
+    return 0.5 * -math.expm1(-dephasing)  # expm1 stays accurate for small B2
 
 
 def bloch_supremum_scan(
@@ -318,7 +329,7 @@ def _find_crossing(
                 "falling back to a dense first-crossing scan",
                 RuntimeWarning,
             )
-            grid = np.linspace(0.0, t_max, 2049)
+            grid = linspace(0.0, t_max, 2049)
             lo = 0.0
             hi = t_max
             for g_lo, g_hi in zip(grid[:-1], grid[1:]):

@@ -6,18 +6,20 @@ module holds the Pauli matrices, the idle-gate unitary and the change
 between the charge basis and the eigenbasis of H_s.
 """
 
+from __future__ import annotations
+
 import math
 
-import numpy as np
-
+from ._np import np
 from .evolution import COMPUTATIONAL, EIGENBASIS, QubitState
 
-pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
-pauli_z = np.array([[1, 0], [0, -1]], dtype=complex)
+# rows of the real Pauli matrices; np.array(pauli_x) is the matrix
+pauli_x = ((0.0, 1.0), (1.0, 0.0))
+pauli_z = ((1.0, 0.0), (0.0, -1.0))
 
-# columns are the degeneracy-point eigenstates phi_0 = (|0>-|1>)/sqrt2,
-# phi_1 = (|0>+|1>)/sqrt2 expressed in the charge basis
-_EIG_COLUMNS = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
+# columns, over sqrt2, are the degeneracy-point eigenstates
+# phi_0 = (|0>-|1>)/sqrt2, phi_1 = (|0>+|1>)/sqrt2 in the charge basis
+_EIG_COLUMNS = ((1.0, 1.0), (-1.0, 1.0))
 
 
 def gate_unitary(e_j: float, tau: float) -> np.ndarray:
@@ -38,7 +40,7 @@ def basis_change(state: QubitState) -> QubitState:
     the degeneracy-point eigenstates, eigenbasis -> charge conjugates by S
     and charge -> eigenbasis by S^T.
     """
-    s = _EIG_COLUMNS
+    s = np.array(_EIG_COLUMNS) / math.sqrt(2.0)
     if state.basis == EIGENBASIS:
         return QubitState(s @ state.rho @ s.T, COMPUTATIONAL)
     return QubitState(s.T @ state.rho @ s, EIGENBASIS)

@@ -34,13 +34,14 @@ through sigma_z, and energies are in ueV with time in units of
 hbar/ueV.
 """
 
+from __future__ import annotations
+
 import functools
 import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .bath import DiscreteBath, dephasing_exponent_modes, phase_shift_modes
 from .evolution import COMPUTATIONAL, EIGENBASIS, QubitState, evolve_real
 from .model import basis_change, gate_unitary, pauli_x, pauli_z
@@ -136,8 +137,8 @@ def build_hamiltonians(system: CompositeSystem) -> tuple[np.ndarray, np.ndarray]
         a = _lowering(m.n_fock)
         coupling += m.g * _embed(system.modes, k, a + a.T)
         bath_energy += m.omega * _embed(system.modes, k, a.T @ a)
-    h_sys = np.kron(-0.5 * system.e_j * pauli_x.real, np.eye(nb))
-    h_ib = np.kron(pauli_z.real, coupling) + np.kron(np.eye(2), bath_energy)
+    h_sys = np.kron(-0.5 * system.e_j * np.array(pauli_x), np.eye(nb))
+    h_ib = np.kron(np.array(pauli_z), coupling) + np.kron(np.eye(2), bath_energy)
     return h_sys, h_ib
 
 

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from html import escape
 
-import numpy as np
+from ._np import linspace
 
 DEFAULT_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -27,15 +27,15 @@ class Series:
     """One plotted series; mode is 'line' or 'points'."""
 
     label: str
-    x: np.ndarray
-    y: np.ndarray
+    x: tuple[float, ...]
+    y: tuple[float, ...]
     mode: str = "line"
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.ndim != 1 or y.ndim != 1 or x.size != y.size or x.size == 0:
-            raise ValueError("series needs matching non-empty 1-d x and y")
+        x = tuple(map(float, self.x))
+        y = tuple(map(float, self.y))
+        if len(x) != len(y) or not x:
+            raise ValueError("series needs matching non-empty x and y")
         if self.mode not in ("line", "points"):
             raise ValueError(f"mode must be 'line' or 'points', got {self.mode!r}")
         object.__setattr__(self, "x", x)
@@ -43,16 +43,13 @@ class Series:
 
 
 def _data_range(values, positive_only: bool) -> tuple[float, float]:
-    pool = []
-    for v in values:
-        mask = np.isfinite(v)
-        if positive_only:
-            mask &= v > 0.0
-        pool.append(v[mask])
-    merged = np.concatenate(pool) if pool else np.array([])
-    if merged.size == 0:
+    merged = [
+        v for vs in values for v in vs
+        if math.isfinite(v) and (v > 0.0 or not positive_only)
+    ]
+    if not merged:
         raise ValueError("no finite data to plot")
-    lo, hi = float(merged.min()), float(merged.max())
+    lo, hi = min(merged), max(merged)
     if lo == hi:
         pad = 0.5 if lo == 0.0 else 0.05 * abs(lo)
         lo, hi = lo - pad, hi + pad
@@ -92,6 +89,9 @@ def render_svg(
         yy = math.log10(y) if log_y else y
         return _MARGIN_TOP + (y_hi - yy) / (y_hi - y_lo) * plot_h
 
+    def shown(x: float, y: float) -> bool:
+        return math.isfinite(x) and math.isfinite(y) and (y > 0.0 or not log_y)
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
@@ -103,15 +103,15 @@ def render_svg(
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="black" stroke-width="1"/>'
     )
-    for xt in np.linspace(x_lo, x_hi, 5):
-        gx = px(float(xt))
+    for xt in linspace(x_lo, x_hi, 5):
+        gx = px(xt)
         parts.append(
             f'<line x1="{gx:.2f}" y1="{_MARGIN_TOP}" x2="{gx:.2f}" '
             f'y2="{_MARGIN_TOP + plot_h}" stroke="#dddddd" stroke-width="1"/>'
         )
         parts.append(
             f'<text x="{gx:.2f}" y="{_MARGIN_TOP + plot_h + 18}" '
-            f'text-anchor="middle">{escape(_fmt(float(xt)), quote=False)}</text>'
+            f'text-anchor="middle">{escape(_fmt(xt), quote=False)}</text>'
         )
     if log_y:
         lo_dec = math.floor(y_lo)
@@ -120,7 +120,7 @@ def render_svg(
         step = max(1, (len(decades) - 1) // 5 or 1)
         tick_vals = [10.0**d for d in decades[::step]]
     else:
-        tick_vals = [float(v) for v in np.linspace(y_lo, y_hi, 5)]
+        tick_vals = linspace(y_lo, y_hi, 5)
     for yt in tick_vals:
         yy = math.log10(yt) if log_y else yt
         if not (y_lo - 1e-9 <= yy <= y_hi + 1e-9):
@@ -138,20 +138,18 @@ def render_svg(
     # series
     for i, s in enumerate(series):
         color = DEFAULT_COLORS[i % len(DEFAULT_COLORS)]
-        ok = np.isfinite(s.x) & np.isfinite(s.y)
-        if log_y:
-            ok &= s.y > 0.0
         if s.mode == "points":
-            for xv, yv in zip(s.x[ok], s.y[ok]):
-                parts.append(
-                    f'<circle cx="{px(xv):.2f}" cy="{py(yv):.2f}" r="2.5" fill="{color}"/>'
-                )
+            for xv, yv in zip(s.x, s.y):
+                if shown(xv, yv):
+                    parts.append(
+                        f'<circle cx="{px(xv):.2f}" cy="{py(yv):.2f}" r="2.5" fill="{color}"/>'
+                    )
         else:
             # break the polyline at every invalid sample
             run: list[str] = []
-            for j in range(s.x.size):
-                if ok[j]:
-                    run.append(f"{px(s.x[j]):.2f},{py(s.y[j]):.2f}")
+            for xv, yv in zip(s.x, s.y):
+                if shown(xv, yv):
+                    run.append(f"{px(xv):.2f},{py(yv):.2f}")
                 elif run:
                     if len(run) > 1:
                         parts.append(

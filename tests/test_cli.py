@@ -325,11 +325,15 @@ class TestVerifyCommand:
 
 
 class TestExitCodes:
-    def test_unknown_command(self):
+    def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: ") and "'frobnicate'" in last
 
-    def test_bad_flag_value(self):
+    def test_bad_flag_value(self, capsys):
         assert main(["tld", "--ej", "minus-five"]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: ") and "--ej" in last and "'minus-five'" in last
 
     def test_invalid_config_value(self):
         assert main(["tld", "--ej", "-5"]) == 1
@@ -345,12 +349,16 @@ class TestExitCodes:
         assert err[0].startswith("error: B2 is not finite in double precision at s=80.0, "
                                  "omega_c=10000.0, t=")
 
-    def test_removed_quad_tol_is_rejected(self, tmp_path):
+    def test_removed_quad_tol_is_rejected(self, tmp_path, capsys):
         config = tmp_path / "old.cfg"
         config.write_text("quad_tol = 1e-8\n")
         out = str(tmp_path / "t.json")
         assert main(["tld", "--quad-tol", "1e-8", "--out", out]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: ") and "--quad-tol" in last
         assert main(["tld", "--config", str(config), "--out", out]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: ") and "'quad_tol'" in last
         assert not os.path.exists(out)
 
     def test_repeated_state_exits_one(self, tmp_path, capsys):
@@ -407,24 +415,54 @@ def run_python(script):
 
 class TestLazyImport:
     def test_runs_do_not_load_scipy(self, tmp_path):
-        # decoq runs on numpy alone, the s != 1 kernel included
+        # decoq runs on numpy alone, the s != 1 kernel included; curve, tld
+        # and sweep run on math alone, and only verify executes numpy
         config = tmp_path / "s2.cfg"
         config.write_text("s = 2\n")
         script = (
-            "import sys\n"
+            "import math, sys, warnings\n"
             "def scipy_loaded():\n"
             "    return any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
+            "def numpy_run():\n"
+            "    return [m for m in sys.modules if m.startswith('numpy.')]\n"
             "import decoq\n"
             "loaded = [scipy_loaded()]\n"
+            "import decoq.cli\n"
+            "ran = {'import': numpy_run()}\n"
             "from decoq.cli import main\n"
-            "for cmd in ('curve', 'tld'):\n"
-            f"    out = {str(tmp_path)!r} + '/' + cmd + '.out'\n"
-            f"    assert main([cmd, '--config', {str(config)!r}, '--out', out]) == 0\n"
+            "from decoq.evolution import _find_crossing\n"
+            f"out = {str(tmp_path)!r} + '/'\n"
+            f"s2 = ['--config', {str(config)!r}]\n"
+            "for name, argv, code in (\n"
+            "    ('curve s=1', ['curve', '--log-y'], 0),\n"
+            "    ('curve s=2', ['curve', *s2], 0),\n"
+            "    ('tld s=2', ['tld', *s2], 0),\n"
+            "    ('tld no crossing', ['tld', '--eta', '0'], 2),\n"
+            "    ('sweep --check', ['sweep', '--axis', 'T', '--values', '10,30,100',\n"
+            "                       '--check'], 0),\n"
+            "):\n"
+            "    assert main(argv + ['--out', out + name.replace(' ', '_')]) == code, name\n"
             "    loaded.append(scipy_loaded())\n"
+            "    ran[name] = numpy_run()\n"
+            "with warnings.catch_warnings(record=True):\n"
+            "    warnings.simplefilter('always')\n"
+            "    _find_crossing(lambda t: 0.3 * math.exp(-(t - 1.0) ** 2 / 0.01) + 0.01 * t,\n"
+            "                   0.09, 10.0, 1e-6)\n"
+            "ran['non-monotone crossing'] = numpy_run()\n"
+            "print('numpy ran:', {k: v for k, v in ran.items() if v})\n"
             "print('scipy loaded:', loaded)\n"
+            "assert main(['verify', '--out', out + 'verify.json']) == 0\n"
+            "print('verify ran numpy:', 'numpy.linalg' in sys.modules)\n"
         )
-        stdout = run_python(script)
-        assert stdout.splitlines()[-1] == "scipy loaded: [False, False, False]"
+        report = [
+            line for line in run_python(script).splitlines()
+            if line.startswith(("numpy ran:", "scipy loaded:", "verify ran numpy:"))
+        ]
+        assert report == [
+            "numpy ran: {}",
+            "scipy loaded: [False, False, False, False, False, False]",
+            "verify ran numpy: True",
+        ]
 
     def test_cli_import_skips_network_stack(self):
         # html.escape, not xml.sax.saxutils, escapes SVG text: the latter

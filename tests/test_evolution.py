@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from decoq._np import linspace
 from decoq.bath import BathSpec
 from decoq.evolution import (
     COMPUTATIONAL,
@@ -23,6 +25,7 @@ from decoq.evolution import (
     low_decoherence_time,
     max_decoherence,
     pure_state,
+    pure_state_norm,
     random_density_matrix,
 )
 from decoq.units import temperature_to_beta
@@ -174,9 +177,40 @@ class TestDeviation:
         assert worst < 1e-12
 
     def test_point_preset_attains_supremum(self):
-        b2 = np.array([0.01, 0.1, 1.0])
-        norms = deviation_norm_closed_form(pure_state(0.0), b2, 0.3, E_J)
-        np.testing.assert_allclose(norms, max_decoherence(b2), atol=1e-15)
+        for b2 in (0.01, 0.1, 1.0):
+            norm = deviation_norm_closed_form(pure_state(0.0), b2, 0.3, E_J)
+            assert norm == pytest.approx(max_decoherence(b2), rel=0.0, abs=1e-15)
+
+
+class TestPureStateNorm:
+    @given(
+        theta=st.floats(0.0, math.pi),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        # normal doubles: a subnormal D carries no 1e-15 relative precision
+        b2=st.floats(1e-300, 5.0),
+        t=st.floats(0.0, 1000.0),
+        e_j=st.floats(0.0, 200.0),
+    )
+    @example(theta=math.pi / 2.0, phi=0.0, b2=0.0, t=0.25, e_j=E_J)
+    def test_matches_closed_form_of_pure_state(self, theta, phi, b2, t, e_j):
+        ref = deviation_norm_closed_form(pure_state(theta, phi), b2, t, e_j)
+        got = pure_state_norm(theta, phi, b2, t, e_j)
+        assert abs(got - ref) <= 1e-15 * max_decoherence(b2)
+
+
+class TestLinspace:
+    @given(
+        lo=st.floats(-1e300, 1e300) | st.just(0.0),
+        hi=st.floats(-1e300, 1e300),
+        n=st.integers(2, 3000),
+    )
+    @example(lo=0.0, hi=0.5, n=400)  # curve's default grid
+    @example(lo=0.0, hi=10.0, n=2049)  # the dense first-crossing scan
+    @example(lo=-3.5e-7, hi=0.5000035, n=5)  # svgplot's ticks
+    @example(lo=0.0, hi=5e-324, n=5)  # the step underflows to zero
+    @example(lo=1.0, hi=1.0, n=5)
+    def test_equals_numpy_linspace(self, lo, hi, n):
+        assert linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist()
 
 
 class TestMaxDecoherence:
@@ -186,10 +220,10 @@ class TestMaxDecoherence:
         assert float(max_decoherence(1e3)) == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
     def test_monotone_and_array(self):
-        b2 = np.linspace(0.0, 5.0, 50)
-        d = max_decoherence(b2)
-        assert d.shape == b2.shape
-        assert np.all(np.diff(d) > 0.0)
+        # one float per sample: the scalar form serves curve's grid
+        d = [max_decoherence(b2) for b2 in np.linspace(0.0, 5.0, 50)]
+        assert all(type(v) is float for v in d)
+        assert all(hi > lo for lo, hi in zip(d, d[1:]))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
