@@ -99,14 +99,8 @@ class DiscreteBath:
 
 
 def coth(x):
-    """Stable hyperbolic cotangent for x > 0 arrays; coth(inf) = 1."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    small = x < 1e-4
-    mid = ~small & (x < 20.0)
-    xs = x[small]
-    out[small] = 1.0 / xs + xs / 3.0 - xs**3 / 45.0
-    out[mid] = 1.0 / np.tanh(x[mid])
+    """Hyperbolic cotangent for x > 0 arrays; coth(inf) = 1."""
+    out = 1.0 / np.tanh(np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
 
 

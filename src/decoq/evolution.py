@@ -160,13 +160,14 @@ _CHI = (1, -1)
 def evolve_real_influence_sum(
     state: QubitState, dephasing: float, shift: float, t: float, e_j: float
 ) -> QubitState:
-    """Reduced map evaluated as the literal eight-index influence-functional sum.
+    """Reduced map evaluated as the explicit eight-index influence-functional sum.
 
     The split propagator sandwiches the dephasing factor between two free
     half-steps; summing over every eigenbasis/charge-basis index pair with
     the influence factor exp(-B2 (chi - chi')^2/4 - i C (chi^2 - chi'^2))
-    must reproduce evolve_real.  The C-dependent phase cancels identically
-    for chi in {+1, -1}.
+    must reproduce evolve_real.  The half-steps are diagonal in the
+    eigenbasis, so four of the eight indices equal others and 64 terms
+    remain.  The C-dependent phase cancels identically for chi in {+1, -1}.
     """
     from .bath import influence_exponent
 
@@ -181,26 +182,19 @@ def evolve_real_influence_sum(
         for xi in range(2)
     ]
     out = np.zeros((2, 2), dtype=complex)
-    idx = range(2)
-    for m in idx:
-        for n in idx:
-            acc = 0.0 + 0.0j
-            for alpha, xi, beta_i, p, q, mu, sg, nu in product(idx, repeat=8):
-                ortho = (m == alpha) * (beta_i == p) * (q == mu) * (nu == n)
-                if not ortho:
-                    continue
-                # each free factor acts for t/2
-                ph = np.exp(0.5j * t * (lam[mu] + lam[nu] - lam[alpha] - lam[beta_i]))
-                acc += (
-                    ph
-                    * overlap[alpha, xi]
-                    * overlap[beta_i, xi]
-                    * rho[p, q]
-                    * overlap[q, sg]
-                    * overlap[nu, sg]
-                    * F[xi][sg]
-                )
-            out[m, n] = acc
+    # the deltas of the free factors set alpha = m, beta = p, mu = q, nu = n
+    for m, n, xi, p, q, sg in product(range(2), repeat=6):
+        # each free factor acts for t/2
+        ph = cmath.exp(0.5j * t * (lam[q] + lam[n] - lam[m] - lam[p]))
+        out[m, n] += (
+            ph
+            * overlap[m, xi]
+            * overlap[p, xi]
+            * rho[p, q]
+            * overlap[q, sg]
+            * overlap[n, sg]
+            * F[xi][sg]
+        )
     out = 0.5 * (out + out.conj().T)  # scrub float round-off, map is hermitian
     return QubitState(out, EIGENBASIS)
 

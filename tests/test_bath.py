@@ -137,6 +137,15 @@ class TestCoth:
         assert out[0] == pytest.approx(1e8, rel=1e-10)
         assert out[-1] == 1.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(1e-300, 50.0))
+    @example(x=1e-4)
+    @example(x=20.0)
+    def test_within_two_ulp_of_mpmath(self, x):
+        with mpmath.workdps(40):
+            ref = mpmath.coth(mpmath.mpf(x))
+            assert abs(float((mpmath.mpf(coth(x)) - ref) / ref)) <= 2 * 2.23e-16
+
 
 class TestBathSpec:
     def test_zero_temperature_allowed(self):

@@ -97,6 +97,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CompositeSystem(e_j=51.8, modes=())
 
+    @pytest.mark.parametrize("n_fock", [8.5, 8.0])
+    def test_float_fock_levels_rejected(self, n_fock):
+        with pytest.raises(TypeError):
+            TruncatedBathMode(8.0, 0.3, n_fock)
+
+    def test_numpy_integer_fock_levels_stored_as_int(self):
+        mode = TruncatedBathMode(8.0, 0.3, np.int64(8))
+        assert type(mode.n_fock) is int
+        dim = CompositeSystem(e_j=51.8, modes=(mode,)).dim
+        assert type(dim) is int and dim == 16
+
+    def test_list_of_modes_behaves_as_tuple(self):
+        modes = [TruncatedBathMode(15.0, 0.3, 8), TruncatedBathMode(24.0, 0.2, 6)]
+        state = pure_state(0.7, 0.2)
+        for e_j in (0.0, 51.8):
+            listed = CompositeSystem(e_j=e_j, modes=modes)
+            tupled = CompositeSystem(e_j=e_j, modes=tuple(modes))
+            assert hash(listed) == hash(tupled) and listed == tupled
+            for evolve in (evolve_exact, evolve_split):
+                np.testing.assert_array_equal(
+                    evolve(listed, state, BETA_30MK, 0.4).rho,
+                    evolve(tupled, state, BETA_30MK, 0.4).rho,
+                )
+
 
 class TestThermalBathState:
     def test_normalized_and_diagonal(self):
@@ -259,6 +283,60 @@ class TestFactorisedAgainstDense:
             evolve_exact(driven, state, BETA_30MK, 0.4)
 
 
+class TestWorkDone:
+    """The oracle computes only what the reduced 2x2 state needs."""
+
+    def test_split_diagonalises_once_per_mode(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(h):
+            calls.append(h.shape)
+            return eigh(h)
+
+        oracle._eigensystem.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        modes = (TruncatedBathMode(15.0, 0.3, 9), TruncatedBathMode(24.0, 0.2, 7))
+        system = CompositeSystem(e_j=51.8, modes=modes)
+        evolve_split(system, pure_state(0.7, 0.2), BETA_30MK, 0.4)
+        assert calls == [(9, 9), (7, 7)]
+
+    def test_error_scaling_builds_the_hamiltonian_once(self, monkeypatch):
+        calls = []
+
+        def counting(system):
+            calls.append(system)
+            return build_hamiltonians(system)
+
+        oracle._dense_eigensystem.cache_clear()
+        monkeypatch.setattr(oracle, "build_hamiltonians", counting)
+        error_scaling(
+            TestErrorScaling.SYSTEM, pure_state(math.pi / 3.0, 0.3), BETA_30MK,
+            np.geomspace(4e-4, 3e-3, 6),
+        )
+        assert calls == [TestErrorScaling.SYSTEM]
+
+    def test_dense_exact_forms_no_bath_density_matrix(self, monkeypatch):
+        def refuse(modes, beta):
+            raise AssertionError("bath density matrix formed")
+
+        monkeypatch.setattr(oracle, "thermal_bath_state", refuse)
+        modes = (TruncatedBathMode(15.0, 0.3, 8), TruncatedBathMode(24.0, 0.2, 8))
+        system = CompositeSystem(e_j=51.8, modes=modes)
+        state = pure_state(0.7, 0.2)
+        np.testing.assert_allclose(
+            evolve_exact(system, state, BETA_30MK, 0.4).rho,
+            dense_reference(system, state, BETA_30MK, 0.4, False),
+            rtol=0, atol=1e-12,
+        )
+
+    def test_dense_truncation_warning_points_at_the_caller(self):
+        system = CompositeSystem(e_j=51.8, modes=(TruncatedBathMode(1.0, 0.5, 3),))
+        with pytest.warns(BathTruncationWarning) as caught:
+            evolve_exact(system, pure_state(0.5), BETA_30MK, 0.1)
+        assert [w.filename for w in caught] == [__file__]
+
+
 class TestBasisHandling:
     def test_exact_evolution_consistent_between_bases(self, rng):
         system = one_mode_system()
@@ -299,6 +377,14 @@ class TestErrorScaling:
         system = one_mode_system(g=0.0, n_fock=4)
         with pytest.raises(RuntimeError, match="commute"):
             error_scaling(system, pure_state(0.5), BETA_30MK, np.geomspace(1e-3, 1e-2, 6))
+
+    def test_tiny_coupling_fits_and_hits_the_floor(self):
+        # the commutator i E_J sigma_y x g (a + a^dag) is not zero, so the
+        # fit runs, but every split-vs-exact error is round-off
+        system = one_mode_system(g=1e-20, n_fock=12)
+        with pytest.warns(UserWarning, match="floor"):
+            with pytest.raises(RuntimeError, match="fewer than three"):
+                error_scaling(system, pure_state(0.5), BETA_30MK, np.geomspace(1e-3, 1e-2, 6))
 
     @pytest.mark.parametrize("e_j,g", [(0.0, 0.5), (51.8, 0.0)], ids=["e_j=0", "g=0"])
     def test_commuting_case_rejected_before_diagonalising(self, monkeypatch, e_j, g):
