@@ -59,9 +59,7 @@ from .units import (
     HBAR_UEV_S,
     KB_UEV_PER_K,
     TIME_UNIT_S,
-    gate_time,
     temperature_to_beta,
-    time_units_to_seconds,
 )
 
 import types as _types

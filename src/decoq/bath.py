@@ -20,6 +20,7 @@ a growing exponential would make every moment of J divergent.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from ._np import np
@@ -275,6 +276,8 @@ def phase_shift(t: float, spec: BathSpec) -> float:
 
 def discretize_bath(spec: BathSpec, n_modes: int, omega_max: float) -> DiscreteBath:
     """Midpoint discretization: omega_k = (k - 1/2) dw, g_k^2 = J(omega_k) dw."""
+    # a fractional count would put the last bins past omega_max
+    n_modes = operator.index(n_modes)
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if not math.isfinite(omega_max) or omega_max <= 0.0:

@@ -7,10 +7,12 @@ Subcommands:
     sweep    low-decoherence time across a parameter axis -> CSV + SVG
     verify   built-in cross-checks of the numerical machinery -> JSON
 
-Every physics flag sets the run-configuration field of the same meaning.
-A setting takes, lowest precedence first: the built-in default, the
-subcommand's own default (curve looks at t_max = 0.5, not 10), a flat
-key = value file given by --config, then the flag.
+Each subcommand takes only the run settings it reads, as flags (see
+`decoq COMMAND --help`) and as keys of a flat key = value file given by
+--config, and echoes only those into its output; a flag or key it does
+not read is a usage error.  A setting takes, lowest precedence first: the
+built-in default, the subcommand's own default (curve looks at
+t_max = 0.5, not 10), the file, then the flag.
 
 Exit codes: 0 success, 1 usage or configuration error (including a bath
 whose B2 or C is not finite in double precision, a repeated initial
@@ -84,7 +86,7 @@ _SECONDS_PER_PS = 1e-12
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Physics and numerics knobs shared by all subcommands."""
+    """Physics and numerics knobs; _COMMAND_FIELDS says which each subcommand reads."""
 
     e_j: float = 51.8
     temp_mk: float = 30.0
@@ -130,14 +132,16 @@ class RunConfig:
             s=self.s,
         )
 
-    def echo(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["initial_states"] = list(self.initial_states)
+    def echo(self, command: str) -> dict:
+        """The fields the subcommand reads, as written into its output."""
+        out = {field: getattr(self, field) for field in _COMMAND_FIELDS[command]}
+        if "initial_states" in out:
+            out["initial_states"] = list(self.initial_states)
         return out
 
 
-# flag -> (RunConfig field it sets, help) for the flags every subcommand
-# takes; argparse stores each under its field name
+# flag -> (RunConfig field it sets, help); a subcommand takes the flags of
+# the fields it reads, and argparse stores each under its field name
 _OPTIONS = {
     "--ej": ("e_j", "Josephson energy (ueV)"),
     "--temp-mk": ("temp_mk", "temperature (mK)"),
@@ -149,14 +153,26 @@ _OPTIONS = {
     "--seed": ("seed", "seed for randomized checks"),
 }
 
+_TLD_FIELDS = ("e_j", "temp_mk", "eta", "omega_c", "s", "t_max", "threshold")
+
+# RunConfig fields each subcommand reads: they alone are its flags, its
+# config-file keys and its config echo
+_COMMAND_FIELDS = {
+    "curve": ("e_j", "temp_mk", "eta", "omega_c", "s", "t_max", "n_samples", "initial_states"),
+    "tld": _TLD_FIELDS,
+    "sweep": _TLD_FIELDS,  # one tld report per axis value
+    "verify": ("e_j", "seed"),  # every check runs on its own fixed bath
+}
+
 # defaults of one subcommand that differ from RunConfig's: curves look at a
 # short window, reports keep the long one
 _COMMAND_DEFAULTS = {"curve": {"t_max": 0.5}}
 
 
-def parse_config_file(path: str) -> dict:
-    """Read a flat key = value file; '#' starts a comment."""
-    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+def parse_config_file(path: str, command: str) -> dict:
+    """Read a flat key = value file of the subcommand's keys; '#' starts a comment."""
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)
+             if f.name in _COMMAND_FIELDS[command]}
     overrides = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -169,7 +185,7 @@ def parse_config_file(path: str) -> dict:
             if not sep or not key or not value:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             if key not in types:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r} for {command}")
             if types[key] is tuple:
                 overrides[key] = tuple(p.strip() for p in value.split(",") if p.strip())
                 continue
@@ -185,7 +201,7 @@ def build_config(args) -> RunConfig:
     values = dataclasses.asdict(RunConfig())
     values.update(_COMMAND_DEFAULTS.get(args.command, {}))
     if args.config:
-        values.update(parse_config_file(args.config))
+        values.update(parse_config_file(args.config, args.command))
     for field in values:
         if getattr(args, field, None) is not None:
             values[field] = getattr(args, field)
@@ -199,8 +215,8 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _metadata_lines(cfg: RunConfig, kind: str) -> list:
-    pairs = " ".join(f"{k}={v}" for k, v in sorted(cfg.echo().items()))
+def _metadata_lines(config: dict, kind: str) -> list:
+    pairs = " ".join(f"{k}={v}" for k, v in sorted(config.items()))
     return [
         f"# decoq {__version__} {kind}",
         f"# convention: {CUTOFF_CONVENTION}",
@@ -208,10 +224,10 @@ def _metadata_lines(cfg: RunConfig, kind: str) -> list:
     ]
 
 
-def _write_csv(path: str, cfg: RunConfig, kind: str, columns, rows) -> None:
+def _write_csv(path: str, config: dict, kind: str, columns, rows) -> None:
     """Metadata comments, header, then rows: floats at .17g, strings as they are."""
     with open(path, "w", encoding="utf-8") as fh:
-        for line in _metadata_lines(cfg, kind):
+        for line in _metadata_lines(config, kind):
             fh.write(line + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -250,7 +266,7 @@ def cmd_curve(cfg: RunConfig, args) -> int:
 
     out_csv = args.out or "curve.csv"
     columns = ["t", "b_squared", "c_shift", "D"] + [f"norm_{n}" for n in cfg.initial_states]
-    _write_csv(out_csv, cfg, "curve", columns, zip(times, b2, shift, d, *norms))
+    _write_csv(out_csv, cfg.echo("curve"), "curve", columns, zip(times, b2, shift, d, *norms))
     print(f"wrote {out_csv} ({len(times)} samples)")
 
     series = [Series(label="D(t)", x=times, y=d, mode="points")]
@@ -276,7 +292,6 @@ def _tld_report(cfg: RunConfig) -> tuple[dict, int]:
     report = {
         "version": __version__,
         "convention": CUTOFF_CONVENTION,
-        "config": cfg.echo(),
         "threshold": cfg.threshold,
         "tau_gate_units": tau_gate_units,
         "tau_gate_ps": tau_gate_ps,
@@ -324,6 +339,7 @@ def _tld_report(cfg: RunConfig) -> tuple[dict, int]:
 
 def cmd_tld(cfg: RunConfig, args) -> int:
     report, code = _tld_report(cfg)
+    report["config"] = cfg.echo("tld")
     out = args.out or "tld.json"
     _write_json(out, report)
     if report["no_crossing"]:
@@ -379,7 +395,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                              report["d_at_gate"], "ok"))
 
     out_csv = args.out or "sweep.csv"
-    _write_csv(out_csv, cfg, f"sweep axis={args.axis}",
+    _write_csv(out_csv, cfg.echo("sweep"), f"sweep axis={args.axis}",
                ["value", "tau_ld_units", "tau_ld_ps", "d_at_gate", "status"], rows)
     print(f"wrote {out_csv} ({len(rows)} points)")
 
@@ -418,7 +434,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 # ---------------------------------------------------------------- verify
 
-def _check_discrete_vs_continuum(cfg: RunConfig) -> tuple[bool, str]:
+def _check_discrete_vs_continuum() -> tuple[bool, str]:
     spec = BathSpec(eta=1e-6, omega_c=200.0, beta=temperature_to_beta(30.0))
     t = 0.5
     reference = dephasing_exponent(t, spec)
@@ -428,7 +444,7 @@ def _check_discrete_vs_continuum(cfg: RunConfig) -> tuple[bool, str]:
     return rel <= 1e-4, f"rel diff {rel:.3e} (tol 1e-4)"
 
 
-def _check_pure_dephasing_oracle(cfg: RunConfig, corrupt: str | None) -> tuple[bool, str]:
+def _check_pure_dephasing_oracle(corrupt: str | None) -> tuple[bool, str]:
     mode = TruncatedBathMode(omega=8.0, g=0.5, n_fock=16)
     system = CompositeSystem(e_j=0.0, modes=(mode,))
     beta = temperature_to_beta(30.0)
@@ -482,7 +498,7 @@ def _check_bloch_supremum(cfg: RunConfig, rng) -> tuple[bool, str]:
     return worst <= 1e-6, f"max |scan - bound| {worst:.3e} (tol 1e-6)"
 
 
-def _check_split_order(cfg: RunConfig) -> tuple[bool, str]:
+def _check_split_order() -> tuple[bool, str]:
     system = CompositeSystem(
         e_j=51.8,
         modes=(
@@ -510,19 +526,19 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         checks.append({"name": name, "passed": passed, "detail": str(detail)})
         print(f"check {name}: {'PASS' if passed else 'FAIL'} ({detail})")
 
-    run("discrete-vs-continuum-b2", _check_discrete_vs_continuum, cfg)
-    run("pure-dephasing-oracle", _check_pure_dephasing_oracle, cfg, args.corrupt)
+    run("discrete-vs-continuum-b2", _check_discrete_vs_continuum)
+    run("pure-dephasing-oracle", _check_pure_dephasing_oracle, args.corrupt)
     run("closed-vs-influence-sum", _check_closed_vs_influence_sum, cfg, rng)
     run("norm-pipeline", _check_norm_pipeline, cfg, rng)
     run("bloch-supremum", _check_bloch_supremum, cfg, rng)
-    run("split-order", _check_split_order, cfg)
+    run("split-order", _check_split_order)
 
     all_pass = all(c["passed"] for c in checks)
     out = args.out or "verify.json"
     payload = {
         "version": __version__,
         "convention": CUTOFF_CONVENTION,
-        "config": cfg.echo(),
+        "config": cfg.echo("verify"),
         "corrupt": args.corrupt,
         "checks": checks,
         "all_pass": all_pass,
@@ -542,11 +558,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(sub):
+def _add_common(sub, command):
     sub.add_argument("--config", help="flat key = value configuration file")
     types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     for flag, (field, help_text) in _OPTIONS.items():
-        sub.add_argument(flag, type=types[field], dest=field, help=help_text)
+        if field in _COMMAND_FIELDS[command]:
+            sub.add_argument(flag, type=types[field], dest=field, help=help_text)
     sub.add_argument("--out", help="output path")
 
 
@@ -557,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_curve = subs.add_parser("curve", help="decoherence measures on a time grid")
-    _add_common(p_curve)
+    _add_common(p_curve, "curve")
     p_curve.add_argument(
         "--state", action="append", choices=sorted(PRESETS), dest="initial_states",
         help="initial state preset, repeatable (default: all three)"
@@ -566,11 +583,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.set_defaults(func=cmd_curve)
 
     p_tld = subs.add_parser("tld", help="low-decoherence time report")
-    _add_common(p_tld)
+    _add_common(p_tld, "tld")
     p_tld.set_defaults(func=cmd_tld)
 
     p_sweep = subs.add_parser("sweep", help="low-decoherence time across an axis")
-    _add_common(p_sweep)
+    _add_common(p_sweep, "sweep")
     p_sweep.add_argument("--axis", required=True, choices=sorted(_AXIS_TO_FIELD))
     p_sweep.add_argument("--values", required=True, help="comma separated axis values")
     p_sweep.add_argument("--log-y", action="store_true", dest="log_y")
@@ -581,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = subs.add_parser("verify", help="run built-in cross-checks")
-    _add_common(p_verify)
+    _add_common(p_verify, "verify")
     p_verify.add_argument(
         "--corrupt", choices=["b2"],
         help="deliberately corrupt a quantity to demonstrate check sensitivity"

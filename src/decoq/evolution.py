@@ -68,6 +68,9 @@ class QubitState:
         rho = np.array(self.rho, dtype=complex)
         if rho.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
+        # every comparison with nan is false, so the checks below would pass it
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("density matrix has a non-finite entry")
         if self.basis not in _BASES:
             raise ValueError(f"basis must be one of {_BASES}, got {self.basis!r}")
         if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
@@ -91,6 +94,8 @@ class DeviationOperator:
         sigma = np.array(self.sigma, dtype=complex)
         if sigma.shape != (2, 2):
             raise ValueError(f"deviation operator must be 2x2, got {sigma.shape}")
+        if not np.all(np.isfinite(sigma)):
+            raise ValueError("deviation operator has a non-finite entry")
         if np.max(np.abs(sigma - sigma.conj().T)) > HERMITICITY_TOL:
             raise ValueError("deviation operator is not hermitian within tolerance")
         if abs(np.trace(sigma)) > TRACE_TOL:

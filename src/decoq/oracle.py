@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -186,6 +187,18 @@ def _propagator(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
+def _caller_stacklevel() -> int:
+    """Stacklevel, for the function calling this, of the first frame outside this module.
+
+    Public functions reach a warning through different depths of private
+    helpers, so no fixed stacklevel names the caller's line.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _mode_weights(modes, beta: float) -> list[np.ndarray]:
     """Truncated Boltzmann weights of each mode's Fock levels.
 
@@ -208,7 +221,7 @@ def _mode_weights(modes, beta: float) -> list[np.ndarray]:
                     f"{top_weight:.2e} in its highest Fock level; "
                     "increase n_fock for a faithful thermal state",
                     BathTruncationWarning,
-                    stacklevel=3,
+                    stacklevel=_caller_stacklevel(),
                 )
             probs = np.exp(-beta * m.omega * np.arange(m.n_fock))
             probs /= probs.sum()

@@ -17,17 +17,3 @@ def temperature_to_beta(temp_mk: float) -> float:
     if not math.isfinite(temp_mk) or temp_mk <= 0.0:
         raise ValueError(f"temperature must be positive and finite, got {temp_mk}")
     return 1.0 / (KB_UEV_PER_K * temp_mk * 1e-3)
-
-
-def time_units_to_seconds(t: float) -> float:
-    """Convert dimensionless time (units of 1/ueV) to seconds."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    return t * TIME_UNIT_S
-
-
-def gate_time(e_j: float) -> float:
-    """Single-qubit gate duration hbar/E_J in seconds for E_J in ueV."""
-    if not math.isfinite(e_j) or e_j <= 0.0:
-        raise ValueError(f"Josephson energy must be positive, got {e_j}")
-    return HBAR_UEV_S / e_j

@@ -42,7 +42,7 @@ from decoq.oracle import (
     evolve_exact,
     split_vs_closed_form,
 )
-from decoq.units import gate_time, temperature_to_beta
+from decoq.units import temperature_to_beta
 
 E_J = 51.8
 ETA = 1e-6
@@ -62,10 +62,15 @@ def _report(name: str, ok: bool, detail: str):
     assert ok, line
 
 
-def test_01_gate_time():
-    tau_ps = gate_time(E_J) * 1e12
-    ok = abs(tau_ps - 12.7) <= 0.05
-    _report("gate-time", ok, f"hbar/E_J = {tau_ps:.4f} ps, reference 12.7 ps")
+def test_01_gate_time(tmp_path):
+    # the gate time decoq tld reports: hbar/E_J at E_J = 51.8 ueV, frozen
+    # from 6.582119e-10/51.8 s
+    out = tmp_path / "tld.json"
+    code = main(["tld", "--out", str(out)])
+    tau_ps = json.loads(out.read_text())["tau_gate_ps"]
+    ok = (code == 0 and tau_ps == pytest.approx(12.706793436293436, rel=1e-12, abs=0.0)
+          and abs(tau_ps - 12.7) <= 0.05)
+    _report("gate-time", ok, f"tau_gate = {tau_ps!r} ps, reference 12.7 ps")
 
 
 def _ohmic_b2_closed_form(t: float) -> float:

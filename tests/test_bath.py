@@ -383,6 +383,9 @@ class TestDiscreteBath:
             DiscreteBath(omegas=np.array([2.0, 1.0]), g_sq=np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             DiscreteBath(omegas=np.array([1.0, 2.0]), g_sq=np.array([1.0, -1.0]))
+        # 2.5 modes used to give three bins at 20, 60 and 100, past omega_max
+        with pytest.raises(TypeError):
+            discretize_bath(bench_spec(), 2.5, 100.0)
 
     def test_discretization_total_weight(self):
         # sum of g^2 approximates the zeroth moment eta * w_c^2 for s = 1

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,17 +74,21 @@ class TestConfigFile:
             "# comment line\n"
             "eta = 2e-6\n"
             "temp_mk = 60  # inline comment\n"
-            "initial_states = point, line2\n"
-            "seed = 7\n"
         )
         parser = build_parser()
         args = parser.parse_args(["tld", "--config", str(path), "--temp-mk", "30"])
         cfg = build_config(args)
         assert cfg.eta == 2e-6  # file beats default
         assert cfg.temp_mk == 30.0  # flag beats file
-        assert cfg.initial_states == ("point", "line2")
-        assert cfg.seed == 7
         assert cfg.t_max == 10.0  # reports keep the long window
+
+        states = tmp_path / "states.cfg"
+        states.write_text("initial_states = point, line2\n")
+        args = parser.parse_args(["curve", "--config", str(states)])
+        assert build_config(args).initial_states == ("point", "line2")
+        seed = tmp_path / "seed.cfg"
+        seed.write_text("seed = 7\n")
+        assert build_config(parser.parse_args(["verify", "--config", str(seed)])).seed == 7
 
         # curve's own window beats the RunConfig default, the file beats
         # that, and the flag beats the file
@@ -97,16 +102,52 @@ class TestConfigFile:
         ):
             assert build_config(parser.parse_args(argv)).t_max == t_max, argv
 
-    def test_flags_store_under_config_fields(self):
-        fields = {f.name for f in dataclasses.fields(RunConfig)}
+    # the flags each subcommand takes: --config, --out, the flags of the
+    # RunConfig fields it reads, and its own
+    COMMAND_FLAGS = {
+        "curve": "--ej --temp-mk --eta --cutoff --t-max --samples --state --log-y",
+        "tld": "--ej --temp-mk --eta --cutoff --t-max --threshold",
+        "sweep": "--ej --temp-mk --eta --cutoff --t-max --threshold "
+                 "--axis --values --log-y --check",
+        "verify": "--ej --seed --corrupt",
+    }
+    # the config-file keys each subcommand takes
+    COMMAND_KEYS = {
+        "curve": "e_j temp_mk eta omega_c s t_max n_samples initial_states",
+        "tld": "e_j temp_mk eta omega_c s t_max threshold",
+        "sweep": "e_j temp_mk eta omega_c s t_max threshold",
+        "verify": "e_j seed",
+    }
+
+    def test_flags_store_under_config_fields(self, tmp_path, capsys):
+        # a subcommand takes, as flags and as file keys, the fields it reads
+        # and no others: `verify --temp-mk 300` must not run on a bath it
+        # ignores and then echo that bath
         parser = build_parser()
-        required = {"sweep": ["--axis", "T", "--values", "1,2"]}
-        for command in ("curve", "tld", "sweep", "verify"):
-            argv = [command] + required.get(command, [])
+        config = tmp_path / "run.cfg"
+        for command, flags in self.COMMAND_FLAGS.items():
+            argv = [command] + {"sweep": ["--axis", "T", "--values", "1,2"]}.get(command, [])
+            assert main([command, "--help"]) == 0
+            shown = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+            assert shown == {"--config", "--out", *flags.split()}, command
             for flag, (field, _) in _OPTIONS.items():
-                assert field in fields
-                args = parser.parse_args(argv + [flag, "3"])
-                assert getattr(args, field) == 3, (command, flag)
+                if flag in shown:
+                    assert getattr(parser.parse_args(argv + [flag, "3"]), field) == 3
+                else:
+                    assert main(argv + [flag, "3"]) == 1, (command, flag)
+                    last = capsys.readouterr().err.splitlines()[-1]
+                    assert last.startswith("error: ") and flag in last
+
+            keys = self.COMMAND_KEYS[command].split()
+            for field in dataclasses.fields(RunConfig):
+                config.write_text(f"{field.name} = {'point' if field.type is tuple else 3}\n")
+                if field.name in keys:
+                    assert field.name in parse_config_file(str(config), command)
+                else:
+                    assert main(argv + ["--config", str(config)]) == 1, (command, field.name)
+                    last = capsys.readouterr().err.splitlines()[-1]
+                    assert last == f"error: {config}:1: unknown key {field.name!r} for {command}"
+            assert RunConfig().echo(command).keys() == set(keys)
         args = parser.parse_args(["curve", "--state", "line1", "--state", "point"])
         assert build_config(args).initial_states == ("line1", "point")
 
@@ -114,19 +155,19 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("coupling = 1e-6\n")
         with pytest.raises(ValueError, match="unknown key"):
-            parse_config_file(str(path))
+            parse_config_file(str(path), "tld")
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("eta 1e-6\n")
         with pytest.raises(ValueError, match="expected key = value"):
-            parse_config_file(str(path))
+            parse_config_file(str(path), "tld")
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("eta = fast\n")
         with pytest.raises(ValueError, match="bad value"):
-            parse_config_file(str(path))
+            parse_config_file(str(path), "tld")
 
     def test_missing_file_exits_one(self, tmp_path):
         code = main(["tld", "--config", str(tmp_path / "nope.cfg")])

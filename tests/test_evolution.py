@@ -61,6 +61,20 @@ class TestQubitState:
         with pytest.raises(ValueError):
             QubitState(np.eye(3, dtype=complex) / 3.0)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [np.full((2, 2), math.nan), [[math.nan, 0.0], [0.0, 1.0]],
+         [[0.5, math.inf], [math.inf, 0.5]]],
+        ids=["all-nan", "nan-population", "inf-coherence"],
+    )
+    def test_rejects_non_finite(self, entries):
+        # every comparison with nan is false, so the tolerance checks alone
+        # would pass these
+        with pytest.raises(ValueError, match="non-finite"):
+            QubitState(entries)
+        with pytest.raises(ValueError, match="non-finite"):
+            DeviationOperator(entries)
+
 
 class TestPureState:
     def test_poles_and_equator(self):

@@ -330,11 +330,27 @@ class TestWorkDone:
             rtol=0, atol=1e-12,
         )
 
-    def test_dense_truncation_warning_points_at_the_caller(self):
-        system = CompositeSystem(e_j=51.8, modes=(TruncatedBathMode(1.0, 0.5, 3),))
+    @pytest.mark.parametrize(
+        "e_j,call",
+        [
+            (51.8, lambda system: thermal_bath_state(system.modes, BETA_30MK)),
+            (51.8, lambda system: evolve_exact(system, pure_state(0.5), BETA_30MK, 0.1)),
+            (0.0, lambda system: evolve_exact(system, pure_state(0.5), BETA_30MK, 0.1)),
+            (51.8, lambda system: evolve_split(system, pure_state(0.5), BETA_30MK, 0.1)),
+            (51.8, lambda system: split_vs_closed_form(system, pure_state(0.5), BETA_30MK, 0.1)),
+            (51.8, lambda system: error_scaling(system, pure_state(0.5), BETA_30MK,
+                                              np.geomspace(4e-4, 3e-3, 6))),
+        ],
+        ids=["thermal_bath_state", "evolve_exact-dense", "evolve_exact-e_j=0",
+             "evolve_split", "split_vs_closed_form", "error_scaling"],
+    )
+    def test_dense_truncation_warning_points_at_the_caller(self, e_j, call):
+        # each public entry point reaches the warning through its own depth
+        # of private helpers; the warning must still name the caller's line
+        system = CompositeSystem(e_j=e_j, modes=(TruncatedBathMode(1.0, 0.5, 3),))
         with pytest.warns(BathTruncationWarning) as caught:
-            evolve_exact(system, pure_state(0.5), BETA_30MK, 0.1)
-        assert [w.filename for w in caught] == [__file__]
+            call(system)
+        assert {w.filename for w in caught if w.category is BathTruncationWarning} == {__file__}
 
 
 class TestBasisHandling:

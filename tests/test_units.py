@@ -7,9 +7,7 @@ from decoq.units import (
     HBAR_UEV_S,
     KB_UEV_PER_K,
     TIME_UNIT_S,
-    gate_time,
     temperature_to_beta,
-    time_units_to_seconds,
 )
 
 
@@ -32,29 +30,6 @@ def test_beta_scaling():
 def test_beta_rejects_bad_temperature(bad):
     with pytest.raises(ValueError):
         temperature_to_beta(bad)
-
-
-def test_gate_time_reference_point():
-    # hbar/E_J at E_J = 51.8 ueV, frozen from 6.582119e-10/51.8
-    assert gate_time(51.8) == pytest.approx(1.2706793436293436e-11, rel=1e-12)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-def test_gate_time_rejects_bad_energy(bad):
-    with pytest.raises(ValueError):
-        gate_time(bad)
-
-
-def test_time_unit_conversion():
-    assert time_units_to_seconds(1.0) == TIME_UNIT_S
-    assert time_units_to_seconds(0.075) == pytest.approx(4.9365892500000004e-11, rel=1e-12)
-
-
-@given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
-def test_gate_time_round_trip(e_j):
-    # t = hbar/E_J in seconds equals 1/E_J natural time units
-    t_units = gate_time(e_j) / TIME_UNIT_S
-    assert t_units == pytest.approx(1.0 / e_j, rel=1e-12)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e4, allow_nan=False))
