@@ -7,10 +7,11 @@ Subcommands:
     sweep    low-decoherence time across a parameter axis -> CSV + SVG
     verify   built-in cross-checks of the numerical machinery -> JSON
 
-Each subcommand takes only the run settings it reads, as flags (see
-`decoq COMMAND --help`) and as keys of a flat key = value file given by
---config, and echoes only those into its output; a flag or key it does
-not read is a usage error.  A setting takes, lowest precedence first: the
+Each subcommand takes only the run settings it reads, as flags spelt in
+full (see `decoq COMMAND --help`) and as keys of a flat key = value file
+given by --config, and echoes only those into its output; a flag or key
+it does not read is a usage error, reported under the subcommand's own
+usage line.  A setting takes, lowest precedence first: the
 built-in default, the subcommand's own default (curve looks at
 t_max = 0.5, not 10), the file, then the flag.
 
@@ -285,7 +286,7 @@ def cmd_curve(cfg: RunConfig, args) -> int:
 
 # ---------------------------------------------------------------- tld
 
-def _tld_report(cfg: RunConfig) -> tuple[dict, int]:
+def _tld_report(cfg: RunConfig) -> dict:
     spec = cfg.bath_spec()
     tau_gate_units = 1.0 / cfg.e_j
     tau_gate_ps = tau_gate_units * TIME_UNIT_S / _SECONDS_PER_PS
@@ -317,7 +318,7 @@ def _tld_report(cfg: RunConfig) -> tuple[dict, int]:
                 ),
             }
         )
-        return report, 2
+        return report
     tau_ps = tau * TIME_UNIT_S / _SECONDS_PER_PS
     covers = tau >= tau_gate_units
     report.update(
@@ -334,11 +335,11 @@ def _tld_report(cfg: RunConfig) -> tuple[dict, int]:
         }
     )
     report["reference"]["tau_ld_rel_dev"] = tau_ps / REFERENCE_TAU_LD_PS - 1.0
-    return report, 0
+    return report
 
 
 def cmd_tld(cfg: RunConfig, args) -> int:
-    report, code = _tld_report(cfg)
+    report = _tld_report(cfg)
     report["config"] = cfg.echo("tld")
     out = args.out or "tld.json"
     _write_json(out, report)
@@ -358,45 +359,48 @@ def cmd_tld(cfg: RunConfig, args) -> int:
         )
         print(report["verdict"])
     print(f"wrote {out}")
-    return code
+    return 2 if report["no_crossing"] else 0
 
 
 # ---------------------------------------------------------------- sweep
 
 _AXIS_TO_FIELD = {"T": "temp_mk", "eta": "eta", "E_J": "e_j", "omega_c": "omega_c"}
 
+# tld report keys that sweep writes, in column order, between value and
+# status; a key the report holds as None or lacks is NaN
+_SWEEP_KEYS = ("tau_ld_units", "tau_ld_ps", "d_at_gate")
+
+
+def _axis_values(text: str) -> list[float]:
+    """--values: two or more comma-separated numbers."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"could not parse {text!r}") from None
+    if len(values) < 2:
+        raise argparse.ArgumentTypeError("sweep needs at least two axis values")
+    return values
+
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     field = _AXIS_TO_FIELD[args.axis]
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError:
-        print(f"error: could not parse --values {args.values!r}", file=sys.stderr)
-        return 1
-    if len(values) < 2:
-        print("error: sweep needs at least two axis values", file=sys.stderr)
-        return 1
-
     rows = []
-    for value in values:
+    for value in args.values:
         row_cfg = dataclasses.replace(cfg, **{field: value})
         try:
             row_cfg.validate()
-            report, _ = _tld_report(row_cfg)
+            report = _tld_report(row_cfg)
         except ValueError as exc:
-            rows.append((value, math.nan, math.nan, math.nan,
-                         f"error: {str(exc).replace(',', ';')}"))
+            report, status = {}, f"error: {str(exc).replace(',', ';')}"
         else:
-            if report["no_crossing"]:
-                rows.append((value, math.nan, math.nan, report["d_at_gate"],
-                             f"no-crossing: D(t_max)={report['d_at_t_max']:.3e}"))
-            else:
-                rows.append((value, report["tau_ld_units"], report["tau_ld_ps"],
-                             report["d_at_gate"], "ok"))
+            status = (f"no-crossing: D(t_max)={report['d_at_t_max']:.3e}"
+                      if report["no_crossing"] else "ok")
+        cells = (math.nan if report.get(key) is None else report[key] for key in _SWEEP_KEYS)
+        rows.append((value, *cells, status))
 
     out_csv = args.out or "sweep.csv"
     _write_csv(out_csv, cfg.echo("sweep"), f"sweep axis={args.axis}",
-               ["value", "tau_ld_units", "tau_ld_ps", "d_at_gate", "status"], rows)
+               ["value", *_SWEEP_KEYS, "status"], rows)
     print(f"wrote {out_csv} ({len(rows)} points)")
 
     xs = [r[0] for r in rows]
@@ -551,7 +555,18 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------- parser
 
 class _Parser(argparse.ArgumentParser):
-    # usage errors exit with 1, keeping 2 and 3 for runtime outcomes
+    # usage errors exit with 1, keeping 2 and 3 for runtime outcomes, and
+    # are reported by the subcommand whose arguments are wrong, under its
+    # own usage line
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        # only sweep takes --check
+        if getattr(namespace, "check", False) and namespace.axis not in ("T", "eta"):
+            self.error("--check supports only the T and eta axes")
+        return namespace, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -568,12 +583,13 @@ def _add_common(sub, command):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="decoq", description=__doc__,
+    parser = _Parser(prog="decoq", description=__doc__, allow_abbrev=False,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"decoq {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_curve = subs.add_parser("curve", help="decoherence measures on a time grid")
+    p_curve = subs.add_parser("curve", help="decoherence measures on a time grid",
+                              allow_abbrev=False)
     _add_common(p_curve, "curve")
     p_curve.add_argument(
         "--state", action="append", choices=sorted(PRESETS), dest="initial_states",
@@ -582,14 +598,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--log-y", action="store_true", dest="log_y")
     p_curve.set_defaults(func=cmd_curve)
 
-    p_tld = subs.add_parser("tld", help="low-decoherence time report")
+    p_tld = subs.add_parser("tld", help="low-decoherence time report", allow_abbrev=False)
     _add_common(p_tld, "tld")
     p_tld.set_defaults(func=cmd_tld)
 
-    p_sweep = subs.add_parser("sweep", help="low-decoherence time across an axis")
+    p_sweep = subs.add_parser("sweep", help="low-decoherence time across an axis",
+                              allow_abbrev=False)
     _add_common(p_sweep, "sweep")
     p_sweep.add_argument("--axis", required=True, choices=sorted(_AXIS_TO_FIELD))
-    p_sweep.add_argument("--values", required=True, help="comma separated axis values")
+    p_sweep.add_argument("--values", required=True, type=_axis_values,
+                         help="comma separated axis values")
     p_sweep.add_argument("--log-y", action="store_true", dest="log_y")
     p_sweep.add_argument(
         "--check", action="store_true",
@@ -597,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_verify = subs.add_parser("verify", help="run built-in cross-checks")
+    p_verify = subs.add_parser("verify", help="run built-in cross-checks", allow_abbrev=False)
     _add_common(p_verify, "verify")
     p_verify.add_argument(
         "--corrupt", choices=["b2"],
@@ -613,9 +631,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "check", False) and args.axis not in ("T", "eta"):
-        print("error: --check supports only the T and eta axes", file=sys.stderr)
-        return 1
     try:
         return args.func(build_config(args), args)
     except (ValueError, OSError) as exc:

@@ -1,14 +1,17 @@
 """Small SVG line-plot writer with no plotting dependency.
 
-Produces self-contained SVG files: a handful of polyline or scatter
-series on a single pair of axes, with optional logarithmic y scaling.
-Good enough for quick inspection of decoherence curves and sweeps; not a
-general plotting library.
+`write_svg` draws a handful of polyline or scatter series on one pair of
+axes, with optional logarithmic y scaling, into a self-contained SVG
+file.  It builds the whole document before it opens the file, so data
+with nothing finite to plot raises ValueError and leaves any file at the
+path untouched.  Good enough for quick inspection of decoherence curves
+and sweeps; not a general plotting library.
 """
 
 import math
-from dataclasses import dataclass
 from html import escape
+from itertools import groupby
+from typing import NamedTuple
 
 from ._np import linspace
 
@@ -22,24 +25,13 @@ _MARGIN_TOP = 40.0
 _MARGIN_BOTTOM = 52.0
 
 
-@dataclass(frozen=True)
-class Series:
-    """One plotted series; mode is 'line' or 'points'."""
+class Series(NamedTuple):
+    """One plotted series of floats; mode is 'line' or 'points'."""
 
     label: str
-    x: tuple[float, ...]
-    y: tuple[float, ...]
+    x: list[float]
+    y: list[float]
     mode: str = "line"
-
-    def __post_init__(self):
-        x = tuple(map(float, self.x))
-        y = tuple(map(float, self.y))
-        if len(x) != len(y) or not x:
-            raise ValueError("series needs matching non-empty x and y")
-        if self.mode not in ("line", "points"):
-            raise ValueError(f"mode must be 'line' or 'points', got {self.mode!r}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
 
 
 def _data_range(values, positive_only: bool) -> tuple[float, float]:
@@ -60,18 +52,12 @@ def _fmt(v: float) -> str:
     return f"{v:.3g}"
 
 
-def render_svg(
-    series,
-    *,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    log_y: bool = False,
-) -> str:
-    """Render the series list to an SVG document string."""
-    series = list(series)
-    if not series:
-        raise ValueError("at least one series is required")
+def write_svg(path, series, *, title: str, xlabel: str, ylabel: str, log_y: bool) -> None:
+    """Draw the series and write the SVG document to path.
+
+    Raises ValueError, before path is opened, when no sample is finite
+    (or, with log_y, positive).
+    """
     x_lo, x_hi = _data_range([s.x for s in series], positive_only=False)
     y_lo, y_hi = _data_range([s.y for s in series], positive_only=log_y)
     if log_y:
@@ -125,7 +111,7 @@ def render_svg(
         yy = math.log10(yt) if log_y else yt
         if not (y_lo - 1e-9 <= yy <= y_hi + 1e-9):
             continue
-        gy = _MARGIN_TOP + (y_hi - yy) / (y_hi - y_lo) * plot_h
+        gy = py(yt)
         parts.append(
             f'<line x1="{_MARGIN_LEFT}" y1="{gy:.2f}" x2="{_MARGIN_LEFT + plot_w}" '
             f'y2="{gy:.2f}" stroke="#dddddd" stroke-width="1"/>'
@@ -144,42 +130,27 @@ def render_svg(
                     parts.append(
                         f'<circle cx="{px(xv):.2f}" cy="{py(yv):.2f}" r="2.5" fill="{color}"/>'
                     )
-        else:
-            # break the polyline at every invalid sample
-            run: list[str] = []
-            for xv, yv in zip(s.x, s.y):
-                if shown(xv, yv):
-                    run.append(f"{px(xv):.2f},{py(yv):.2f}")
-                elif run:
-                    if len(run) > 1:
-                        parts.append(
-                            f'<polyline points="{" ".join(run)}" fill="none" '
-                            f'stroke="{color}" stroke-width="1.6"/>'
-                        )
-                    run = []
-            if len(run) > 1:
+            continue
+        # one polyline per run of shown samples: an invalid one breaks the line
+        for is_shown, run in groupby(zip(s.x, s.y), key=lambda xy: shown(*xy)):
+            run = list(run)
+            if is_shown and len(run) > 1:
+                points = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in run)
                 parts.append(
-                    f'<polyline points="{" ".join(run)}" fill="none" '
+                    f'<polyline points="{points}" fill="none" '
                     f'stroke="{color}" stroke-width="1.6"/>'
                 )
 
     # labels and legend
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-size="15">{escape(title, quote=False)}</text>'
-        )
-    if xlabel:
-        parts.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 14}" '
-            f'text-anchor="middle">{escape(xlabel, quote=False)}</text>'
-        )
-    if ylabel:
-        cy = _MARGIN_TOP + plot_h / 2
-        parts.append(
-            f'<text x="18" y="{cy:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 18 {cy:.1f})">{escape(ylabel, quote=False)}</text>'
-        )
+    cy = _MARGIN_TOP + plot_h / 2
+    parts += [
+        f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-size="15">{escape(title, quote=False)}</text>',
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 14}" '
+        f'text-anchor="middle">{escape(xlabel, quote=False)}</text>',
+        f'<text x="18" y="{cy:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 18 {cy:.1f})">{escape(ylabel, quote=False)}</text>',
+    ]
     for i, s in enumerate(series):
         color = DEFAULT_COLORS[i % len(DEFAULT_COLORS)]
         ly = _MARGIN_TOP + 16 + 18 * i
@@ -191,10 +162,5 @@ def render_svg(
         parts.append(f'<text x="{lx + 32}" y="{ly}">{escape(s.label, quote=False)}</text>')
 
     parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def write_svg(path, series, **kwargs) -> None:
-    """Render and write straight to a file."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(series, **kwargs))
+        fh.write("\n".join(parts))

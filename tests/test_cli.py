@@ -243,6 +243,19 @@ class TestCurveCommand:
         assert svg.startswith("<svg")
         assert "polyline" in svg and "circle" in svg
 
+    def test_skipped_plot_writes_nothing(self, tmp_path, capsys):
+        # at eta = 0 every D and norm is 0, which a log axis cannot show:
+        # the plot is skipped, and no SVG is created or truncated
+        out = tmp_path / "curve.csv"
+        svg = tmp_path / "curve.svg"
+        argv = ["curve", "--eta", "0", "--log-y", "--samples", "8", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.startswith(f"note: skipped {svg}")
+        assert out.exists() and not svg.exists()
+        svg.write_text("<svg>an earlier plot</svg>")
+        assert main(argv) == 0
+        assert svg.read_text() == "<svg>an earlier plot</svg>"
+
 
 class TestTldCommand:
     def test_report_contents(self, tmp_path):
@@ -300,15 +313,27 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         code = main(
             [
-                "sweep", "--axis", "T", "--values", "10,30,100",
+                "sweep", "--axis", "T", "--values", "0,10,30,100",
                 "--check", "--out", str(out),
             ]
         )
         assert code == 0
         _, header, rows = read_csv(out)
-        assert header == ["value", "tau_ld_units", "tau_ld_ps", "d_at_gate", "status"]
-        assert len(rows) == 3
+        keys = ["tau_ld_units", "tau_ld_ps", "d_at_gate"]
+        assert header == ["value", *keys, "status"]
+        assert len(rows) == 4
         by_value = {float(r[0]): r for r in rows}
+        # T = 0 is not a valid bath: its row is an error with no numbers
+        assert by_value[0.0][1:] == ["nan", "nan", "nan",
+                                     "error: temperature must be positive and finite; got 0.0"]
+        # every other row carries the numbers tld reports at that value
+        for value in (10.0, 30.0, 100.0):
+            report_path = tmp_path / f"tld_{value:g}.json"
+            main(["tld", "--temp-mk", by_value[value][0], "--out", str(report_path)])
+            report = json.loads(report_path.read_text())
+            assert by_value[value][1:4] == [
+                "nan" if report[key] is None else format(report[key], ".17g") for key in keys
+            ]
         # the coldest point never crosses inside the default window and
         # must be recorded as such, not crash the sweep
         assert by_value[10.0][4].startswith("no-crossing")
@@ -320,12 +345,21 @@ class TestSweepCommand:
         assert by_value[30.0][4] == "ok"
         assert float(by_value[100.0][1]) < float(by_value[30.0][1])
 
-    def test_check_requires_supported_axis(self):
+    def test_check_requires_supported_axis(self, capsys):
         assert main(["sweep", "--axis", "E_J", "--values", "40,60", "--check"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: decoq sweep ")
+        assert err.splitlines()[-1] == "error: --check supports only the T and eta axes"
 
-    def test_bad_values_exit_one(self):
+    def test_bad_values_exit_one(self, capsys):
         assert main(["sweep", "--axis", "T", "--values", "10;20"]) == 1
         assert main(["sweep", "--axis", "T", "--values", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: decoq sweep ")
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            "error: argument --values: could not parse '10;20'",
+            "error: argument --values: sweep needs at least two axis values",
+        ]
 
     def test_eta_monotonicity_check_passes(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -375,6 +409,21 @@ class TestExitCodes:
         assert main(["tld", "--ej", "minus-five"]) == 1
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("error: ") and "--ej" in last and "'minus-five'" in last
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["tld", "--thr", "2e-4"], ["curve", "--threshold", "1e-3"]],
+        ids=["abbreviated-flag", "flag-of-another-subcommand"],
+    )
+    def test_unknown_flag_is_reported_by_the_subcommand(self, tmp_path, capsys, argv):
+        # flags are spelt in full, and the subcommand's usage line shows
+        # the flags it does take
+        out = tmp_path / "out.dat"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: decoq {argv[0]} ")
+        assert err.splitlines()[-1] == f"error: unrecognized arguments: {' '.join(argv[1:])}"
+        assert not out.exists()
 
     def test_invalid_config_value(self):
         assert main(["tld", "--ej", "-5"]) == 1

@@ -1,0 +1,18 @@
+import math
+import re
+
+from decoq.svgplot import Series, write_svg
+
+
+def test_write_svg_breaks_lines_and_labels_decades(tmp_path):
+    # a NaN sample splits a line series in two, and a log axis is
+    # labelled at the decades the data spans
+    path = tmp_path / "plot.svg"
+    x = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    y = [1e-6, 1e-5, 1e-4, math.nan, 1e-3, 1e-2]
+    write_svg(path, [Series("D", x, y)], title="t", xlabel="x", ylabel="y", log_y=True)
+    svg = path.read_text()
+    runs = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert [len(points.split()) for points in runs] == [3, 2]
+    y_labels = re.findall(r'text-anchor="end">([^<]*)</text>', svg)
+    assert y_labels == ["1e-06", "1e-05", "0.0001", "0.001", "0.01"]
