@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from ._np import np
 
@@ -40,8 +40,18 @@ EM_COEFFS = tuple(
 C_SERIES_U = 0.5
 
 
-@dataclass(frozen=True)
-class BathSpec:
+def _record(typename: str, field_names: str):
+    """namedtuple base of an immutable record that validates in its subclass's __new__.
+
+    _make, and with it _replace, goes through that __new__, so a replaced
+    field is checked as a constructed one is.
+    """
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class BathSpec(_record("BathSpec", "eta omega_c beta s")):
     """Ohmic-family bath: J(w) = eta * w**s * exp(-w/omega_c), beta = 1/kT.
 
     beta may be math.inf for a zero-temperature bath.  Sub-Ohmic exponents
@@ -49,35 +59,31 @@ class BathSpec:
     derived for s >= 1 only.
     """
 
-    eta: float
-    omega_c: float
-    beta: float
-    s: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.eta) or self.eta < 0.0:
-            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
-        if not math.isfinite(self.omega_c) or self.omega_c <= 0.0:
-            raise ValueError(f"omega_c must be finite and > 0, got {self.omega_c}")
-        if math.isnan(self.beta) or self.beta <= 0.0:
-            raise ValueError(f"beta must be > 0 (inf allowed), got {self.beta}")
-        if not math.isfinite(self.s) or self.s < 1.0:
+    def __new__(cls, eta: float, omega_c: float, beta: float, s: float = 1.0):
+        if not math.isfinite(eta) or eta < 0.0:
+            raise ValueError(f"eta must be finite and >= 0, got {eta}")
+        if not math.isfinite(omega_c) or omega_c <= 0.0:
+            raise ValueError(f"omega_c must be finite and > 0, got {omega_c}")
+        if math.isnan(beta) or beta <= 0.0:
+            raise ValueError(f"beta must be > 0 (inf allowed), got {beta}")
+        if not math.isfinite(s) or s < 1.0:
             raise ValueError(
-                f"s must be finite and >= 1, got {self.s}: the low-frequency limit "
+                f"s must be finite and >= 1, got {s}: the low-frequency limit "
                 "of the dephasing integrand is implemented for s >= 1 only"
             )
+        return super().__new__(cls, eta, omega_c, beta, s)
 
 
-@dataclass(frozen=True)
-class DiscreteBath:
+class DiscreteBath(_record("DiscreteBath", "omegas g_sq")):
     """Finite mode set {(omega_k, g_k^2)} with strictly increasing omega_k."""
 
-    omegas: np.ndarray
-    g_sq: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        w = np.asarray(self.omegas, dtype=float)
-        g2 = np.asarray(self.g_sq, dtype=float)
+    def __new__(cls, omegas, g_sq):
+        w = np.asarray(omegas, dtype=float)
+        g2 = np.asarray(g_sq, dtype=float)
         if w.ndim != 1 or g2.shape != w.shape:
             raise ValueError("omegas and g_sq must be 1-d arrays of equal length")
         if w.size == 0:
@@ -92,8 +98,7 @@ class DiscreteBath:
             raise ValueError("squared couplings must be non-negative")
         w.setflags(write=False)
         g2.setflags(write=False)
-        object.__setattr__(self, "omegas", w)
-        object.__setattr__(self, "g_sq", g2)
+        return super().__new__(cls, w, g2)
 
     def __len__(self) -> int:
         return self.omegas.size
@@ -223,7 +228,7 @@ def dephasing_exponent_zero_t(t: float, spec: BathSpec) -> float:
     The beta = inf case of dephasing_exponent, kept by name because the
     benchmark's reference tests (perfbench/tests) import it.
     """
-    return dephasing_exponent(t, replace(spec, beta=math.inf))
+    return dephasing_exponent(t, spec._replace(beta=math.inf))
 
 
 def _c_unit(nu: float, x: float) -> float:

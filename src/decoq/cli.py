@@ -22,12 +22,11 @@ crossing on the window, 3 a verification or consistency check failed.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import __version__
 from ._np import linspace, np
@@ -85,20 +84,25 @@ PRESETS = {
 _SECONDS_PER_PS = 1e-12
 
 
-@dataclass(frozen=True)
-class RunConfig:
+# RunConfig's fields and their defaults
+_DEFAULTS = {
+    "e_j": 51.8,
+    "temp_mk": 30.0,
+    "eta": 1e-6,
+    "omega_c": 200.0,
+    "s": 1.0,
+    "t_max": 10.0,
+    "n_samples": 400,
+    "threshold": 1e-4,
+    "seed": 1234,
+    "initial_states": ("point", "line1", "line2"),
+}
+
+
+class RunConfig(namedtuple("RunConfig", _DEFAULTS, defaults=_DEFAULTS.values())):
     """Physics and numerics knobs; _COMMAND_FIELDS says which each subcommand reads."""
 
-    e_j: float = 51.8
-    temp_mk: float = 30.0
-    eta: float = 1e-6
-    omega_c: float = 200.0
-    s: float = 1.0
-    t_max: float = 10.0
-    n_samples: int = 400
-    threshold: float = 1e-4
-    seed: int = 1234
-    initial_states: tuple = ("point", "line1", "line2")
+    __slots__ = ()
 
     def validate(self):
         if not math.isfinite(self.e_j) or self.e_j <= 0.0:
@@ -169,11 +173,13 @@ _COMMAND_FIELDS = {
 # short window, reports keep the long one
 _COMMAND_DEFAULTS = {"curve": {"t_max": 0.5}}
 
+# a field's flag and config-file key take the type of its default
+_FIELD_TYPES = {field: type(value) for field, value in RunConfig._field_defaults.items()}
+
 
 def parse_config_file(path: str, command: str) -> dict:
     """Read a flat key = value file of the subcommand's keys; '#' starts a comment."""
-    types = {f.name: f.type for f in dataclasses.fields(RunConfig)
-             if f.name in _COMMAND_FIELDS[command]}
+    types = {field: _FIELD_TYPES[field] for field in _COMMAND_FIELDS[command]}
     overrides = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -199,7 +205,7 @@ def parse_config_file(path: str, command: str) -> dict:
 
 def build_config(args) -> RunConfig:
     """RunConfig defaults, then the subcommand's, then the config file, then flags."""
-    values = dataclasses.asdict(RunConfig())
+    values = RunConfig()._asdict()
     values.update(_COMMAND_DEFAULTS.get(args.command, {}))
     if args.config:
         values.update(parse_config_file(args.config, args.command))
@@ -386,7 +392,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     field = _AXIS_TO_FIELD[args.axis]
     rows = []
     for value in args.values:
-        row_cfg = dataclasses.replace(cfg, **{field: value})
+        row_cfg = cfg._replace(**{field: value})
         try:
             row_cfg.validate()
             report = _tld_report(row_cfg)
@@ -418,6 +424,13 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     )
 
     if args.check:
+        # a point that could not be computed is not checked, so it fails;
+        # a point with no crossing has no tau_ld to order and is skipped
+        errors = [(value, status) for value, *_, status in rows if status.startswith("error")]
+        for value, status in errors:
+            print(f"check failed: {args.axis} = {value!r} gives {status}", file=sys.stderr)
+        if errors:
+            return 3
         # decoherence accumulates faster when the bath is hotter or more
         # strongly coupled, so tau_ld must not grow along these axes
         prev = None
@@ -562,6 +575,10 @@ class _Parser(argparse.ArgumentParser):
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
+        # only the root parser has a command, and it asks for one after the
+        # extras, so that an unknown flag before the command is named first
+        if getattr(namespace, "command", "") is None:
+            self.error("the following arguments are required: command")
         # only sweep takes --check
         if getattr(namespace, "check", False) and namespace.axis not in ("T", "eta"):
             self.error("--check supports only the T and eta axes")
@@ -575,10 +592,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub, command):
     sub.add_argument("--config", help="flat key = value configuration file")
-    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     for flag, (field, help_text) in _OPTIONS.items():
         if field in _COMMAND_FIELDS[command]:
-            sub.add_argument(flag, type=types[field], dest=field, help=help_text)
+            sub.add_argument(flag, type=_FIELD_TYPES[field], dest=field, help=help_text)
     sub.add_argument("--out", help="output path")
 
 
@@ -586,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="decoq", description=__doc__, allow_abbrev=False,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"decoq {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command")
 
     p_curve = subs.add_parser("curve", help="decoherence measures on a time grid",
                               allow_abbrev=False)

@@ -22,12 +22,11 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable
 from itertools import product
-from typing import Callable
 
 from ._np import linspace, np
-from .bath import BathSpec, dephasing_exponent
+from .bath import BathSpec, _record, dephasing_exponent
 
 EIGENBASIS = "eigenbasis"
 COMPUTATIONAL = "computational"
@@ -57,22 +56,20 @@ class CrossingNotResolvedError(ValueError):
     """The crossing bracket reached adjacent doubles without meeting rtol."""
 
 
-@dataclass(frozen=True)
-class QubitState:
+class QubitState(_record("QubitState", "rho basis")):
     """Validated 2x2 density matrix with an explicit basis tag."""
 
-    rho: np.ndarray
-    basis: str = EIGENBASIS
+    __slots__ = ()
 
-    def __post_init__(self):
-        rho = np.array(self.rho, dtype=complex)
+    def __new__(cls, rho, basis: str = EIGENBASIS):
+        rho = np.array(rho, dtype=complex)
         if rho.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
         # every comparison with nan is false, so the checks below would pass it
         if not np.all(np.isfinite(rho)):
             raise ValueError("density matrix has a non-finite entry")
-        if self.basis not in _BASES:
-            raise ValueError(f"basis must be one of {_BASES}, got {self.basis!r}")
+        if basis not in _BASES:
+            raise ValueError(f"basis must be one of {_BASES}, got {basis!r}")
         if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
             raise ValueError("density matrix is not hermitian within tolerance")
         if abs(np.trace(rho) - 1.0) > TRACE_TOL:
@@ -80,18 +77,16 @@ class QubitState:
         if np.min(np.linalg.eigvalsh(rho)) < POSITIVITY_TOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
+        return super().__new__(cls, rho, basis)
 
 
-@dataclass(frozen=True)
-class DeviationOperator:
+class DeviationOperator(_record("DeviationOperator", "sigma basis")):
     """Traceless hermitian difference between actual and ideal states."""
 
-    sigma: np.ndarray
-    basis: str = EIGENBASIS
+    __slots__ = ()
 
-    def __post_init__(self):
-        sigma = np.array(self.sigma, dtype=complex)
+    def __new__(cls, sigma, basis: str = EIGENBASIS):
+        sigma = np.array(sigma, dtype=complex)
         if sigma.shape != (2, 2):
             raise ValueError(f"deviation operator must be 2x2, got {sigma.shape}")
         if not np.all(np.isfinite(sigma)):
@@ -101,7 +96,7 @@ class DeviationOperator:
         if abs(np.trace(sigma)) > TRACE_TOL:
             raise ValueError("deviation operator must be traceless")
         sigma.setflags(write=False)
-        object.__setattr__(self, "sigma", sigma)
+        return super().__new__(cls, sigma, basis)
 
 
 def pure_state(theta: float, phi: float = 0.0) -> QubitState:

@@ -45,10 +45,10 @@ import math
 import operator
 import sys
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._np import np
-from .bath import DiscreteBath, dephasing_exponent_modes, phase_shift_modes
+from .bath import DiscreteBath, _record, dephasing_exponent_modes, phase_shift_modes
 from .evolution import COMPUTATIONAL, EIGENBASIS, QubitState, evolve_real
 from .model import basis_change, gate_unitary, pauli_x, pauli_z
 
@@ -72,46 +72,44 @@ class BathTruncationWarning(UserWarning):
     """Fock truncation leaves non-negligible thermal weight out."""
 
 
-@dataclass(frozen=True)
-class TruncatedBathMode:
+class TruncatedBathMode(_record("TruncatedBathMode", "omega g n_fock")):
     """One oscillator mode: frequency omega (ueV), coupling g (ueV), n_fock levels."""
 
-    omega: float
-    g: float
-    n_fock: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, omega: float, g: float, n_fock: int):
         # a float count would pass the checks below and np.arange would round it up
-        object.__setattr__(self, "n_fock", operator.index(self.n_fock))
-        if not math.isfinite(self.omega) or self.omega <= 0.0:
-            raise ValueError(f"mode frequency must be positive, got {self.omega}")
-        if not math.isfinite(self.g):
-            raise ValueError(f"mode coupling must be finite, got {self.g}")
-        if self.n_fock < 2:
-            raise ValueError(f"need at least two Fock levels, got {self.n_fock}")
+        n_fock = operator.index(n_fock)
+        if not math.isfinite(omega) or omega <= 0.0:
+            raise ValueError(f"mode frequency must be positive, got {omega}")
+        if not math.isfinite(g):
+            raise ValueError(f"mode coupling must be finite, got {g}")
+        if n_fock < 2:
+            raise ValueError(f"need at least two Fock levels, got {n_fock}")
+        return super().__new__(cls, omega, g, n_fock)
 
 
-@dataclass(frozen=True)
-class CompositeSystem:
+class CompositeSystem(_record("CompositeSystem", "e_j modes")):
     """Qubit plus a finite list of truncated bath modes."""
 
-    e_j: float
-    modes: tuple[TruncatedBathMode, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, e_j: float, modes):
         # a tuple keeps the system hashable, as the eigensystem caches need
-        object.__setattr__(self, "modes", tuple(self.modes))
-        if not math.isfinite(self.e_j) or self.e_j < 0.0:
-            raise ValueError(f"Josephson energy must be >= 0, got {self.e_j}")
-        if not self.modes:
+        modes = tuple(modes)
+        if not math.isfinite(e_j) or e_j < 0.0:
+            raise ValueError(f"Josephson energy must be >= 0, got {e_j}")
+        if not modes:
             raise ValueError("at least one bath mode is required")
-        if not all(isinstance(m, TruncatedBathMode) for m in self.modes):
+        if not all(isinstance(m, TruncatedBathMode) for m in modes):
             raise TypeError("modes must be TruncatedBathMode instances")
+        self = super().__new__(cls, e_j, modes)
         if self.dim > MAX_DIM:
             raise DimensionCapError(
                 f"composite dimension {self.dim} exceeds the cap {MAX_DIM}; "
                 "reduce n_fock or the number of modes"
             )
+        return self
 
     @property
     def bath_dim(self) -> int:
@@ -295,14 +293,10 @@ def evolve_split(system: CompositeSystem, state: QubitState, beta: float, t: flo
     return _split_map(system, state, beta, t)
 
 
-@dataclass(frozen=True)
-class ErrorScalingResult:
+class ErrorScalingResult(namedtuple("ErrorScalingResult", "times errors slope intercept")):
     """Log-log fit of the split-vs-exact error against step size."""
 
-    times: np.ndarray
-    errors: np.ndarray
-    slope: float
-    intercept: float
+    __slots__ = ()
 
 
 def error_scaling(
@@ -370,15 +364,12 @@ def discrete_bath_from_modes(modes) -> DiscreteBath:
     return DiscreteBath(omegas=omegas, g_sq=np.array([merged[w] for w in omegas]))
 
 
-@dataclass(frozen=True)
-class SplitComparison:
+class SplitComparison(
+    namedtuple("SplitComparison", "rho_split rho_closed b_squared shift max_abs_diff")
+):
     """Side-by-side of the split-propagator oracle and the closed-form map."""
 
-    rho_split: np.ndarray
-    rho_closed: np.ndarray
-    b_squared: float
-    shift: float
-    max_abs_diff: float
+    __slots__ = ()
 
 
 def split_vs_closed_form(

@@ -9,9 +9,8 @@ and sweeps; not a general plotting library.
 """
 
 import math
-from html import escape
+from collections import namedtuple
 from itertools import groupby
-from typing import NamedTuple
 
 from ._np import linspace
 
@@ -25,13 +24,15 @@ _MARGIN_TOP = 40.0
 _MARGIN_BOTTOM = 52.0
 
 
-class Series(NamedTuple):
-    """One plotted series of floats; mode is 'line' or 'points'."""
+class Series(namedtuple("Series", "label x y mode", defaults=("line",))):
+    """One plotted series: a label, lists of floats x and y, mode 'line' or 'points'."""
 
-    label: str
-    x: list[float]
-    y: list[float]
-    mode: str = "line"
+    __slots__ = ()
+
+
+def escape(text: str) -> str:
+    """text with & < > as character references, for SVG element content."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _data_range(values, positive_only: bool) -> tuple[float, float]:
@@ -97,7 +98,7 @@ def write_svg(path, series, *, title: str, xlabel: str, ylabel: str, log_y: bool
         )
         parts.append(
             f'<text x="{gx:.2f}" y="{_MARGIN_TOP + plot_h + 18}" '
-            f'text-anchor="middle">{escape(_fmt(xt), quote=False)}</text>'
+            f'text-anchor="middle">{escape(_fmt(xt))}</text>'
         )
     if log_y:
         lo_dec = math.floor(y_lo)
@@ -118,7 +119,7 @@ def write_svg(path, series, *, title: str, xlabel: str, ylabel: str, log_y: bool
         )
         parts.append(
             f'<text x="{_MARGIN_LEFT - 6}" y="{gy + 4:.2f}" '
-            f'text-anchor="end">{escape(_fmt(yt), quote=False)}</text>'
+            f'text-anchor="end">{escape(_fmt(yt))}</text>'
         )
 
     # series
@@ -145,11 +146,11 @@ def write_svg(path, series, *, title: str, xlabel: str, ylabel: str, log_y: bool
     cy = _MARGIN_TOP + plot_h / 2
     parts += [
         f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-size="15">{escape(title, quote=False)}</text>',
+        f'font-size="15">{escape(title)}</text>',
         f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 14}" '
-        f'text-anchor="middle">{escape(xlabel, quote=False)}</text>',
+        f'text-anchor="middle">{escape(xlabel)}</text>',
         f'<text x="18" y="{cy:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {cy:.1f})">{escape(ylabel, quote=False)}</text>',
+        f'transform="rotate(-90 18 {cy:.1f})">{escape(ylabel)}</text>',
     ]
     for i, s in enumerate(series):
         color = DEFAULT_COLORS[i % len(DEFAULT_COLORS)]
@@ -159,7 +160,7 @@ def write_svg(path, series, *, title: str, xlabel: str, ylabel: str, log_y: bool
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 26}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{lx + 32}" y="{ly}">{escape(s.label, quote=False)}</text>')
+        parts.append(f'<text x="{lx + 32}" y="{ly}">{escape(s.label)}</text>')
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

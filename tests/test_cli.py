@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -58,7 +57,7 @@ class TestRunConfig:
         ],
     )
     def test_rejects_bad_field(self, field, value):
-        cfg = dataclasses.replace(RunConfig(), **{field: value})
+        cfg = RunConfig()._replace(**{field: value})
         with pytest.raises(ValueError):
             cfg.validate()
 
@@ -139,14 +138,14 @@ class TestConfigFile:
                     assert last.startswith("error: ") and flag in last
 
             keys = self.COMMAND_KEYS[command].split()
-            for field in dataclasses.fields(RunConfig):
-                config.write_text(f"{field.name} = {'point' if field.type is tuple else 3}\n")
-                if field.name in keys:
-                    assert field.name in parse_config_file(str(config), command)
+            for field, default in RunConfig._field_defaults.items():
+                config.write_text(f"{field} = {'point' if type(default) is tuple else 3}\n")
+                if field in keys:
+                    assert field in parse_config_file(str(config), command)
                 else:
-                    assert main(argv + ["--config", str(config)]) == 1, (command, field.name)
+                    assert main(argv + ["--config", str(config)]) == 1, (command, field)
                     last = capsys.readouterr().err.splitlines()[-1]
-                    assert last == f"error: {config}:1: unknown key {field.name!r} for {command}"
+                    assert last == f"error: {config}:1: unknown key {field!r} for {command}"
             assert RunConfig().echo(command).keys() == set(keys)
         args = parser.parse_args(["curve", "--state", "line1", "--state", "point"])
         assert build_config(args).initial_states == ("line1", "point")
@@ -317,7 +316,8 @@ class TestSweepCommand:
                 "--check", "--out", str(out),
             ]
         )
-        assert code == 0
+        # the rows are written whole; the T = 0 error row then fails --check
+        assert code == 3
         _, header, rows = read_csv(out)
         keys = ["tau_ld_units", "tau_ld_ps", "d_at_gate"]
         assert header == ["value", *keys, "status"]
@@ -344,6 +344,20 @@ class TestSweepCommand:
         assert float(by_value[10.0][3]) == expected
         assert by_value[30.0][4] == "ok"
         assert float(by_value[100.0][1]) < float(by_value[30.0][1])
+
+    def test_check_fails_on_error_rows(self, tmp_path, capsys):
+        # an axis value that could not be computed is a point the check
+        # did not make; a value with no crossing has no tau_ld to order
+        out = str(tmp_path / "sweep.csv")
+        argv = ["sweep", "--axis", "T", "--check", "--out", out, "--values"]
+        assert main(argv + ["0,10,30,-5,100"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "check failed: T = 0.0 gives error: temperature must be positive and finite; got 0.0",
+            "check failed: T = -5.0 gives error: temperature must be positive and finite; "
+            "got -5.0",
+        ]
+        assert main(argv + ["10,30,100"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "monotonicity check passed along T"
 
     def test_check_requires_supported_axis(self, capsys):
         assert main(["sweep", "--axis", "E_J", "--values", "40,60", "--check"]) == 1
@@ -480,6 +494,17 @@ class TestExitCodes:
         assert err.startswith("error: ") and str(out) in err
         assert "Traceback" not in err
 
+    def test_unknown_flag_before_the_command_is_named(self, capsys):
+        # the flag is reported before the missing command
+        assert main(["--vers"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: decoq [-h] [--version] {curve,tld,sweep,verify} ...")
+        assert err.splitlines()[-1] == "error: unrecognized arguments: --vers"
+        assert main([]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: the following arguments are required: command"
+        )
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert __version__ in capsys.readouterr().out
@@ -554,8 +579,22 @@ class TestLazyImport:
             "verify ran numpy: True",
         ]
 
+    @pytest.mark.parametrize("module", ["decoq.cli", "decoq.oracle"])
+    def test_import_loads_no_dataclasses(self, module):
+        # records are validated named tuples and svgplot escapes SVG text
+        # itself: dataclasses drags inspect, ast, dis and tokenize into
+        # every launch, and html its entity table
+        heavy = ("dataclasses", "inspect", "html")
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            f"import {module}\n"
+            f"print(sorted(m for m in {heavy!r} if m in set(sys.modules) - before))\n"
+        )
+        assert run_python(script).strip() == "[]"
+
     def test_cli_import_skips_network_stack(self):
-        # html.escape, not xml.sax.saxutils, escapes SVG text: the latter
+        # svgplot escapes SVG text itself, not with xml.sax.saxutils, which
         # drags urllib.request, http.client, email and ssl into every launch
         heavy = ("xml.sax", "urllib.request", "http.client", "email", "ssl")
         script = (
