@@ -24,7 +24,6 @@ from .bath import (
 from .evolution import (
     COMPUTATIONAL,
     EIGENBASIS,
-    CrossingNotResolvedError,
     DeviationOperator,
     NoCrossingError,
     QubitState,

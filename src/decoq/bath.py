@@ -82,8 +82,8 @@ class DiscreteBath(_record("DiscreteBath", "omegas g_sq")):
     __slots__ = ()
 
     def __new__(cls, omegas, g_sq):
-        w = np.asarray(omegas, dtype=float)
-        g2 = np.asarray(g_sq, dtype=float)
+        w = np.array(omegas, dtype=float)
+        g2 = np.array(g_sq, dtype=float)
         if w.ndim != 1 or g2.shape != w.shape:
             raise ValueError("omegas and g_sq must be 1-d arrays of equal length")
         if w.size == 0:

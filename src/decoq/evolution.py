@@ -20,6 +20,7 @@ for complex coherences.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from collections.abc import Callable
@@ -36,8 +37,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = -1e-10
 
-# relative width of the final bracket of the low-decoherence-time root find
-ROOT_RTOL = 1e-4
 # first probe of the root find; doubling and halving bracket from here
 T_SEED = 1e-4
 # theta and phi points of the Bloch-sphere grid search
@@ -50,10 +49,6 @@ class NoCrossingError(RuntimeError):
     def __init__(self, message: str, d_at_t_max: float):
         super().__init__(message)
         self.d_at_t_max = d_at_t_max
-
-
-class CrossingNotResolvedError(ValueError):
-    """The crossing bracket reached adjacent doubles without meeting rtol."""
 
 
 class QubitState(_record("QubitState", "rho basis")):
@@ -276,19 +271,14 @@ def _find_crossing(
     d_of_t: Callable[[float], float],
     threshold: float,
     t_max: float,
-    rtol: float,
 ) -> float:
-    """First t in (0, t_max] with d(t) >= threshold, by doubling + bisection.
+    """First double t in (0, t_max] with d(t) >= threshold, by doubling + bisection.
 
-    Returns the midpoint of a bracket [lo, hi] with d(lo) < threshold <=
-    d(hi) and hi - lo <= rtol * hi.  Above the seed probe the bracket comes
-    from doubling; below it, from halving down to the smallest positive
-    double (bisection from lo = 0 halves hi), so a crossing at any
-    representable t is found.  A level already at the threshold on the
-    smallest positive double returns that double.  Raises
-    CrossingNotResolvedError when the bracket shrinks to adjacent doubles
-    without meeting rtol.  Falls back to a dense first-crossing scan (with
-    a warning) if the doubling probes ever see d decrease.
+    Doubling from the seed probe (or, below it, bisection from lo = 0)
+    brackets the crossing as d(lo) < threshold <= d(hi); bisection runs
+    until lo and hi are adjacent doubles and returns hi.  Falls back to a
+    dense first-crossing scan (with a warning) if the doubling probes
+    ever see d decrease.
     """
     d_end = d_of_t(t_max)
     if d_end < threshold:
@@ -298,54 +288,28 @@ def _find_crossing(
             d_at_t_max=d_end,
         )
 
-    lo = 0.0
-    hi = None
-    t = min(T_SEED, t_max)
-    prev = d_of_t(t)
-    if prev >= threshold:
-        hi = t
-    else:
-        lo = t
-        non_monotone = False
-        while t < t_max:
-            t2 = min(2.0 * t, t_max)
-            cur = d_of_t(t2)
-            if cur < prev * (1.0 - 1e-12) - 1e-18:
-                non_monotone = True
-                break
-            if cur >= threshold:
-                lo, hi = t, t2
-                break
-            lo, prev, t = t2, cur, t2
-        if non_monotone:
+    lo, hi = 0.0, min(T_SEED, t_max)
+    prev = d_of_t(hi)
+    # d(t_max) >= threshold ends the doubling at the latest
+    while prev < threshold:
+        t = min(2.0 * hi, t_max)
+        cur = d_of_t(t)
+        if cur < prev * (1.0 - 1e-12) - 1e-18:
             warnings.warn(
                 "decoherence level is not monotone on the bracketing probes; "
                 "falling back to a dense first-crossing scan",
                 RuntimeWarning,
             )
             grid = linspace(0.0, t_max, 2049)
-            lo = 0.0
-            hi = t_max
-            for g_lo, g_hi in zip(grid[:-1], grid[1:]):
-                if d_of_t(g_hi) >= threshold:
-                    lo, hi = g_lo, g_hi
-                    break
-        if hi is None:
-            hi = t_max
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            if lo == 0.0:
-                return hi
-            raise CrossingNotResolvedError(
-                f"crossing bracket [{lo:.17g}, {hi:.17g}] holds no double "
-                f"between its ends but is wider than rtol={rtol:g} allows"
-            )
+            lo, hi = next((a, b) for a, b in zip(grid, grid[1:]) if d_of_t(b) >= threshold)
+            break
+        lo, hi, prev = hi, t, cur
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if d_of_t(mid) >= threshold:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return hi
 
 
 def low_decoherence_time(
@@ -353,23 +317,19 @@ def low_decoherence_time(
     spec: BathSpec,
     t_max: float,
 ) -> float:
-    """Smallest t with max_decoherence(B2(t)) = threshold, to relative ROOT_RTOL.
+    """The first double t with max_decoherence(B2(t)) >= threshold.
 
-    The dephasing exponent is memoized per call, so the bracketing and
-    bisection probes never evaluate B2 twice at the same t.  Raises
-    NoCrossingError (carrying d(t_max)) if the threshold is never reached,
-    CrossingNotResolvedError if double precision cannot resolve the
-    crossing to ROOT_RTOL, ValueError for thresholds outside (0, 1/2).
+    B2 is memoized per call, so no probe evaluates it twice at the same t.
+    Raises NoCrossingError (carrying d(t_max)) if the threshold is never
+    reached, ValueError for thresholds outside (0, 1/2).
     """
     if not 0.0 < threshold < 0.5:
         raise ValueError(f"threshold must lie in (0, 1/2), got {threshold}")
     if not math.isfinite(t_max) or t_max <= 0.0:
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
-    cache: dict[float, float] = {}
 
+    @functools.cache
     def d_of_t(t: float) -> float:
-        if t not in cache:
-            cache[t] = max_decoherence(dephasing_exponent(t, spec))
-        return cache[t]
+        return max_decoherence(dephasing_exponent(t, spec))
 
-    return _find_crossing(d_of_t, threshold, t_max, ROOT_RTOL)
+    return _find_crossing(d_of_t, threshold, t_max)

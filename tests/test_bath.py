@@ -387,6 +387,14 @@ class TestDiscreteBath:
         with pytest.raises(TypeError):
             discretize_bath(bench_spec(), 2.5, 100.0)
 
+    def test_caller_arrays_stay_writeable(self):
+        w, g2 = np.array([1.0, 2.0]), np.array([0.1, 0.2])
+        bath = DiscreteBath(w, g2)
+        assert w.flags.writeable and g2.flags.writeable
+        assert not bath.omegas.flags.writeable and not bath.g_sq.flags.writeable
+        w[0] = 5.0
+        assert bath.omegas[0] == 1.0
+
     def test_discretization_total_weight(self):
         # sum of g^2 approximates the zeroth moment eta * w_c^2 for s = 1
         spec = bench_spec()

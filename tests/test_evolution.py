@@ -1,16 +1,16 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from decoq._np import linspace
 from decoq.bath import BathSpec
 from decoq.evolution import (
     COMPUTATIONAL,
     EIGENBASIS,
-    CrossingNotResolvedError,
     DeviationOperator,
     NoCrossingError,
     QubitState,
@@ -256,39 +256,47 @@ class TestBlochSupremum:
             assert theta == 0.0
 
 
+def assert_first_double_at_threshold(d, tau, threshold):
+    """tau is a double at the threshold whose predecessor lies below it."""
+    below = math.nextafter(tau, 0.0)
+    assert d(tau) >= threshold
+    # bisection from lo = 0 ends on the smallest double, never probing 0
+    assert below == 0.0 or d(below) < threshold
+
+
 class TestFindCrossing:
     def test_monotone_analytic(self):
-        tau = _find_crossing(lambda t: 0.5 * (1.0 - math.exp(-t)), 0.25, 10.0, 1e-9)
+        tau = _find_crossing(lambda t: 0.5 * (1.0 - math.exp(-t)), 0.25, 10.0)
         assert tau == pytest.approx(math.log(2.0), rel=1e-6)
 
+    def test_bracket_ends_on_adjacent_doubles(self):
+        # bisection runs until lo and hi are neighbours, so the crossing
+        # resolves to the spacing of doubles at ln 2 and no finer
+        def d(t):
+            return 0.5 * (1.0 - math.exp(-t))
+
+        tau = _find_crossing(d, 0.25, 10.0)
+        assert_first_double_at_threshold(d, tau, 0.25)
+
     def test_seed_already_above_threshold(self):
-        tau = _find_crossing(lambda t: 0.4, 0.1, 10.0, 1e-6)
+        tau = _find_crossing(lambda t: 0.4, 0.1, 10.0)
         assert tau < 1e-4
 
     def test_crossing_far_below_seed_is_resolved(self):
         # a crossing 2^-200 below the seed probe: halving past the old
-        # 60-step cap, then bisection to rtol
+        # 60-step cap, then bisection to adjacent doubles
         c = 1e-4 * 2.0**-200 * 1.37
-        tau = _find_crossing(lambda t: 0.5 * (1.0 - math.exp(-t / c)), 0.25, 10.0, 1e-9)
+        tau = _find_crossing(lambda t: 0.5 * (1.0 - math.exp(-t / c)), 0.25, 10.0)
         assert tau == pytest.approx(c * math.log(2.0), rel=1e-8, abs=0.0)
 
-    @pytest.mark.parametrize(
-        "d,rtol",
-        [
-            # rtol below the spacing of doubles at the crossing
-            (lambda t: 0.5 * (1.0 - math.exp(-t)), 1e-20),
-            # crossing among subnormals, where doubles are 5e-324 apart
-            (lambda t: 0.4 if t >= 1e-320 else 0.0, 1e-6),
-        ],
-        ids=["rtol-below-spacing", "subnormal-crossing"],
-    )
-    def test_unresolvable_bracket_raises(self, d, rtol):
-        with pytest.raises(CrossingNotResolvedError, match="no double between"):
-            _find_crossing(d, 0.25, 10.0, rtol)
+    def test_subnormal_crossing_is_found(self):
+        # doubles are 5e-324 apart here; the step lands on one exactly
+        tau = _find_crossing(lambda t: 0.4 if t >= 1e-320 else 0.0, 0.25, 10.0)
+        assert tau == 1e-320
 
     def test_no_crossing_error_carries_level(self):
         with pytest.raises(NoCrossingError) as err:
-            _find_crossing(lambda t: 0.01 * t, 0.3, 10.0, 1e-6)
+            _find_crossing(lambda t: 0.01 * t, 0.3, 10.0)
         assert err.value.d_at_t_max == pytest.approx(0.1, rel=1e-12, abs=0.0)
 
     def test_non_monotone_fallback_finds_first_crossing(self):
@@ -298,9 +306,32 @@ class TestFindCrossing:
             return 0.3 * math.exp(-((t - 1.0) ** 2) / 0.01) + 0.01 * t
 
         with pytest.warns(RuntimeWarning, match="not monotone"):
-            tau = _find_crossing(d, 0.09, 10.0, 1e-6)
+            tau = _find_crossing(d, 0.09, 10.0)
         assert 0.85 < tau < 0.92
         assert d(tau) == pytest.approx(0.09, abs=1e-4)
+        assert_first_double_at_threshold(d, tau, 0.09)
+
+
+def mpmath_ohmic_root(threshold, spec, dps=40):
+    """Root of the s = 1 closed form B2(t) = -ln(1 - 2 threshold) in mpmath.
+
+    B2 = 4 eta [ln(1 + w_c^2 t^2)/2 + 2 ln G(1+a) - 2 Re ln G(1+a+iy)],
+    a = 1/(beta w_c), y = t/beta (Leggett et al., RMP 59, 1 (1987)).
+    """
+    with mpmath.workdps(dps):
+        eta, wc, beta = (mpmath.mpf(v) for v in spec[:3])
+        a = 1 / (beta * wc)
+        target = -mpmath.log1p(-2 * mpmath.mpf(threshold))
+
+        def f(t):
+            gammas = mpmath.loggamma(1 + a) - mpmath.re(mpmath.loggamma(1 + a + 1j * t / beta))
+            return 4 * eta * (mpmath.log1p((wc * t) ** 2) / 2 + 2 * gammas) - target
+
+        lo = mpmath.mpf(1e-6)
+        hi = lo
+        while f(hi) < 0:
+            lo, hi = hi, 2 * hi
+        return float(mpmath.findroot(f, (lo, hi), solver="anderson"))
 
 
 class TestLowDecoherenceTime:
@@ -313,6 +344,44 @@ class TestLowDecoherenceTime:
         d_tau = float(max_decoherence(dephasing_exponent(tau, self.SPEC)))
         assert d_tau == pytest.approx(1e-4, rel=1e-2, abs=0.0)
         assert 0.0 < tau < 5.0
+
+    @settings(deadline=None)
+    @given(
+        s=st.floats(1.0, 2.0),
+        temp_mk=st.floats(1.0, 300.0),
+        omega_c=st.floats(50.0, 1e4),
+        eta=st.floats(1e-7, 1e-5),
+        threshold=st.floats(1e-5, 1e-3),
+    )
+    def test_first_double_at_threshold(self, s, temp_mk, omega_c, eta, threshold):
+        from decoq.bath import dephasing_exponent
+
+        # B2 is monotone for 1 <= s <= 2, so the dense fallback never warns
+        spec = BathSpec(eta, omega_c, temperature_to_beta(temp_mk), s)
+        try:
+            tau = low_decoherence_time(threshold, spec, 1000.0)
+        except NoCrossingError:
+            return
+
+        def d(t):
+            return max_decoherence(dephasing_exponent(t, spec))
+
+        assert_first_double_at_threshold(d, tau, threshold)
+
+    @pytest.mark.parametrize(
+        "temp_mk,omega_c,eta,threshold",
+        [
+            (30.0, 200.0, 1e-6, 1e-4),
+            (1.0, 50.0, 1e-7, 1e-5),
+            (300.0, 1e4, 1e-5, 1e-3),
+            (100.0, 800.0, 3e-6, 2e-4),
+        ],
+    )
+    def test_ohmic_root_matches_mpmath(self, temp_mk, omega_c, eta, threshold):
+        spec = BathSpec(eta, omega_c, temperature_to_beta(temp_mk))
+        tau = low_decoherence_time(threshold, spec, 1000.0)
+        root = mpmath_ohmic_root(threshold, spec)
+        assert tau == pytest.approx(root, rel=1e-12, abs=0.0)
 
     def test_stronger_coupling_shortens_window(self):
         weak = low_decoherence_time(1e-4, self.SPEC, 5.0)
