@@ -27,6 +27,7 @@ from .evolution import (
     DeviationOperator,
     NoCrossingError,
     QubitState,
+    basis_change,
     bloch_supremum_scan,
     deviation,
     deviation_norm,
@@ -40,7 +41,6 @@ from .evolution import (
     pure_state_norm,
     random_density_matrix,
 )
-from .model import basis_change, gate_unitary
 from .oracle import (
     BathTruncationWarning,
     CompositeSystem,
@@ -51,6 +51,7 @@ from .oracle import (
     error_scaling,
     evolve_exact,
     evolve_split,
+    gate_unitary,
     split_vs_closed_form,
     thermal_bath_state,
 )

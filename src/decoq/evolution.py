@@ -1,7 +1,7 @@
 """Reduced qubit dynamics under pure dephasing, and the deviation-norm measure.
 
 Density matrices live in the eigenbasis of the degeneracy-point qubit
-Hamiltonian H_s = -(E_J/2) sigma_x, whose eigenstates are
+Hamiltonian H_s = -(E_J/2) sigma_x, whose eigenstates in the charge basis are
 
     phi_0 = (|0> - |1>)/sqrt(2)   energy +E_J/2
     phi_1 = (|0> + |1>)/sqrt(2)   energy -E_J/2
@@ -32,6 +32,9 @@ from .bath import BathSpec, _record, dephasing_exponent
 EIGENBASIS = "eigenbasis"
 COMPUTATIONAL = "computational"
 _BASES = (EIGENBASIS, COMPUTATIONAL)
+
+# columns, over sqrt2, are phi_0 and phi_1 in the charge basis
+_EIG_COLUMNS = ((1.0, 1.0), (-1.0, 1.0))
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -94,6 +97,19 @@ class DeviationOperator(_record("DeviationOperator", "sigma basis")):
         return super().__new__(cls, sigma, basis)
 
 
+def basis_change(state: QubitState) -> QubitState:
+    """Toggle a state between the charge basis and the eigenbasis.
+
+    Applying it twice is the identity.  With S the matrix whose columns are
+    the degeneracy-point eigenstates, eigenbasis -> charge conjugates by S
+    and charge -> eigenbasis by S^T.
+    """
+    s = np.array(_EIG_COLUMNS) / math.sqrt(2.0)
+    if state.basis == EIGENBASIS:
+        return QubitState(s @ state.rho @ s.T, COMPUTATIONAL)
+    return QubitState(s.T @ state.rho @ s, EIGENBASIS)
+
+
 def pure_state(theta: float, phi: float = 0.0) -> QubitState:
     """Pure state cos(theta/2)|phi_0> + e^{i phi} sin(theta/2)|phi_1>."""
     a0 = math.cos(0.5 * theta)
@@ -125,15 +141,7 @@ def _validate_evolution_args(dephasing: float, t: float, e_j: float):
 
 def evolve_ideal(state: QubitState, t: float, e_j: float) -> QubitState:
     """Bath-free evolution: populations fixed, rho_10 -> rho_10 e^{i t E_J}."""
-    _require_eigenbasis(state)
-    _validate_evolution_args(0.0, t, e_j)
-    rho = state.rho
-    phase = complex(math.cos(t * e_j), math.sin(t * e_j))
-    out = np.array(
-        [[rho[0, 0], np.conj(rho[1, 0] * phase)], [rho[1, 0] * phase, rho[1, 1]]],
-        dtype=complex,
-    )
-    return QubitState(out, EIGENBASIS)
+    return evolve_real(state, 0.0, t, e_j)
 
 
 def evolve_real(state: QubitState, dephasing: float, t: float, e_j: float) -> QubitState:
@@ -170,7 +178,7 @@ def evolve_real_influence_sum(
     _validate_evolution_args(dephasing, t, e_j)
     rho = state.rho
     # overlap[j, xi] = <phi_j | xi> between eigenstates and sigma_z eigenstates
-    overlap = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
+    overlap = np.array(_EIG_COLUMNS).T / math.sqrt(2.0)
     lam = (0.5 * e_j, -0.5 * e_j)
     F = [
         [np.exp(influence_exponent(_CHI[xi], _CHI[sg], dephasing, shift)) for sg in range(2)]
@@ -319,9 +327,13 @@ def low_decoherence_time(
 ) -> float:
     """The first double t with max_decoherence(B2(t)) >= threshold.
 
-    B2 is memoized per call, so no probe evaluates it twice at the same t.
-    Raises NoCrossingError (carrying d(t_max)) if the threshold is never
-    reached, ValueError for thresholds outside (0, 1/2).
+    For s > 2, B2 is not monotone: each of its terms rises while its
+    argument r = omega_c t (or t / (beta m), m >= 1/(beta omega_c)) stays
+    below tan(pi/s).  So a crossing before t_rise = tan(pi/s)/omega_c is
+    searched there first, and it is the first one even when D(t_max) is
+    lower.  B2 is memoized per call, so no probe evaluates it twice at the
+    same t.  Raises NoCrossingError (carrying d(t_max)) if the threshold is
+    not found, ValueError for thresholds outside (0, 1/2).
     """
     if not 0.0 < threshold < 0.5:
         raise ValueError(f"threshold must lie in (0, 1/2), got {threshold}")
@@ -332,4 +344,8 @@ def low_decoherence_time(
     def d_of_t(t: float) -> float:
         return max_decoherence(dephasing_exponent(t, spec))
 
+    if spec.s > 2.0:
+        t_rise = math.tan(math.pi / spec.s) / spec.omega_c
+        if t_rise < t_max and d_of_t(t_rise) >= threshold:
+            return _find_crossing(d_of_t, threshold, t_rise)
     return _find_crossing(d_of_t, threshold, t_max)

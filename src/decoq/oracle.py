@@ -49,8 +49,7 @@ from collections import namedtuple
 
 from ._np import np
 from .bath import DiscreteBath, _record, dephasing_exponent_modes, phase_shift_modes
-from .evolution import COMPUTATIONAL, EIGENBASIS, QubitState, evolve_real
-from .model import basis_change, gate_unitary, pauli_x, pauli_z
+from .evolution import COMPUTATIONAL, EIGENBASIS, QubitState, basis_change, evolve_real
 
 # relative thermal weight of the highest retained Fock level above which
 # the truncated thermal state is considered unreliable
@@ -145,8 +144,8 @@ def build_hamiltonians(system: CompositeSystem) -> tuple[np.ndarray, np.ndarray]
         a = _lowering(m.n_fock)
         coupling += m.g * _embed(system.modes, k, a + a.T)
         bath_energy += m.omega * _embed(system.modes, k, a.T @ a)
-    h_sys = np.kron(-0.5 * system.e_j * np.array(pauli_x), np.eye(nb))
-    h_ib = np.kron(np.array(pauli_z), coupling) + np.kron(np.eye(2), bath_energy)
+    h_sys = np.kron(-0.5 * system.e_j * np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(nb))
+    h_ib = np.kron(np.array([[1.0, 0.0], [0.0, -1.0]]), coupling) + np.kron(np.eye(2), bath_energy)
     return h_sys, h_ib
 
 
@@ -183,6 +182,17 @@ def _dense_eigensystem(system: CompositeSystem):
 
 def _propagator(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+
+
+def gate_unitary(e_j: float, tau: float) -> np.ndarray:
+    """Idle-gate unitary exp(i E_J tau sigma_x / 2) in the charge basis."""
+    if not math.isfinite(e_j) or e_j < 0.0:
+        raise ValueError(f"Josephson energy must be >= 0, got {e_j}")
+    if not math.isfinite(tau):
+        raise ValueError(f"gate duration must be finite, got {tau}")
+    half = 0.5 * e_j * tau
+    c, s = math.cos(half), math.sin(half)
+    return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
 
 
 def _caller_stacklevel() -> int:

@@ -255,6 +255,16 @@ class TestCurveCommand:
         assert main(argv) == 0
         assert svg.read_text() == "<svg>an earlier plot</svg>"
 
+    def test_uncoupled_bath_plots_flat_zero(self, tmp_path):
+        # at eta = 0 every D is 0, and a linear axis pads the flat range
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--eta", "0", "--samples", "8", "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert {float(r[header.index("D")]) for r in rows} == {0.0}
+        svg = (tmp_path / "curve.svg").read_text()
+        y_labels = re.findall(r'text-anchor="end">([^<]*)</text>', svg)
+        assert y_labels == ["-0.5", "-0.25", "0", "0.25", "0.5"]
+
 
 class TestTldCommand:
     def test_report_contents(self, tmp_path):
@@ -298,6 +308,22 @@ class TestTldCommand:
         d = lambda t: float(max_decoherence(dephasing_exponent(t, spec)))  # noqa: E731
         assert d(tau) >= 1e-4 > d(math.nextafter(tau, 0.0))
         assert tau == 2.404047425476015e-152
+
+    def test_crossing_before_the_first_peak(self, tmp_path):
+        # at s = 3 D peaks near omega_c t = tan(pi/3) and then falls to
+        # 8.0e-5 by t_max, below the threshold it crossed on the way up
+        config = tmp_path / "s3.cfg"
+        config.write_text("s = 3\neta = 1e-9\nthreshold = 8.5e-5\nt_max = 1000\n")
+        out = tmp_path / "tld.json"
+        assert main(["tld", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        spec = RunConfig(s=3.0, eta=1e-9).bath_spec()
+        d = lambda t: float(max_decoherence(dephasing_exponent(t, spec)))  # noqa: E731
+        assert d(1000.0) < 8.5e-5
+        tau = report["tau_ld_units"]
+        assert d(tau) >= 8.5e-5 > d(math.nextafter(tau, 0.0))
+        assert tau == 0.005796217996904163
+        assert report["verdict"] == "low-decoherence window is shorter than the idle gate"
 
     def test_uncoupled_bath_exits_two(self, tmp_path):
         out = tmp_path / "tld.json"

@@ -4,10 +4,10 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from decoq._np import linspace
-from decoq.bath import BathSpec
+from decoq.bath import BathSpec, dephasing_exponent
 from decoq.evolution import (
     COMPUTATIONAL,
     EIGENBASIS,
@@ -338,8 +338,6 @@ class TestLowDecoherenceTime:
     SPEC = BathSpec(eta=1e-4, omega_c=200.0, beta=temperature_to_beta(30.0))
 
     def test_crossing_level_is_threshold(self):
-        from decoq.bath import dephasing_exponent
-
         tau = low_decoherence_time(1e-4, self.SPEC, 5.0)
         d_tau = float(max_decoherence(dephasing_exponent(tau, self.SPEC)))
         assert d_tau == pytest.approx(1e-4, rel=1e-2, abs=0.0)
@@ -354,8 +352,6 @@ class TestLowDecoherenceTime:
         threshold=st.floats(1e-5, 1e-3),
     )
     def test_first_double_at_threshold(self, s, temp_mk, omega_c, eta, threshold):
-        from decoq.bath import dephasing_exponent
-
         # B2 is monotone for 1 <= s <= 2, so the dense fallback never warns
         spec = BathSpec(eta, omega_c, temperature_to_beta(temp_mk), s)
         try:
@@ -399,6 +395,91 @@ class TestLowDecoherenceTime:
             low_decoherence_time(0.6, self.SPEC, 1.0)
         with pytest.raises(ValueError):
             low_decoherence_time(0.0, self.SPEC, 1.0)
+
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan, 0.0, -1.0])
+    def test_t_max_validation(self, t_max):
+        with pytest.raises(ValueError, match="t_max must be finite and > 0"):
+            low_decoherence_time(1e-4, self.SPEC, t_max)
+
+    @settings(deadline=None)
+    @given(
+        s=st.floats(2.0, 6.0, exclude_min=True),
+        temp_mk=st.floats(1.0, 300.0),
+        omega_c=st.floats(50.0, 1e3),
+        log_eta=st.floats(-9.0, -5.0),  # spread over the decades, not piled near 1e-5
+        u=st.floats(0.05, 1.0),
+    )
+    def test_superohmic_crossing_on_the_rise(self, s, temp_mk, omega_c, log_eta, u):
+        # every B2 term rises while omega_c t <= tan(pi/s), so a threshold
+        # met there is crossed first on [0, t_rise], whatever D does later
+        spec = BathSpec(10.0**log_eta, omega_c, temperature_to_beta(temp_mk), s)
+        t_rise = math.tan(math.pi / s) / omega_c
+
+        def d(t):
+            return max_decoherence(dephasing_exponent(t, spec))
+
+        threshold = d(u * t_rise)
+        assume(0.0 < threshold < 0.5)
+        tau = low_decoherence_time(threshold, spec, max(1000.0, 2.0 * t_rise))
+        assert_first_double_at_threshold(d, tau, threshold)
+        assert tau <= t_rise
+        assert all(d(t) < threshold for t in linspace(0.0, tau, 2001)[:-1])
+
+
+def window_or_none(threshold, spec, t_max):
+    try:
+        return low_decoherence_time(threshold, spec, t_max)
+    except NoCrossingError:
+        return None
+
+
+# the whole pipeline, B2 kernel plus root find, over the monotone exponents
+PIPELINE = dict(
+    s=st.floats(1.0, 2.0),
+    temp_mk=st.floats(1.0, 300.0),
+    omega_c=st.floats(50.0, 1e4),
+    eta=st.floats(1e-9, 1e-5),
+    threshold=st.floats(1e-5, 1e-3),
+    t_max=st.floats(0.01, 1000.0),
+)
+
+
+class TestPipelineProperties:
+    @settings(deadline=None)
+    @given(lam=st.floats(0.1, 10.0), **PIPELINE)
+    def test_scaling_covariance(self, s, temp_mk, omega_c, eta, threshold, t_max, lam):
+        # omega_c -> lam omega_c, T -> lam T and eta -> lam^(1-s) eta turn
+        # B2(t) into B2(lam t), so the window shrinks by lam
+        spec = BathSpec(eta, omega_c, temperature_to_beta(temp_mk), s)
+        scaled = BathSpec(
+            lam ** (1.0 - s) * eta, lam * omega_c, temperature_to_beta(lam * temp_mk), s
+        )
+        # a D(t_max) within round-off of the threshold leaves the verdict to rounding
+        d_end = max_decoherence(dephasing_exponent(t_max, spec))
+        assume(abs(d_end / threshold - 1.0) > 1e-9)
+        tau = window_or_none(threshold, spec, t_max)
+        tau_scaled = window_or_none(threshold, scaled, t_max / lam)
+        assert (tau is None) == (tau_scaled is None)
+        if tau is not None:
+            assert lam * tau_scaled == pytest.approx(tau, rel=1e-12, abs=0.0)
+
+    @settings(deadline=None)
+    @given(axis=st.sampled_from(["temp_mk", "eta"]), factor=st.floats(1.01, 10.0), **PIPELINE)
+    def test_window_does_not_grow_with_temperature_or_coupling(
+        self, s, temp_mk, omega_c, eta, threshold, t_max, axis, factor
+    ):
+        # sweep --check's rule: a hotter or more strongly coupled bath
+        # dephases faster, so tau_ld may not rise by more than 1e-9
+        base = {"temp_mk": temp_mk, "eta": eta}
+        grown = dict(base, **{axis: factor * base[axis]})
+
+        def spec_of(p):
+            return BathSpec(p["eta"], omega_c, temperature_to_beta(p["temp_mk"]), s)
+
+        tau = window_or_none(threshold, spec_of(base), t_max)
+        if tau is None:
+            return
+        assert low_decoherence_time(threshold, spec_of(grown), t_max) <= tau * (1.0 + 1e-9)
 
 
 class TestRecords:

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from decoq.evolution import (
     COMPUTATIONAL,
@@ -9,13 +10,20 @@ from decoq.evolution import (
     pure_state,
     random_density_matrix,
 )
-from decoq.model import basis_change, gate_unitary
+from decoq import basis_change, gate_unitary
 
 
 class TestGateUnitary:
     def test_unitarity(self):
         u = gate_unitary(51.8, 0.37)
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "e_j,tau", [(-1.0, 0.1), (math.nan, 0.1), (math.inf, 0.1), (51.8, math.inf)]
+    )
+    def test_rejects_bad_arguments(self, e_j, tau):
+        with pytest.raises(ValueError):
+            gate_unitary(e_j, tau)
 
     def test_full_period(self):
         u = gate_unitary(51.8, 2.0 * math.pi / 51.8)

@@ -14,7 +14,7 @@ from decoq.evolution import (
     pure_state,
     random_density_matrix,
 )
-from decoq.model import basis_change, gate_unitary
+from decoq import basis_change, gate_unitary
 from decoq.oracle import (
     BathTruncationWarning,
     CompositeSystem,
@@ -424,3 +424,17 @@ class TestErrorScaling:
             error_scaling(self.SYSTEM, st, BETA_30MK, [1e-3, 2e-3])
         with pytest.raises(ValueError):
             error_scaling(self.SYSTEM, st, BETA_30MK, [1e-3, 2e-3, 2e-3, 3e-3])
+        for times in ([1e-3, 2e-3, math.inf, 3e-3], [-1e-3, 1e-3, 2e-3, 3e-3]):
+            with pytest.raises(ValueError, match="positive and finite"):
+                error_scaling(self.SYSTEM, st, BETA_30MK, times)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            error_scaling(self.SYSTEM, st, BETA_30MK, [4e-3, 3e-3, 2e-3, 1e-3])
+
+    def test_large_step_warns(self):
+        # the top step times the largest |eigenvalue| of H, about 221, is 2.2
+        with pytest.warns(UserWarning, match="not small against"):
+            result = error_scaling(
+                self.SYSTEM, pure_state(math.pi / 3.0, 0.3), BETA_30MK,
+                np.geomspace(1e-3, 1e-2, 6),
+            )
+        assert result.times.size == 6 and math.isfinite(result.slope)
