@@ -132,6 +132,11 @@ def spectral_density(omega, spec: BathSpec):
 # continuum integrals
 
 
+def _half_log1p_sq(r: float) -> float:
+    """log(1 + r^2)/2; from r = 1e150, where r*r nears overflow, it is log(r) to the last bit."""
+    return 0.5 * math.log1p(r * r) if r < 1e150 else math.log(r)
+
+
 def _g(mu: float, r: float) -> float:
     """G_mu(r) = Gamma(mu) [1 - Re (1 - i r)^-mu], with G_0(r) = log(1 + r^2)/2.
 
@@ -139,7 +144,7 @@ def _g(mu: float, r: float) -> float:
     two terms below are non-negative for mu > 0; for -1/2 <= mu < 0 they
     differ in sign, but neither exceeds twice their sum.
     """
-    half_l = 0.5 * math.log1p(r * r)
+    half_l = _half_log1p_sq(r)
     if mu == 0.0:
         return half_l
     return math.gamma(mu) * (
@@ -157,7 +162,7 @@ def _g_below(nu: float, r: float) -> float:
     """
     if nu >= 0.5:
         return _g(nu - 1.0, r)
-    half_l = 0.5 * math.log1p(r * r)
+    half_l = _half_log1p_sq(r)
     th = math.atan(r)
     if nu == 0.0:
         return r * th - half_l

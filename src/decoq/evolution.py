@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import struct
 import warnings
 from collections.abc import Callable
 from itertools import product
@@ -40,8 +41,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = -1e-10
 
-# first probe of the root find; doubling and halving bracket from here
-T_SEED = 1e-4
 # theta and phi points of the Bloch-sphere grid search
 BLOCH_GRID = 200
 
@@ -275,65 +274,40 @@ def bloch_supremum_scan(
     return float(val[i, j]), float(theta[i]), float(phi[j])
 
 
-def _find_crossing(
-    d_of_t: Callable[[float], float],
-    threshold: float,
-    t_max: float,
-) -> float:
-    """First double t in (0, t_max] with d(t) >= threshold, by doubling + bisection.
+# a non-negative double and its int64 bit pattern sort alike
+_DOUBLE = struct.Struct("<d")
+_INT64 = struct.Struct("<q")
 
-    Doubling from the seed probe (or, below it, bisection from lo = 0)
-    brackets the crossing as d(lo) < threshold <= d(hi); bisection runs
-    until lo and hi are adjacent doubles and returns hi.  Falls back to a
-    dense first-crossing scan (with a warning) if the doubling probes
-    ever see d decrease.
+
+def _bisect(d_of_t: Callable[[float], float], threshold: float, lo: float, hi: float) -> float:
+    """First double t in (lo, hi] with d(t) >= threshold, given d(lo) < threshold <= d(hi).
+
+    Bisects the bit patterns of lo and hi until they are adjacent doubles
+    and returns hi: at most 64 probes, however small the crossing, and
+    neither end is probed.
     """
-    d_end = d_of_t(t_max)
-    if d_end < threshold:
-        raise NoCrossingError(
-            f"decoherence level {d_end:.6e} at t_max={t_max} never reaches "
-            f"threshold {threshold:.6e}",
-            d_at_t_max=d_end,
-        )
-
-    lo, hi = 0.0, min(T_SEED, t_max)
-    prev = d_of_t(hi)
-    # d(t_max) >= threshold ends the doubling at the latest
-    while prev < threshold:
-        t = min(2.0 * hi, t_max)
-        cur = d_of_t(t)
-        if cur < prev * (1.0 - 1e-12) - 1e-18:
-            warnings.warn(
-                "decoherence level is not monotone on the bracketing probes; "
-                "falling back to a dense first-crossing scan",
-                RuntimeWarning,
-            )
-            grid = linspace(0.0, t_max, 2049)
-            lo, hi = next((a, b) for a, b in zip(grid, grid[1:]) if d_of_t(b) >= threshold)
-            break
-        lo, hi, prev = hi, t, cur
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if d_of_t(mid) >= threshold:
-            hi = mid
+    (a,), (b,) = _INT64.unpack(_DOUBLE.pack(lo)), _INT64.unpack(_DOUBLE.pack(hi))
+    while b - a > 1:
+        mid = (a + b) // 2
+        (t,) = _DOUBLE.unpack(_INT64.pack(mid))
+        if d_of_t(t) >= threshold:
+            b, hi = mid, t
         else:
-            lo = mid
+            a = mid
     return hi
 
 
-def low_decoherence_time(
-    threshold: float,
-    spec: BathSpec,
-    t_max: float,
-) -> float:
+def low_decoherence_time(threshold: float, spec: BathSpec, t_max: float) -> float:
     """The first double t with max_decoherence(B2(t)) >= threshold.
 
-    For s > 2, B2 is not monotone: each of its terms rises while its
-    argument r = omega_c t (or t / (beta m), m >= 1/(beta omega_c)) stays
-    below tan(pi/s).  So a crossing before t_rise = tan(pi/s)/omega_c is
-    searched there first, and it is the first one even when D(t_max) is
-    lower.  B2 is memoized per call, so no probe evaluates it twice at the
-    same t.  Raises NoCrossingError (carrying d(t_max)) if the threshold is
-    not found, ValueError for thresholds outside (0, 1/2).
+    For s <= 2 B2 is non-decreasing, so D rises on [0, t_max].  For s > 2
+    each term of B2 rises while its argument r = omega_c t (or t / (beta m),
+    m >= 1/(beta omega_c)) stays below tan(pi/s), so D rises on [0, t_rise],
+    t_rise = tan(pi/s)/omega_c, and a crossing there is the first one.  Past
+    t_rise nothing is proved: the first cell of a 2049-point grid that reaches
+    the threshold is bisected, with a RuntimeWarning.  B2 is memoized per
+    call.  Raises NoCrossingError (carrying d(t_max)) if D(t_max) is below
+    the threshold, ValueError for thresholds outside (0, 1/2).
     """
     if not 0.0 < threshold < 0.5:
         raise ValueError(f"threshold must lie in (0, 1/2), got {threshold}")
@@ -344,8 +318,23 @@ def low_decoherence_time(
     def d_of_t(t: float) -> float:
         return max_decoherence(dephasing_exponent(t, spec))
 
-    if spec.s > 2.0:
-        t_rise = math.tan(math.pi / spec.s) / spec.omega_c
-        if t_rise < t_max and d_of_t(t_rise) >= threshold:
-            return _find_crossing(d_of_t, threshold, t_rise)
-    return _find_crossing(d_of_t, threshold, t_max)
+    t_rise = math.tan(math.pi / spec.s) / spec.omega_c if spec.s > 2.0 else math.inf
+    if t_rise < t_max and d_of_t(t_rise) >= threshold:
+        return _bisect(d_of_t, threshold, 0.0, t_rise)
+    d_end = d_of_t(t_max)
+    if d_end < threshold:
+        raise NoCrossingError(
+            f"decoherence level {d_end:.6e} at t_max={t_max} never reaches "
+            f"threshold {threshold:.6e}",
+            d_at_t_max=d_end,
+        )
+    if t_rise < t_max:
+        warnings.warn(
+            f"D is not known to be monotone past t_rise={t_rise:.6e} at s={spec.s}; "
+            "bisecting the first cell of a 2049-point grid that reaches the threshold",
+            RuntimeWarning,
+        )
+        grid = linspace(0.0, t_max, 2049)
+        lo, hi = next((a, b) for a, b in zip(grid, grid[1:]) if d_of_t(b) >= threshold)
+        return _bisect(d_of_t, threshold, lo, hi)
+    return _bisect(d_of_t, threshold, 0.0, t_max)

@@ -333,6 +333,22 @@ class TestKernel:
         assert dephasing_exponent(t, spec) == pytest.approx(mpmath_b2(t, spec), rel=1e-12, abs=0.0)
         assert phase_shift(t, spec) == pytest.approx(mpmath_c(t, spec), rel=1e-12, abs=0.0)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        s=st.floats(1.0, 3.0),
+        log_x=st.floats(153.0, 299.0),
+        log_a=st.floats(-3.0, 1.0),
+    )
+    # s = 1, where G_0 is log(1 + r^2)/2 itself, and s < 3/2, where the
+    # Euler-Maclaurin integral term grows like r^(2-s)
+    @example(s=1.0, log_x=300.0, log_a=0.0)
+    @example(s=1.2, log_x=200.0, log_a=0.0)
+    def test_matches_mpmath_where_r_squared_overflows(self, s, log_x, log_a):
+        # omega_c t = 10^log_x and t/beta = a omega_c t both lie in [1e150, 1e300]
+        t = 10.0**log_x / 200.0
+        spec = bench_spec(s=s, beta=1.0 / (10.0**log_a * 200.0))
+        assert dephasing_exponent(t, spec) == pytest.approx(mpmath_b2(t, spec), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize(
         "s, temp_mk, omega_c, t",
         [(1.5, 30.0, 200.0, 0.5), (1.5, 1.0, 1e4, 1e-3), (2.0, 200.0, 1e4, 1e3),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from decoq import __version__
+from decoq._np import linspace
 from decoq.bath import dephasing_exponent
 from decoq.cli import (
     _OPTIONS,
@@ -22,6 +23,18 @@ from decoq.cli import (
 )
 from decoq.evolution import max_decoherence
 from decoq.units import TIME_UNIT_S, temperature_to_beta
+
+# a superohmic bath whose D crosses the threshold past t_rise, falls back
+# below it and crosses again before t_max
+HUMP_SETTINGS = {
+    "s": 2.627190751706458,
+    "temp_mk": 69.74256994832315,
+    "omega_c": 44.12905023409275,
+    "eta": 1.0598897093789957e-09,
+    "t_max": 0.27958368503951514,
+    "threshold": 9.794163274970207e-07,
+}
+HUMP_CONFIG = "".join(f"{key} = {value!r}\n" for key, value in HUMP_SETTINGS.items())
 
 
 def read_csv(path):
@@ -290,14 +303,20 @@ class TestTldCommand:
             assert main(["tld", *extra, "--out", str(out)]) == 0
             reports.append(json.loads(out.read_text()))
         default, long = (r["tau_ld_units"] for r in reports)
-        # both doublings bracket the crossing in [3.2768, 6.5536] and
-        # bisect it on the same probes
+        # D is monotone at s = 1, so both windows are the first double at
+        # the threshold, although the two bisections probe different points
         assert long == default
 
-    def test_crossing_far_below_the_seed_probe(self, tmp_path):
-        # at s = 80 B2 ~ 3.5e299 t^2, so D reaches 1e-4 near t = 2.4e-152,
-        # far below the 1e-4 seed probe; the window must still be the
-        # first double at the threshold
+    def test_astronomical_window_matches_default(self, tmp_path):
+        # omega_c t reaches 2e302 at t_max = 1e300, where (omega_c t)^2
+        # overflows; log(1 + r^2)/2 is log r there, and B2 stays finite
+        out = tmp_path / "tld.json"
+        assert main(["tld", "--t-max", "1e300", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["tau_ld_units"] == 5.8583302660491405
+
+    def test_tiny_crossing_is_the_first_double(self, tmp_path):
+        # at s = 80 B2 ~ 3.5e299 t^2, so D reaches 1e-4 near t = 2.4e-152;
+        # the window must still be the first double at the threshold
         config = tmp_path / "s80.cfg"
         config.write_text("s = 80\n")
         out = tmp_path / "tld.json"
@@ -324,6 +343,24 @@ class TestTldCommand:
         assert d(tau) >= 8.5e-5 > d(math.nextafter(tau, 0.0))
         assert tau == 0.005796217996904163
         assert report["verdict"] == "low-decoherence window is shorter than the idle gate"
+
+    def test_first_crossing_past_a_hump(self, tmp_path):
+        # past t_rise = 0.0576 D reaches the threshold at 0.063, dips to
+        # 9.759e-7 near t = 0.11 and rises again before t_max; only the
+        # grid past t_rise finds the first crossing, and it says so
+        config = tmp_path / "hump.cfg"
+        config.write_text(HUMP_CONFIG)
+        out = tmp_path / "tld.json"
+        with pytest.warns(RuntimeWarning, match=r"past t_rise=5\.756980e-02 at s=2\.627"):
+            assert main(["tld", "--config", str(config), "--out", str(out)]) == 0
+        tau = json.loads(out.read_text())["tau_ld_units"]
+        assert tau == 0.0630166818734783
+        cfg = RunConfig(**HUMP_SETTINGS)
+        spec, threshold = cfg.bath_spec(), cfg.threshold
+        d = lambda t: float(max_decoherence(dephasing_exponent(t, spec)))  # noqa: E731
+        assert d(tau) >= threshold > d(math.nextafter(tau, 0.0))
+        assert min(d(t) for t in linspace(tau, cfg.t_max, 200)) < threshold
+        assert all(d(t) < threshold for t in linspace(0.0, tau, 20000)[:-1])
 
     def test_uncoupled_bath_exits_two(self, tmp_path):
         out = tmp_path / "tld.json"
@@ -563,7 +600,7 @@ class TestLazyImport:
         config = tmp_path / "s2.cfg"
         config.write_text("s = 2\n")
         script = (
-            "import math, sys, warnings\n"
+            "import sys, warnings\n"
             "def scipy_loaded():\n"
             "    return any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
             "def numpy_run():\n"
@@ -572,8 +609,8 @@ class TestLazyImport:
             "loaded = [scipy_loaded()]\n"
             "import decoq.cli\n"
             "ran = {'import': numpy_run()}\n"
-            "from decoq.cli import main\n"
-            "from decoq.evolution import _find_crossing\n"
+            "from decoq.cli import RunConfig, main\n"
+            "from decoq.evolution import low_decoherence_time\n"
             f"out = {str(tmp_path)!r} + '/'\n"
             f"s2 = ['--config', {str(config)!r}]\n"
             "for name, argv, code in (\n"
@@ -587,11 +624,11 @@ class TestLazyImport:
             "    assert main(argv + ['--out', out + name.replace(' ', '_')]) == code, name\n"
             "    loaded.append(scipy_loaded())\n"
             "    ran[name] = numpy_run()\n"
+            f"hump = RunConfig(**{HUMP_SETTINGS!r})\n"
             "with warnings.catch_warnings(record=True):\n"
             "    warnings.simplefilter('always')\n"
-            "    _find_crossing(lambda t: 0.3 * math.exp(-(t - 1.0) ** 2 / 0.01) + 0.01 * t,\n"
-            "                   0.09, 10.0)\n"
-            "ran['non-monotone crossing'] = numpy_run()\n"
+            "    low_decoherence_time(hump.threshold, hump.bath_spec(), hump.t_max)\n"
+            "ran['grid past t_rise'] = numpy_run()\n"
             "print('numpy ran:', {k: v for k, v in ran.items() if v})\n"
             "print('scipy loaded:', loaded)\n"
             "assert main(['verify', '--out', out + 'verify.json']) == 0\n"

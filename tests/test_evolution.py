@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -14,7 +15,7 @@ from decoq.evolution import (
     DeviationOperator,
     NoCrossingError,
     QubitState,
-    _find_crossing,
+    _bisect,
     bloch_supremum_scan,
     deviation,
     deviation_norm,
@@ -264,52 +265,56 @@ def assert_first_double_at_threshold(d, tau, threshold):
     assert below == 0.0 or d(below) < threshold
 
 
+def counted(d):
+    """d, and the list that records every t it is probed at."""
+    probes = []
+
+    def wrapped(t):
+        probes.append(t)
+        return d(t)
+
+    return wrapped, probes
+
+
 class TestFindCrossing:
+    # _bisect halves the bit patterns of its bracket until its ends are
+    # adjacent doubles: at most 64 probes, wherever in (lo, hi] the
+    # crossing lies
+
     def test_monotone_analytic(self):
-        tau = _find_crossing(lambda t: 0.5 * (1.0 - math.exp(-t)), 0.25, 10.0)
+        d, probes = counted(lambda t: 0.5 * (1.0 - math.exp(-t)))
+        tau = _bisect(d, 0.25, 0.0, 10.0)
         assert tau == pytest.approx(math.log(2.0), rel=1e-6)
+        assert len(probes) <= 64
 
     def test_bracket_ends_on_adjacent_doubles(self):
-        # bisection runs until lo and hi are neighbours, so the crossing
-        # resolves to the spacing of doubles at ln 2 and no finer
+        # the crossing resolves to the spacing of doubles at ln 2 and no finer
         def d(t):
             return 0.5 * (1.0 - math.exp(-t))
 
-        tau = _find_crossing(d, 0.25, 10.0)
+        counted_d, probes = counted(d)
+        tau = _bisect(counted_d, 0.25, 0.0, 10.0)
         assert_first_double_at_threshold(d, tau, 0.25)
+        assert len(probes) <= 64
 
-    def test_seed_already_above_threshold(self):
-        tau = _find_crossing(lambda t: 0.4, 0.1, 10.0)
-        assert tau < 1e-4
+    def test_constant_above_threshold_gives_smallest_double(self):
+        d, probes = counted(lambda t: 0.4)
+        assert _bisect(d, 0.1, 0.0, 10.0) == 5e-324
+        assert 0.0 not in probes and len(probes) <= 64
 
     def test_crossing_far_below_seed_is_resolved(self):
-        # a crossing 2^-200 below the seed probe: halving past the old
-        # 60-step cap, then bisection to adjacent doubles
+        # a crossing 2^-200 below 1e-4 costs no more probes than one near 1
         c = 1e-4 * 2.0**-200 * 1.37
-        tau = _find_crossing(lambda t: 0.5 * (1.0 - math.exp(-t / c)), 0.25, 10.0)
+        d, probes = counted(lambda t: 0.5 * (1.0 - math.exp(-t / c)))
+        tau = _bisect(d, 0.25, 0.0, 10.0)
         assert tau == pytest.approx(c * math.log(2.0), rel=1e-8, abs=0.0)
+        assert len(probes) <= 64
 
     def test_subnormal_crossing_is_found(self):
         # doubles are 5e-324 apart here; the step lands on one exactly
-        tau = _find_crossing(lambda t: 0.4 if t >= 1e-320 else 0.0, 0.25, 10.0)
-        assert tau == 1e-320
-
-    def test_no_crossing_error_carries_level(self):
-        with pytest.raises(NoCrossingError) as err:
-            _find_crossing(lambda t: 0.01 * t, 0.3, 10.0)
-        assert err.value.d_at_t_max == pytest.approx(0.1, rel=1e-12, abs=0.0)
-
-    def test_non_monotone_fallback_finds_first_crossing(self):
-        # bump at t = 1 plus a slow ramp: the doubling probes see the
-        # level drop past the bump and must fall back to the dense scan
-        def d(t):
-            return 0.3 * math.exp(-((t - 1.0) ** 2) / 0.01) + 0.01 * t
-
-        with pytest.warns(RuntimeWarning, match="not monotone"):
-            tau = _find_crossing(d, 0.09, 10.0)
-        assert 0.85 < tau < 0.92
-        assert d(tau) == pytest.approx(0.09, abs=1e-4)
-        assert_first_double_at_threshold(d, tau, 0.09)
+        d, probes = counted(lambda t: 0.4 if t >= 1e-320 else 0.0)
+        assert _bisect(d, 0.25, 0.0, 10.0) == 1e-320
+        assert len(probes) <= 64
 
 
 def mpmath_ohmic_root(threshold, spec, dps=40):
@@ -387,8 +392,10 @@ class TestLowDecoherenceTime:
 
     def test_no_crossing(self):
         tame = BathSpec(eta=1e-12, omega_c=200.0, beta=self.SPEC.beta)
-        with pytest.raises(NoCrossingError):
+        with pytest.raises(NoCrossingError) as err:
             low_decoherence_time(1e-4, tame, 1.0)
+        d_end = max_decoherence(dephasing_exponent(1.0, tame))
+        assert err.value.d_at_t_max == d_end < 1e-4
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -426,6 +433,35 @@ class TestLowDecoherenceTime:
         assert all(d(t) < threshold for t in linspace(0.0, tau, 2001)[:-1])
 
 
+    @settings(deadline=None, max_examples=50)
+    @given(
+        s=st.floats(2.0, 4.0, exclude_min=True),
+        temp_mk=st.floats(10.0, 1e4),
+        omega_c=st.floats(1.0, 100.0),
+        log_eta=st.floats(-9.0, -5.0),
+        log_span=st.floats(0.1, 3.0),
+        u=st.floats(0.01, 1.0),
+    )
+    def test_first_crossing_past_the_rise(self, s, temp_mk, omega_c, log_eta, log_span, u):
+        # past t_rise D may fall and rise again; the first cell of the
+        # 2049-point grid that reaches the threshold is bisected, with a warning
+        spec = BathSpec(10.0**log_eta, omega_c, temperature_to_beta(temp_mk), s)
+        t_rise = math.tan(math.pi / s) / omega_c
+        t_max = t_rise * 10.0**log_span
+
+        def d(t):
+            return max_decoherence(dephasing_exponent(t, spec))
+
+        d_rise, d_end = d(t_rise), d(t_max)
+        threshold = d_rise + u * (d_end - d_rise)
+        assume(d_rise < threshold <= d_end < 0.5)
+        with pytest.warns(RuntimeWarning, match=rf"past t_rise=\S+ at s={re.escape(str(s))};"):
+            tau = low_decoherence_time(threshold, spec, t_max)
+        assert_first_double_at_threshold(d, tau, threshold)
+        assert tau >= t_rise
+        assert all(d(t) < threshold for t in linspace(0.0, t_max, 2049) if t < tau)
+
+
 def window_or_none(threshold, spec, t_max):
     try:
         return low_decoherence_time(threshold, spec, t_max)
@@ -446,7 +482,13 @@ PIPELINE = dict(
 
 class TestPipelineProperties:
     @settings(deadline=None)
-    @given(lam=st.floats(0.1, 10.0), **PIPELINE)
+    @given(lam=st.floats(0.1, 10.0), **dict(PIPELINE, s=st.floats(1.0, 6.0)))
+    # a first crossing past t_rise, which only the grid finds
+    @example(
+        s=2.627190751706458, temp_mk=69.74256994832315, omega_c=44.12905023409275,
+        eta=1.0598897093789957e-09, threshold=9.794163274970207e-07,
+        t_max=0.27958368503951514, lam=3.0,
+    )
     def test_scaling_covariance(self, s, temp_mk, omega_c, eta, threshold, t_max, lam):
         # omega_c -> lam omega_c, T -> lam T and eta -> lam^(1-s) eta turn
         # B2(t) into B2(lam t), so the window shrinks by lam
@@ -454,11 +496,19 @@ class TestPipelineProperties:
         scaled = BathSpec(
             lam ** (1.0 - s) * eta, lam * omega_c, temperature_to_beta(lam * temp_mk), s
         )
-        # a D(t_max) within round-off of the threshold leaves the verdict to rounding
-        d_end = max_decoherence(dephasing_exponent(t_max, spec))
-        assume(abs(d_end / threshold - 1.0) > 1e-9)
-        tau = window_or_none(threshold, spec, t_max)
-        tau_scaled = window_or_none(threshold, scaled, t_max / lam)
+        # a D(t_max), or for s > 2 a D(t_rise), within round-off of the
+        # threshold leaves the verdict to rounding
+        probes = [t_max]
+        if s > 2.0:
+            probes.append(math.tan(math.pi / s) / omega_c)
+        for t in probes:
+            d_probe = max_decoherence(dephasing_exponent(t, spec))
+            assume(abs(d_probe / threshold - 1.0) > 1e-9)
+        with warnings.catch_warnings():
+            # past t_rise the search warns that D is not known to be monotone
+            warnings.simplefilter("ignore", RuntimeWarning)
+            tau = window_or_none(threshold, spec, t_max)
+            tau_scaled = window_or_none(threshold, scaled, t_max / lam)
         assert (tau is None) == (tau_scaled is None)
         if tau is not None:
             assert lam * tau_scaled == pytest.approx(tau, rel=1e-12, abs=0.0)
