@@ -316,6 +316,16 @@ class TestFindCrossing:
         assert _bisect(d, 0.25, 0.0, 10.0) == 1e-320
         assert len(probes) <= 64
 
+    def test_no_crossing_error_carries_level(self):
+        # s > 2 with t_rise < t_max: D(t_rise) and D(t_max) both stay below
+        # the threshold, so no bracket is proved and the error reports D(t_max)
+        spec = BathSpec(eta=1e-12, omega_c=200.0, beta=temperature_to_beta(30.0), s=3.0)
+        assert math.tan(math.pi / spec.s) / spec.omega_c < 1.0
+        with pytest.raises(NoCrossingError, match="never reaches") as err:
+            low_decoherence_time(1e-4, spec, 1.0)
+        d_end = max_decoherence(dephasing_exponent(1.0, spec))
+        assert err.value.d_at_t_max == d_end < 1e-4
+
 
 def mpmath_ohmic_root(threshold, spec, dps=40):
     """Root of the s = 1 closed form B2(t) = -ln(1 - 2 threshold) in mpmath.
