@@ -5,67 +5,60 @@ Ohmic electromagnetic environment couples to the island charge.  It
 provides the closed-form reduced dynamics over one idle gate, the
 decoherence measures built on it, brute-force composite-system oracles
 for validation, and a small command line front end.
+
+Every public name is imported from its module on first access (PEP 562),
+so `import decoq` loads no submodule and a launch compiles only what it runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .bath import (
-    BathSpec,
-    DiscreteBath,
-    coth,
-    dephasing_exponent,
-    dephasing_exponent_modes,
-    discretize_bath,
-    influence_exponent,
-    phase_shift,
-    phase_shift_modes,
-    spectral_density,
-)
-from .evolution import (
-    COMPUTATIONAL,
-    EIGENBASIS,
-    DeviationOperator,
-    NoCrossingError,
-    QubitState,
-    basis_change,
-    bloch_supremum_scan,
-    deviation,
-    deviation_norm,
-    deviation_norm_closed_form,
-    evolve_ideal,
-    evolve_real,
-    evolve_real_influence_sum,
-    low_decoherence_time,
-    max_decoherence,
-    pure_state,
-    pure_state_norm,
-    random_density_matrix,
-)
-from .oracle import (
-    BathTruncationWarning,
-    CompositeSystem,
-    DimensionCapError,
-    ErrorScalingResult,
-    SplitComparison,
-    TruncatedBathMode,
-    error_scaling,
-    evolve_exact,
-    evolve_split,
-    gate_unitary,
-    split_vs_closed_form,
-    thermal_bath_state,
-)
-from .units import (
-    HBAR_UEV_S,
-    KB_UEV_PER_K,
-    TIME_UNIT_S,
-    temperature_to_beta,
-)
 
-import types as _types
+def _bind_on_first_use(namespace: dict, table: dict):
+    """A module `__getattr__` (PEP 562) for the names of table, module -> names.
 
-__all__ = sorted(
-    name
-    for name, obj in globals().items()
-    if not name.startswith("_") and not isinstance(obj, _types.ModuleType)
-)
+    The first lookup of a name imports its module (relative to decoq),
+    binds the name in namespace, so later lookups are plain globals, and
+    returns it; a name equal to its module's name is the module itself.
+    Any other name raises AttributeError.
+    """
+    home = {name: module for module, names in table.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        module = importlib.import_module(home[name], __name__)
+        value = module if name == module.__name__ else getattr(module, name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+# submodule -> the public names it defines; a submodule name is not in it,
+# so `from decoq import oracle` falls back to importing decoq.oracle
+_EXPORTS = {
+    ".bath": (
+        "BathSpec", "DiscreteBath", "coth", "dephasing_exponent", "dephasing_exponent_modes",
+        "discretize_bath", "influence_exponent", "phase_shift", "phase_shift_modes",
+        "spectral_density",
+    ),
+    ".evolution": (
+        "COMPUTATIONAL", "EIGENBASIS", "NoCrossingError", "low_decoherence_time",
+        "max_decoherence", "pure_state_norm",
+    ),
+    ".states": (
+        "DeviationOperator", "QubitState", "basis_change", "bloch_supremum_scan", "deviation",
+        "deviation_norm", "deviation_norm_closed_form", "evolve_ideal", "evolve_real",
+        "evolve_real_influence_sum", "pure_state", "random_density_matrix",
+    ),
+    ".oracle": (
+        "BathTruncationWarning", "CompositeSystem", "DimensionCapError", "ErrorScalingResult",
+        "SplitComparison", "TruncatedBathMode", "error_scaling", "evolve_exact", "evolve_split",
+        "gate_unitary", "split_vs_closed_form", "thermal_bath_state",
+    ),
+    ".units": ("HBAR_UEV_S", "KB_UEV_PER_K", "TIME_UNIT_S", "temperature_to_beta"),
+}
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+__getattr__ = _bind_on_first_use(globals(), _EXPORTS)

@@ -1,8 +1,11 @@
 """numpy, imported on first use, and the list grid of the numpy-free paths.
 
-curve, tld and sweep run on math alone, so `np` is a lazy module
+curve, tld and sweep run on math alone: their launch loads decoq.cli,
+bath, the float path of evolution and units, and nothing else of decoq.
+bath and cli still name `np`, so it is a lazy module
 (importlib.util.LazyLoader): numpy executes on the first attribute
-access, which only verify, the oracle and the discrete-bath API make.
+access, which only verify, the oracle, the records and maps of `states`
+and the discrete-bath API make.  evolution takes `linspace` alone.
 """
 
 import importlib.util

@@ -22,47 +22,53 @@ crossing on the window, 3 a verification or consistency check failed.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
+import warnings
 from collections import namedtuple
 
-from . import __version__
+from . import __version__, _bind_on_first_use
 from ._np import linspace, np
-from .bath import (
-    BathSpec,
-    dephasing_exponent,
-    dephasing_exponent_modes,
-    discretize_bath,
-    phase_shift,
-)
+from .bath import BathSpec, dephasing_exponent, phase_shift
 from .evolution import (
     COMPUTATIONAL,
     NoCrossingError,
-    QubitState,
-    bloch_supremum_scan,
-    deviation,
-    deviation_norm,
-    deviation_norm_closed_form,
-    evolve_ideal,
-    evolve_real,
-    evolve_real_influence_sum,
     low_decoherence_time,
     max_decoherence,
-    pure_state,
     pure_state_norm,
-    random_density_matrix,
 )
-from .oracle import (
-    CompositeSystem,
-    TruncatedBathMode,
-    discrete_bath_from_modes,
-    error_scaling,
-    evolve_exact,
-)
-from .svgplot import Series, write_svg
 from .units import TIME_UNIT_S, temperature_to_beta
+
+# names that curve, tld and --version never use, by module: `_load` binds
+# them as globals of this module when verify, _write_plot or _write_json
+# first needs them, and __getattr__ when they are looked up from outside.
+# The code calls them through those globals, so a wrapper set on decoq.cli
+# is what runs.
+_LATE = {
+    "json": ("json",),
+    ".bath": ("dephasing_exponent_modes", "discretize_bath"),
+    ".states": (
+        "QubitState", "bloch_supremum_scan", "deviation", "deviation_norm",
+        "deviation_norm_closed_form", "evolve_ideal", "evolve_real", "evolve_real_influence_sum",
+        "pure_state", "random_density_matrix",
+    ),
+    ".oracle": (
+        "CompositeSystem", "TruncatedBathMode", "discrete_bath_from_modes", "error_scaling",
+        "evolve_exact",
+    ),
+    ".svgplot": ("Series", "write_svg"),
+}
+__getattr__ = _bind_on_first_use(globals(), _LATE)
+
+
+def _load(*modules: str) -> None:
+    """Bind the late names of these modules that are not bound yet."""
+    for module in modules:
+        for name in _LATE[module]:
+            if name not in globals():
+                __getattr__(name)
+
 
 # adopted spectral-density convention, echoed into every output file
 CUTOFF_CONVENTION = (
@@ -242,16 +248,21 @@ def _write_csv(path: str, config: dict, kind: str, columns, rows) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    _load("json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_plot(csv_path: str, series, **labels) -> None:
-    """SVG next to the CSV; data with nothing finite to plot skips it with a note."""
+    """SVG next to the CSV; data with nothing finite to plot skips it with a note.
+
+    Each series is a (label, x, y, mode) tuple of svgplot.Series.
+    """
+    _load(".svgplot")
     out_svg = os.path.splitext(csv_path)[0] + ".svg"
     try:
-        write_svg(out_svg, series, **labels)
+        write_svg(out_svg, [Series(*s) for s in series], **labels)
     except ValueError as exc:
         print(f"note: skipped {out_svg}: {exc}", file=sys.stderr)
         return
@@ -276,9 +287,9 @@ def cmd_curve(cfg: RunConfig, args) -> int:
     _write_csv(out_csv, cfg.echo("curve"), "curve", columns, zip(times, b2, shift, d, *norms))
     print(f"wrote {out_csv} ({len(times)} samples)")
 
-    series = [Series(label="D(t)", x=times, y=d, mode="points")]
+    series = [("D(t)", times, d, "points")]
     for name, norm in zip(cfg.initial_states, norms):
-        series.append(Series(label=f"norm {name}", x=times, y=norm))
+        series.append((f"norm {name}", times, norm, "line"))
     _write_plot(
         out_csv,
         series,
@@ -414,8 +425,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     _write_plot(
         out_csv,
         [
-            Series(label="tau_ld", x=xs, y=ys, mode="line"),
-            Series(label="points", x=xs, y=ys, mode="points"),
+            ("tau_ld", xs, ys, "line"),
+            ("points", xs, ys, "points"),
         ],
         title=f"low-decoherence time vs {args.axis}",
         xlabel=args.axis,
@@ -531,6 +542,7 @@ def _check_split_order() -> tuple[bool, str]:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
+    _load(".bath", ".states", ".oracle")
     rng = np.random.default_rng(cfg.seed)
     checks = []
 
@@ -641,17 +653,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(build_config(args), args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # a warning that is shown prints as one line, like note: and error:; the
+    # unproved search past t_rise shows each time, so every sweep row that
+    # takes it says so, and every other warning keeps the filters in force
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "always", message="D is not known to be monotone", category=RuntimeWarning
+        )
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(build_config(args), args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def run():

@@ -49,7 +49,8 @@ from collections import namedtuple
 
 from ._np import np
 from .bath import DiscreteBath, _record, dephasing_exponent_modes, phase_shift_modes
-from .evolution import COMPUTATIONAL, EIGENBASIS, QubitState, basis_change, evolve_real
+from .evolution import COMPUTATIONAL, EIGENBASIS
+from .states import QubitState, basis_change, evolve_real
 
 # relative thermal weight of the highest retained Fock level above which
 # the truncated thermal state is considered unreliable

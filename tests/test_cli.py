@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -344,15 +345,20 @@ class TestTldCommand:
         assert tau == 0.005796217996904163
         assert report["verdict"] == "low-decoherence window is shorter than the idle gate"
 
-    def test_first_crossing_past_a_hump(self, tmp_path):
+    def test_first_crossing_past_a_hump(self, tmp_path, capsys):
         # past t_rise = 0.0576 D reaches the threshold at 0.063, dips to
         # 9.759e-7 near t = 0.11 and rises again before t_max; only the
-        # grid past t_rise finds the first crossing, and it says so
+        # grid past t_rise finds the first crossing, and it says so in one
+        # warning: line
         config = tmp_path / "hump.cfg"
         config.write_text(HUMP_CONFIG)
         out = tmp_path / "tld.json"
-        with pytest.warns(RuntimeWarning, match=r"past t_rise=5\.756980e-02 at s=2\.627"):
-            assert main(["tld", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["tld", "--config", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: D is not known to be monotone past t_rise=5.756980e-02 at "
+            "s=2.627190751706458; bisecting the first cell of a 2049-point grid that "
+            "reaches the threshold"
+        ]
         tau = json.loads(out.read_text())["tau_ld_units"]
         assert tau == 0.0630166818734783
         cfg = RunConfig(**HUMP_SETTINGS)
@@ -449,6 +455,55 @@ class TestSweepCommand:
             ]
         )
         assert code == 0
+
+    def test_every_row_past_t_rise_warns(self, tmp_path, capsys):
+        # E_J does not move tau_ld, so both rows bisect the same grid cell
+        # past t_rise and raise the same warning; each row prints it
+        config = tmp_path / "hump.cfg"
+        config.write_text(HUMP_CONFIG)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", str(config), "--axis", "E_J", "--values", "20,51.8"]
+        assert main(argv + ["--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("warning: D is not known to be monotone past t_rise=")
+                   for line in err)
+
+    def test_other_warnings_keep_the_suites_filter(self, monkeypatch, tmp_path):
+        # filterwarnings = error is in force here; main repeats only the
+        # past-t_rise warning, so any other one still fails the run
+        import decoq.cli
+
+        real = decoq.cli.low_decoherence_time
+
+        def noisy(*args, **kwargs):
+            warnings.warn("not expected", UserWarning)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(decoq.cli, "low_decoherence_time", noisy)
+        argv = ["sweep", "--axis", "T", "--values", "10,30", "--out", str(tmp_path / "s.csv")]
+        with pytest.raises(UserWarning, match="not expected"):
+            main(argv)
+
+    def test_other_warnings_keep_pythons_defaults(self, tmp_path):
+        # under Python's own filters a UserWarning shows once per place as
+        # one warning: line, and a DeprecationWarning raised in decoq
+        # (stacklevel 2: the caller in decoq.cli) stays hidden
+        script = (
+            "import io, sys, warnings\n"
+            "import decoq.cli as cli\n"
+            "real = cli.low_decoherence_time\n"
+            "def noisy(*args, **kwargs):\n"
+            "    warnings.warn('old', DeprecationWarning, stacklevel=2)\n"
+            "    warnings.warn('odd', UserWarning, stacklevel=2)\n"
+            "    return real(*args, **kwargs)\n"
+            "cli.low_decoherence_time = noisy\n"
+            "sys.stderr = io.StringIO()\n"
+            f"code = cli.main(['sweep', '--axis', 'T', '--values', '10,30,100', "
+            f"'--out', {str(tmp_path / 's.csv')!r}])\n"
+            "print(code, sys.stderr.getvalue().splitlines())\n"
+        )
+        assert run_python(script).splitlines()[-1] == "0 ['warning: odd']"
 
 
 class TestVerifyCommand:
@@ -644,6 +699,46 @@ class TestLazyImport:
             "verify ran numpy: True",
         ]
 
+    def test_package_import_loads_no_submodule(self):
+        script = (
+            "import sys\n"
+            "import decoq\n"
+            "print(sorted(m for m in sys.modules if m.startswith('decoq.')))\n"
+        )
+        assert run_python(script).strip() == "[]"
+
+    # which of these modules a launch loads; numpy counts once it executes,
+    # which imports numpy.* (decoq._np registers a lazy numpy on every launch)
+    WATCHED = ("decoq.oracle", "decoq.states", "decoq.svgplot", "json", "numpy", "numpy.linalg")
+
+    @pytest.mark.parametrize(
+        "argv,loaded",
+        [
+            (["--version"], []),
+            (["tld"], ["json"]),
+            (["tld", "--config", "s3.cfg"], ["json"]),
+            (["tld", "--config", "hump.cfg"], ["json"]),
+            (["curve"], ["decoq.svgplot"]),
+            (["sweep", "--axis", "T", "--values", "10,30"], ["decoq.svgplot"]),
+            (["verify"], ["decoq.oracle", "decoq.states", "json", "numpy", "numpy.linalg"]),
+        ],
+        ids=["version", "tld", "tld-s3", "tld-hump", "curve", "sweep", "verify"],
+    )
+    def test_launch_loads_only_what_it_runs(self, tmp_path, argv, loaded):
+        (tmp_path / "s3.cfg").write_text("s = 3\n")
+        (tmp_path / "hump.cfg").write_text(HUMP_CONFIG)
+        script = (
+            "import os, sys\n"
+            f"os.chdir({str(tmp_path)!r})\n"
+            "from decoq.cli import main\n"
+            f"assert main({argv!r}) in (0, 2)\n"
+            "ran = set(sys.modules) - {'numpy'}\n"
+            "if any(m.startswith('numpy.') for m in ran):\n"
+            "    ran.add('numpy')\n"
+            f"print(sorted(ran & set({self.WATCHED!r})))\n"
+        )
+        assert run_python(script).splitlines()[-1] == repr(loaded)
+
     @pytest.mark.parametrize("module", ["decoq.cli", "decoq.oracle"])
     def test_import_loads_no_dataclasses(self, module):
         # records are validated named tuples and svgplot escapes SVG text
@@ -668,3 +763,78 @@ class TestLazyImport:
             f"print([m for m in {heavy!r} if m in sys.modules])\n"
         )
         assert run_python(script).strip() == "[]"
+
+
+# decoq.__all__ when the package imported every submodule eagerly
+PUBLIC_NAMES = [
+    "BathSpec", "BathTruncationWarning", "COMPUTATIONAL", "CompositeSystem",
+    "DeviationOperator", "DimensionCapError", "DiscreteBath", "EIGENBASIS",
+    "ErrorScalingResult", "HBAR_UEV_S", "KB_UEV_PER_K", "NoCrossingError", "QubitState",
+    "SplitComparison", "TIME_UNIT_S", "TruncatedBathMode", "basis_change",
+    "bloch_supremum_scan", "coth", "dephasing_exponent", "dephasing_exponent_modes",
+    "deviation", "deviation_norm", "deviation_norm_closed_form", "discretize_bath",
+    "error_scaling", "evolve_exact", "evolve_ideal", "evolve_real",
+    "evolve_real_influence_sum", "evolve_split", "gate_unitary", "influence_exponent",
+    "low_decoherence_time", "max_decoherence", "phase_shift", "phase_shift_modes",
+    "pure_state", "pure_state_norm", "random_density_matrix", "spectral_density",
+    "split_vs_closed_form", "temperature_to_beta", "thermal_bath_state",
+]
+
+# names the tests and the benchmark's oracle job import from decoq.evolution
+EVOLUTION_NAMES = [
+    "COMPUTATIONAL", "EIGENBASIS", "DeviationOperator", "NoCrossingError", "QubitState",
+    "_bisect", "bloch_supremum_scan", "deviation", "deviation_norm",
+    "deviation_norm_closed_form", "evolve_ideal", "evolve_real", "evolve_real_influence_sum",
+    "low_decoherence_time", "max_decoherence", "pure_state", "pure_state_norm",
+    "random_density_matrix",
+]
+
+# names the benchmark's tracer looks up on decoq.cli and wraps
+TRACED_CLI_NAMES = [
+    "dephasing_exponent", "phase_shift", "dephasing_exponent_modes", "discretize_bath",
+    "low_decoherence_time", "max_decoherence", "deviation_norm_closed_form", "evolve_real",
+    "evolve_ideal", "evolve_real_influence_sum", "deviation", "deviation_norm",
+    "bloch_supremum_scan", "evolve_exact", "error_scaling", "write_svg",
+]
+
+
+class TestPublicNames:
+    def test_all_is_unchanged_and_each_name_is_its_home_modules(self):
+        import decoq
+
+        assert decoq.__all__ == PUBLIC_NAMES
+        for name in PUBLIC_NAMES:
+            obj = getattr(decoq, name)
+            home = getattr(obj, "__module__", None)
+            if home is not None and home.startswith("decoq."):
+                assert obj is getattr(sys.modules[home], name), name
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from decoq import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+    def test_names_resolve_in_a_fresh_interpreter(self):
+        # each lookup is the first one, so it goes through a module __getattr__
+        script = (
+            "import decoq\n"
+            "from decoq import oracle\n"
+            "print(oracle.__name__)\n"
+            "import decoq.evolution as evolution\n"
+            f"print([n for n in {EVOLUTION_NAMES!r} if not hasattr(evolution, n)])\n"
+            "import decoq.states as states\n"
+            "print(evolution.QubitState is states.QubitState is decoq.QubitState)\n"
+            "import decoq.cli as cli\n"
+            f"print([n for n in {TRACED_CLI_NAMES!r} if not hasattr(cli, n)])\n"
+            "print(cli.evolve_real is states.evolve_real, cli.write_svg.__module__)\n"
+        )
+        assert run_python(script).splitlines() == [
+            "decoq.oracle", "[]", "True", "[]", "True decoq.svgplot",
+        ]
+
+    @pytest.mark.parametrize("module", ["decoq", "decoq.evolution", "decoq.cli"])
+    def test_unknown_name_raises_attribute_error(self, module):
+        import importlib
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(importlib.import_module(module), "no_such_name")
