@@ -36,13 +36,25 @@ def _bind_on_first_use(namespace: dict, table: dict):
     return __getattr__
 
 
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced floats from lo to hi, the doubles np.linspace gives."""
+    div, delta = n - 1, hi - lo
+    step = delta / div
+    if step == 0.0:  # delta subnormal or zero: numpy scales by delta last
+        points = [i / div * delta + lo for i in range(n)]
+    else:
+        points = [i * step + lo for i in range(n)]
+    points[-1] = hi
+    return points
+
+
 # submodule -> the public names it defines; a submodule name is not in it,
 # so `from decoq import oracle` falls back to importing decoq.oracle
 _EXPORTS = {
-    ".bath": (
-        "BathSpec", "DiscreteBath", "coth", "dephasing_exponent", "dephasing_exponent_modes",
-        "discretize_bath", "influence_exponent", "phase_shift", "phase_shift_modes",
-        "spectral_density",
+    ".bath": ("BathSpec", "dephasing_exponent", "influence_exponent", "phase_shift"),
+    ".discrete": (
+        "DiscreteBath", "coth", "dephasing_exponent_modes", "discretize_bath",
+        "phase_shift_modes", "spectral_density",
     ),
     ".evolution": (
         "COMPUTATIONAL", "EIGENBASIS", "NoCrossingError", "low_decoherence_time",

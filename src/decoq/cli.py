@@ -28,8 +28,7 @@ import sys
 import warnings
 from collections import namedtuple
 
-from . import __version__, _bind_on_first_use
-from ._np import linspace, np
+from . import __version__, _bind_on_first_use, linspace
 from .bath import BathSpec, dephasing_exponent, phase_shift
 from .evolution import (
     COMPUTATIONAL,
@@ -47,7 +46,8 @@ from .units import TIME_UNIT_S, temperature_to_beta
 # is what runs.
 _LATE = {
     "json": ("json",),
-    ".bath": ("dephasing_exponent_modes", "discretize_bath"),
+    "numpy": ("numpy",),
+    ".discrete": ("dephasing_exponent_modes", "discretize_bath"),
     ".states": (
         "QubitState", "bloch_supremum_scan", "deviation", "deviation_norm",
         "deviation_norm_closed_form", "evolve_ideal", "evolve_real", "evolve_real_influence_sum",
@@ -476,7 +476,7 @@ def _check_pure_dephasing_oracle(corrupt: str | None) -> tuple[bool, str]:
     mode = TruncatedBathMode(omega=8.0, g=0.5, n_fock=16)
     system = CompositeSystem(e_j=0.0, modes=(mode,))
     beta = temperature_to_beta(30.0)
-    rho0 = QubitState(np.full((2, 2), 0.5, dtype=complex), COMPUTATIONAL)
+    rho0 = QubitState(numpy.full((2, 2), 0.5, dtype=complex), COMPUTATIONAL)
     bath = discrete_bath_from_modes(system.modes)
     factor = 1.05 if corrupt == "b2" else 1.0
     worst = 0.0
@@ -497,7 +497,7 @@ def _check_closed_vs_influence_sum(cfg: RunConfig, rng) -> tuple[bool, str]:
         t = float(rng.uniform(0.0, 2.0))
         fast = evolve_real(state, b2, t, cfg.e_j)
         slow = evolve_real_influence_sum(state, b2, shift, t, cfg.e_j)
-        worst = max(worst, float(np.max(np.abs(fast.rho - slow.rho))))
+        worst = max(worst, float(numpy.max(numpy.abs(fast.rho - slow.rho))))
     return worst <= 1e-12, f"max element diff {worst:.3e} (tol 1e-12)"
 
 
@@ -535,15 +535,15 @@ def _check_split_order() -> tuple[bool, str]:
         ),
     )
     state = pure_state(math.pi / 3.0, 0.3)
-    times = np.geomspace(4e-4, 3e-3, 6)
+    times = numpy.geomspace(4e-4, 3e-3, 6)
     result = error_scaling(system, state, temperature_to_beta(30.0), times)
     ok = 2.7 <= result.slope <= 3.3
     return ok, f"fitted slope {result.slope:.3f} (expected within [2.7, 3.3])"
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    _load(".bath", ".states", ".oracle")
-    rng = np.random.default_rng(cfg.seed)
+    _load("numpy", ".discrete", ".states", ".oracle")
+    rng = numpy.random.default_rng(cfg.seed)
     checks = []
 
     def run(name, func, *fargs):

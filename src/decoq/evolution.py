@@ -18,8 +18,7 @@ import struct
 import warnings
 from collections.abc import Callable
 
-from . import _bind_on_first_use
-from ._np import linspace
+from . import _bind_on_first_use, linspace
 from .bath import BathSpec, dephasing_exponent
 
 EIGENBASIS = "eigenbasis"
@@ -50,7 +49,7 @@ def pure_state_norm(theta: float, phi: float, dephasing: float, t: float, e_j: f
 
 def max_decoherence(dephasing: float) -> float:
     """Worst-case deviation norm over all initial states: D = (1 - e^{-B2})/2."""
-    if dephasing < 0.0:
+    if not dephasing >= 0.0:  # rejects nan too
         raise ValueError("dephasing exponent must be >= 0")
     return 0.5 * -math.expm1(-dephasing)  # expm1 stays accurate for small B2
 

@@ -47,8 +47,10 @@ import sys
 import warnings
 from collections import namedtuple
 
-from ._np import np
-from .bath import DiscreteBath, _record, dephasing_exponent_modes, phase_shift_modes
+import numpy as np
+
+from .bath import _record
+from .discrete import DiscreteBath, dephasing_exponent_modes, phase_shift_modes
 from .evolution import COMPUTATIONAL, EIGENBASIS
 from .states import QubitState, basis_change, evolve_real
 

@@ -27,7 +27,8 @@ import cmath
 import math
 from itertools import product
 
-from ._np import np
+import numpy as np
+
 from .bath import _record, influence_exponent
 from .evolution import COMPUTATIONAL, EIGENBASIS, max_decoherence
 

@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from itertools import groupby
 
-from ._np import linspace
+from . import linspace
 
 DEFAULT_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 

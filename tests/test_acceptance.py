@@ -17,14 +17,9 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import loggamma
 
-from decoq.bath import (
-    BathSpec,
-    dephasing_exponent,
-    dephasing_exponent_modes,
-    discretize_bath,
-    phase_shift,
-)
+from decoq.bath import BathSpec, dephasing_exponent, phase_shift
 from decoq.cli import main
+from decoq.discrete import dephasing_exponent_modes, discretize_bath
 from decoq.evolution import (
     COMPUTATIONAL,
     QubitState,

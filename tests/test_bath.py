@@ -5,16 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from decoq.bath import (
-    C_SERIES_U,
-    BathSpec,
+from decoq.bath import C_SERIES_U, BathSpec, dephasing_exponent, influence_exponent, phase_shift
+from decoq.discrete import (
     DiscreteBath,
     coth,
-    dephasing_exponent,
     dephasing_exponent_modes,
     discretize_bath,
-    influence_exponent,
-    phase_shift,
     phase_shift_modes,
     spectral_density,
 )
@@ -459,3 +455,5 @@ class TestInfluenceExponent:
             influence_exponent(0, 1, 0.4, 0.2)
         with pytest.raises(ValueError):
             influence_exponent(1, 1, -0.1, 0.2)
+        with pytest.raises(ValueError):
+            influence_exponent(1, -1, math.nan, 0.0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from decoq import __version__
-from decoq._np import linspace
+from decoq import linspace
 from decoq.bath import dephasing_exponent
 from decoq.cli import (
     _OPTIONS,
@@ -651,7 +651,7 @@ def run_python(script):
 class TestLazyImport:
     def test_runs_do_not_load_scipy(self, tmp_path):
         # decoq runs on numpy alone, the s != 1 kernel included; curve, tld
-        # and sweep run on math alone, and only verify executes numpy
+        # and sweep run on math alone, and only verify imports numpy
         config = tmp_path / "s2.cfg"
         config.write_text("s = 2\n")
         script = (
@@ -659,7 +659,7 @@ class TestLazyImport:
             "def scipy_loaded():\n"
             "    return any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
             "def numpy_run():\n"
-            "    return [m for m in sys.modules if m.startswith('numpy.')]\n"
+            "    return [m for m in sys.modules if m.split('.')[0] == 'numpy']\n"
             "import decoq\n"
             "loaded = [scipy_loaded()]\n"
             "import decoq.cli\n"
@@ -707,9 +707,11 @@ class TestLazyImport:
         )
         assert run_python(script).strip() == "[]"
 
-    # which of these modules a launch loads; numpy counts once it executes,
-    # which imports numpy.* (decoq._np registers a lazy numpy on every launch)
-    WATCHED = ("decoq.oracle", "decoq.states", "decoq.svgplot", "json", "numpy", "numpy.linalg")
+    # which of these modules a launch loads
+    WATCHED = (
+        "decoq.discrete", "decoq.oracle", "decoq.states", "decoq.svgplot", "json", "numpy",
+        "numpy.linalg",
+    )
 
     @pytest.mark.parametrize(
         "argv,loaded",
@@ -720,7 +722,9 @@ class TestLazyImport:
             (["tld", "--config", "hump.cfg"], ["json"]),
             (["curve"], ["decoq.svgplot"]),
             (["sweep", "--axis", "T", "--values", "10,30"], ["decoq.svgplot"]),
-            (["verify"], ["decoq.oracle", "decoq.states", "json", "numpy", "numpy.linalg"]),
+            (["verify"], [
+                "decoq.discrete", "decoq.oracle", "decoq.states", "json", "numpy", "numpy.linalg",
+            ]),
         ],
         ids=["version", "tld", "tld-s3", "tld-hump", "curve", "sweep", "verify"],
     )
@@ -732,10 +736,7 @@ class TestLazyImport:
             f"os.chdir({str(tmp_path)!r})\n"
             "from decoq.cli import main\n"
             f"assert main({argv!r}) in (0, 2)\n"
-            "ran = set(sys.modules) - {'numpy'}\n"
-            "if any(m.startswith('numpy.') for m in ran):\n"
-            "    ran.add('numpy')\n"
-            f"print(sorted(ran & set({self.WATCHED!r})))\n"
+            f"print(sorted(set(sys.modules) & set({self.WATCHED!r})))\n"
         )
         assert run_python(script).splitlines()[-1] == repr(loaded)
 
@@ -743,10 +744,12 @@ class TestLazyImport:
     def test_import_loads_no_dataclasses(self, module):
         # records are validated named tuples and svgplot escapes SVG text
         # itself: dataclasses drags inspect, ast, dis and tokenize into
-        # every launch, and html its entity table
+        # every launch, and html its entity table.  numpy's own import loads
+        # inspect, so the oracle, which imports numpy, is measured after it
         heavy = ("dataclasses", "inspect", "html")
         script = (
             "import sys\n"
+            f"{'import numpy' if module == 'decoq.oracle' else ''}\n"
             "before = set(sys.modules)\n"
             f"import {module}\n"
             f"print(sorted(m for m in {heavy!r} if m in set(sys.modules) - before))\n"
@@ -789,13 +792,20 @@ EVOLUTION_NAMES = [
     "random_density_matrix",
 ]
 
-# names the benchmark's tracer looks up on decoq.cli and wraps
-TRACED_CLI_NAMES = [
-    "dephasing_exponent", "phase_shift", "dephasing_exponent_modes", "discretize_bath",
-    "low_decoherence_time", "max_decoherence", "deviation_norm_closed_form", "evolve_real",
-    "evolve_ideal", "evolve_real_influence_sum", "deviation", "deviation_norm",
-    "bloch_supremum_scan", "evolve_exact", "error_scaling", "write_svg",
-]
+# names the benchmark's tracer looks up on each module and wraps
+TRACED_NAMES = {
+    "decoq.cli": [
+        "dephasing_exponent", "phase_shift", "dephasing_exponent_modes", "discretize_bath",
+        "low_decoherence_time", "max_decoherence", "deviation_norm_closed_form", "evolve_real",
+        "evolve_ideal", "evolve_real_influence_sum", "deviation", "deviation_norm",
+        "bloch_supremum_scan", "evolve_exact", "error_scaling", "write_svg",
+    ],
+    "decoq.evolution": ["dephasing_exponent"],
+    "decoq.oracle": [
+        "dephasing_exponent_modes", "phase_shift_modes", "evolve_real", "gate_unitary",
+        "basis_change",
+    ],
+}
 
 
 class TestPublicNames:
@@ -817,6 +827,7 @@ class TestPublicNames:
     def test_names_resolve_in_a_fresh_interpreter(self):
         # each lookup is the first one, so it goes through a module __getattr__
         script = (
+            "import sys\n"
             "import decoq\n"
             "from decoq import oracle\n"
             "print(oracle.__name__)\n"
@@ -825,11 +836,15 @@ class TestPublicNames:
             "import decoq.states as states\n"
             "print(evolution.QubitState is states.QubitState is decoq.QubitState)\n"
             "import decoq.cli as cli\n"
-            f"print([n for n in {TRACED_CLI_NAMES!r} if not hasattr(cli, n)])\n"
+            f"for module, names in {TRACED_NAMES!r}.items():\n"
+            "    print(module, [n for n in names if not hasattr(sys.modules[module], n)])\n"
             "print(cli.evolve_real is states.evolve_real, cli.write_svg.__module__)\n"
+            "import decoq.discrete as discrete\n"
+            "print(oracle.dephasing_exponent_modes is discrete.dephasing_exponent_modes)\n"
         )
         assert run_python(script).splitlines() == [
-            "decoq.oracle", "[]", "True", "[]", "True decoq.svgplot",
+            "decoq.oracle", "[]", "True", "decoq.cli []", "decoq.evolution []",
+            "decoq.oracle []", "True decoq.svgplot", "True",
         ]
 
     @pytest.mark.parametrize("module", ["decoq", "decoq.evolution", "decoq.cli"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from decoq._np import linspace
+from decoq import linspace
 from decoq.bath import BathSpec, dephasing_exponent
 from decoq.evolution import (
     COMPUTATIONAL,
@@ -233,6 +233,7 @@ class TestMaxDecoherence:
         assert max_decoherence(0.0) == 0.0
         assert max_decoherence(1e-4) == pytest.approx(0.5e-4, rel=1e-3, abs=0.0)
         assert float(max_decoherence(1e3)) == pytest.approx(0.5, rel=1e-12, abs=0.0)
+        assert max_decoherence(math.inf) == 0.5
 
     def test_monotone_and_array(self):
         # one float per sample: the scalar form serves curve's grid
@@ -243,6 +244,8 @@ class TestMaxDecoherence:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             max_decoherence(-0.5)
+        with pytest.raises(ValueError):
+            max_decoherence(math.nan)
 
 
 class TestBlochSupremum:

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from decoq.cli import main
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # config files every run finds in its directory
@@ -78,8 +80,6 @@ ULPS = 4
 
 def run_case(name: str, workdir: Path) -> dict:
     """Run one case in workdir; file name -> text of everything it leaves."""
-    from decoq.cli import main
-
     for config, text in CONFIGS.items():
         (workdir / config).write_text(text)
     argv = [arg.format(dir=workdir) for arg in CASES[name]]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoq.bath import dephasing_exponent_modes
+from decoq.discrete import dephasing_exponent_modes
 from decoq.evolution import (
     COMPUTATIONAL,
     QubitState,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from decoq.bath import BathSpec, DiscreteBath
+from decoq.bath import BathSpec
+from decoq.discrete import DiscreteBath
 from decoq.evolution import DeviationOperator, QubitState
 from decoq.oracle import CompositeSystem, TruncatedBathMode
 
