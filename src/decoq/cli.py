@@ -90,22 +90,24 @@ PRESETS = {
 _SECONDS_PER_PS = 1e-12
 
 
-# RunConfig's fields and their defaults
-_DEFAULTS = {
-    "e_j": 51.8,
-    "temp_mk": 30.0,
-    "eta": 1e-6,
-    "omega_c": 200.0,
-    "s": 1.0,
-    "t_max": 10.0,
-    "n_samples": 400,
-    "threshold": 1e-4,
-    "seed": 1234,
-    "initial_states": ("point", "line1", "line2"),
+# RunConfig's fields: field -> (default, flag or None, help).  A flag and a
+# config-file key take the type of the default, and a subcommand's flags
+# come in this order
+_FIELDS = {
+    "e_j": (51.8, "--ej", "Josephson energy (ueV)"),
+    "temp_mk": (30.0, "--temp-mk", "temperature (mK)"),
+    "eta": (1e-6, "--eta", "dimensionless Ohmic coupling"),
+    "omega_c": (200.0, "--cutoff", "cutoff frequency omega_c (ueV)"),
+    "s": (1.0, None, None),
+    "t_max": (10.0, "--t-max", "time window (hbar/ueV)"),
+    "n_samples": (400, "--samples", "number of grid samples"),
+    "threshold": (1e-4, "--threshold", "decoherence threshold"),
+    "seed": (1234, "--seed", "seed for randomized checks"),
+    "initial_states": (("point", "line1", "line2"), None, None),
 }
 
 
-class RunConfig(namedtuple("RunConfig", _DEFAULTS, defaults=_DEFAULTS.values())):
+class RunConfig(namedtuple("RunConfig", _FIELDS, defaults=[d for d, _, _ in _FIELDS.values()])):
     """Physics and numerics knobs; _COMMAND_FIELDS says which each subcommand reads."""
 
     __slots__ = ()
@@ -151,19 +153,6 @@ class RunConfig(namedtuple("RunConfig", _DEFAULTS, defaults=_DEFAULTS.values()))
         return out
 
 
-# flag -> (RunConfig field it sets, help); a subcommand takes the flags of
-# the fields it reads, and argparse stores each under its field name
-_OPTIONS = {
-    "--ej": ("e_j", "Josephson energy (ueV)"),
-    "--temp-mk": ("temp_mk", "temperature (mK)"),
-    "--eta": ("eta", "dimensionless Ohmic coupling"),
-    "--cutoff": ("omega_c", "cutoff frequency omega_c (ueV)"),
-    "--t-max": ("t_max", "time window (hbar/ueV)"),
-    "--samples": ("n_samples", "number of grid samples"),
-    "--threshold": ("threshold", "decoherence threshold"),
-    "--seed": ("seed", "seed for randomized checks"),
-}
-
 _TLD_FIELDS = ("e_j", "temp_mk", "eta", "omega_c", "s", "t_max", "threshold")
 
 # RunConfig fields each subcommand reads: they alone are its flags, its
@@ -179,13 +168,9 @@ _COMMAND_FIELDS = {
 # short window, reports keep the long one
 _COMMAND_DEFAULTS = {"curve": {"t_max": 0.5}}
 
-# a field's flag and config-file key take the type of its default
-_FIELD_TYPES = {field: type(value) for field, value in RunConfig._field_defaults.items()}
-
-
 def parse_config_file(path: str, command: str) -> dict:
     """Read a flat key = value file of the subcommand's keys; '#' starts a comment."""
-    types = {field: _FIELD_TYPES[field] for field in _COMMAND_FIELDS[command]}
+    types = {field: type(_FIELDS[field][0]) for field in _COMMAND_FIELDS[command]}
     overrides = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -420,8 +405,11 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                ["value", *_SWEEP_KEYS, "status"], rows)
     print(f"wrote {out_csv} ({len(rows)} points)")
 
-    xs = [r[0] for r in rows]
-    ys = [r[1] for r in rows]
+    # a row in error has no tau_ld, and its value (say eta = -1) is not a
+    # point of the axis; a row with no crossing keeps its x
+    plotted = [row for row in rows if not row[-1].startswith("error")]
+    xs = [row[0] for row in plotted]
+    ys = [row[1] for row in plotted]
     _write_plot(
         out_csv,
         [
@@ -442,8 +430,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             print(f"check failed: {args.axis} = {value!r} gives {status}", file=sys.stderr)
         if errors:
             return 3
-        # decoherence accumulates faster when the bath is hotter or more
-        # strongly coupled, so tau_ld must not grow along these axes
+        # B2(t) = 8 int J(w) w^-2 sin^2(wt/2) coth(beta w/2) dw does not fall
+        # as T (coth), eta or omega_c (J at every w) rises, and E_J does not
+        # enter it, so tau_ld must not grow along T, eta, E_J or omega_c
         prev = None
         for _, y in sorted(zip(xs, ys), key=lambda xy: xy[0]):
             if not math.isfinite(y):
@@ -580,77 +569,64 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------- parser
 
 class _Parser(argparse.ArgumentParser):
-    # usage errors exit with 1, keeping 2 and 3 for runtime outcomes, and
-    # are reported by the subcommand whose arguments are wrong, under its
-    # own usage line
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        # only the root parser has a command, and it asks for one after the
-        # extras, so that an unknown flag before the command is named first
-        if getattr(namespace, "command", "") is None:
-            self.error("the following arguments are required: command")
-        # only sweep takes --check
-        if getattr(namespace, "check", False) and namespace.axis not in ("T", "eta"):
-            self.error("--check supports only the T and eta axes")
-        return namespace, extras
-
+    # usage errors exit with 1, keeping 2 and 3 for runtime outcomes
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 
-def _add_common(sub, command):
-    sub.add_argument("--config", help="flat key = value configuration file")
-    for flag, (field, help_text) in _OPTIONS.items():
-        if field in _COMMAND_FIELDS[command]:
-            sub.add_argument(flag, type=_FIELD_TYPES[field], dest=field, help=help_text)
-    sub.add_argument("--out", help="output path")
+# subcommand -> (the function that runs it, its own flags as flag ->
+# add_argument keywords); they follow --config, its fields' flags and --out
+_COMMANDS = {
+    "curve": (cmd_curve, {
+        "--state": {"action": "append", "choices": sorted(PRESETS), "dest": "initial_states",
+                    "help": "initial state preset, repeatable (default: all three)"},
+        "--log-y": {"action": "store_true"},
+    }),
+    "tld": (cmd_tld, {}),
+    "sweep": (cmd_sweep, {
+        "--axis": {"required": True, "choices": sorted(_AXIS_TO_FIELD)},
+        "--values": {"required": True, "type": _axis_values,
+                     "help": "comma separated axis values"},
+        "--log-y": {"action": "store_true"},
+        "--check": {"action": "store_true",
+                    "help": "fail (exit 3) if tau_ld rises along T, eta, E_J or omega_c"},
+    }),
+    "verify": (cmd_verify, {
+        "--corrupt": {"choices": ["b2"],
+                      "help": "deliberately corrupt a quantity to demonstrate check sensitivity"},
+    }),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="decoq", description=__doc__, allow_abbrev=False,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--version", action="version", version=f"decoq {__version__}")
-    subs = parser.add_subparsers(dest="command")
-
-    p_curve = subs.add_parser("curve", help="decoherence measures on a time grid",
-                              allow_abbrev=False)
-    _add_common(p_curve, "curve")
-    p_curve.add_argument(
-        "--state", action="append", choices=sorted(PRESETS), dest="initial_states",
-        help="initial state preset, repeatable (default: all three)"
-    )
-    p_curve.add_argument("--log-y", action="store_true", dest="log_y")
-    p_curve.set_defaults(func=cmd_curve)
-
-    p_tld = subs.add_parser("tld", help="low-decoherence time report", allow_abbrev=False)
-    _add_common(p_tld, "tld")
-    p_tld.set_defaults(func=cmd_tld)
-
-    p_sweep = subs.add_parser("sweep", help="low-decoherence time across an axis",
-                              allow_abbrev=False)
-    _add_common(p_sweep, "sweep")
-    p_sweep.add_argument("--axis", required=True, choices=sorted(_AXIS_TO_FIELD))
-    p_sweep.add_argument("--values", required=True, type=_axis_values,
-                         help="comma separated axis values")
-    p_sweep.add_argument("--log-y", action="store_true", dest="log_y")
-    p_sweep.add_argument(
-        "--check", action="store_true",
-        help="fail (exit 3) if tau_ld is not monotone along T or eta"
-    )
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_verify = subs.add_parser("verify", help="run built-in cross-checks", allow_abbrev=False)
-    _add_common(p_verify, "verify")
-    p_verify.add_argument(
-        "--corrupt", choices=["b2"],
-        help="deliberately corrupt a quantity to demonstrate check sensitivity"
-    )
-    p_verify.set_defaults(func=cmd_verify)
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand: the flags of the fields it reads, then its own."""
+    parser = _Parser(prog=f"decoq {command}", allow_abbrev=False)
+    parser.set_defaults(command=command)
+    parser.add_argument("--config", help="flat key = value configuration file")
+    for field, (default, flag, help_text) in _FIELDS.items():
+        if flag and field in _COMMAND_FIELDS[command]:
+            parser.add_argument(flag, type=type(default), dest=field, help=help_text)
+    parser.add_argument("--out", help="output path")
+    for flag, options in _COMMANDS[command][1].items():
+        parser.add_argument(flag, **options)
     return parser
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The root parser reads the words up to the command, its parser the rest."""
+    split = next((i for i, word in enumerate(argv) if not word.startswith("-")), len(argv))
+    root = _Parser(prog="decoq", usage=f"%(prog)s [-h] [--version] {{{','.join(_COMMANDS)}}} ...",
+                   description=__doc__, allow_abbrev=False,
+                   formatter_class=argparse.RawDescriptionHelpFormatter)
+    root.add_argument("--version", action="version", version=f"decoq {__version__}")
+    root.add_argument("command", nargs="?", choices=_COMMANDS,
+                      help="one of the subcommands above; decoq COMMAND --help lists its flags")
+    command = root.parse_args(argv[:split + 1]).command
+    if command is None:
+        root.error("the following arguments are required: command")
+    return build_parser(command).parse_args(argv[split + 1:])
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None):
@@ -658,9 +634,8 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     # a warning that is shown prints as one line, like note: and error:; the
@@ -672,7 +647,7 @@ def main(argv=None) -> int:
         )
         warnings.showwarning = _print_warning
         try:
-            return args.func(build_config(args), args)
+            return _COMMANDS[args.command][0](build_config(args), args)
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

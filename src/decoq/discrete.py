@@ -40,9 +40,6 @@ class DiscreteBath(_record("DiscreteBath", "omegas g_sq")):
         g2.setflags(write=False)
         return super().__new__(cls, w, g2)
 
-    def __len__(self) -> int:
-        return self.omegas.size
-
 
 def coth(x):
     """Hyperbolic cotangent for x > 0 arrays; coth(inf) = 1."""

@@ -7,7 +7,8 @@ of a pure state, and the low-decoherence time where D first reaches a
 threshold, on the math module alone: curve, tld and sweep run on it.
 
 The density-matrix records and numpy maps (QubitState, DeviationOperator,
-evolve_real, ...) live in `states`; their names here load it on first use.
+evolve_real, ...) live in `states`; QubitState is still importable from
+here and loads it on first use.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ def low_decoherence_time(threshold: float, spec: BathSpec, t_max: float) -> floa
         return max_decoherence(dephasing_exponent(t, spec))
 
     t_rise = math.tan(math.pi / spec.s) / spec.omega_c if spec.s > 2.0 else math.inf
-    if t_rise < t_max and d_of_t(t_rise) >= threshold:
-        return _bisect(d_of_t, threshold, 0.0, t_rise)
+    hi = min(t_rise, t_max)
+    if d_of_t(hi) >= threshold:
+        return _bisect(d_of_t, threshold, 0.0, hi)
     d_end = d_of_t(t_max)
     if d_end < threshold:
         raise NoCrossingError(
@@ -108,22 +110,16 @@ def low_decoherence_time(threshold: float, spec: BathSpec, t_max: float) -> floa
             f"threshold {threshold:.6e}",
             d_at_t_max=d_end,
         )
-    if t_rise < t_max:
-        warnings.warn(
-            f"D is not known to be monotone past t_rise={t_rise:.6e} at s={spec.s}; "
-            "bisecting the first cell of a 2049-point grid that reaches the threshold",
-            RuntimeWarning,
-        )
-        grid = linspace(0.0, t_max, 2049)
-        lo, hi = next((a, b) for a, b in zip(grid, grid[1:]) if d_of_t(b) >= threshold)
-        return _bisect(d_of_t, threshold, lo, hi)
-    return _bisect(d_of_t, threshold, 0.0, t_max)
+    # t_rise < t_max here: D(t_rise) is below the threshold and D(t_max) is not
+    warnings.warn(
+        f"D is not known to be monotone past t_rise={t_rise:.6e} at s={spec.s}; "
+        "bisecting the first cell of a 2049-point grid that reaches the threshold",
+        RuntimeWarning,
+    )
+    grid = linspace(0.0, t_max, 2049)
+    lo, hi = next((a, b) for a, b in zip(grid, grid[1:]) if d_of_t(b) >= threshold)
+    return _bisect(d_of_t, threshold, lo, hi)
 
 
-# the records and numpy maps that moved to `states`, still importable from here
-__getattr__ = _bind_on_first_use(globals(), {".states": (
-    "QubitState", "DeviationOperator", "HERMITICITY_TOL", "TRACE_TOL", "POSITIVITY_TOL",
-    "BLOCH_GRID", "basis_change", "pure_state", "random_density_matrix", "evolve_ideal",
-    "evolve_real", "evolve_real_influence_sum", "deviation", "deviation_norm",
-    "deviation_norm_closed_form", "bloch_supremum_scan",
-)})
+# the one record of `states` that is still importable from here
+__getattr__ = _bind_on_first_use(globals(), {".states": ("QubitState",)})

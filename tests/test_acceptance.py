@@ -20,15 +20,7 @@ from scipy.special import loggamma
 from decoq.bath import BathSpec, dephasing_exponent, phase_shift
 from decoq.cli import main
 from decoq.discrete import dephasing_exponent_modes, discretize_bath
-from decoq.evolution import (
-    COMPUTATIONAL,
-    QubitState,
-    bloch_supremum_scan,
-    evolve_real,
-    max_decoherence,
-    pure_state,
-    random_density_matrix,
-)
+from decoq.evolution import COMPUTATIONAL, max_decoherence
 from decoq.oracle import (
     CompositeSystem,
     TruncatedBathMode,
@@ -36,6 +28,13 @@ from decoq.oracle import (
     error_scaling,
     evolve_exact,
     split_vs_closed_form,
+)
+from decoq.states import (
+    QubitState,
+    bloch_supremum_scan,
+    evolve_real,
+    pure_state,
+    random_density_matrix,
 )
 from decoq.units import temperature_to_beta
 

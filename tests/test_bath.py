@@ -407,6 +407,15 @@ class TestDiscreteBath:
         w[0] = 5.0
         assert bath.omegas[0] == 1.0
 
+    def test_follows_the_tuple_protocol(self):
+        # a record of two arrays: its length is its field count, not its mode count
+        b = DiscreteBath([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+        assert len(b) == len(tuple(b)) == 2
+        backwards = list(reversed(b))
+        assert len(backwards) == 2
+        assert all(np.array_equal(x, y) for x, y in zip(backwards, list(tuple(b))[::-1]))
+        assert b.omegas.size == 3
+
     def test_discretization_total_weight(self):
         # sum of g^2 approximates the zeroth moment eta * w_c^2 for s = 1
         spec = bench_spec()

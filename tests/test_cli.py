@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from decoq import __version__
-from decoq import linspace
+from decoq import cli, linspace
 from decoq.bath import dephasing_exponent
 from decoq.cli import (
-    _OPTIONS,
+    _COMMAND_FIELDS,
+    _FIELDS,
     PRESETS,
     RunConfig,
     build_config,
@@ -88,8 +89,7 @@ class TestConfigFile:
             "eta = 2e-6\n"
             "temp_mk = 60  # inline comment\n"
         )
-        parser = build_parser()
-        args = parser.parse_args(["tld", "--config", str(path), "--temp-mk", "30"])
+        args = build_parser("tld").parse_args(["--config", str(path), "--temp-mk", "30"])
         cfg = build_config(args)
         assert cfg.eta == 2e-6  # file beats default
         assert cfg.temp_mk == 30.0  # flag beats file
@@ -97,23 +97,23 @@ class TestConfigFile:
 
         states = tmp_path / "states.cfg"
         states.write_text("initial_states = point, line2\n")
-        args = parser.parse_args(["curve", "--config", str(states)])
+        args = build_parser("curve").parse_args(["--config", str(states)])
         assert build_config(args).initial_states == ("point", "line2")
         seed = tmp_path / "seed.cfg"
         seed.write_text("seed = 7\n")
-        assert build_config(parser.parse_args(["verify", "--config", str(seed)])).seed == 7
+        assert build_config(build_parser("verify").parse_args(["--config", str(seed)])).seed == 7
 
         # curve's own window beats the RunConfig default, the file beats
         # that, and the flag beats the file
         window = tmp_path / "window.cfg"
         window.write_text("t_max = 2\n")
         for argv, t_max in (
-            (["curve"], 0.5),
-            (["curve", "--config", str(path)], 0.5),
-            (["curve", "--config", str(window)], 2.0),
-            (["curve", "--config", str(window), "--t-max", "3"], 3.0),
+            ([], 0.5),
+            (["--config", str(path)], 0.5),
+            (["--config", str(window)], 2.0),
+            (["--config", str(window), "--t-max", "3"], 3.0),
         ):
-            assert build_config(parser.parse_args(argv)).t_max == t_max, argv
+            assert build_config(build_parser("curve").parse_args(argv)).t_max == t_max, argv
 
     # the flags each subcommand takes: --config, --out, the flags of the
     # RunConfig fields it reads, and its own
@@ -136,17 +136,21 @@ class TestConfigFile:
         # a subcommand takes, as flags and as file keys, the fields it reads
         # and no others: `verify --temp-mk 300` must not run on a bath it
         # ignores and then echo that bath
-        parser = build_parser()
         config = tmp_path / "run.cfg"
         for command, flags in self.COMMAND_FLAGS.items():
-            argv = [command] + {"sweep": ["--axis", "T", "--values", "1,2"]}.get(command, [])
+            parser = build_parser(command)
+            own = {"sweep": ["--axis", "T", "--values", "1,2"]}.get(command, [])
+            argv = [command, *own]
             assert main([command, "--help"]) == 0
             shown = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
             assert shown == {"--config", "--out", *flags.split()}, command
-            for flag, (field, _) in _OPTIONS.items():
+            # of the field table's flags, exactly those of the fields it reads
+            assert {flag for _, flag, _ in _FIELDS.values() if flag in shown} == {
+                _FIELDS[field][1] for field in _COMMAND_FIELDS[command]} - {None}, command
+            for field, (_, flag, _) in _FIELDS.items():
                 if flag in shown:
-                    assert getattr(parser.parse_args(argv + [flag, "3"]), field) == 3
-                else:
+                    assert getattr(parser.parse_args(own + [flag, "3"]), field) == 3
+                elif flag:
                     assert main(argv + [flag, "3"]) == 1, (command, flag)
                     last = capsys.readouterr().err.splitlines()[-1]
                     assert last.startswith("error: ") and flag in last
@@ -161,7 +165,7 @@ class TestConfigFile:
                     last = capsys.readouterr().err.splitlines()[-1]
                     assert last == f"error: {config}:1: unknown key {field!r} for {command}"
             assert RunConfig().echo(command).keys() == set(keys)
-        args = parser.parse_args(["curve", "--state", "line1", "--state", "point"])
+        args = build_parser("curve").parse_args(["--state", "line1", "--state", "point"])
         assert build_config(args).initial_states == ("line1", "point")
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -430,11 +434,25 @@ class TestSweepCommand:
         assert main(argv + ["10,30,100"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "monotonicity check passed along T"
 
-    def test_check_requires_supported_axis(self, capsys):
-        assert main(["sweep", "--axis", "E_J", "--values", "40,60", "--check"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage: decoq sweep ")
-        assert err.splitlines()[-1] == "error: --check supports only the T and eta axes"
+    @pytest.mark.parametrize("axis,values", [("E_J", "40,60"), ("omega_c", "100,200,400")],
+                             ids=["E_J", "omega_c"])
+    def test_check_runs_on_every_axis(self, tmp_path, capsys, axis, values):
+        # B2 does not fall as omega_c rises and does not depend on E_J, so
+        # tau_ld may not rise along these axes either
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--axis", axis, "--values", values, "--check", "--out", out]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"monotonicity check passed along {axis}"
+        )
+
+    def test_error_rows_do_not_set_the_plot_range(self, tmp_path):
+        # eta = -1 is an error row: its value is not a point of the axis
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", "eta", "--values", "1e-6,-1", "--check",
+                     "--out", str(out)]) == 3
+        svg = (tmp_path / "sweep.svg").read_text()
+        ticks = re.findall(r'<text x="[^"]+" y="446.0" text-anchor="middle">([^<]+)</text>', svg)
+        assert ticks and all(float(tick) > 0.0 for tick in ticks), ticks
 
     def test_bad_values_exit_one(self, capsys):
         assert main(["sweep", "--axis", "T", "--values", "10;20"]) == 1
@@ -625,6 +643,25 @@ class TestExitCodes:
             "error: the following arguments are required: command"
         )
 
+    def test_help_names_every_subcommand(self):
+        # what `python -m decoq.cli --help` runs, in a fresh interpreter
+        out = run_python("import runpy, sys\nsys.argv[1:] = ['--help']\n"
+                         "runpy.run_module('decoq.cli', run_name='__main__')\n")
+        assert out.startswith("usage: decoq [-h] [--version] {curve,tld,sweep,verify} ...")
+        for command in ("curve", "tld", "sweep", "verify"):
+            assert re.search(rf"(?m)^    {command} ", out), command
+
+    def test_a_launch_builds_one_parser(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting(command):
+            built.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        assert main(["tld", "--out", str(tmp_path / "tld.json")]) == 0
+        assert built == ["tld"]
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert __version__ in capsys.readouterr().out
@@ -783,13 +820,11 @@ PUBLIC_NAMES = [
     "split_vs_closed_form", "temperature_to_beta", "thermal_bath_state",
 ]
 
-# names the tests and the benchmark's oracle job import from decoq.evolution
+# the names decoq.evolution defines, and the one record it takes from
+# decoq.states, which the benchmark's oracle job reads there
 EVOLUTION_NAMES = [
-    "COMPUTATIONAL", "EIGENBASIS", "DeviationOperator", "NoCrossingError", "QubitState",
-    "_bisect", "bloch_supremum_scan", "deviation", "deviation_norm",
-    "deviation_norm_closed_form", "evolve_ideal", "evolve_real", "evolve_real_influence_sum",
-    "low_decoherence_time", "max_decoherence", "pure_state", "pure_state_norm",
-    "random_density_matrix",
+    "COMPUTATIONAL", "EIGENBASIS", "NoCrossingError", "QubitState", "_bisect",
+    "low_decoherence_time", "max_decoherence", "pure_state_norm",
 ]
 
 # names the benchmark's tracer looks up on each module and wraps
@@ -833,6 +868,7 @@ class TestPublicNames:
             "print(oracle.__name__)\n"
             "import decoq.evolution as evolution\n"
             f"print([n for n in {EVOLUTION_NAMES!r} if not hasattr(evolution, n)])\n"
+            "print(hasattr(evolution, 'evolve_real'))\n"
             "import decoq.states as states\n"
             "print(evolution.QubitState is states.QubitState is decoq.QubitState)\n"
             "import decoq.cli as cli\n"
@@ -843,7 +879,7 @@ class TestPublicNames:
             "print(oracle.dephasing_exponent_modes is discrete.dephasing_exponent_modes)\n"
         )
         assert run_python(script).splitlines() == [
-            "decoq.oracle", "[]", "True", "decoq.cli []", "decoq.evolution []",
+            "decoq.oracle", "[]", "False", "True", "decoq.cli []", "decoq.evolution []",
             "decoq.oracle []", "True decoq.svgplot", "True",
         ]
 

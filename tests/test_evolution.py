@@ -12,10 +12,15 @@ from decoq.bath import BathSpec, dephasing_exponent
 from decoq.evolution import (
     COMPUTATIONAL,
     EIGENBASIS,
-    DeviationOperator,
     NoCrossingError,
-    QubitState,
     _bisect,
+    low_decoherence_time,
+    max_decoherence,
+    pure_state_norm,
+)
+from decoq.states import (
+    DeviationOperator,
+    QubitState,
     bloch_supremum_scan,
     deviation,
     deviation_norm,
@@ -23,10 +28,7 @@ from decoq.evolution import (
     evolve_ideal,
     evolve_real,
     evolve_real_influence_sum,
-    low_decoherence_time,
-    max_decoherence,
     pure_state,
-    pure_state_norm,
     random_density_matrix,
 )
 from decoq.units import temperature_to_beta
@@ -410,6 +412,44 @@ class TestLowDecoherenceTime:
         d_end = max_decoherence(dephasing_exponent(1.0, tame))
         assert err.value.d_at_t_max == d_end < 1e-4
 
+    BETA_30MK = temperature_to_beta(30.0)
+
+    @pytest.mark.parametrize(
+        "spec,threshold,t_max,tau,calls",
+        [
+            # the benchmark point, and the tld runs of tests/golden
+            (BathSpec(1e-6, 200.0, BETA_30MK), 1e-4, 10.0, 5.8583302660491405, 63),
+            (BathSpec(1e-6, 200.0, BETA_30MK, 80.0), 1e-4, 10.0, 2.404047425476015e-152, 63),
+            (BathSpec(1e-9, 200.0, BETA_30MK, 3.0), 8.5e-5, 1000.0, 0.005796217996904163, 63),
+            (BathSpec(1.0598897093789957e-09, 44.12905023409275,
+                      temperature_to_beta(69.74256994832315), 2.627190751706458),
+             9.794163274970207e-07, 0.27958368503951514, 0.0630166818734783, 507),
+            (BathSpec(1e-6, 200.0, BETA_30MK), 1e-4, 1.0, None, 1),
+        ],
+        ids=["benchmark", "s80", "s3", "hump", "no-crossing"],
+    )
+    def test_b2_probe_counts(self, monkeypatch, spec, threshold, t_max, tau, calls):
+        # one probe at min(t_rise, t_max), one at t_max if that falls short,
+        # then the bisection (and past t_rise the grid): B2 is memoized
+        import decoq.evolution
+
+        probes = []
+
+        def counting(t, spec):
+            probes.append(t)
+            return dephasing_exponent(t, spec)
+
+        monkeypatch.setattr(decoq.evolution, "dephasing_exponent", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the hump's past-t_rise search
+            if tau is None:
+                with pytest.raises(NoCrossingError):
+                    low_decoherence_time(threshold, spec, t_max)
+            else:
+                assert low_decoherence_time(threshold, spec, t_max) == pytest.approx(
+                    tau, rel=1e-15, abs=0.0)
+        assert len(probes) == calls
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             low_decoherence_time(0.6, self.SPEC, 1.0)
@@ -527,17 +567,18 @@ class TestPipelineProperties:
             assert lam * tau_scaled == pytest.approx(tau, rel=1e-12, abs=0.0)
 
     @settings(deadline=None)
-    @given(axis=st.sampled_from(["temp_mk", "eta"]), factor=st.floats(1.01, 10.0), **PIPELINE)
+    @given(axis=st.sampled_from(["temp_mk", "eta", "omega_c"]), factor=st.floats(1.01, 10.0),
+           **PIPELINE)
     def test_window_does_not_grow_with_temperature_or_coupling(
         self, s, temp_mk, omega_c, eta, threshold, t_max, axis, factor
     ):
-        # sweep --check's rule: a hotter or more strongly coupled bath
-        # dephases faster, so tau_ld may not rise by more than 1e-9
-        base = {"temp_mk": temp_mk, "eta": eta}
+        # sweep --check's rule: a hotter, more strongly coupled or wider
+        # band bath dephases faster, so tau_ld may not rise by more than 1e-9
+        base = {"temp_mk": temp_mk, "eta": eta, "omega_c": omega_c}
         grown = dict(base, **{axis: factor * base[axis]})
 
         def spec_of(p):
-            return BathSpec(p["eta"], omega_c, temperature_to_beta(p["temp_mk"]), s)
+            return BathSpec(p["eta"], p["omega_c"], temperature_to_beta(p["temp_mk"]), s)
 
         tau = window_or_none(threshold, spec_of(base), t_max)
         if tau is None:

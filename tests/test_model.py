@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from decoq.evolution import (
-    COMPUTATIONAL,
-    EIGENBASIS,
-    evolve_ideal,
-    pure_state,
-    random_density_matrix,
-)
+from decoq.evolution import COMPUTATIONAL, EIGENBASIS
+from decoq.states import evolve_ideal, pure_state, random_density_matrix
 from decoq import basis_change, gate_unitary
 
 
@@ -32,7 +27,7 @@ class TestGateUnitary:
     def test_matches_eigenbasis_phase_evolution(self, rng):
         # conjugating the charge-basis propagator must reproduce the
         # eigenbasis map that multiplies the coherence by exp(i t E_J)
-        from decoq.evolution import QubitState
+        from decoq.states import QubitState
 
         e_j, t = 51.8, 0.23
         state = random_density_matrix(rng)
@@ -57,7 +52,7 @@ class TestBasisChange:
         np.testing.assert_allclose(comp.rho, expected, atol=1e-14)
 
     def test_charge_state_has_half_coherence_in_eigenbasis(self):
-        from decoq.evolution import QubitState
+        from decoq.states import QubitState
 
         charge0 = QubitState(np.diag([1.0, 0.0]).astype(complex), COMPUTATIONAL)
         eig = basis_change(charge0)

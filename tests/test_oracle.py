@@ -7,13 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoq.discrete import dephasing_exponent_modes
-from decoq.evolution import (
-    COMPUTATIONAL,
-    QubitState,
-    evolve_ideal,
-    pure_state,
-    random_density_matrix,
-)
+from decoq.evolution import COMPUTATIONAL
+from decoq.states import QubitState, evolve_ideal, pure_state, random_density_matrix
 from decoq import basis_change, gate_unitary
 from decoq.oracle import (
     BathTruncationWarning,
@@ -219,7 +214,7 @@ class TestSplitVsClosedForm:
     def test_duplicate_frequencies_merge(self):
         modes = (TruncatedBathMode(8.0, 0.3, 4), TruncatedBathMode(8.0, 0.4, 4))
         bath = discrete_bath_from_modes(modes)
-        assert len(bath) == 1
+        assert bath.omegas.size == 1
         assert float(bath.g_sq[0]) == pytest.approx(0.25, rel=1e-12)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from decoq.bath import BathSpec
 from decoq.discrete import DiscreteBath
-from decoq.evolution import DeviationOperator, QubitState
+from decoq.states import DeviationOperator, QubitState
 from decoq.oracle import CompositeSystem, TruncatedBathMode
 
 MODE = TruncatedBathMode(omega=8.0, g=0.5, n_fock=4)
