@@ -600,6 +600,13 @@ _COMMANDS = {
 }
 
 
+# the flags the subcommand parsers take; the root parser takes none of them
+_SUBCOMMAND_FLAGS = frozenset(
+    ["--config", "--out", *(flag for _, flag, _ in _FIELDS.values() if flag),
+     *(flag for _, own in _COMMANDS.values() for flag in own)]
+)
+
+
 def build_parser(command: str) -> argparse.ArgumentParser:
     """The parser of one subcommand: the flags of the fields it reads, then its own."""
     parser = _Parser(prog=f"decoq {command}", allow_abbrev=False)
@@ -623,6 +630,13 @@ def _parse(argv: list) -> argparse.Namespace:
     root.add_argument("--version", action="version", version=f"decoq {__version__}")
     root.add_argument("command", nargs="?", choices=_COMMANDS,
                       help="one of the subcommands above; decoq COMMAND --help lists its flags")
+    # a subcommand flag before the command word would lend the root parser
+    # its value as the command; -h and --version ahead of it still act
+    flags = [word.partition("=")[0] for word in argv[:split]]
+    misplaced = next((i for i, flag in enumerate(flags) if flag in _SUBCOMMAND_FLAGS), None)
+    if misplaced is not None:
+        root.parse_args(argv[:misplaced])
+        root.error(f"{flags[misplaced]} goes after the command")
     command = root.parse_args(argv[:split + 1]).command
     if command is None:
         root.error("the following arguments are required: command")

@@ -34,14 +34,23 @@ class NoCrossingError(RuntimeError):
         self.d_at_t_max = d_at_t_max
 
 
+def _check_time_and_e_j(t: float, e_j: float):
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    if not math.isfinite(e_j) or e_j < 0.0:
+        raise ValueError(f"E_J must be finite and >= 0, got {e_j}")
+
+
 def pure_state_norm(theta: float, phi: float, dephasing: float, t: float, e_j: float) -> float:
     """deviation_norm_closed_form of pure_state(theta, phi), on floats alone.
 
     ||sigma||(t) = 1/2 (1 - e^{-B2}) sqrt(cos^2 theta + sin^2 theta sin^2(phi + t E_J/2))
 
     sin(phi + t E_J/2) is taken by its angle-sum formula, so the sum of
-    the two angles is never rounded.
+    the two angles is never rounded.  t and E_J are checked as evolve_real
+    checks them; B2 follows max_decoherence.
     """
+    _check_time_and_e_j(t, e_j)
     half = 0.5 * t * e_j
     s = math.sin(theta) * (math.sin(phi) * math.cos(half) + math.cos(phi) * math.sin(half))
     c = math.cos(theta)

@@ -18,24 +18,27 @@ for complex coherences.
 
 The records and maps here are what verify, the oracle and the Python API
 use; curve, tld and sweep run on the float path of `evolution` and never
-load this module.
+load this module.  A record keeps its matrix as a read-only numpy array,
+but the checks and maps work on the four entries as Python numbers and in
+closed form: the smallest eigenvalue of a 2x2 hermitian matrix is
+(rho_00 + rho_11)/2 - hypot((rho_00 - rho_11)/2, |rho_10|).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from itertools import product
 
 import numpy as np
 
 from .bath import _record, influence_exponent
-from .evolution import COMPUTATIONAL, EIGENBASIS, max_decoherence
+from .evolution import COMPUTATIONAL, EIGENBASIS, _check_time_and_e_j, max_decoherence
 
 _BASES = (EIGENBASIS, COMPUTATIONAL)
 
-# columns, over sqrt2, are phi_0 and phi_1 in the charge basis
-_EIG_COLUMNS = ((1.0, 1.0), (-1.0, 1.0))
+# the basis change S: its columns are phi_0 and phi_1 in the charge basis
+_S = np.array(((1.0, 1.0), (-1.0, 1.0))) / math.sqrt(2.0)
+_S.setflags(write=False)
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -45,28 +48,54 @@ POSITIVITY_TOL = -1e-10
 BLOCH_GRID = 200
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), libm's hypot as in numpy's abs, but inf where abs() would overflow."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _checked(matrix, basis: str, density: bool) -> np.ndarray:
+    """matrix as a read-only 2x2 complex array, once it passes its record's checks.
+
+    Both records must be finite and hermitian; a density matrix must have
+    trace 1 and be positive, a deviation operator trace 0.
+    """
+    what = "density matrix" if density else "deviation operator"
+    m = np.array(matrix, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"{what} must be 2x2, got {'shape ' if density else ''}{m.shape}")
+    (r00, r01), (r10, r11) = m.tolist()
+    # every comparison with nan is false, so the checks below would pass it
+    if not all(map(cmath.isfinite, (r00, r01, r10, r11))):
+        raise ValueError(f"{what} has a non-finite entry")
+    if density and basis not in _BASES:
+        raise ValueError(f"basis must be one of {_BASES}, got {basis!r}")
+    # the largest entry of |m - m^dagger|
+    skew = max(2.0 * abs(r00.imag), _modulus(r01 - r10.conjugate()), 2.0 * abs(r11.imag))
+    if skew > HERMITICITY_TOL:
+        raise ValueError(f"{what} is not hermitian within tolerance")
+    trace = r00 + r11
+    if abs(trace - (1.0 if density else 0.0)) > TRACE_TOL:
+        raise ValueError(f"trace must be 1, got {trace}" if density
+                         else "deviation operator must be traceless")
+    # the smallest eigenvalue of the lower triangle, the part eigvalsh reads
+    if density and (0.5 * (r00.real + r11.real)
+                    - math.hypot(0.5 * (r00.real - r11.real), r10.real, r10.imag)
+                    < POSITIVITY_TOL):
+        raise ValueError("density matrix has a significantly negative eigenvalue")
+    m.setflags(write=False)
+    return m
+
+
 class QubitState(_record("QubitState", "rho basis")):
     """Validated 2x2 density matrix with an explicit basis tag."""
 
     __slots__ = ()
 
     def __new__(cls, rho, basis: str = EIGENBASIS):
-        rho = np.array(rho, dtype=complex)
-        if rho.shape != (2, 2):
-            raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
-        # every comparison with nan is false, so the checks below would pass it
-        if not np.all(np.isfinite(rho)):
-            raise ValueError("density matrix has a non-finite entry")
-        if basis not in _BASES:
-            raise ValueError(f"basis must be one of {_BASES}, got {basis!r}")
-        if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix is not hermitian within tolerance")
-        if abs(np.trace(rho) - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {np.trace(rho)}")
-        if np.min(np.linalg.eigvalsh(rho)) < POSITIVITY_TOL:
-            raise ValueError("density matrix has a significantly negative eigenvalue")
-        rho.setflags(write=False)
-        return super().__new__(cls, rho, basis)
+        return super().__new__(cls, _checked(rho, basis, density=True), basis)
 
 
 class DeviationOperator(_record("DeviationOperator", "sigma basis")):
@@ -75,30 +104,18 @@ class DeviationOperator(_record("DeviationOperator", "sigma basis")):
     __slots__ = ()
 
     def __new__(cls, sigma, basis: str = EIGENBASIS):
-        sigma = np.array(sigma, dtype=complex)
-        if sigma.shape != (2, 2):
-            raise ValueError(f"deviation operator must be 2x2, got {sigma.shape}")
-        if not np.all(np.isfinite(sigma)):
-            raise ValueError("deviation operator has a non-finite entry")
-        if np.max(np.abs(sigma - sigma.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("deviation operator is not hermitian within tolerance")
-        if abs(np.trace(sigma)) > TRACE_TOL:
-            raise ValueError("deviation operator must be traceless")
-        sigma.setflags(write=False)
-        return super().__new__(cls, sigma, basis)
+        return super().__new__(cls, _checked(sigma, basis, density=False), basis)
 
 
 def basis_change(state: QubitState) -> QubitState:
     """Toggle a state between the charge basis and the eigenbasis.
 
-    Applying it twice is the identity.  With S the matrix whose columns are
-    the degeneracy-point eigenstates, eigenbasis -> charge conjugates by S
-    and charge -> eigenbasis by S^T.
+    Applying it twice is the identity.  Eigenbasis -> charge conjugates by
+    S and charge -> eigenbasis by S^T.
     """
-    s = np.array(_EIG_COLUMNS) / math.sqrt(2.0)
     if state.basis == EIGENBASIS:
-        return QubitState(s @ state.rho @ s.T, COMPUTATIONAL)
-    return QubitState(s.T @ state.rho @ s, EIGENBASIS)
+        return QubitState(_S @ state.rho @ _S.T, COMPUTATIONAL)
+    return QubitState(_S.T @ state.rho @ _S, EIGENBASIS)
 
 
 def pure_state(theta: float, phi: float = 0.0) -> QubitState:
@@ -113,21 +130,15 @@ def random_density_matrix(rng: np.random.Generator, basis: str = EIGENBASIS) -> 
     """Random full-rank 2x2 density matrix from a Ginibre draw."""
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = a @ a.conj().T
-    return QubitState(rho / np.trace(rho).real, basis)
+    return QubitState(rho / (rho[0, 0] + rho[1, 1]).real, basis)
 
 
-def _require_eigenbasis(state: QubitState):
+def _check_evolution(state: QubitState, dephasing: float, t: float, e_j: float):
     if state.basis != EIGENBASIS:
         raise ValueError("evolution operates on eigenbasis states; convert first")
-
-
-def _validate_evolution_args(dephasing: float, t: float, e_j: float):
     if not math.isfinite(dephasing) or dephasing < 0.0:
         raise ValueError(f"dephasing exponent must be finite and >= 0, got {dephasing}")
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    if not math.isfinite(e_j) or e_j < 0.0:
-        raise ValueError(f"E_J must be finite and >= 0, got {e_j}")
+    _check_time_and_e_j(t, e_j)
 
 
 def evolve_ideal(state: QubitState, t: float, e_j: float) -> QubitState:
@@ -137,15 +148,13 @@ def evolve_ideal(state: QubitState, t: float, e_j: float) -> QubitState:
 
 def evolve_real(state: QubitState, dephasing: float, t: float, e_j: float) -> QubitState:
     """Exact reduced map with the bath traced out (see module docstring)."""
-    _require_eigenbasis(state)
-    _validate_evolution_args(dephasing, t, e_j)
-    rho = state.rho
+    _check_evolution(state, dephasing, t, e_j)
+    (r00, r01), (r10, r11) = state.rho.tolist()
     u = math.exp(-dephasing)
     phase = complex(math.cos(t * e_j), math.sin(t * e_j))
-    r11 = 0.5 * rho[0, 0] * (1.0 - u) + 0.5 * rho[1, 1] * (1.0 + u)
-    r10 = 0.5 * rho[0, 1] * (1.0 - u) + 0.5 * rho[1, 0] * phase * (1.0 + u)
-    out = np.array([[1.0 - r11, np.conj(r10)], [r10, r11]], dtype=complex)
-    return QubitState(out, EIGENBASIS)
+    r11 = 0.5 * r00 * (1.0 - u) + 0.5 * r11 * (1.0 + u)
+    r10 = 0.5 * r01 * (1.0 - u) + 0.5 * r10 * phase * (1.0 + u)
+    return QubitState([[1.0 - r11, r10.conjugate()], [r10, r11]], EIGENBASIS)
 
 
 _CHI = (1, -1)
@@ -154,41 +163,27 @@ _CHI = (1, -1)
 def evolve_real_influence_sum(
     state: QubitState, dephasing: float, shift: float, t: float, e_j: float
 ) -> QubitState:
-    """Reduced map evaluated as the explicit eight-index influence-functional sum.
+    """Reduced map evaluated as the influence-functional sum, by matrix products.
 
     The split propagator sandwiches the dephasing factor between two free
-    half-steps; summing over every eigenbasis/charge-basis index pair with
-    the influence factor exp(-B2 (chi - chi')^2/4 - i C (chi^2 - chi'^2))
-    must reproduce evolve_real.  The half-steps are diagonal in the
-    eigenbasis, so four of the eight indices equal others and 64 terms
-    remain.  The C-dependent phase cancels identically for chi in {+1, -1}.
+    half-steps h = exp(-i t lambda/2), diagonal in the eigenbasis.  The
+    influence factor F = exp(-B2 (chi - chi')^2/4 - i C (chi^2 - chi'^2))
+    multiplies each charge-basis entry (chi, chi') of the half-evolved
+    state, so with the overlaps O = S^T, O_{j chi} = <phi_j | chi>, the sum
+    over every eigenbasis/charge-basis index pair contracts to
+
+        M = O^T (h rho h^*) O,    out = h O (F o M) O^T h^*
+
+    (o the entrywise product), which must reproduce evolve_real.  The
+    C-dependent phase cancels identically for chi in {+1, -1}.
     """
-    _require_eigenbasis(state)
-    _validate_evolution_args(dephasing, t, e_j)
-    rho = state.rho
-    # overlap[j, xi] = <phi_j | xi> between eigenstates and sigma_z eigenstates
-    overlap = np.array(_EIG_COLUMNS).T / math.sqrt(2.0)
-    lam = (0.5 * e_j, -0.5 * e_j)
-    F = [
-        [np.exp(influence_exponent(_CHI[xi], _CHI[sg], dephasing, shift)) for sg in range(2)]
-        for xi in range(2)
-    ]
-    out = np.zeros((2, 2), dtype=complex)
-    # the deltas of the free factors set alpha = m, beta = p, mu = q, nu = n
-    for m, n, xi, p, q, sg in product(range(2), repeat=6):
-        # each free factor acts for t/2
-        ph = cmath.exp(0.5j * t * (lam[q] + lam[n] - lam[m] - lam[p]))
-        out[m, n] += (
-            ph
-            * overlap[m, xi]
-            * overlap[p, xi]
-            * rho[p, q]
-            * overlap[q, sg]
-            * overlap[n, sg]
-            * F[xi][sg]
-        )
-    out = 0.5 * (out + out.conj().T)  # scrub float round-off, map is hermitian
-    return QubitState(out, EIGENBASIS)
+    _check_evolution(state, dephasing, t, e_j)
+    f = np.array([[cmath.exp(influence_exponent(a, b, dephasing, shift)) for b in _CHI]
+                  for a in _CHI])
+    h = np.exp(-0.5j * t * np.array([[0.5 * e_j], [-0.5 * e_j]]))  # a column
+    m = _S @ (h * state.rho * h.conj().T) @ _S.T
+    out = h * (_S.T @ (f * m) @ _S) * h.conj().T
+    return QubitState(0.5 * (out + out.conj().T), EIGENBASIS)  # scrub round-off: out is hermitian
 
 
 def deviation(state: QubitState, ideal: QubitState) -> DeviationOperator:
@@ -215,10 +210,10 @@ def deviation_norm_closed_form(
     For a real initial coherence the second term reduces to
     4 |rho_10|^2 sin^2(E_J t / 2).
     """
-    _require_eigenbasis(state)
-    rho = state.rho
-    pop = (rho[0, 0] - rho[1, 1]).real
-    coh = abs(rho[0, 1] - rho[1, 0] * cmath.exp(1j * t * e_j))
+    _check_evolution(state, 0.0, t, e_j)  # B2 keeps max_decoherence's rule, inf allowed
+    (r00, r01), (r10, r11) = state.rho.tolist()
+    pop = (r00 - r11).real
+    coh = abs(r01 - r10 * cmath.exp(1j * t * e_j))
     return max_decoherence(dephasing) * math.sqrt(pop * pop + coh * coh)
 
 
@@ -233,11 +228,10 @@ def bloch_supremum_scan(
     """
     theta = np.linspace(0.0, math.pi, BLOCH_GRID)
     phi = np.linspace(0.0, 2.0 * math.pi, BLOCH_GRID, endpoint=False)
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
     decay = -np.expm1(-dephasing)
-    val = 0.5 * decay * np.sqrt(
-        np.cos(th) ** 2 + np.sin(th) ** 2 * np.sin(ph + 0.5 * t * e_j) ** 2
-    )
+    # cos and sin on the theta axis, the phase on the phi axis, broadcast
+    cos_th, sin_th = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    val = 0.5 * decay * np.sqrt(cos_th**2 + sin_th**2 * np.sin(phi + 0.5 * t * e_j) ** 2)
     k = int(np.argmax(val))
     i, j = divmod(k, BLOCH_GRID)
     return float(val[i, j]), float(theta[i]), float(phi[j])

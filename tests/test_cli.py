@@ -643,6 +643,20 @@ class TestExitCodes:
             "error: the following arguments are required: command"
         )
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(["--out", "x", "tld"], "--out"), (["--config", "run.cfg", "tld"], "--config"),
+         (["--eta", "1e-6", "tld"], "--eta")],
+        ids=["out", "config", "eta"],
+    )
+    def test_subcommand_flag_before_the_command_is_named(self, capsys, argv, flag):
+        # the root parser takes no subcommand flag, so it must not read the
+        # flag's value as the command word
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: decoq [-h] [--version] {curve,tld,sweep,verify} ...")
+        assert err.splitlines()[-1] == f"error: {flag} goes after the command"
+
     def test_help_names_every_subcommand(self):
         # what `python -m decoq.cli --help` runs, in a fresh interpreter
         out = run_python("import runpy, sys\nsys.argv[1:] = ['--help']\n"

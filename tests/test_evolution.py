@@ -215,6 +215,27 @@ class TestPureStateNorm:
         assert abs(got - ref) <= 1e-15 * max_decoherence(b2)
 
 
+class TestClosedFormArguments:
+    @pytest.mark.parametrize(
+        "t,e_j",
+        [(math.nan, E_J), (math.inf, E_J), (-math.inf, E_J), (0.5, -1.0), (0.5, math.nan),
+         (0.5, math.inf)],
+    )
+    def test_rejected_as_evolve_real_rejects_them(self, t, e_j):
+        state = pure_state(0.3)
+        with pytest.raises(ValueError) as expected:
+            evolve_real(state, 0.3, t, e_j)
+        with pytest.raises(ValueError) as closed:
+            deviation_norm_closed_form(state, 0.3, t, e_j)
+        with pytest.raises(ValueError) as pure:
+            pure_state_norm(0.3, 0.0, 0.3, t, e_j)
+        assert str(closed.value) == str(pure.value) == str(expected.value)
+
+    def test_infinite_b2_still_gives_one_half(self):
+        assert deviation_norm_closed_form(pure_state(0.0), math.inf, 0.3, E_J) == 0.5
+        assert pure_state_norm(0.0, 0.0, math.inf, 0.3, E_J) == 0.5
+
+
 class TestLinspace:
     @given(
         lo=st.floats(-1e300, 1e300) | st.just(0.0),
