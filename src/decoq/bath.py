@@ -63,8 +63,7 @@ class BathSpec(_record("BathSpec", "eta omega_c beta s")):
             raise ValueError(f"eta must be finite and >= 0, got {eta}")
         if not math.isfinite(omega_c) or omega_c <= 0.0:
             raise ValueError(f"omega_c must be finite and > 0, got {omega_c}")
-        if math.isnan(beta) or beta <= 0.0:
-            raise ValueError(f"beta must be > 0 (inf allowed), got {beta}")
+        _validate_beta(beta)
         if not math.isfinite(s) or s < 1.0:
             raise ValueError(
                 f"s must be finite and >= 1, got {s}: the low-frequency limit "
@@ -141,6 +140,11 @@ def _finite(value: float, name: str, t: float, spec: BathSpec) -> float:
 def _validate_time(t: float):
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"time must be finite and >= 0, got {t}")
+
+
+def _validate_beta(beta: float):
+    if math.isnan(beta) or beta <= 0.0:
+        raise ValueError(f"beta must be > 0 (inf allowed), got {beta}")
 
 
 def dephasing_exponent(t: float, spec: BathSpec) -> float:

@@ -13,7 +13,7 @@ import operator
 
 import numpy as np
 
-from .bath import BathSpec, _record, _validate_time
+from .bath import BathSpec, _record, _validate_beta, _validate_time
 
 
 class DiscreteBath(_record("DiscreteBath", "omegas g_sq")):
@@ -85,10 +85,10 @@ def dephasing_exponent_modes(t: float, bath: DiscreteBath, beta: float) -> float
     B2(t) = 8 * sum_k g_k^2/omega_k^2 * sin^2(omega_k t/2) * coth(beta omega_k/2)
     """
     _validate_time(t)
-    if math.isnan(beta) or beta <= 0.0:
-        raise ValueError(f"beta must be > 0 (inf allowed), got {beta}")
+    _validate_beta(beta)
     w = bath.omegas
-    th = coth(0.5 * beta * w) if math.isfinite(beta) else 1.0
+    with np.errstate(over="ignore"):  # a beta w past the largest double is coth = 1
+        th = coth(0.5 * beta * w)
     terms = 8.0 * bath.g_sq / w**2 * np.sin(0.5 * w * t) ** 2 * th
     return float(np.sum(terms))
 

@@ -32,6 +32,10 @@ conserved: the splitting-order fit and the exact evolution at E_J != 0,
 whose bath trace sum_icdj u_{ai,cj} rho_cd p_j conj(u_{bi,dj}) is taken
 from the propagator u with no d x d density matrix.
 
+Each entry point that takes beta checks its arguments and computes the
+bath weights once, then calls the private split and exact maps, never
+another entry point.
+
 Conventions match the rest of the package: the qubit part of the
 Hamiltonian is -E_J/2 sigma_x in the charge basis, the bath couples
 through sigma_z, and energies are in ueV with time in units of
@@ -43,15 +47,14 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 import warnings
 from collections import namedtuple
 
 import numpy as np
 
-from .bath import _record
+from .bath import _record, _validate_beta
 from .discrete import DiscreteBath, dephasing_exponent_modes, phase_shift_modes
-from .evolution import COMPUTATIONAL, EIGENBASIS
+from .evolution import COMPUTATIONAL, EIGENBASIS, _check_time_and_e_j
 from .states import QubitState, basis_change, evolve_real
 
 # relative thermal weight of the highest retained Fock level above which
@@ -189,39 +192,24 @@ def _propagator(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
 
 def gate_unitary(e_j: float, tau: float) -> np.ndarray:
     """Idle-gate unitary exp(i E_J tau sigma_x / 2) in the charge basis."""
-    if not math.isfinite(e_j) or e_j < 0.0:
-        raise ValueError(f"Josephson energy must be >= 0, got {e_j}")
-    if not math.isfinite(tau):
-        raise ValueError(f"gate duration must be finite, got {tau}")
+    _check_time_and_e_j(tau, e_j)
     half = 0.5 * e_j * tau
     c, s = math.cos(half), math.sin(half)
     return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
 
 
-def _caller_stacklevel() -> int:
-    """Stacklevel, for the function calling this, of the first frame outside this module.
-
-    Public functions reach a warning through different depths of private
-    helpers, so no fixed stacklevel names the caller's line.
-    """
-    frame, level = sys._getframe(1), 1
-    while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
-        frame, level = frame.f_back, level + 1
-    return level
-
-
 def _mode_weights(modes, beta: float) -> list[np.ndarray]:
     """Truncated Boltzmann weights of each mode's Fock levels.
 
-    beta = inf puts every mode in its ground state.  Warns when the
-    highest retained level still carries relative weight above
-    TRUNCATION_WEIGHT_TOL.
+    A mode whose beta omega overflows, beta = inf among them, is in its
+    ground state.  Warns when the highest retained level still carries
+    relative weight above TRUNCATION_WEIGHT_TOL; every public function
+    calls this from its own body, so stacklevel 3 names its caller.
     """
-    if math.isnan(beta) or beta <= 0.0:
-        raise ValueError(f"inverse temperature must be positive, got {beta}")
+    _validate_beta(beta)
     weights = []
     for m in modes:
-        if math.isinf(beta):
+        if math.isinf(beta * m.omega):
             probs = np.zeros(m.n_fock)
             probs[0] = 1.0
         else:
@@ -232,7 +220,7 @@ def _mode_weights(modes, beta: float) -> list[np.ndarray]:
                     f"{top_weight:.2e} in its highest Fock level; "
                     "increase n_fock for a faithful thermal state",
                     BathTruncationWarning,
-                    stacklevel=_caller_stacklevel(),
+                    stacklevel=3,
                 )
             probs = np.exp(-beta * m.omega * np.arange(m.n_fock))
             probs /= probs.sum()
@@ -249,33 +237,41 @@ def thermal_bath_state(modes, beta: float) -> np.ndarray:
     return np.diag(functools.reduce(np.kron, _mode_weights(modes, beta)))
 
 
-def _to_computational(state: QubitState) -> tuple[QubitState, bool]:
-    if state.basis == COMPUTATIONAL:
-        return state, False
-    return basis_change(state), True
+def _in_charge_basis(state: QubitState, reduce) -> QubitState:
+    """reduce(charge-basis rho), hermitized, as a state in the basis state came in."""
+    eigen = state.basis == EIGENBASIS
+    reduced = reduce((basis_change(state) if eigen else state).rho)
+    out = QubitState(0.5 * (reduced + reduced.conj().T), COMPUTATIONAL)
+    return basis_change(out) if eigen else out
 
 
-def _finish(reduced: np.ndarray, back_to_eigen: bool) -> QubitState:
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    out = QubitState(reduced, COMPUTATIONAL)
-    return basis_change(out) if back_to_eigen else out
-
-
-def _split_map(system: CompositeSystem, state: QubitState, beta: float, t: float) -> QubitState:
+def _split_map(system: CompositeSystem, state: QubitState, weights, t: float) -> QubitState:
     """Reduced state after A(t/2) B(t) A(t/2), bath traced out per mode.
 
     The bath trace commutes with the qubit-only A, so B acts on the 2x2
     charge-basis state as rho_01 -> chi(t) rho_01 (see module docstring).
     """
-    comp, was_eigen = _to_computational(state)
     a_half = gate_unitary(system.e_j, 0.5 * t)
     chi = 1.0
-    for (evals, evecs), p in zip(_eigensystem(system), _mode_weights(system.modes, beta)):
+    for (evals, evecs), p in zip(_eigensystem(system), weights):
         parity = (-1.0) ** np.arange(p.size)
         chi *= parity @ np.abs(_propagator(evals, evecs, t)) ** 2 @ (parity * p)
-    rho = a_half @ comp.rho @ a_half.conj().T
-    rho = rho * np.array([[1.0, chi], [chi, 1.0]])
-    return _finish(a_half @ rho @ a_half.conj().T, was_eigen)
+    a_dag, b_step = a_half.conj().T, np.array([[1.0, chi], [chi, 1.0]])
+    return _in_charge_basis(state, lambda rho: a_half @ ((a_half @ rho @ a_dag) * b_step) @ a_dag)
+
+
+def _exact_map(system: CompositeSystem, state: QubitState, weights, t: float) -> QubitState:
+    """Exact reduced state: the split map at E_J = 0, else the dense bath trace."""
+    if system.e_j == 0.0:
+        return _split_map(system, state, weights, t)
+    _check_time_and_e_j(t, system.e_j)
+    evals, evecs = _dense_eigensystem(system)
+    p = functools.reduce(np.kron, weights)
+    nb = system.bath_dim
+    u = _propagator(evals, evecs, t).reshape(2, nb, 2, nb)
+    return _in_charge_basis(
+        state, lambda rho: np.einsum("aicj,cd,bidj,j->ab", u, rho, u.conj(), p, optimize=True)
+    )
 
 
 def evolve_exact(system: CompositeSystem, state: QubitState, beta: float, t: float) -> QubitState:
@@ -286,15 +282,7 @@ def evolve_exact(system: CompositeSystem, state: QubitState, beta: float, t: flo
     split map with A = 1 is exact; otherwise the composite H_total is
     diagonalized and the bath traced out of its propagator directly.
     """
-    if system.e_j == 0.0:
-        return _split_map(system, state, beta, t)
-    comp, was_eigen = _to_computational(state)
-    evals, evecs = _dense_eigensystem(system)
-    p = functools.reduce(np.kron, _mode_weights(system.modes, beta))
-    nb = system.bath_dim
-    u = _propagator(evals, evecs, t).reshape(2, nb, 2, nb)
-    reduced = np.einsum("aicj,cd,bidj,j->ab", u, comp.rho, u.conj(), p, optimize=True)
-    return _finish(reduced, was_eigen)
+    return _exact_map(system, state, _mode_weights(system.modes, beta), t)
 
 
 def evolve_split(system: CompositeSystem, state: QubitState, beta: float, t: float) -> QubitState:
@@ -303,7 +291,7 @@ def evolve_split(system: CompositeSystem, state: QubitState, beta: float, t: flo
     A is the bare-qubit propagator, B covers the coupling plus the bath
     energy for the full step.
     """
-    return _split_map(system, state, beta, t)
+    return _split_map(system, state, _mode_weights(system.modes, beta), t)
 
 
 class ErrorScalingResult(namedtuple("ErrorScalingResult", "times errors slope intercept")):
@@ -336,6 +324,7 @@ def error_scaling(
             "the two propagator factors commute, so the splitting is exact "
             "and there is no error to fit"
         )
+    weights = _mode_weights(system.modes, beta)
     evals, _ = _dense_eigensystem(system)
     if times[-1] * np.max(np.abs(evals)) > 1.5:
         warnings.warn(
@@ -346,8 +335,8 @@ def error_scaling(
 
     errors = np.empty_like(times)
     for i, t in enumerate(times):
-        exact = evolve_exact(system, state, beta, t)
-        split = evolve_split(system, state, beta, t)
+        exact = _exact_map(system, state, weights, t)
+        split = _split_map(system, state, weights, t)
         errors[i] = np.linalg.norm(exact.rho - split.rho)
 
     keep = errors > ERROR_FLOOR
@@ -393,12 +382,13 @@ def split_vs_closed_form(
     The two should agree to the Fock-truncation error: the closed form is
     the exact partial trace of the split propagator over a thermal bath.
     """
+    weights = _mode_weights(system.modes, beta)
     work = state if state.basis == EIGENBASIS else basis_change(state)
     bath = discrete_bath_from_modes(system.modes)
     b2 = dephasing_exponent_modes(t, bath, beta)
     shift = phase_shift_modes(t, bath)
     closed = evolve_real(work, b2, t, system.e_j).rho
-    split = evolve_split(system, work, beta, t).rho
+    split = _split_map(system, work, weights, t).rho
     return SplitComparison(
         rho_split=split,
         rho_closed=closed,

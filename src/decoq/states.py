@@ -59,8 +59,8 @@ def _modulus(z: complex) -> float:
 def _checked(matrix, basis: str, density: bool) -> np.ndarray:
     """matrix as a read-only 2x2 complex array, once it passes its record's checks.
 
-    Both records must be finite and hermitian; a density matrix must have
-    trace 1 and be positive, a deviation operator trace 0.
+    Both records must be finite, hermitian and in a known basis; a density
+    matrix must have trace 1 and be positive, a deviation operator trace 0.
     """
     what = "density matrix" if density else "deviation operator"
     m = np.array(matrix, dtype=complex)
@@ -70,7 +70,7 @@ def _checked(matrix, basis: str, density: bool) -> np.ndarray:
     # every comparison with nan is false, so the checks below would pass it
     if not all(map(cmath.isfinite, (r00, r01, r10, r11))):
         raise ValueError(f"{what} has a non-finite entry")
-    if density and basis not in _BASES:
+    if basis not in _BASES:
         raise ValueError(f"basis must be one of {_BASES}, got {basis!r}")
     # the largest entry of |m - m^dagger|
     skew = max(2.0 * abs(r00.imag), _modulus(r01 - r10.conjugate()), 2.0 * abs(r11.imag))
@@ -224,8 +224,12 @@ def bloch_supremum_scan(
 
     Returns (max value, theta, phi) of the maximizing grid point.  Serves as
     a brute-force check that the supremum equals max_decoherence and is
-    attained at theta = 0.
+    attained at theta = 0.  B2 follows max_decoherence's rule (inf allowed),
+    t and E_J evolve_real's.
     """
+    if not dephasing >= 0.0:  # rejects nan too
+        raise ValueError("dephasing exponent must be >= 0")
+    _check_time_and_e_j(t, e_j)
     theta = np.linspace(0.0, math.pi, BLOCH_GRID)
     phi = np.linspace(0.0, 2.0 * math.pi, BLOCH_GRID, endpoint=False)
     decay = -np.expm1(-dephasing)

@@ -440,6 +440,13 @@ class TestDiscreteBath:
             cont, rel=1e-4, abs=0.0
         )
 
+    def test_modes_at_a_huge_finite_beta(self):
+        # beta omega / 2 overflows to inf, where coth is 1 as at beta = inf
+        bath = DiscreteBath([1.0, 8.0, 30.0], [0.1, 0.2, 0.3])
+        assert dephasing_exponent_modes(0.5, bath, 1e308) == dephasing_exponent_modes(
+            0.5, bath, math.inf
+        )
+
     def test_phase_shift_modes_converge(self):
         spec = bench_spec(beta=math.inf)
         bath = discretize_bath(spec, 100000, 60.0 * spec.omega_c)

@@ -60,6 +60,10 @@ class TestQubitState:
         with pytest.raises(ValueError):
             QubitState(np.diag([0.5, 0.5]).astype(complex), "charge")
 
+    def test_deviation_operator_rejects_bad_basis_tag(self):
+        with pytest.raises(ValueError, match="basis must be one of"):
+            DeviationOperator(np.diag([0.1, -0.1]), "bloch")
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             QubitState(np.eye(3, dtype=complex) / 3.0)
@@ -281,6 +285,20 @@ class TestBlochSupremum:
             assert best <= bound + 1e-12
             assert abs(best - bound) < 1e-6
             assert theta == 0.0
+
+    def test_infinite_dephasing_reaches_one_half(self):
+        assert bloch_supremum_scan(math.inf, 0.3, E_J)[0] == 0.5
+
+    @pytest.mark.parametrize(
+        "b2,t,e_j,message",
+        [(math.nan, 0.3, 51.8, "dephasing exponent"), (-1.0, 0.3, 51.8, "dephasing exponent"),
+         (0.4, math.inf, 51.8, "time must be finite"), (0.4, math.nan, 51.8, "time must be finite"),
+         (0.4, 0.3, -1.0, "E_J must be finite"), (0.4, 0.3, math.inf, "E_J must be finite")],
+    )
+    def test_rejects_bad_arguments(self, b2, t, e_j, message):
+        # these used to return nan, a negative "supremum" or a numpy warning
+        with pytest.raises(ValueError, match=message):
+            bloch_supremum_scan(b2, t, e_j)
 
 
 def assert_first_double_at_threshold(d, tau, threshold):

@@ -17,7 +17,9 @@ class TestGateUnitary:
         "e_j,tau", [(-1.0, 0.1), (math.nan, 0.1), (math.inf, 0.1), (51.8, math.inf)]
     )
     def test_rejects_bad_arguments(self, e_j, tau):
-        with pytest.raises(ValueError):
+        # evolve_real's rule and messages
+        message = "E_J must be finite and >= 0" if math.isfinite(tau) else "time must be finite"
+        with pytest.raises(ValueError, match=message):
             gate_unitary(e_j, tau)
 
     def test_full_period(self):

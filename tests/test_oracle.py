@@ -141,6 +141,17 @@ class TestThermalBathState:
             thermal_bath_state((TruncatedBathMode(1.0, 0.5, 3),), BETA_30MK)
 
     @pytest.mark.parametrize("e_j", [0.0, 51.8])
+    def test_huge_finite_beta_is_the_ground_state(self, e_j):
+        # beta omega overflows to inf at 1e308, and -inf * 0 used to give nan weights
+        system = CompositeSystem(e_j=e_j, modes=(TruncatedBathMode(8.0, 0.1, 6),))
+        for evolve in (evolve_exact, evolve_split):
+            at_inf = evolve(system, pure_state(0.5), math.inf, 0.4).rho
+            np.testing.assert_array_equal(evolve(system, pure_state(0.5), 1e308, 0.4).rho, at_inf)
+        np.testing.assert_array_equal(
+            thermal_bath_state(system.modes, 1e308), thermal_bath_state(system.modes, math.inf)
+        )
+
+    @pytest.mark.parametrize("e_j", [0.0, 51.8])
     def test_evolutions_warn_when_truncation_is_too_tight(self, e_j):
         system = CompositeSystem(e_j=e_j, modes=(TruncatedBathMode(1.0, 0.5, 3),))
         state = pure_state(0.5)
@@ -346,6 +357,33 @@ class TestWorkDone:
         with pytest.warns(BathTruncationWarning) as caught:
             call(system)
         assert {w.filename for w in caught if w.category is BathTruncationWarning} == {__file__}
+
+    def test_error_scaling_warns_once(self):
+        # the bath weights are computed once per call, not once per step size
+        system = CompositeSystem(e_j=51.8, modes=(TruncatedBathMode(1.0, 0.5, 3),))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            error_scaling(system, pure_state(0.5), BETA_30MK, np.geomspace(4e-4, 3e-3, 6))
+        truncation = [w for w in caught if w.category is BathTruncationWarning]
+        assert len(truncation) == 1
+        assert truncation[0].filename == __file__
+
+
+class TestArguments:
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    @pytest.mark.parametrize("e_j", [0.0, 51.8])
+    def test_exact_rejects_non_finite_time(self, e_j, t):
+        system = one_mode_system(e_j=e_j, n_fock=6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="time must be finite"):
+                evolve_exact(system, pure_state(0.5), BETA_30MK, t)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+    def test_rejects_bad_beta_with_the_bath_message(self, beta):
+        with pytest.raises(ValueError, match=r"beta must be > 0 \(inf allowed\)"):
+            evolve_exact(one_mode_system(), pure_state(0.5), beta, 0.4)
 
 
 class TestBasisHandling:
