@@ -147,6 +147,11 @@ def _validate_beta(beta: float):
         raise ValueError(f"beta must be > 0 (inf allowed), got {beta}")
 
 
+def _validate_dephasing(b2: float):
+    if not b2 >= 0.0:  # rejects nan too; inf is full dephasing
+        raise ValueError(f"dephasing exponent must be >= 0, got {b2}")
+
+
 def dephasing_exponent(t: float, spec: BathSpec) -> float:
     """Continuum dephasing exponent B2(t).
 
@@ -242,8 +247,8 @@ def influence_exponent(chi_fwd: int, chi_bwd: int, dephasing: float, shift: floa
     for chi in (chi_fwd, chi_bwd):
         if chi not in (1, -1):
             raise ValueError(f"branch eigenvalues must be +1 or -1, got {chi}")
-    if not dephasing >= 0.0:  # rejects nan too
-        raise ValueError(f"dephasing exponent must be >= 0, got {dephasing}")
+    _validate_dephasing(dephasing)
     diff = chi_fwd - chi_bwd
-    return complex(-dephasing * diff * diff / 4.0, -shift * (chi_fwd**2 - chi_bwd**2))
+    real = -dephasing * diff * diff / 4.0 if diff else 0.0  # B2 = inf: not -inf * 0 = nan
+    return complex(real, -shift * (chi_fwd**2 - chi_bwd**2))
 

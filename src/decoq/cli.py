@@ -33,6 +33,7 @@ from .bath import BathSpec, dephasing_exponent, phase_shift
 from .evolution import (
     COMPUTATIONAL,
     NoCrossingError,
+    _check_threshold_and_t_max,
     low_decoherence_time,
     max_decoherence,
     pure_state_norm,
@@ -57,7 +58,7 @@ _LATE = {
         "CompositeSystem", "TruncatedBathMode", "discrete_bath_from_modes", "error_scaling",
         "evolve_exact",
     ),
-    ".svgplot": ("Series", "write_svg"),
+    ".svgplot": ("write_svg",),
 }
 __getattr__ = _bind_on_first_use(globals(), _LATE)
 
@@ -113,37 +114,27 @@ class RunConfig(namedtuple("RunConfig", _FIELDS, defaults=[d for d, _, _ in _FIE
     __slots__ = ()
 
     def validate(self):
+        # stricter than the maps' E_J >= 0: the gate time is 1/E_J
         if not math.isfinite(self.e_j) or self.e_j <= 0.0:
             raise ValueError(f"e_j must be positive, got {self.e_j}")
         self.bath_spec()
-        if not math.isfinite(self.t_max) or self.t_max <= 0.0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        _check_threshold_and_t_max(self.threshold, self.t_max)
         if self.n_samples < 2:
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
-        if not (0.0 < self.threshold < 0.5):
-            raise ValueError(f"threshold must lie in (0, 0.5), got {self.threshold}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.initial_states:
             raise ValueError("at least one initial state is required")
         for name in self.initial_states:
             if name not in PRESETS:
-                raise ValueError(
-                    f"unknown initial state {name!r}; choose from {sorted(PRESETS)}"
-                )
+                raise ValueError(f"unknown initial state {name!r}; choose from {sorted(PRESETS)}")
         # each state names a CSV column, and a column must not repeat
         if len(set(self.initial_states)) < len(self.initial_states):
-            raise ValueError(
-                f"initial states repeat: {', '.join(self.initial_states)}"
-            )
+            raise ValueError(f"initial states repeat: {', '.join(self.initial_states)}")
 
     def bath_spec(self) -> BathSpec:
-        return BathSpec(
-            eta=self.eta,
-            omega_c=self.omega_c,
-            beta=temperature_to_beta(self.temp_mk),
-            s=self.s,
-        )
+        return BathSpec(eta=self.eta, omega_c=self.omega_c,
+                        beta=temperature_to_beta(self.temp_mk), s=self.s)
 
     def echo(self, command: str) -> dict:
         """The fields the subcommand reads, as written into its output."""
@@ -242,12 +233,12 @@ def _write_json(path: str, payload: dict) -> None:
 def _write_plot(csv_path: str, series, **labels) -> None:
     """SVG next to the CSV; data with nothing finite to plot skips it with a note.
 
-    Each series is a (label, x, y, mode) tuple of svgplot.Series.
+    Each series is a (label, x, y, mode) tuple, as write_svg takes it.
     """
     _load(".svgplot")
     out_svg = os.path.splitext(csv_path)[0] + ".svg"
     try:
-        write_svg(out_svg, [Series(*s) for s in series], **labels)
+        write_svg(out_svg, series, **labels)
     except ValueError as exc:
         print(f"note: skipped {out_svg}: {exc}", file=sys.stderr)
         return

@@ -48,11 +48,13 @@ def coth(x):
 
 
 def _x_minus_sin(x):
-    """x - sin(x) on arrays, series-protected against cancellation for small x."""
+    """x - sin(x) on arrays, by the series that avoids cancellation where |x| < 0.1 only."""
     x = np.asarray(x, dtype=float)
-    x2 = x * x
-    series = (x * x2 / 6.0) * (1.0 - x2 / 20.0 + x2 * x2 / 840.0 - x2**3 / 60480.0)
-    out = np.where(np.abs(x) < 0.1, series, x - np.sin(x))
+    small = np.abs(x) < 0.1
+    xs = np.where(small, x, 0.0)  # a large x would overflow in the series
+    x2 = xs * xs
+    series = (xs * x2 / 6.0) * (1.0 - x2 / 20.0 + x2 * x2 / 840.0 - x2**3 / 60480.0)
+    out = np.where(small, series, x - np.sin(x))
     return out if out.ndim else float(out)
 
 

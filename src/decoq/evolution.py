@@ -5,6 +5,8 @@ u = exp(-B2(t)) (see `states`), so the worst-case deviation norm over all
 initial states is D = (1 - u)/2.  This module holds D, the closed-form norm
 of a pure state, and the low-decoherence time where D first reaches a
 threshold, on the math module alone: curve, tld and sweep run on it.
+B2 is checked in `bath` (inf allowed); t, E_J, the threshold and t_max
+are checked here, for `states`, `oracle` and `cli` as well.
 
 The density-matrix records and numpy maps (QubitState, DeviationOperator,
 evolve_real, ...) live in `states`; QubitState is still importable from
@@ -20,7 +22,7 @@ import warnings
 from collections.abc import Callable
 
 from . import _bind_on_first_use, linspace
-from .bath import BathSpec, dephasing_exponent
+from .bath import BathSpec, _validate_dephasing, dephasing_exponent
 
 EIGENBASIS = "eigenbasis"
 COMPUTATIONAL = "computational"
@@ -34,11 +36,22 @@ class NoCrossingError(RuntimeError):
         self.d_at_t_max = d_at_t_max
 
 
+def _check_e_j(e_j: float):
+    if not math.isfinite(e_j) or e_j < 0.0:
+        raise ValueError(f"E_J must be finite and >= 0, got {e_j}")
+
+
 def _check_time_and_e_j(t: float, e_j: float):
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    if not math.isfinite(e_j) or e_j < 0.0:
-        raise ValueError(f"E_J must be finite and >= 0, got {e_j}")
+    _check_e_j(e_j)
+
+
+def _check_threshold_and_t_max(threshold: float, t_max: float):
+    if not 0.0 < threshold < 0.5:
+        raise ValueError(f"threshold must lie in (0, 1/2), got {threshold}")
+    if not math.isfinite(t_max) or t_max <= 0.0:
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
 
 
 def pure_state_norm(theta: float, phi: float, dephasing: float, t: float, e_j: float) -> float:
@@ -47,8 +60,8 @@ def pure_state_norm(theta: float, phi: float, dephasing: float, t: float, e_j: f
     ||sigma||(t) = 1/2 (1 - e^{-B2}) sqrt(cos^2 theta + sin^2 theta sin^2(phi + t E_J/2))
 
     sin(phi + t E_J/2) is taken by its angle-sum formula, so the sum of
-    the two angles is never rounded.  t and E_J are checked as evolve_real
-    checks them; B2 follows max_decoherence.
+    the two angles is never rounded.  t, E_J and B2 are checked as
+    evolve_real checks them.
     """
     _check_time_and_e_j(t, e_j)
     half = 0.5 * t * e_j
@@ -58,9 +71,8 @@ def pure_state_norm(theta: float, phi: float, dephasing: float, t: float, e_j: f
 
 
 def max_decoherence(dephasing: float) -> float:
-    """Worst-case deviation norm over all initial states: D = (1 - e^{-B2})/2."""
-    if not dephasing >= 0.0:  # rejects nan too
-        raise ValueError("dephasing exponent must be >= 0")
+    """Worst-case deviation norm over all initial states: D = (1 - e^{-B2})/2, 1/2 at B2 = inf."""
+    _validate_dephasing(dephasing)
     return 0.5 * -math.expm1(-dephasing)  # expm1 stays accurate for small B2
 
 
@@ -99,10 +111,7 @@ def low_decoherence_time(threshold: float, spec: BathSpec, t_max: float) -> floa
     call.  Raises NoCrossingError (carrying d(t_max)) if D(t_max) is below
     the threshold, ValueError for thresholds outside (0, 1/2).
     """
-    if not 0.0 < threshold < 0.5:
-        raise ValueError(f"threshold must lie in (0, 1/2), got {threshold}")
-    if not math.isfinite(t_max) or t_max <= 0.0:
-        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
+    _check_threshold_and_t_max(threshold, t_max)
 
     @functools.cache
     def d_of_t(t: float) -> float:

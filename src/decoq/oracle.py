@@ -54,7 +54,7 @@ import numpy as np
 
 from .bath import _record, _validate_beta
 from .discrete import DiscreteBath, dephasing_exponent_modes, phase_shift_modes
-from .evolution import COMPUTATIONAL, EIGENBASIS, _check_time_and_e_j
+from .evolution import COMPUTATIONAL, EIGENBASIS, _check_e_j, _check_time_and_e_j
 from .states import QubitState, basis_change, evolve_real
 
 # relative thermal weight of the highest retained Fock level above which
@@ -102,8 +102,7 @@ class CompositeSystem(_record("CompositeSystem", "e_j modes")):
     def __new__(cls, e_j: float, modes):
         # a tuple keeps the system hashable, as the eigensystem caches need
         modes = tuple(modes)
-        if not math.isfinite(e_j) or e_j < 0.0:
-            raise ValueError(f"Josephson energy must be >= 0, got {e_j}")
+        _check_e_j(e_j)
         if not modes:
             raise ValueError("at least one bath mode is required")
         if not all(isinstance(m, TruncatedBathMode) for m in modes):

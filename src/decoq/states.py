@@ -11,10 +11,11 @@ In that basis the exact reduced map for a dephasing (sigma_z) coupling is
     rho_11(t) = 1/2 rho_00 (1 - u) + 1/2 rho_11 (1 + u)
     rho_10(t) = 1/2 rho_01 (1 - u) + 1/2 rho_10 e^{i t E_J} (1 + u)
 
-with u = exp(-B2(t)).  For a real initial coherence the familiar compact
-form 1/2 rho_10 (1 - u + e^{i t E_J} + e^{i t E_J} u) is recovered; the
-general expression above is the one that agrees with exact diagonalization
-for complex coherences.
+with u = exp(-B2(t)); every map takes any B2 >= 0, and B2 = inf (u = 0) is
+full dephasing.  For a real initial coherence the familiar compact form
+1/2 rho_10 (1 - u + e^{i t E_J} + e^{i t E_J} u) is recovered; the general
+expression above is the one that agrees with exact diagonalization for
+complex coherences.
 
 The records and maps here are what verify, the oracle and the Python API
 use; curve, tld and sweep run on the float path of `evolution` and never
@@ -31,7 +32,7 @@ import math
 
 import numpy as np
 
-from .bath import _record, influence_exponent
+from .bath import _record, _validate_dephasing, influence_exponent
 from .evolution import COMPUTATIONAL, EIGENBASIS, _check_time_and_e_j, max_decoherence
 
 _BASES = (EIGENBASIS, COMPUTATIONAL)
@@ -136,8 +137,7 @@ def random_density_matrix(rng: np.random.Generator, basis: str = EIGENBASIS) -> 
 def _check_evolution(state: QubitState, dephasing: float, t: float, e_j: float):
     if state.basis != EIGENBASIS:
         raise ValueError("evolution operates on eigenbasis states; convert first")
-    if not math.isfinite(dephasing) or dephasing < 0.0:
-        raise ValueError(f"dephasing exponent must be finite and >= 0, got {dephasing}")
+    _validate_dephasing(dephasing)
     _check_time_and_e_j(t, e_j)
 
 
@@ -210,7 +210,7 @@ def deviation_norm_closed_form(
     For a real initial coherence the second term reduces to
     4 |rho_10|^2 sin^2(E_J t / 2).
     """
-    _check_evolution(state, 0.0, t, e_j)  # B2 keeps max_decoherence's rule, inf allowed
+    _check_evolution(state, dephasing, t, e_j)
     (r00, r01), (r10, r11) = state.rho.tolist()
     pop = (r00 - r11).real
     coh = abs(r01 - r10 * cmath.exp(1j * t * e_j))
@@ -224,11 +224,10 @@ def bloch_supremum_scan(
 
     Returns (max value, theta, phi) of the maximizing grid point.  Serves as
     a brute-force check that the supremum equals max_decoherence and is
-    attained at theta = 0.  B2 follows max_decoherence's rule (inf allowed),
-    t and E_J evolve_real's.
+    attained at theta = 0.  B2, t and E_J are checked as evolve_real
+    checks them.
     """
-    if not dephasing >= 0.0:  # rejects nan too
-        raise ValueError("dephasing exponent must be >= 0")
+    _validate_dephasing(dephasing)
     _check_time_and_e_j(t, e_j)
     theta = np.linspace(0.0, math.pi, BLOCH_GRID)
     phi = np.linspace(0.0, 2.0 * math.pi, BLOCH_GRID, endpoint=False)

@@ -9,7 +9,6 @@ and sweeps; not a general plotting library.
 """
 
 import math
-from collections import namedtuple
 from itertools import groupby
 
 from . import linspace
@@ -22,12 +21,6 @@ _MARGIN_LEFT = 76.0
 _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 40.0
 _MARGIN_BOTTOM = 52.0
-
-
-class Series(namedtuple("Series", "label x y mode", defaults=("line",))):
-    """One plotted series: a label, lists of floats x and y, mode 'line' or 'points'."""
-
-    __slots__ = ()
 
 
 def escape(text: str) -> str:
@@ -56,11 +49,12 @@ def _fmt(v: float) -> str:
 def write_svg(path, series, *, title: str, xlabel: str, ylabel: str, log_y: bool) -> None:
     """Draw the series and write the SVG document to path.
 
-    Raises ValueError, before path is opened, when no sample is finite
-    (or, with log_y, positive).
+    Each series is a (label, x, y, mode) tuple: a label, lists of floats x
+    and y, and mode 'line' or 'points'.  Raises ValueError, before path is
+    opened, when no sample is finite (or, with log_y, positive).
     """
-    x_lo, x_hi = _data_range([s.x for s in series], positive_only=False)
-    y_lo, y_hi = _data_range([s.y for s in series], positive_only=log_y)
+    x_lo, x_hi = _data_range([x for _, x, _, _ in series], positive_only=False)
+    y_lo, y_hi = _data_range([y for _, _, y, _ in series], positive_only=log_y)
     if log_y:
         y_lo, y_hi = math.log10(y_lo), math.log10(y_hi)
         if y_lo == y_hi:
@@ -123,17 +117,17 @@ def write_svg(path, series, *, title: str, xlabel: str, ylabel: str, log_y: bool
         )
 
     # series
-    for i, s in enumerate(series):
+    for i, (_, xs, ys, mode) in enumerate(series):
         color = DEFAULT_COLORS[i % len(DEFAULT_COLORS)]
-        if s.mode == "points":
-            for xv, yv in zip(s.x, s.y):
+        if mode == "points":
+            for xv, yv in zip(xs, ys):
                 if shown(xv, yv):
                     parts.append(
                         f'<circle cx="{px(xv):.2f}" cy="{py(yv):.2f}" r="2.5" fill="{color}"/>'
                     )
             continue
         # one polyline per run of shown samples: an invalid one breaks the line
-        for is_shown, run in groupby(zip(s.x, s.y), key=lambda xy: shown(*xy)):
+        for is_shown, run in groupby(zip(xs, ys), key=lambda xy: shown(*xy)):
             run = list(run)
             if is_shown and len(run) > 1:
                 points = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in run)
@@ -152,7 +146,7 @@ def write_svg(path, series, *, title: str, xlabel: str, ylabel: str, log_y: bool
         f'<text x="18" y="{cy:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 18 {cy:.1f})">{escape(ylabel)}</text>',
     ]
-    for i, s in enumerate(series):
+    for i, (label, *_) in enumerate(series):
         color = DEFAULT_COLORS[i % len(DEFAULT_COLORS)]
         ly = _MARGIN_TOP + 16 + 18 * i
         lx = _MARGIN_LEFT + plot_w - 150
@@ -160,7 +154,7 @@ def write_svg(path, series, *, title: str, xlabel: str, ylabel: str, log_y: bool
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 26}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{lx + 32}" y="{ly}">{escape(s.label)}</text>')
+        parts.append(f'<text x="{lx + 32}" y="{ly}">{escape(label)}</text>')
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

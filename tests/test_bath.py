@@ -399,6 +399,35 @@ class TestDiscreteBath:
         with pytest.raises(TypeError):
             discretize_bath(bench_spec(), 2.5, 100.0)
 
+    @pytest.mark.parametrize(
+        "omegas,g_sq,message",
+        [([1.0, 2.0], [1.0], "1-d arrays of equal length"),
+         ([[1.0, 2.0]], [[1.0, 1.0]], "1-d arrays of equal length"),
+         ([], [], "at least one mode"),
+         ([1.0, math.inf], [1.0, 1.0], "mode parameters must be finite"),
+         ([1.0, 2.0], [math.nan, 1.0], "mode parameters must be finite"),
+         ([0.0, 2.0], [1.0, 1.0], "mode frequencies must be positive")],
+        ids=["lengths", "2-d", "empty", "inf-omega", "nan-g", "zero-omega"],
+    )
+    def test_rejects_bad_modes(self, omegas, g_sq, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteBath(omegas, g_sq)
+
+    @pytest.mark.parametrize(
+        "n_modes,omega_max,message",
+        [(0, 100.0, "n_modes must be >= 1"), (10, 0.0, "omega_max must be finite and > 0"),
+         (10, math.inf, "omega_max must be finite and > 0")],
+    )
+    def test_discretize_rejects_bad_grid(self, n_modes, omega_max, message):
+        with pytest.raises(ValueError, match=message):
+            discretize_bath(bench_spec(), n_modes, omega_max)
+
+    @pytest.mark.parametrize("x", [1e35, 1e78, 1e155, 1e300])
+    def test_phase_shift_modes_at_huge_phase(self, x):
+        # the small-x series of x - sin x used to be evaluated here too,
+        # where it overflows with numpy warnings (errors in this suite)
+        assert phase_shift_modes(x, DiscreteBath([1.0], [1.0])) == x - math.sin(x)
+
     def test_caller_arrays_stay_writeable(self):
         w, g2 = np.array([1.0, 2.0]), np.array([0.1, 0.2])
         bath = DiscreteBath(w, g2)

@@ -23,7 +23,7 @@ from decoq.cli import (
     main,
     parse_config_file,
 )
-from decoq.evolution import max_decoherence
+from decoq.evolution import low_decoherence_time, max_decoherence
 from decoq.units import TIME_UNIT_S, temperature_to_beta
 
 # a superohmic bath whose D crosses the threshold past t_rise, falls back
@@ -487,6 +487,15 @@ class TestSweepCommand:
         assert all(line.startswith("warning: D is not known to be monotone past t_rise=")
                    for line in err)
 
+    def test_check_fails_when_tau_ld_rises(self, monkeypatch, tmp_path, capsys):
+        # a tau_ld that grows with eta breaks the monotonicity the check asserts
+        monkeypatch.setattr(cli, "low_decoherence_time", lambda threshold, spec, t_max: spec.eta)
+        argv = ["sweep", "--axis", "eta", "--values", "1e-6,2e-6,3e-6", "--check",
+                "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "check failed: tau_ld rises from 1e-06 to 2e-06 along increasing eta"]
+
     def test_other_warnings_keep_the_suites_filter(self, monkeypatch, tmp_path):
         # filterwarnings = error is in force here; main repeats only the
         # past-t_rise warning, so any other one still fails the run
@@ -541,6 +550,22 @@ class TestVerifyCommand:
             "split-order",
         }
 
+    def test_a_check_that_raises_fails(self, monkeypatch, tmp_path, capsys):
+        # a crash is a failed check, and the other checks still run
+        def crash():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_check_split_order", crash)
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--out", str(out)]) == 3
+        assert "check split-order: FAIL (raised RuntimeError: boom)" in (
+            capsys.readouterr().out.splitlines())
+        report = json.loads(out.read_text())
+        assert report["all_pass"] is False
+        assert [(c["name"], c["passed"]) for c in report["checks"] if not c["passed"]] == [
+            ("split-order", False)]
+        assert report["checks"][-1]["detail"] == "raised RuntimeError: boom"
+
     def test_corrupted_exponent_is_caught(self, tmp_path):
         out = tmp_path / "verify.json"
         code = main(["verify", "--corrupt", "b2", "--out", str(out)])
@@ -549,6 +574,23 @@ class TestVerifyCommand:
         assert report["all_pass"] is False
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert failed == ["pure-dephasing-oracle"]
+
+
+class TestReadme:
+    def test_flag_table_matches_the_parsers(self):
+        # each row of README's subcommand table: the flags in the parser's
+        # order (besides --config and --out) and the keys of _COMMAND_FIELDS
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| subcommand | flags | config keys |\n|---|---|---|\n")[1]
+        rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \| `([^`]*)` \|$", table.split("\n\n")[0],
+                          re.M)
+        assert [command for command, _, _ in rows] == list(_COMMAND_FIELDS)
+        for command, flags, keys in rows:
+            parser = build_parser(command)
+            taken = [flag for action in parser._actions for flag in action.option_strings
+                     if flag not in ("-h", "--help", "--config", "--out")]
+            assert flags.split() == taken, command
+            assert tuple(keys.split()) == _COMMAND_FIELDS[command], command
 
 
 class TestExitCodes:
@@ -614,6 +656,36 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: initial states repeat: point, point",
                        "error: initial states repeat: point, line1, point"]
+
+    @pytest.mark.parametrize(
+        "command,line,message",
+        [("verify", "seed = -1", "seed must be >= 0, got -1"),
+         ("curve", "initial_states = ,", "at least one initial state is required"),
+         ("curve", "initial_states = point, north",
+          "unknown initial state 'north'; choose from ['line1', 'line2', 'point']")],
+        ids=["seed", "no-state", "unknown-state"],
+    )
+    def test_bad_config_setting_exits_one(self, tmp_path, capsys, command, line, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        out = tmp_path / "out.dat"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value,threshold,t_max",
+        [("--t-max", "-1", 1e-4, -1.0), ("--t-max", "inf", 1e-4, math.inf),
+         ("--threshold", "0.5", 0.5, 10.0), ("--threshold", "nan", math.nan, 10.0)],
+    )
+    def test_window_has_the_message_of_low_decoherence_time(
+        self, tmp_path, capsys, flag, value, threshold, t_max
+    ):
+        # one rule for the threshold and t_max, in evolution
+        with pytest.raises(ValueError) as direct:
+            low_decoherence_time(threshold, RunConfig().bath_spec(), t_max)
+        assert main(["tld", flag, value, "--out", str(tmp_path / "t.json")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {direct.value}"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from decoq import linspace
-from decoq.bath import BathSpec, dephasing_exponent
+from decoq.bath import BathSpec, dephasing_exponent, influence_exponent
 from decoq.evolution import (
     COMPUTATIONAL,
     EIGENBASIS,
@@ -238,6 +238,48 @@ class TestClosedFormArguments:
     def test_infinite_b2_still_gives_one_half(self):
         assert deviation_norm_closed_form(pure_state(0.0), math.inf, 0.3, E_J) == 0.5
         assert pure_state_norm(0.0, 0.0, math.inf, 0.3, E_J) == 0.5
+
+
+class TestDephasingRule:
+    # every entry point that takes B2, with the other arguments valid
+    ENTRY_POINTS = {
+        "max_decoherence": lambda b2: max_decoherence(b2),
+        "pure_state_norm": lambda b2: pure_state_norm(0.3, 0.2, b2, 0.4, E_J),
+        "deviation_norm_closed_form": lambda b2: deviation_norm_closed_form(
+            pure_state(0.3), b2, 0.4, E_J),
+        "bloch_supremum_scan": lambda b2: bloch_supremum_scan(b2, 0.4, E_J),
+        "evolve_real": lambda b2: evolve_real(pure_state(0.3), b2, 0.4, E_J),
+        "evolve_real_influence_sum": lambda b2: evolve_real_influence_sum(
+            pure_state(0.3), b2, 0.1, 0.4, E_J),
+        "influence_exponent": lambda b2: influence_exponent(1, -1, b2, 0.1),
+    }
+
+    @pytest.mark.parametrize("b2", [math.nan, -1.0], ids=["nan", "negative"])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_one_message_for_every_entry_point(self, entry, b2):
+        with pytest.raises(ValueError) as caught:
+            self.ENTRY_POINTS[entry](b2)
+        assert str(caught.value) == f"dephasing exponent must be >= 0, got {b2}"
+
+    def test_infinite_b2_is_full_dephasing_in_both_maps(self, rng):
+        # u = exp(-B2) is 0, as it already is in double precision at B2 = 800
+        for _ in range(50):
+            state = random_density_matrix(rng)
+            t = float(rng.uniform(0.0, 2.0))
+            fast = evolve_real(state, math.inf, t, E_J)
+            slow = evolve_real_influence_sum(state, math.inf, 0.7, t, E_J)
+            assert np.max(np.abs(fast.rho - slow.rho)) <= 1e-15
+            np.testing.assert_array_equal(fast.rho, evolve_real(state, 800.0, t, E_J).rho)
+            # the limit of test_full_charge_dephasing_limit, reached exactly
+            (r00, r01), (r10, r11) = state.rho
+            assert abs(fast.rho[1, 1] - 0.5 * (r00 + r11)) <= 1e-15
+            assert abs(fast.rho[1, 0] - 0.5 * (r01 + r10 * np.exp(1j * t * E_J))) <= 1e-15
+
+    @pytest.mark.parametrize("chi", [1, -1])
+    @pytest.mark.parametrize("shift", [0.0, 0.7, -2.0])
+    def test_influence_exponent_of_equal_branches_is_zero_at_infinite_b2(self, chi, shift):
+        assert influence_exponent(chi, chi, math.inf, shift) == 0
+        assert influence_exponent(chi, -chi, math.inf, shift).real == -math.inf
 
 
 class TestLinspace:

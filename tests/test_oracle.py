@@ -92,6 +92,26 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CompositeSystem(e_j=51.8, modes=())
 
+    def test_rejects_non_finite_coupling(self):
+        with pytest.raises(ValueError, match="mode coupling must be finite, got nan"):
+            TruncatedBathMode(8.0, math.nan, 4)
+
+    def test_rejects_a_non_mode_entry(self):
+        with pytest.raises(TypeError, match="modes must be TruncatedBathMode instances"):
+            CompositeSystem(e_j=51.8, modes=(TruncatedBathMode(8.0, 0.1, 4), (8.0, 0.1, 4)))
+
+    @pytest.mark.parametrize("e_j", [-1.0, math.nan, math.inf])
+    def test_e_j_has_the_message_of_the_maps(self, e_j):
+        # one rule for E_J: the system, the gate and the closed-form map agree
+        with pytest.raises(ValueError) as system:
+            CompositeSystem(e_j=e_j, modes=(TruncatedBathMode(8.0, 0.1, 4),))
+        with pytest.raises(ValueError) as gate:
+            gate_unitary(e_j, 0.3)
+        with pytest.raises(ValueError) as closed:
+            evolve_ideal(pure_state(0.3), 0.3, e_j)
+        assert str(system.value) == str(gate.value) == str(closed.value) == (
+            f"E_J must be finite and >= 0, got {e_j}")
+
     @pytest.mark.parametrize("n_fock", [8.5, 8.0])
     def test_float_fock_levels_rejected(self, n_fock):
         with pytest.raises(TypeError):

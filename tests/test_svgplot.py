@@ -1,7 +1,7 @@
 import math
 import re
 
-from decoq.svgplot import Series, write_svg
+from decoq.svgplot import write_svg
 
 
 def test_write_svg_breaks_lines_and_labels_decades(tmp_path):
@@ -10,9 +10,21 @@ def test_write_svg_breaks_lines_and_labels_decades(tmp_path):
     path = tmp_path / "plot.svg"
     x = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     y = [1e-6, 1e-5, 1e-4, math.nan, 1e-3, 1e-2]
-    write_svg(path, [Series("D", x, y)], title="t", xlabel="x", ylabel="y", log_y=True)
+    write_svg(path, [("D", x, y, "line")], title="t", xlabel="x", ylabel="y", log_y=True)
     svg = path.read_text()
     runs = re.findall(r'<polyline points="([^"]*)"', svg)
     assert [len(points.split()) for points in runs] == [3, 2]
     y_labels = re.findall(r'text-anchor="end">([^<]*)</text>', svg)
     assert y_labels == ["1e-06", "1e-05", "0.0001", "0.001", "0.01"]
+
+
+def test_write_svg_gives_coincident_logs_one_decade(tmp_path):
+    # 123 and the next double have the same log10: the axis spans the
+    # decade centred on it, labelled at the one power of ten inside
+    path = tmp_path / "plot.svg"
+    y = [123.0, math.nextafter(123.0, math.inf)]
+    write_svg(path, [("D", [0.0, 1.0], y, "points")], title="t", xlabel="x", ylabel="y",
+              log_y=True)
+    svg = path.read_text()
+    assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == ["100"]
+    assert len(re.findall(r"<circle ", svg)) == 2
