@@ -243,7 +243,7 @@ class TestClosedFormArguments:
 class TestDephasingRule:
     # every entry point that takes B2, with the other arguments valid
     ENTRY_POINTS = {
-        "max_decoherence": lambda b2: max_decoherence(b2),
+        "max_decoherence": max_decoherence,
         "pure_state_norm": lambda b2: pure_state_norm(0.3, 0.2, b2, 0.4, E_J),
         "deviation_norm_closed_form": lambda b2: deviation_norm_closed_form(
             pure_state(0.3), b2, 0.4, E_J),
