@@ -176,7 +176,7 @@ def dephasing_exponent(t: float, spec: BathSpec) -> float:
             a = 1.0 / (spec.beta * spec.omega_c)
             total += 2.0 * spec.beta**-nu * _thermal_sum(nu, a, t / spec.beta)
         b2 = 4.0 * spec.eta * total
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # the second where beta omega_c underflows to 0
         b2 = math.inf
     return _finite(b2, "B2", t, spec)
 

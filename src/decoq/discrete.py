@@ -41,6 +41,12 @@ class DiscreteBath(_record("DiscreteBath", "omegas g_sq")):
         return super().__new__(cls, w, g2)
 
 
+def _check_phase(omega: float, t: float):
+    """The largest phase omega t that a mode sum or a propagator turns must be a double."""
+    if not math.isfinite(omega * t):
+        raise ValueError(f"omega*t is not finite in double precision at omega={omega}, t={t}")
+
+
 def coth(x):
     """Hyperbolic cotangent for x > 0 arrays; coth(inf) = 1."""
     out = 1.0 / np.tanh(np.asarray(x, dtype=float))
@@ -89,6 +95,7 @@ def dephasing_exponent_modes(t: float, bath: DiscreteBath, beta: float) -> float
     _validate_time(t)
     _validate_beta(beta)
     w = bath.omegas
+    _check_phase(float(w[-1]), t)  # the frequencies increase
     with np.errstate(over="ignore"):  # a beta w past the largest double is coth = 1
         th = coth(0.5 * beta * w)
     terms = 8.0 * bath.g_sq / w**2 * np.sin(0.5 * w * t) ** 2 * th
@@ -99,4 +106,5 @@ def phase_shift_modes(t: float, bath: DiscreteBath) -> float:
     """Discrete-mode phase shift C(t) = sum_k g_k^2/omega_k^2 (w_k t - sin w_k t)."""
     _validate_time(t)
     w = bath.omegas
+    _check_phase(float(w[-1]), t)
     return float(np.sum(bath.g_sq / w**2 * _x_minus_sin(w * t)))

@@ -42,9 +42,12 @@ def _check_e_j(e_j: float):
 
 
 def _check_time_and_e_j(t: float, e_j: float):
+    """t and E_J of a map, and the phase E_J t it turns, which must be a double."""
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     _check_e_j(e_j)
+    if not math.isfinite(t * e_j):
+        raise ValueError(f"E_J*t is not finite in double precision at E_J={e_j}, t={t}")
 
 
 def _check_threshold_and_t_max(threshold: float, t_max: float):

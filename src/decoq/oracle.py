@@ -53,7 +53,7 @@ from collections import namedtuple
 import numpy as np
 
 from .bath import _record, _validate_beta
-from .discrete import DiscreteBath, dephasing_exponent_modes, phase_shift_modes
+from .discrete import DiscreteBath, _check_phase, dephasing_exponent_modes, phase_shift_modes
 from .evolution import COMPUTATIONAL, EIGENBASIS, _check_e_j, _check_time_and_e_j
 from .states import QubitState, basis_change, evolve_real
 
@@ -124,47 +124,44 @@ class CompositeSystem(_record("CompositeSystem", "e_j modes")):
         return 2 * self.bath_dim
 
 
-def _lowering(n: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, n)), 1)
+def _mode_operators(m: TruncatedBathMode) -> tuple[np.ndarray, np.ndarray]:
+    """(omega a^dag a, g (a + a^dag)) of one mode on its n_fock levels."""
+    a = np.diag(np.sqrt(np.arange(1.0, m.n_fock)), 1)
+    return m.omega * (a.T @ a), m.g * (a + a.T)
 
 
-def _embed(modes, k: int, op: np.ndarray) -> np.ndarray:
-    """Place op on mode k, identity on the others (bath space only)."""
-    out = np.eye(1)
-    for i, m in enumerate(modes):
-        out = np.kron(out, op if i == k else np.eye(m.n_fock))
-    return out
+def _kron_sum(ops) -> np.ndarray:
+    """sum_k 1 x ... x op_k x ... x 1, formed pairwise as kron(A, 1) + kron(1, B)."""
+    return functools.reduce(
+        lambda a, b: np.kron(a, np.eye(len(b))) + np.kron(np.eye(len(a)), b), ops
+    )
 
 
 def build_hamiltonians(system: CompositeSystem) -> tuple[np.ndarray, np.ndarray]:
     """Return (H_sys, H_int_plus_bath) on the full composite space.
 
-    H_sys = -E_J/2 sigma_x x 1, and the second piece is
-    sigma_z x sum_k g_k (a_k + a_k^dag) + 1 x sum_k omega_k n_k.
+    H_sys = -E_J/2 sigma_x x 1, and H_ib = sigma_z x C + 1 x E with the
+    Kronecker sums C and E of the modes' couplings and energies.  The
+    sigma_z = -1 block comes from -C, not from the parity mirror the maps
+    use, so this stays the tests' independent dense reference.
     """
-    nb = system.bath_dim
-    coupling = np.zeros((nb, nb))
-    bath_energy = np.zeros((nb, nb))
-    for k, m in enumerate(system.modes):
-        a = _lowering(m.n_fock)
-        coupling += m.g * _embed(system.modes, k, a + a.T)
-        bath_energy += m.omega * _embed(system.modes, k, a.T @ a)
-    h_sys = np.kron(-0.5 * system.e_j * np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(nb))
-    h_ib = np.kron(np.array([[1.0, 0.0], [0.0, -1.0]]), coupling) + np.kron(np.eye(2), bath_energy)
+    energies, couplings = zip(*map(_mode_operators, system.modes))
+    sigma_x, sigma_z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    h_sys = np.kron(-0.5 * system.e_j * sigma_x, np.eye(system.bath_dim))
+    h_ib = np.kron(sigma_z, _kron_sum(couplings)) + np.kron(np.eye(2), _kron_sum(energies))
     return h_sys, h_ib
 
 
 @functools.lru_cache(maxsize=8)
 def _eigensystem(system: CompositeSystem):
-    """Cached (evals, evecs) of h_{+,k} = omega_k n_k + g_k (a_k + a_k^dag), per mode.
+    """Cached (evals, evecs) of h_{+,k}, the sum of _mode_operators(m_k), per mode.
 
     The split map, and the exact map at E_J = 0, need nothing else: h_{-,k}
     is its parity mirror, and the composite H_ib is never built.
     """
     out = []
     for m in system.modes:
-        a = _lowering(m.n_fock)
-        evals, evecs = np.linalg.eigh(m.omega * (a.T @ a) + m.g * (a + a.T))
+        evals, evecs = np.linalg.eigh(np.add(*_mode_operators(m)))
         evals.flags.writeable = False
         evecs.flags.writeable = False
         out.append((evals, evecs))
@@ -186,6 +183,8 @@ def _dense_eigensystem(system: CompositeSystem):
 
 
 def _propagator(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) from H's eigensystem; t times its largest |eigenvalue| must be a double."""
+    _check_phase(float(np.max(np.abs(evals))), t)
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
@@ -221,7 +220,8 @@ def _mode_weights(modes, beta: float) -> list[np.ndarray]:
                     BathTruncationWarning,
                     stacklevel=3,
                 )
-            probs = np.exp(-beta * m.omega * np.arange(m.n_fock))
+            with np.errstate(over="ignore"):  # a beta omega k past the largest double is weight 0
+                probs = np.exp(-beta * m.omega * np.arange(m.n_fock))
             probs /= probs.sum()
         weights.append(probs)
     return weights
@@ -250,6 +250,7 @@ def _split_map(system: CompositeSystem, state: QubitState, weights, t: float) ->
     The bath trace commutes with the qubit-only A, so B acts on the 2x2
     charge-basis state as rho_01 -> chi(t) rho_01 (see module docstring).
     """
+    _check_time_and_e_j(t, system.e_j)  # so an error names t, not t/2
     a_half = gate_unitary(system.e_j, 0.5 * t)
     chi = 1.0
     for (evals, evecs), p in zip(_eigensystem(system), weights):

@@ -37,7 +37,7 @@ def _data_range(values, positive_only: bool) -> tuple[float, float]:
         raise ValueError("no finite data to plot")
     lo, hi = min(merged), max(merged)
     if lo == hi:
-        pad = 0.5 if lo == 0.0 else 0.05 * abs(lo)
+        pad = 0.05 * abs(lo) or 0.5  # 0.5 also where 5% of a subnormal lo rounds to 0
         lo, hi = lo - pad, hi + pad
     return lo, hi
 

@@ -13,7 +13,12 @@ TIME_UNIT_S = HBAR_UEV_S
 
 
 def temperature_to_beta(temp_mk: float) -> float:
-    """Inverse temperature beta = 1/(kB T) in 1/ueV for T given in mK."""
+    """Inverse temperature beta = 1/(kB T) in 1/ueV for T given in mK.
+
+    Below about 6.5e-308 mK, beta = inf, the bath at T = 0: 1/(kB T)
+    overflows there, and below 3e-323 mK kB T itself underflows to 0.
+    """
     if not math.isfinite(temp_mk) or temp_mk <= 0.0:
         raise ValueError(f"temperature must be positive and finite, got {temp_mk}")
-    return 1.0 / (KB_UEV_PER_K * temp_mk * 1e-3)
+    kt = KB_UEV_PER_K * temp_mk * 1e-3
+    return 1.0 / kt if kt else math.inf

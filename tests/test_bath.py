@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from decoq.bath import C_SERIES_U, BathSpec, dephasing_exponent, influence_exponent, phase_shift
+from decoq.bath import (
+    C_SERIES_U,
+    BathSpec,
+    dephasing_exponent,
+    dephasing_exponent_zero_t,
+    influence_exponent,
+    phase_shift,
+)
 from decoq.discrete import (
     DiscreteBath,
     coth,
@@ -192,6 +199,15 @@ class TestDephasingExponent:
         assert mpmath_direct(t, spec) == pytest.approx(closed, rel=1e-12, abs=0.0)
         assert dephasing_exponent(t, spec) == pytest.approx(closed, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("t", [1e-3, 0.3, 10.0])
+    def test_zero_t_entry_point_is_the_infinite_beta_case(self, s, t):
+        spec = bench_spec(s=s)
+        b2 = dephasing_exponent_zero_t(t, spec)
+        assert b2 == dephasing_exponent(t, spec._replace(beta=math.inf))
+        if s == 1.0:
+            assert b2 == pytest.approx(zero_t_b2(t, spec), rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("t", [0.3, 1.0, 5.0])
     def test_finite_temperature_against_cutoff_free_thermal_form(self, t):
         # exact thermal correction for a sharp separation of scales:
@@ -244,6 +260,14 @@ class TestDephasingExponent:
         for quantity in (dephasing_exponent, phase_shift):
             with pytest.raises(ValueError, match=r"s=80\.0, omega_c=10000\.0, t=0\.5"):
                 quantity(0.5, spec)
+
+    @pytest.mark.parametrize("omega_c", [1e-310, 5e-324])
+    def test_underflowing_beta_omega_c_is_a_value_error(self, omega_c):
+        # a = 1/(beta omega_c) is past the largest double at both; at
+        # 5e-324 beta omega_c itself rounds to 0 and used to divide by zero
+        with pytest.raises(ValueError, match=f"^B2 is not finite in double precision at s=1.0, "
+                                             f"omega_c={omega_c}, t=1.0$"):
+            dephasing_exponent(1.0, bench_spec(omega_c=omega_c))
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -427,6 +451,22 @@ class TestDiscreteBath:
         # the small-x series of x - sin x used to be evaluated here too,
         # where it overflows with numpy warnings (errors in this suite)
         assert phase_shift_modes(x, DiscreteBath([1.0], [1.0])) == x - math.sin(x)
+
+    @pytest.mark.parametrize(
+        "mode_sum",
+        [lambda t, b: dephasing_exponent_modes(t, b, 1.0), phase_shift_modes],
+        ids=["dephasing_exponent_modes", "phase_shift_modes"],
+    )
+    def test_mode_sums_name_a_phase_that_overflows(self, mode_sum):
+        # omega t = 1e309 is past the largest double; both sums used to
+        # return nan with numpy warnings (errors in this suite)
+        bath = DiscreteBath([0.5, 10.0], [1.0, 1.0])
+        with pytest.raises(ValueError) as caught:
+            mode_sum(1e308, bath)
+        assert str(caught.value) == (
+            "omega*t is not finite in double precision at omega=10.0, t=1e+308"
+        )
+        assert math.isfinite(mode_sum(1e307, bath))
 
     def test_caller_arrays_stay_writeable(self):
         w, g2 = np.array([1.0, 2.0]), np.array([0.1, 0.2])

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from decoq import __version__
 from decoq import cli, linspace
@@ -383,6 +386,15 @@ class TestTldCommand:
 
 
 class TestSweepCommand:
+    def test_temperature_whose_kb_t_underflows_runs_at_zero_temperature(self, tmp_path):
+        # kB T of 5e-324 mK rounds to 0; the row used to end the sweep in a
+        # ZeroDivisionError, and now matches T = 1e-320 mK, whose beta is inf
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", "T", "--values", "5e-324,1e-320", "--out", str(out)]) == 0
+        _, _, (tiny, cold) = read_csv(out)
+        assert tiny[1:] == cold[1:]
+        assert tiny[-1].startswith("no-crossing")
+
     def test_temperature_sweep_with_failures_recorded(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(
@@ -593,6 +605,32 @@ class TestReadme:
             assert tuple(keys.split()) == _COMMAND_FIELDS[command], command
 
 
+# flag values at the edges of a double, drawn beside each flag's ordinary value
+EDGE_VALUES = ["0", "-1", "5e-324", "1e300", "inf", "nan"]
+ORDINARY = {"--ej": "51.8", "--temp-mk": "30", "--eta": "1e-6", "--cutoff": "200",
+            "--t-max": "10", "--samples": "20", "--threshold": "1e-4"}
+AXIS_ORDINARY = {"T": "30", "eta": "1e-6", "E_J": "51.8", "omega_c": "200"}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """curve, tld or sweep with up to three of its flags set to edge or ordinary values."""
+    command = draw(st.sampled_from(["curve", "tld", "sweep"]))
+    flags = [flag for _, flag, _ in (_FIELDS[f] for f in _COMMAND_FIELDS[command]) if flag]
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=3, unique=True)):
+        argv += [flag, draw(st.sampled_from(EDGE_VALUES) | st.just(ORDINARY[flag]))]
+    if command == "sweep":
+        axis = draw(st.sampled_from(sorted(AXIS_ORDINARY)))
+        pool = st.sampled_from(EDGE_VALUES) | st.just(AXIS_ORDINARY[axis])
+        # one word, so a list that starts with -1 is not read as a flag
+        values = draw(st.lists(pool, min_size=2, max_size=3))
+        argv += ["--axis", axis, "--values=" + ",".join(values)]
+        if draw(st.booleans()):
+            argv.append("--check")
+    return argv
+
+
 class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -703,6 +741,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
         assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=fuzzed_argv(), s=st.sampled_from([None, "2", "3"]) | st.sampled_from(EDGE_VALUES))
+    @example(argv=["tld", "--temp-mk", "5e-324"], s=None)
+    @example(argv=["curve", "--cutoff", "5e-324"], s=None)
+    @example(argv=["sweep", "--axis", "T", "--values=0,5e-324"], s="2")
+    def test_fuzzed_argv_exits_with_a_documented_code(self, tmp_path_factory, argv, s):
+        # kB T of 5e-324 mK used to underflow to 0 and end in a
+        # ZeroDivisionError traceback; every run ends in a documented exit
+        # code, and a failed one in exactly one error line
+        tmp = tmp_path_factory.mktemp("argv")
+        argv = [*argv, "--out", str(tmp / "out.dat")]
+        if s is not None:
+            (tmp / "run.cfg").write_text(f"s = {s}\n")
+            argv += ["--config", str(tmp / "run.cfg")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2, 3)
+        assert not any("Traceback" in line for line in lines)
+        if code == 1:
+            assert sum(line.startswith("error:") for line in lines) == 1
 
     def test_unknown_flag_before_the_command_is_named(self, capsys):
         # the flag is reported before the missing command

@@ -18,6 +18,13 @@ from decoq.evolution import (
     max_decoherence,
     pure_state_norm,
 )
+from decoq.oracle import (
+    CompositeSystem,
+    TruncatedBathMode,
+    evolve_exact,
+    evolve_split,
+    gate_unitary,
+)
 from decoq.states import (
     DeviationOperator,
     QubitState,
@@ -280,6 +287,42 @@ class TestDephasingRule:
     def test_influence_exponent_of_equal_branches_is_zero_at_infinite_b2(self, chi, shift):
         assert influence_exponent(chi, chi, math.inf, shift) == 0
         assert influence_exponent(chi, -chi, math.inf, shift).real == -math.inf
+
+
+# a one-mode oracle system whose E_J t overflows before its omega t does
+DRIVEN = CompositeSystem(E_J, (TruncatedBathMode(8.0, 0.1, 4),))
+
+
+class TestPhaseRule:
+    # every map that turns the phase E_J t, with the other arguments valid
+    ENTRY_POINTS = {
+        "pure_state_norm": lambda t: pure_state_norm(0.3, 0.2, 0.1, t, E_J),
+        "deviation_norm_closed_form": lambda t: deviation_norm_closed_form(
+            pure_state(0.3), 0.1, t, E_J),
+        "bloch_supremum_scan": lambda t: bloch_supremum_scan(0.1, t, E_J),
+        "evolve_real": lambda t: evolve_real(pure_state(0.3), 0.1, t, E_J),
+        "evolve_ideal": lambda t: evolve_ideal(pure_state(0.3), t, E_J),
+        "evolve_real_influence_sum": lambda t: evolve_real_influence_sum(
+            pure_state(0.3), 0.1, 0.1, t, E_J),
+        "gate_unitary": lambda t: gate_unitary(E_J, t),
+        "evolve_exact": lambda t: evolve_exact(DRIVEN, pure_state(0.3), math.inf, t),
+        "evolve_split": lambda t: evolve_split(DRIVEN, pure_state(0.3), math.inf, t),
+    }
+
+    @pytest.mark.parametrize("t", [1e307, -1e307], ids=["positive", "negative"])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_one_message_for_a_phase_past_the_largest_double(self, entry, t):
+        # E_J t = 5.18e308 overflows: the maps used to raise "math domain
+        # error" or warn, naming neither t nor E_J
+        with pytest.raises(ValueError) as caught:
+            self.ENTRY_POINTS[entry](t)
+        assert str(caught.value) == (
+            f"E_J*t is not finite in double precision at E_J={E_J}, t={t}"
+        )
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_a_phase_just_inside_is_computed(self, entry):
+        self.ENTRY_POINTS[entry](3e306)
 
 
 class TestLinspace:

@@ -171,6 +171,18 @@ class TestThermalBathState:
             thermal_bath_state(system.modes, 1e308), thermal_bath_state(system.modes, math.inf)
         )
 
+    @pytest.mark.parametrize("entry", [evolve_exact, evolve_split, split_vs_closed_form])
+    @pytest.mark.parametrize("e_j", [0.0, 51.8])
+    def test_upper_levels_past_the_largest_double_weigh_nothing(self, e_j, entry):
+        # beta omega = 5e307 is finite but beta omega k is not for k >= 4;
+        # numpy used to warn "overflow encountered in multiply" (an error here)
+        system = CompositeSystem(e_j=e_j, modes=(TruncatedBathMode(0.5, 0.3, 8),))
+        state = pure_state(1.0, 0.2)
+        at_huge, at_inf = (entry(system, state, beta, 0.3) for beta in (1e308, math.inf))
+        # a QubitState and a SplitComparison are both records of arrays and scalars
+        for got, expected in zip(at_huge, at_inf):
+            np.testing.assert_array_equal(got, expected)
+
     @pytest.mark.parametrize("e_j", [0.0, 51.8])
     def test_evolutions_warn_when_truncation_is_too_tight(self, e_j):
         system = CompositeSystem(e_j=e_j, modes=(TruncatedBathMode(1.0, 0.5, 3),))
@@ -399,6 +411,17 @@ class TestArguments:
             with pytest.raises(ValueError, match="time must be finite"):
                 evolve_exact(system, pure_state(0.5), BETA_30MK, t)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("entry", [evolve_exact, evolve_split, split_vs_closed_form])
+    @pytest.mark.parametrize("e_j", [0.0, 1.0])
+    def test_time_whose_phase_overflows_is_named(self, e_j, entry):
+        # omega t of the propagator or the mode sums is past the largest
+        # double while E_J t is not; the maps used to warn, then raise
+        # "density matrix has a non-finite entry" or a nan dephasing exponent
+        system = CompositeSystem(e_j=e_j, modes=(TruncatedBathMode(67.6, 0.3, 8),))
+        with pytest.raises(ValueError, match=r"^omega\*t is not finite in double precision "
+                                             r"at omega=\S+, t=2\.66e\+307$"):
+            entry(system, pure_state(1.0, 0.2), BETA_30MK, 2.66e307)
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
     def test_rejects_bad_beta_with_the_bath_message(self, beta):

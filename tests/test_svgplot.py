@@ -28,3 +28,15 @@ def test_write_svg_gives_coincident_logs_one_decade(tmp_path):
     svg = path.read_text()
     assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == ["100"]
     assert len(re.findall(r"<circle ", svg)) == 2
+
+
+def test_write_svg_pads_a_single_subnormal_value(tmp_path):
+    # 5% of 5e-324 rounds to 0, which left a zero-width axis and a
+    # ZeroDivisionError; the axis spans [-0.5, 0.5] as it does around 0
+    path = tmp_path / "plot.svg"
+    write_svg(path, [("D", [5e-324], [5e-324], "points")], title="t", xlabel="x", ylabel="y",
+              log_y=False)
+    svg = path.read_text()
+    assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == [
+        "-0.5", "-0.25", "0", "0.25", "0.5"]
+    assert len(re.findall(r"<circle ", svg)) == 1

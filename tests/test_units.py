@@ -32,6 +32,19 @@ def test_beta_rejects_bad_temperature(bad):
         temperature_to_beta(bad)
 
 
+@pytest.mark.parametrize("temp_mk", [5e-324, 2.5e-323])
+def test_beta_is_infinite_where_kb_t_underflows(temp_mk):
+    # kB T rounds to 0 here; a little warmer, 1/(kB T) overflows to inf, so
+    # both are a bath at T = 0
+    assert temperature_to_beta(temp_mk) == math.inf
+    assert temperature_to_beta(1e-320) == math.inf
+
+
+@given(st.floats(min_value=3e-323, max_value=1e300))
+def test_beta_is_the_reciprocal_wherever_kb_t_is_not_zero(temp_mk):
+    assert temperature_to_beta(temp_mk) == 1.0 / (KB_UEV_PER_K * temp_mk * 1e-3)
+
+
 @given(st.floats(min_value=1e-3, max_value=1e4, allow_nan=False))
 def test_beta_inverts_temperature(temp_mk):
     beta = temperature_to_beta(temp_mk)
