@@ -35,6 +35,11 @@ EM_COEFFS = tuple(
 # below this (nu + 2) * omega_c t the closed form of C(t) cancels; its odd
 # power series, whose ratio is at most ((nu + 2) omega_c t / 2)^2, replaces it
 C_SERIES_U = 0.5
+# below this beta omega_c (a = 1/(beta omega_c) above 1e16, or past the
+# largest double), B2 is its classical limit: coth(z) = 1/z + z/3 - ...
+# leaves B2/(4 eta) = (2/beta) omega_c^(nu-1) G_(nu-1)(omega_c t) up to a
+# relative O(1/a^2)
+CLASSICAL_BETA_OMEGA_C = 1e-16
 
 
 def _record(typename: str, field_names: str):
@@ -128,6 +133,25 @@ def _thermal_sum(nu: float, a: float, y: float) -> float:
     return total
 
 
+def _classical(nu: float, beta: float, omega_c: float, t: float) -> float:
+    """(2/beta) omega_c^(nu-1) G_(nu-1)(x) at x = omega_c t, for t > 0.
+
+    As (2/beta) omega_c^(nu+1) t^2 h(x) with h = G_(nu-1)(x)/x^2, which is
+    Gamma(nu+1)/2 to a relative (nu+1)(nu+2) x^2/12 below x = 1e-9, where
+    x^2 may underflow.  It is formed as the
+    exp of a sum of logs, so no factor over- or underflows on its own; that
+    costs a relative error of about 1e-14.
+    """
+    x = omega_c * t
+    if x < 1e-9:
+        log_h = math.log(0.5 * math.gamma(nu + 1.0))
+    else:
+        log_h = math.log(_g_below(nu, x)) - 2.0 * math.log(x)
+    return math.exp(
+        math.log(2.0) - math.log(beta) + (nu + 1.0) * math.log(omega_c) + 2.0 * math.log(t) + log_h
+    )
+
+
 def _finite(value: float, name: str, t: float, spec: BathSpec) -> float:
     if not math.isfinite(value):
         raise ValueError(
@@ -163,20 +187,25 @@ def dephasing_exponent(t: float, spec: BathSpec) -> float:
     B2 = 4 eta [omega_c^nu G_nu(x) + 2 beta^-nu sum_{n>=1} (n+a)^-nu G_nu(y/(n+a))],
 
     which at s = 1 is 4 eta [ln(1 + x^2)/2 + 2 lnG(1+a) - 2 Re lnG(1+a+iy)]
-    and at beta = inf keeps only its first term.  Raises ValueError if B2
-    is not finite in double precision.
+    and at beta = inf keeps only its first term.  Where a > 1e16 (see
+    CLASSICAL_BETA_OMEGA_C), B2 is 8 eta/beta omega_c^(nu-1) G_(nu-1)(x),
+    which tends to 0 with omega_c.  Raises ValueError if B2 is not finite
+    in double precision.
     """
     _validate_time(t)
     if t == 0.0 or spec.eta == 0.0:
         return 0.0
     nu = spec.s - 1.0
     try:
-        total = spec.omega_c**nu * _g(nu, spec.omega_c * t)
-        if math.isfinite(spec.beta):
-            a = 1.0 / (spec.beta * spec.omega_c)
-            total += 2.0 * spec.beta**-nu * _thermal_sum(nu, a, t / spec.beta)
+        if spec.beta * spec.omega_c < CLASSICAL_BETA_OMEGA_C:
+            total = _classical(nu, spec.beta, spec.omega_c, t)
+        else:
+            total = spec.omega_c**nu * _g(nu, spec.omega_c * t)
+            if math.isfinite(spec.beta):
+                a = 1.0 / (spec.beta * spec.omega_c)
+                total += 2.0 * spec.beta**-nu * _thermal_sum(nu, a, t / spec.beta)
         b2 = 4.0 * spec.eta * total
-    except (OverflowError, ZeroDivisionError):  # the second where beta omega_c underflows to 0
+    except OverflowError:
         b2 = math.inf
     return _finite(b2, "B2", t, spec)
 

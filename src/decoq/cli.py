@@ -108,15 +108,21 @@ _FIELDS = {
 }
 
 
+def _check_gate_e_j(e_j: float):
+    """Stricter than the maps' E_J >= 0: the gate time 1/E_J must be a positive double."""
+    if not math.isfinite(e_j) or e_j <= 0.0:
+        raise ValueError(f"e_j must be positive, got {e_j}")
+    if not math.isfinite(1.0 / e_j):
+        raise ValueError(f"gate time 1/e_j is not finite in double precision at e_j={e_j}")
+
+
 class RunConfig(namedtuple("RunConfig", _FIELDS, defaults=[d for d, _, _ in _FIELDS.values()])):
     """Physics and numerics knobs; _COMMAND_FIELDS says which each subcommand reads."""
 
     __slots__ = ()
 
     def validate(self):
-        # stricter than the maps' E_J >= 0: the gate time is 1/E_J
-        if not math.isfinite(self.e_j) or self.e_j <= 0.0:
-            raise ValueError(f"e_j must be positive, got {self.e_j}")
+        _check_gate_e_j(self.e_j)
         self.bath_spec()
         _check_threshold_and_t_max(self.threshold, self.t_max)
         if self.n_samples < 2:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from decoq.bath import (
     phase_shift,
 )
 from decoq.discrete import (
+    _BLOCK,
     DiscreteBath,
     coth,
     dephasing_exponent_modes,
@@ -35,6 +37,19 @@ def bench_spec(**kw):
 def zero_t_b2(t, spec):
     """B2 at T = 0 for s = 1: 2 eta ln(1 + omega_c^2 t^2)."""
     return 2.0 * spec.eta * math.log1p((spec.omega_c * t) ** 2)
+
+
+def single_pass_sums(t, bath, beta):
+    """B2 and C of a discrete bath as one numpy sum over all modes at once."""
+    w, g2 = bath
+    with np.errstate(over="ignore"):
+        b2 = np.sum(8.0 * g2 / w**2 * np.sin(0.5 * w * t) ** 2 / np.tanh(0.5 * beta * w))
+    x = w * t
+    small = np.abs(x) < 0.1
+    xs = np.where(small, x, 0.0)
+    series = (xs**3 / 6.0) * (1.0 - xs**2 / 20.0 + xs**4 / 840.0 - xs**6 / 60480.0)
+    c = np.sum(g2 / w**2 * np.where(small, series, x - np.sin(x)))
+    return float(b2), float(c)
 
 
 def mpmath_b2(t, spec, dps=40):
@@ -261,13 +276,33 @@ class TestDephasingExponent:
             with pytest.raises(ValueError, match=r"s=80\.0, omega_c=10000\.0, t=0\.5"):
                 quantity(0.5, spec)
 
-    @pytest.mark.parametrize("omega_c", [1e-310, 5e-324])
-    def test_underflowing_beta_omega_c_is_a_value_error(self, omega_c):
-        # a = 1/(beta omega_c) is past the largest double at both; at
-        # 5e-324 beta omega_c itself rounds to 0 and used to divide by zero
-        with pytest.raises(ValueError, match=f"^B2 is not finite in double precision at s=1.0, "
-                                             f"omega_c={omega_c}, t=1.0$"):
-            dephasing_exponent(1.0, bench_spec(omega_c=omega_c))
+    def test_b2_vanishes_with_the_cutoff(self):
+        # a = 1/(beta omega_c) is past the largest double from omega_c =
+        # 1.43e-308 at 30 mK, and beta omega_c rounds to 0 at 5e-324; B2
+        # there used to be "not finite" (inf * 0 in the thermal sum) while
+        # 1.5e-308 gave 0.0
+        cutoffs = [1e-300, 1e-305, 1.5e-308, 1.43e-308, 1e-310, 1e-315, 1e-320, 5e-324]
+        for t in (0.5, 1.0, 1e3):
+            b2 = [dephasing_exponent(t, bench_spec(omega_c=c)) for c in cutoffs]
+            assert all(math.isfinite(v) and v >= 0.0 for v in b2)
+            assert all(later <= earlier for earlier, later in zip(b2, b2[1:]))
+            # the classical 4 eta omega_c t^2/beta of a bath far below kT
+            assert b2[0] == pytest.approx(4e-6 * 1e-300 * t * t / BETA_30MK, rel=1e-13)
+
+    def test_classical_limit_where_beta_omega_c_underflows_at_a_tiny_beta(self):
+        # beta omega_c = 1e-310 again puts a past the largest double, but
+        # here B2 = 4 eta omega_c t^2/beta is huge, not 0
+        spec = bench_spec(omega_c=1e-10, beta=1e-300)
+        assert dephasing_exponent(1.0, spec) == pytest.approx(4e-6 * 1e-10 / 1e-300, rel=1e-13)
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("t", [1e-6, 0.5, 1e4])
+    def test_classical_limit_meets_the_thermal_sum(self, s, t):
+        # either side of CLASSICAL_BETA_OMEGA_C = 1e-16, the two forms agree
+        spec = bench_spec(s=s, omega_c=1.0)
+        below = dephasing_exponent(t, spec._replace(beta=0.99e-16))
+        above = dephasing_exponent(t, spec._replace(beta=1.01e-16))
+        assert below == pytest.approx(above * 1.01 / 0.99, rel=1e-12)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -467,6 +502,48 @@ class TestDiscreteBath:
             "omega*t is not finite in double precision at omega=10.0, t=1e+308"
         )
         assert math.isfinite(mode_sum(1e307, bath))
+        # only the last of four blocks holds the phase past the largest double
+        w = np.arange(1.0, 3 * _BLOCK + 8)
+        with pytest.raises(ValueError) as caught:
+            mode_sum(1e304, DiscreteBath(w, 1.0 / w))
+        assert str(caught.value) == (
+            f"omega*t is not finite in double precision at omega={w[-1]}, t=1e+304"
+        )
+
+    def test_bath_and_one_block_bound_the_memory(self):
+        # 200,000 modes hold 3.2 MB; the discretization used to peak 5.0 MB
+        # above that, the B2 sum 6.4 MB and the C sum 11.4 MB
+        spec = bench_spec()
+        tracemalloc.start()
+        try:
+            bath = discretize_bath(spec, 200_000, 60.0 * spec.omega_c)
+            held = bath.omegas.nbytes + bath.g_sq.nbytes
+            assert tracemalloc.get_traced_memory()[1] <= held + 0.5e6
+            for mode_sum in (lambda: dephasing_exponent_modes(0.5, bath, spec.beta),
+                             lambda: phase_shift_modes(0.5, bath)):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                mode_sum()
+                assert tracemalloc.get_traced_memory()[1] - before <= 0.5e6
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n_modes", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 200_000])
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 20.0])
+    def test_block_sums_match_a_single_pass(self, n_modes, t):
+        spec = bench_spec()
+        bath = discretize_bath(spec, n_modes, 60.0 * spec.omega_c)
+        b2, c = single_pass_sums(t, bath, spec.beta)
+        assert dephasing_exponent_modes(t, bath, spec.beta) == pytest.approx(b2, rel=1e-15, abs=0.0)
+        assert phase_shift_modes(t, bath) == pytest.approx(c, rel=1e-15, abs=0.0)
+
+    def test_owned_read_only_arrays_are_kept(self):
+        # discretize_bath hands over arrays it owns and froze; they are not copied
+        bath = discretize_bath(bench_spec(), 100, 1e3)
+        again = DiscreteBath(bath.omegas, bath.g_sq)
+        assert again.omegas is bath.omegas and again.g_sq is bath.g_sq
+        view = bath.omegas[:50]
+        assert DiscreteBath(view, bath.g_sq[:50]).omegas is not view
 
     def test_caller_arrays_stay_writeable(self):
         w, g2 = np.array([1.0, 2.0]), np.array([0.1, 0.2])
@@ -515,6 +592,12 @@ class TestDiscreteBath:
         assert dephasing_exponent_modes(0.5, bath, 1e308) == dephasing_exponent_modes(
             0.5, bath, math.inf
         )
+        # from omega = 17977 on, in the third block of four; the suite turns
+        # numpy's overflow warning into an error
+        w = np.arange(1.0, 3 * _BLOCK + 8)
+        bath = DiscreteBath(w, 1.0 / w)
+        b2, _ = single_pass_sums(0.5, bath, 2e304)
+        assert dephasing_exponent_modes(0.5, bath, 2e304) == pytest.approx(b2, rel=1e-15, abs=0.0)
 
     def test_phase_shift_modes_converge(self):
         spec = bench_spec(beta=math.inf)

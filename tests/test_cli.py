@@ -395,6 +395,14 @@ class TestSweepCommand:
         assert tiny[1:] == cold[1:]
         assert tiny[-1].startswith("no-crossing")
 
+    def test_e_j_whose_gate_time_overflows_is_an_error_row(self, tmp_path):
+        # 1/E_J overflows at 5e-324; the row used to blame a time of inf
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", "E_J", "--values", "5e-324,51.8", "--out", str(out)]) == 0
+        _, _, (tiny, ordinary) = read_csv(out)
+        assert tiny[-1] == "error: gate time 1/e_j is not finite in double precision at e_j=5e-324"
+        assert ordinary[-1] == "ok"
+
     def test_temperature_sweep_with_failures_recorded(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(
@@ -659,6 +667,14 @@ class TestExitCodes:
 
     def test_invalid_config_value(self):
         assert main(["tld", "--ej", "-5"]) == 1
+
+    def test_e_j_whose_gate_time_overflows_is_named(self, tmp_path, capsys):
+        # the gate time 1/E_J overflows; the error used to name a time of inf
+        out = tmp_path / "t.json"
+        assert main(["tld", "--ej", "5e-324", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: gate time 1/e_j is not finite in double precision at e_j=5e-324"]
+        assert not out.exists()
 
     def test_unrepresentable_bath_exits_one(self, tmp_path, capsys):
         # omega_c^(s-1) = 1e316 overflows a double; the run ends with one
