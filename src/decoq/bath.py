@@ -17,8 +17,6 @@ Convention note: the exponential cutoff is the decaying form exp(-w/omega_c);
 a growing exponential would make every moment of J divergent.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

@@ -12,8 +12,6 @@ of _BLOCK at a time, so no call holds more than the bath plus one block's
 temporaries (under 0.3 MB).
 """
 
-from __future__ import annotations
-
 import math
 import operator
 

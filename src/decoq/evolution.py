@@ -13,8 +13,6 @@ evolve_real, ...) live in `states`; QubitState is still importable from
 here and loads it on first use.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import struct

@@ -42,8 +42,6 @@ through sigma_z, and energies are in ueV with time in units of
 hbar/ueV.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import operator
@@ -183,9 +181,9 @@ def _dense_eigensystem(system: CompositeSystem):
 
 
 def _propagator(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) from H's eigensystem; t times its largest |eigenvalue| must be a double."""
+    """exp(-i H t) = V e^(-iEt) V.T from eigh of a real symmetric H; max |E| t must be a double."""
     _check_phase(float(np.max(np.abs(evals))), t)
-    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+    return (evecs * np.exp(-1j * evals * t)) @ evecs.T
 
 
 def gate_unitary(e_j: float, tau: float) -> np.ndarray:

@@ -25,8 +25,6 @@ closed form: the smallest eigenvalue of a 2x2 hermitian matrix is
 (rho_00 + rho_11)/2 - hypot((rho_00 - rho_11)/2, |rho_10|).
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 
@@ -127,7 +125,7 @@ def pure_state(theta: float, phi: float = 0.0) -> QubitState:
     return QubitState(np.outer(psi, psi.conj()), EIGENBASIS)
 
 
-def random_density_matrix(rng: np.random.Generator, basis: str = EIGENBASIS) -> QubitState:
+def random_density_matrix(rng: "np.random.Generator", basis: str = EIGENBASIS) -> QubitState:
     """Random full-rank 2x2 density matrix from a Ginibre draw."""
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = a @ a.conj().T

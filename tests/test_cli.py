@@ -907,10 +907,11 @@ class TestLazyImport:
         )
         assert run_python(script).strip() == "[]"
 
-    # which of these modules a launch loads
+    # which of these modules a launch loads; decoq evaluates its annotations
+    # as written, so no launch needs __future__
     WATCHED = (
-        "decoq.discrete", "decoq.oracle", "decoq.states", "decoq.svgplot", "json", "numpy",
-        "numpy.linalg",
+        "__future__", "decoq.discrete", "decoq.oracle", "decoq.states", "decoq.svgplot", "json",
+        "numpy", "numpy.linalg",
     )
 
     @pytest.mark.parametrize(
@@ -945,8 +946,10 @@ class TestLazyImport:
         # records are validated named tuples and svgplot escapes SVG text
         # itself: dataclasses drags inspect, ast, dis and tokenize into
         # every launch, and html its entity table.  numpy's own import loads
-        # inspect, so the oracle, which imports numpy, is measured after it
-        heavy = ("dataclasses", "inspect", "html")
+        # inspect, so the oracle, which imports numpy, is measured after it.
+        # random_density_matrix's annotation names np.random as a string:
+        # evaluated, it would load numpy.random's 18 modules on every import
+        heavy = ("dataclasses", "inspect", "html", "numpy.random")
         script = (
             "import sys\n"
             f"{'import numpy' if module == 'decoq.oracle' else ''}\n"
