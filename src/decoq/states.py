@@ -229,10 +229,14 @@ def bloch_supremum_scan(
     _check_time_and_e_j(t, e_j)
     theta = np.linspace(0.0, math.pi, BLOCH_GRID)
     phi = np.linspace(0.0, 2.0 * math.pi, BLOCH_GRID, endpoint=False)
-    decay = -np.expm1(-dephasing)
-    # cos and sin on the theta axis, the phase on the phi axis, broadcast
-    cos_th, sin_th = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    val = 0.5 * decay * np.sqrt(cos_th**2 + sin_th**2 * np.sin(phi + 0.5 * t * e_j) ** 2)
-    k = int(np.argmax(val))
-    i, j = divmod(k, BLOCH_GRID)
-    return float(val[i, j]), float(theta[i]), float(phi[j])
+    half_decay = 0.5 * -np.expm1(-dephasing)
+    cos2, sin2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+    lift = np.sin(phi + 0.5 * t * e_j) ** 2
+    # every rounded step of the norm is monotone in lift, so the grid's
+    # maximum lies in the column of lift's first maximum; the grid's
+    # row-major first maximum is in the first row that reaches it, at the
+    # first phi of that row that does (theta = 0 ties at every phi)
+    i = int(np.argmax(half_decay * np.sqrt(cos2 + sin2 * lift[np.argmax(lift)])))
+    row = half_decay * np.sqrt(cos2[i] + sin2[i] * lift)
+    j = int(np.argmax(row))
+    return float(row[j]), float(theta[i]), float(phi[j])

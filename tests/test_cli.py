@@ -23,6 +23,7 @@ from decoq.cli import (
     RunConfig,
     build_config,
     build_parser,
+    commands,
     main,
     parse_config_file,
 )
@@ -509,7 +510,8 @@ class TestSweepCommand:
 
     def test_check_fails_when_tau_ld_rises(self, monkeypatch, tmp_path, capsys):
         # a tau_ld that grows with eta breaks the monotonicity the check asserts
-        monkeypatch.setattr(cli, "low_decoherence_time", lambda threshold, spec, t_max: spec.eta)
+        monkeypatch.setattr(commands, "low_decoherence_time",
+                            lambda threshold, spec, t_max: spec.eta)
         argv = ["sweep", "--axis", "eta", "--values", "1e-6,2e-6,3e-6", "--check",
                 "--out", str(tmp_path / "s.csv")]
         assert main(argv) == 3
@@ -519,15 +521,13 @@ class TestSweepCommand:
     def test_other_warnings_keep_the_suites_filter(self, monkeypatch, tmp_path):
         # filterwarnings = error is in force here; main repeats only the
         # past-t_rise warning, so any other one still fails the run
-        import decoq.cli
-
-        real = decoq.cli.low_decoherence_time
+        real = commands.low_decoherence_time
 
         def noisy(*args, **kwargs):
             warnings.warn("not expected", UserWarning)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(decoq.cli, "low_decoherence_time", noisy)
+        monkeypatch.setattr(commands, "low_decoherence_time", noisy)
         argv = ["sweep", "--axis", "T", "--values", "10,30", "--out", str(tmp_path / "s.csv")]
         with pytest.raises(UserWarning, match="not expected"):
             main(argv)
@@ -535,7 +535,7 @@ class TestSweepCommand:
     def test_other_warnings_keep_pythons_defaults(self, tmp_path):
         # under Python's own filters a UserWarning shows once per place as
         # one warning: line, and a DeprecationWarning raised in decoq
-        # (stacklevel 2: the caller in decoq.cli) stays hidden
+        # (stacklevel 2: the caller in decoq.cli.commands) stays hidden
         script = (
             "import io, sys, warnings\n"
             "import decoq.cli as cli\n"
@@ -572,10 +572,12 @@ class TestVerifyCommand:
 
     def test_a_check_that_raises_fails(self, monkeypatch, tmp_path, capsys):
         # a crash is a failed check, and the other checks still run
+        from decoq.cli import checks
+
         def crash():
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "_check_split_order", crash)
+        monkeypatch.setattr(checks, "_check_split_order", crash)
         out = tmp_path / "verify.json"
         assert main(["verify", "--out", str(out)]) == 3
         assert "check split-order: FAIL (raised RuntimeError: boom)" in (
@@ -910,36 +912,59 @@ class TestLazyImport:
     # which of these modules a launch loads; decoq evaluates its annotations
     # as written, so no launch needs __future__
     WATCHED = (
-        "__future__", "decoq.discrete", "decoq.oracle", "decoq.states", "decoq.svgplot", "json",
+        "__future__", "decoq.bath", "decoq.cli.checks", "decoq.cli.commands", "decoq.discrete",
+        "decoq.evolution", "decoq.oracle", "decoq.states", "decoq.svgplot", "decoq.units", "json",
         "numpy", "numpy.linalg",
     )
+    # what curve, tld and sweep run on
+    KERNEL = ["decoq.bath", "decoq.cli.commands", "decoq.evolution", "decoq.units"]
 
     @pytest.mark.parametrize(
-        "argv,loaded",
+        "argv,code,loaded",
         [
-            (["--version"], []),
-            (["tld"], ["json"]),
-            (["tld", "--config", "s3.cfg"], ["json"]),
-            (["tld", "--config", "hump.cfg"], ["json"]),
-            (["curve"], ["decoq.svgplot"]),
-            (["sweep", "--axis", "T", "--values", "10,30"], ["decoq.svgplot"]),
-            (["verify"], [
-                "decoq.discrete", "decoq.oracle", "decoq.states", "json", "numpy", "numpy.linalg",
+            (["--version"], 0, []),
+            (["-h"], 0, []),
+            (["--eta", "1", "tld"], 1, []),
+            (["tld"], 0, [*KERNEL, "json"]),
+            (["tld", "--config", "s3.cfg"], 0, [*KERNEL, "json"]),
+            (["tld", "--config", "hump.cfg"], 0, [*KERNEL, "json"]),
+            (["curve"], 0, [*KERNEL, "decoq.svgplot"]),
+            (["sweep", "--axis", "T", "--values", "10,30"], 0, [*KERNEL, "decoq.svgplot"]),
+            (["verify"], 0, [
+                "decoq.bath", "decoq.cli.checks", "decoq.cli.commands", "decoq.discrete",
+                "decoq.evolution", "decoq.oracle", "decoq.states", "decoq.units", "json", "numpy",
+                "numpy.linalg",
             ]),
         ],
-        ids=["version", "tld", "tld-s3", "tld-hump", "curve", "sweep", "verify"],
+        ids=["version", "help", "usage-error", "tld", "tld-s3", "tld-hump", "curve", "sweep",
+             "verify"],
     )
-    def test_launch_loads_only_what_it_runs(self, tmp_path, argv, loaded):
+    def test_launch_loads_only_what_it_runs(self, tmp_path, argv, code, loaded):
         (tmp_path / "s3.cfg").write_text("s = 3\n")
         (tmp_path / "hump.cfg").write_text(HUMP_CONFIG)
         script = (
-            "import os, sys\n"
+            "import contextlib, io, os, sys\n"
             f"os.chdir({str(tmp_path)!r})\n"
             "from decoq.cli import main\n"
-            f"assert main({argv!r}) in (0, 2)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == {code}\n"
             f"print(sorted(set(sys.modules) & set({self.WATCHED!r})))\n"
         )
-        assert run_python(script).splitlines()[-1] == repr(loaded)
+        assert run_python(script).splitlines()[-1] == repr(sorted(loaded))
+
+    def test_version_launch_imports_only_the_dispatcher(self):
+        # python -m runs decoq/cli/__main__.py as __main__, so the launch
+        # imports the package and its dispatcher and nothing else of decoq
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "decoq.cli", "--version"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, f"decoq {__version__}\n")
+        imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert [name for name in imported if name.split(".")[0] == "decoq"] == [
+            "decoq", "decoq.cli"]
 
     @pytest.mark.parametrize("module", ["decoq.cli", "decoq.oracle"])
     def test_import_loads_no_dataclasses(self, module):
@@ -1055,3 +1080,32 @@ class TestPublicNames:
 
         with pytest.raises(AttributeError, match="no_such_name"):
             getattr(importlib.import_module(module), "no_such_name")
+
+
+class TestTracedNames:
+    def test_commands_call_the_names_bound_on_decoq_cli(self, tmp_path):
+        # the benchmark's tracer replaces these on decoq.cli before main runs;
+        # the command modules load after it and call what it put there
+        script = (
+            "import contextlib, io, os\n"
+            f"os.chdir({str(tmp_path)!r})\n"
+            "import decoq.cli as cli\n"
+            "calls = {}\n"
+            "def counting(name, real):\n"
+            "    def wrapper(*args, **kwargs):\n"
+            "        calls[name] = calls.get(name, 0) + 1\n"
+            "        return real(*args, **kwargs)\n"
+            "    return wrapper\n"
+            "for name in ('dephasing_exponent', 'low_decoherence_time', 'error_scaling'):\n"
+            "    setattr(cli, name, counting(name, getattr(cli, name)))\n"
+            "for command in ('curve', 'tld', 'verify'):\n"
+            "    calls.clear()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main([command]) == 0\n"
+            "    print(command, sorted(calls.items()))\n"
+        )
+        assert run_python(script).splitlines() == [
+            "curve [('dephasing_exponent', 400)]",
+            "tld [('dephasing_exponent', 1), ('low_decoherence_time', 1)]",
+            "verify [('dephasing_exponent', 1), ('error_scaling', 1)]",
+        ]

@@ -17,8 +17,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -45,6 +47,7 @@ CONFIGS = {
 # case -> argv, with {dir} the run's directory
 CASES = {
     "version": ["--version"],
+    "help": ["-h"],
     "bad-flag": ["tld", "--thr", "1e-4"],
     "tld": ["tld", "--out", "{dir}/tld.json"],
     "tld-s3": ["tld", "--config", "{dir}/s3.cfg", "--out", "{dir}/tld.json"],
@@ -84,7 +87,10 @@ def run_case(name: str, workdir: Path) -> dict:
         (workdir / config).write_text(text)
     argv = [arg.format(dir=workdir) for arg in CASES[name]]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps usage and help at the terminal's width: pin the 80
+    # columns it takes when stdout is not a terminal
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
         code = main(argv)
     outputs = {
         path.name: path.read_text()

@@ -224,3 +224,18 @@ class TestBlochScan:
     @example(b2=0.0, t=0.0, e_j=0.0)  # every grid point ties at 0
     def test_bit_identical_to_the_meshgrid(self, b2, t, e_j):
         assert bloch_supremum_scan(b2, t, e_j) == bloch_scan_reference(b2, t, e_j)
+
+    # the scan takes lift = sin^2(phi + t E_J/2) once on the phi axis, then
+    # theta at lift's first maximum: lift peaks twice at phase 0, and
+    # cos^2 + sin^2 rounds above 1 on six theta rows where lift is 1
+    @settings(max_examples=300, deadline=None)
+    @given(
+        b2=st.one_of(st.just(math.inf), st.floats(0.0, 1e3)),
+        t=st.floats(-1e6, 1e6),
+        e_j=st.floats(0.0, 1e6),
+    )
+    @example(b2=1.0, t=0.0, e_j=51.8)
+    @example(b2=math.inf, t=1e6, e_j=1e6)
+    @example(b2=1e-310, t=1.0, e_j=1.0)  # a subnormal norm
+    def test_axis_scans_give_the_grids_first_maximum(self, b2, t, e_j):
+        assert bloch_supremum_scan(b2, t, e_j) == bloch_scan_reference(b2, t, e_j)
