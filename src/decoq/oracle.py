@@ -27,10 +27,13 @@ composite one.  The split step A(t/2) B(t) A(t/2) therefore acts on the
 2x2 state as A(t/2) (rho_01 -> chi rho_01) A(t/2), and the exact
 evolution is the same map with A = 1 whenever E_J = 0.  chi is not the
 closed-form B^2 of the continuum or mode-sum formulas, so the check stays
-independent.  Dense d x d algebra is kept only where sigma_z is not
-conserved: the splitting-order fit and the exact evolution at E_J != 0,
-whose bath trace sum_icdj u_{ai,cj} rho_cd p_j conj(u_{bi,dj}) is taken
-from the propagator u with no d x d density matrix.
+independent.  At E_J != 0 sigma_z is not conserved, but the parity
+sigma_x x P, P = prod_k P_k, is: on the states |0>|v> +- |1>P|v>, H is the
+(d/2)-square H_+- = h -+ (E_J/2) P, h the Kronecker sum of the h_{+,k}.
+With U_+- = exp(-i H_+- t) and S, D = (U_+ +- U_-)/2, exp(-i H t) has the
+charge x Fock blocks [[S, D P], [P D, P S P]], from which the bath trace
+sum_icdj u_{ai,cj} rho_cd p_j conj(u_{bi,dj}) is taken with no composite H
+and no d x d density matrix.
 
 Each entry point that takes beta checks its arguments and computes the
 bath weights once, then calls the private split and exact maps, never
@@ -63,7 +66,7 @@ TRUNCATION_WEIGHT_TOL = 1e-13
 # round-off and carry no information about the step size
 ERROR_FLOOR = 1e-13
 
-# largest composite Hilbert-space dimension a CompositeSystem may have
+# largest composite dimension d of the dense d x d and (d/2)-square arrays
 MAX_DIM = 4096
 
 
@@ -105,13 +108,7 @@ class CompositeSystem(_record("CompositeSystem", "e_j modes")):
             raise ValueError("at least one bath mode is required")
         if not all(isinstance(m, TruncatedBathMode) for m in modes):
             raise TypeError("modes must be TruncatedBathMode instances")
-        self = super().__new__(cls, e_j, modes)
-        if self.dim > MAX_DIM:
-            raise DimensionCapError(
-                f"composite dimension {self.dim} exceeds the cap {MAX_DIM}; "
-                "reduce n_fock or the number of modes"
-            )
-        return self
+        return super().__new__(cls, e_j, modes)
 
     @property
     def bath_dim(self) -> int:
@@ -120,6 +117,13 @@ class CompositeSystem(_record("CompositeSystem", "e_j modes")):
     @property
     def dim(self) -> int:
         return 2 * self.bath_dim
+
+
+def _check_dim(modes) -> None:
+    """Refuse the dense arrays of a composite dimension past MAX_DIM."""
+    if (dim := 2 * math.prod(m.n_fock for m in modes)) > MAX_DIM:
+        raise DimensionCapError(f"composite dimension {dim} exceeds the cap {MAX_DIM}; "
+                                "reduce n_fock or the number of modes")
 
 
 def _mode_operators(m: TruncatedBathMode) -> tuple[np.ndarray, np.ndarray]:
@@ -139,10 +143,11 @@ def build_hamiltonians(system: CompositeSystem) -> tuple[np.ndarray, np.ndarray]
     """Return (H_sys, H_int_plus_bath) on the full composite space.
 
     H_sys = -E_J/2 sigma_x x 1, and H_ib = sigma_z x C + 1 x E with the
-    Kronecker sums C and E of the modes' couplings and energies.  The
-    sigma_z = -1 block comes from -C, not from the parity mirror the maps
-    use, so this stays the tests' independent dense reference.
+    Kronecker sums C and E of the modes' couplings and energies.  No map
+    calls it: it is the tests' dense reference, whose sigma_z = -1 block
+    comes from -C and not from the parity the maps rest on.
     """
+    _check_dim(system.modes)
     energies, couplings = zip(*map(_mode_operators, system.modes))
     sigma_x, sigma_z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
     h_sys = np.kron(-0.5 * system.e_j * sigma_x, np.eye(system.bath_dim))
@@ -157,27 +162,26 @@ def _eigensystem(system: CompositeSystem):
     The split map, and the exact map at E_J = 0, need nothing else: h_{-,k}
     is its parity mirror, and the composite H_ib is never built.
     """
-    out = []
-    for m in system.modes:
-        evals, evecs = np.linalg.eigh(np.add(*_mode_operators(m)))
-        evals.flags.writeable = False
-        evecs.flags.writeable = False
-        out.append((evals, evecs))
-    return tuple(out)
+    out = tuple(np.linalg.eigh(np.add(*_mode_operators(m))) for m in system.modes)
+    for array in (a for pair in out for a in pair):
+        array.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=2)
 def _dense_eigensystem(system: CompositeSystem):
-    """Cached eigendecomposition of the composite H_total, for E_J != 0.
+    """Cached bath parity P and (evals, evecs) of H_+ and H_- = h -+ (E_J/2) P, for E_J != 0.
 
-    Its eigenvectors take 8 d^2 bytes, so only the two most recent
-    systems are kept.
+    The two blocks' eigenvectors take 4 d^2 bytes, so only the two most
+    recent systems are kept.
     """
-    h_sys, h_ib = build_hamiltonians(system)
-    evals, evecs = np.linalg.eigh(h_sys + h_ib)
-    evals.flags.writeable = False
-    evecs.flags.writeable = False
-    return evals, evecs
+    _check_dim(system.modes)
+    parity = functools.reduce(np.kron, [(-1.0) ** np.arange(m.n_fock) for m in system.modes])
+    h = _kron_sum([np.add(*_mode_operators(m)) for m in system.modes])
+    blocks = tuple(np.linalg.eigh(h - s * system.e_j * np.diag(parity)) for s in (0.5, -0.5))
+    for array in (parity, *(a for pair in blocks for a in pair)):
+        array.flags.writeable = False
+    return parity, blocks
 
 
 def _propagator(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
@@ -197,31 +201,28 @@ def gate_unitary(e_j: float, tau: float) -> np.ndarray:
 def _mode_weights(modes, beta: float) -> list[np.ndarray]:
     """Truncated Boltzmann weights of each mode's Fock levels.
 
-    A mode whose beta omega overflows, beta = inf among them, is in its
-    ground state.  Warns when the highest retained level still carries
-    relative weight above TRUNCATION_WEIGHT_TOL; every public function
-    calls this from its own body, so stacklevel 3 names its caller.
+    Level 0 weighs 1 and level k >= 1 exp(-beta omega k), so a mode whose
+    beta omega overflows, beta = inf among them, is in its ground state.
+    Warns when the highest retained level still carries relative weight
+    above TRUNCATION_WEIGHT_TOL; every public function calls this from its
+    own body, so stacklevel 3 names its caller.
     """
     _validate_beta(beta)
     weights = []
     for m in modes:
-        if math.isinf(beta * m.omega):
-            probs = np.zeros(m.n_fock)
-            probs[0] = 1.0
-        else:
-            top_weight = math.exp(-beta * m.omega * (m.n_fock - 1))
-            if top_weight > TRUNCATION_WEIGHT_TOL:
-                warnings.warn(
-                    f"mode at omega={m.omega} keeps relative weight "
-                    f"{top_weight:.2e} in its highest Fock level; "
-                    "increase n_fock for a faithful thermal state",
-                    BathTruncationWarning,
-                    stacklevel=3,
-                )
-            with np.errstate(over="ignore"):  # a beta omega k past the largest double is weight 0
-                probs = np.exp(-beta * m.omega * np.arange(m.n_fock))
-            probs /= probs.sum()
-        weights.append(probs)
+        top_weight = math.exp(-beta * m.omega * (m.n_fock - 1))
+        if top_weight > TRUNCATION_WEIGHT_TOL:
+            warnings.warn(
+                f"mode at omega={m.omega} keeps relative weight "
+                f"{top_weight:.2e} in its highest Fock level; "
+                "increase n_fock for a faithful thermal state",
+                BathTruncationWarning,
+                stacklevel=3,
+            )
+        probs = np.ones(m.n_fock)
+        with np.errstate(over="ignore"):  # a beta omega k past the largest double is weight 0
+            probs[1:] = np.exp(-beta * m.omega * np.arange(1, m.n_fock))
+        weights.append(probs / probs.sum())
     return weights
 
 
@@ -231,6 +232,8 @@ def thermal_bath_state(modes, beta: float) -> np.ndarray:
     The Kronecker product of the per-mode weights; beta = inf puts every
     mode in its ground state, and it warns as _mode_weights does.
     """
+    modes = tuple(modes)  # read twice, by the cap and by the weights
+    _check_dim(modes)
     return np.diag(functools.reduce(np.kron, _mode_weights(modes, beta)))
 
 
@@ -259,16 +262,17 @@ def _split_map(system: CompositeSystem, state: QubitState, weights, t: float) ->
 
 
 def _exact_map(system: CompositeSystem, state: QubitState, weights, t: float) -> QubitState:
-    """Exact reduced state: the split map at E_J = 0, else the dense bath trace."""
+    """Exact reduced state: the split map at E_J = 0, else the bath trace of the parity blocks."""
     if system.e_j == 0.0:
         return _split_map(system, state, weights, t)
     _check_time_and_e_j(t, system.e_j)
-    evals, evecs = _dense_eigensystem(system)
+    parity, blocks = _dense_eigensystem(system)
+    u_plus, u_minus = (_propagator(evals, evecs, t) for evals, evecs in blocks)
+    s, d, pc = 0.5 * (u_plus + u_minus), 0.5 * (u_plus - u_minus), parity[:, None]
+    u = np.array([[s, d * parity], [pc * d, pc * s * parity]])  # u[a, c]: charge block a, c
     p = functools.reduce(np.kron, weights)
-    nb = system.bath_dim
-    u = _propagator(evals, evecs, t).reshape(2, nb, 2, nb)
     return _in_charge_basis(
-        state, lambda rho: np.einsum("aicj,cd,bidj,j->ab", u, rho, u.conj(), p, optimize=True)
+        state, lambda rho: np.einsum("acij,cd,bdij,j->ab", u, rho, u.conj(), p, optimize=True)
     )
 
 
@@ -277,8 +281,8 @@ def evolve_exact(system: CompositeSystem, state: QubitState, beta: float, t: flo
 
     The qubit state may be given in either basis; the result comes back in
     the same basis it arrived in.  At E_J = 0 sigma_z is conserved, so the
-    split map with A = 1 is exact; otherwise the composite H_total is
-    diagonalized and the bath traced out of its propagator directly.
+    split map with A = 1 is exact; otherwise H's two parity blocks are
+    diagonalized and the bath traced out of their propagators directly.
     """
     return _exact_map(system, state, _mode_weights(system.modes, beta), t)
 
@@ -323,8 +327,8 @@ def error_scaling(
             "and there is no error to fit"
         )
     weights = _mode_weights(system.modes, beta)
-    evals, _ = _dense_eigensystem(system)
-    if times[-1] * np.max(np.abs(evals)) > 1.5:
+    _, blocks = _dense_eigensystem(system)
+    if times[-1] * max(np.max(np.abs(evals)) for evals, _ in blocks) > 1.5:
         warnings.warn(
             "largest step is not small against the total Hamiltonian norm; "
             "the fitted slope may be contaminated by higher orders",

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -61,7 +62,7 @@ def dense_reference(system, state, beta, t, split):
 
 
 @st.composite
-def composite_systems(draw, max_bath_dim=256):
+def composite_systems(draw, max_bath_dim=256, couplings=st.floats(0.0, 1.0)):
     """1-3 modes whose Fock levels keep the composite dimension <= 2 * max_bath_dim."""
     n_modes = draw(st.integers(1, 3))
     budget, modes = max_bath_dim, []
@@ -71,16 +72,57 @@ def composite_systems(draw, max_bath_dim=256):
         n_fock = draw(st.integers(2, cap))
         budget //= n_fock
         omega = draw(st.floats(2.0, 40.0))
-        g = draw(st.floats(0.0, 1.0))
+        g = draw(couplings)
         modes.append(TruncatedBathMode(omega, g, n_fock))
     return tuple(modes)
 
 
+# d = 8192, past MAX_DIM: no dense array of it may be formed
+CAPPED_MODES = tuple(
+    TruncatedBathMode(w, g, 16) for w, g in ((15.0, 0.3), (20.0, 0.2), (24.0, 0.25))
+)
+CAP_MESSAGE = (
+    r"^composite dimension 8192 exceeds the cap 4096; reduce n_fock or the number of modes$"
+)
+
+
 class TestConstruction:
-    def test_dimension_cap(self):
-        modes = tuple(TruncatedBathMode(8.0 + k, 0.1, 16) for k in range(3))
-        with pytest.raises(DimensionCapError):
-            CompositeSystem(e_j=51.8, modes=modes)
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            build_hamiltonians,
+            lambda system: thermal_bath_state(system.modes, BETA_30MK),
+            oracle._dense_eigensystem,
+            lambda system: evolve_exact(system, pure_state(0.5), BETA_30MK, 0.1),
+            lambda system: error_scaling(system, pure_state(0.5), BETA_30MK,
+                                         np.geomspace(1e-4, 1e-3, 4)),
+        ],
+        ids=["build_hamiltonians", "thermal_bath_state", "_dense_eigensystem",
+             "evolve_exact-dense", "error_scaling"],
+    )
+    def test_dimension_cap(self, monkeypatch, entry):
+        # the cap guards the dense d x d and (d/2)-square arrays, not the system
+        def refuse(*args, **kwargs):
+            raise AssertionError("diagonalised past the cap")
+
+        system = CompositeSystem(e_j=51.8, modes=CAPPED_MODES)
+        assert system.dim == 8192 > oracle.MAX_DIM == 4096
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        with pytest.raises(DimensionCapError, match=CAP_MESSAGE):
+            entry(system)
+
+    @pytest.mark.parametrize("t", [0.3, 1.7])
+    def test_maps_without_dense_arrays_run_past_the_cap(self, t):
+        bath = discrete_bath_from_modes(CAPPED_MODES)
+        b2 = dephasing_exponent_modes(t, bath, BETA_30MK)
+        rho0 = QubitState(np.full((2, 2), 0.5, dtype=complex), COMPUTATIONAL)
+        pure = CompositeSystem(e_j=0.0, modes=CAPPED_MODES)
+        for evolve in (evolve_exact, evolve_split):
+            assert evolve(pure, rho0, BETA_30MK, t).rho[0, 1] == pytest.approx(
+                0.5 * math.exp(-b2), abs=1e-12)
+        driven = CompositeSystem(e_j=51.8, modes=CAPPED_MODES)
+        cmp = split_vs_closed_form(driven, pure_state(0.7, 0.2), BETA_30MK, t)
+        assert cmp.b_squared == b2 and cmp.max_abs_diff < 1e-12
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -144,6 +186,13 @@ class TestThermalBathState:
         assert rho.shape == (72, 72)
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0.0
+
+    def test_modes_may_be_any_iterable(self):
+        # the cap and the weights both read the modes
+        modes = (TruncatedBathMode(8.0, 0.5, 12), TruncatedBathMode(16.0, 0.2, 6))
+        np.testing.assert_array_equal(
+            thermal_bath_state(iter(modes), BETA_30MK), thermal_bath_state(modes, BETA_30MK)
+        )
 
     def test_zero_temperature_is_ground_state(self):
         rho = thermal_bath_state((TruncatedBathMode(8.0, 0.5, 5),), math.inf)
@@ -306,19 +355,61 @@ class TestFactorisedAgainstDense:
         assert np.max(np.abs(exact - dense_reference(zero, state, beta, t, False))) <= 1e-12
 
     def test_large_system_never_builds_the_composite(self, monkeypatch):
-        # d = 2048: only the dense E_J != 0 exact evolution may build it
+        # d = 2048: no entry point builds H, at E_J = 0 or at E_J != 0
         def refuse(system):
             raise AssertionError("composite Hamiltonian built")
 
         monkeypatch.setattr(oracle, "build_hamiltonians", refuse)
         modes = (TruncatedBathMode(15.0, 0.3, 32), TruncatedBathMode(24.0, 0.2, 32))
         state = pure_state(0.7, 0.2)
-        pure, driven = (CompositeSystem(e_j=e_j, modes=modes) for e_j in (0.0, 51.8))
-        assert pure.dim == 2048
-        assert isinstance(evolve_exact(pure, state, BETA_30MK, 0.4), QubitState)
-        assert isinstance(evolve_split(driven, state, BETA_30MK, 0.4), QubitState)
-        with pytest.raises(AssertionError, match="composite"):
-            evolve_exact(driven, state, BETA_30MK, 0.4)
+        for e_j in (0.0, 51.8):
+            system = CompositeSystem(e_j=e_j, modes=modes)
+            assert system.dim == 2048
+            for evolve in (evolve_exact, evolve_split):
+                assert isinstance(evolve(system, state, BETA_30MK, 0.4), QubitState)
+            assert split_vs_closed_form(system, state, BETA_30MK, 0.4).max_abs_diff < 1e-12
+        # the largest |E| is about 1230, so these steps stay below the 1.5 warning
+        driven = CompositeSystem(e_j=51.8, modes=modes)
+        result = error_scaling(driven, state, BETA_30MK, np.geomspace(1e-4, 1e-3, 4))
+        assert math.isfinite(result.slope)
+
+    @pytest.mark.parametrize("n_fock", [(3,), (2, 5), (4, 3, 2)])
+    def test_parity_commutes_with_the_composite_hamiltonian(self, n_fock):
+        # the blocks rest on Pi H Pi = H, Pi = sigma_x x prod_k diag((-1)^n_k);
+        # Pi only flips signs and swaps blocks, so equality is exact
+        modes = tuple(
+            TruncatedBathMode(9.0 + 4 * k, 0.3 + 0.1 * k, n) for k, n in enumerate(n_fock)
+        )
+        system = CompositeSystem(e_j=51.8, modes=modes)
+        h = sum(build_hamiltonians(system))
+        parity = np.diag(functools.reduce(np.kron, [(-1.0) ** np.arange(n) for n in n_fock]))
+        big_pi = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), parity)
+        np.testing.assert_array_equal(big_pi @ h @ big_pi, h)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        modes=composite_systems(couplings=st.just(0.0) | st.floats(0.0, 1.0)),
+        beta=st.floats(1.0, 300.0).map(temperature_to_beta),
+        t=st.floats(1e-3, 3.0),
+        e_j=st.floats(0.0, 200.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_parity_blocks_fuzz(self, modes, beta, t, e_j, seed):
+        system = CompositeSystem(e_j=e_j, modes=modes)
+        _, blocks = oracle._dense_eigensystem(system)
+        assert [evecs.shape for _, evecs in blocks] == [(system.bath_dim,) * 2] * 2
+        union = np.sort(np.concatenate([evals for evals, _ in blocks]))
+        composite = np.linalg.eigvalsh(sum(build_hamiltonians(system)))
+        assert np.max(np.abs(union - composite)) <= 1e-12 * np.max(np.abs(composite))
+        rng = np.random.default_rng(seed)
+        for basis in (COMPUTATIONAL, "eigenbasis"):
+            state = random_density_matrix(rng, basis)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BathTruncationWarning)
+                exact = evolve_exact(system, state, beta, t)
+            assert exact.basis == basis
+            dense = dense_reference(system, state, beta, t, False)
+            assert np.max(np.abs(exact.rho - dense)) <= 1e-12
 
 
 class TestWorkDone:
@@ -339,20 +430,28 @@ class TestWorkDone:
         evolve_split(system, pure_state(0.7, 0.2), BETA_30MK, 0.4)
         assert calls == [(9, 9), (7, 7)]
 
-    def test_error_scaling_builds_the_hamiltonian_once(self, monkeypatch):
+    def test_error_scaling_diagonalises_the_two_parity_blocks(self, monkeypatch):
+        # per system: H_+ and H_- of size d/2 once each, then each mode's h_{+,k}
         calls = []
+        eigh = np.linalg.eigh
 
-        def counting(system):
-            calls.append(system)
-            return build_hamiltonians(system)
+        def counting(h):
+            calls.append(h.shape)
+            return eigh(h)
 
+        oracle._eigensystem.cache_clear()
         oracle._dense_eigensystem.cache_clear()
-        monkeypatch.setattr(oracle, "build_hamiltonians", counting)
-        error_scaling(
-            TestErrorScaling.SYSTEM, pure_state(math.pi / 3.0, 0.3), BETA_30MK,
-            np.geomspace(4e-4, 3e-3, 6),
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        uneven = CompositeSystem(
+            e_j=51.8, modes=(TruncatedBathMode(16.0, 0.8, 7), TruncatedBathMode(23.0, 0.6, 5))
         )
-        assert calls == [TestErrorScaling.SYSTEM]
+        for system in (TestErrorScaling.SYSTEM, uneven):
+            calls.clear()
+            error_scaling(
+                system, pure_state(math.pi / 3.0, 0.3), BETA_30MK, np.geomspace(4e-4, 3e-3, 6)
+            )
+            half = (system.bath_dim,) * 2
+            assert calls == [half, half] + [(m.n_fock,) * 2 for m in system.modes]
 
     def test_dense_exact_forms_no_bath_density_matrix(self, monkeypatch):
         def refuse(modes, beta):
