@@ -18,6 +18,7 @@ a growing exponential would make every moment of J divergent.
 """
 
 import math
+import sys
 from collections import namedtuple
 
 # thermal sum of B2: terms n < EM_N are summed directly, the rest by
@@ -129,6 +130,37 @@ def _thermal_sum(nu: float, a: float, y: float) -> float:
     for j, c in enumerate(EM_COEFFS, 1):
         total += c * q ** (1.0 - nu - 2 * j) * _g(nu + 2 * j - 1, r)
     return total
+
+
+def _hurwitz(p: float, z: complex) -> complex:
+    """sum_{n >= 1} (n + z)^-p for p > 1 and Re z > -1, summed as _thermal_sum is."""
+    q = EM_N + z
+    total = sum((n + z) ** -p for n in range(1, EM_N)) + q ** (1.0 - p) / (p - 1.0) + 0.5 * q**-p
+    rising = p  # the rising factorial (p)_(2j-1) of the (2j-1)-th derivative of x^-p
+    for j, c in enumerate(EM_COEFFS, 1):
+        total += c * rising * q ** (1.0 - p - 2 * j)
+        rising *= (p + 2 * j - 1) * (p + 2 * j)
+    return total
+
+
+def _b2_peak_bound(spec: BathSpec) -> float:
+    """(1 + cos^s(pi/s)) B2(inf), at least B2(t) at every t for s > 2 (README); or inf.
+
+    B2(inf) = 4 eta Gamma(nu) [omega_c^nu + 2 beta^-nu sum_{n>=1} (n + a)^-nu].  A factor
+    that overflows or is not a normal double, whose round-off is then not relative, gives inf.
+    """
+    nu = spec.s - 1.0
+    try:
+        factors = [spec.omega_c**nu, math.gamma(nu)]
+        if math.isfinite(spec.beta):
+            factors += [spec.beta**-nu, _hurwitz(nu, 1.0 / (spec.beta * spec.omega_c))]
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+    if not all(sys.float_info.min <= f < math.inf for f in factors):
+        return math.inf
+    vacuum, gamma, *thermal = factors
+    total = vacuum + 2.0 * thermal[0] * thermal[1] if thermal else vacuum
+    return 4.0 * gamma * total * (1.0 + math.cos(math.pi / spec.s) ** spec.s) * spec.eta
 
 
 def _classical(nu: float, beta: float, omega_c: float, t: float) -> float:

@@ -16,15 +16,15 @@ built-in default, the subcommand's own default (curve looks at
 t_max = 0.5, not 10), the file, then the flag.
 
 Exit codes: 0 success, 1 usage or configuration error (including a bath
-whose B2 or C is not finite in double precision, a repeated initial
-state and an output path that cannot be written), 2 no threshold
-crossing on the window, 3 a verification or consistency check failed.
+whose B2 or C is not finite in double precision, an s > 2 window whose
+first crossing past t_rise is not proved, a repeated initial state and
+an output path that cannot be written), 2 no threshold crossing on the
+window, 3 a verification or consistency check failed.
 """
 
 import argparse
 import math
 import sys
-import warnings
 
 from .. import __version__, _bind_on_first_use
 
@@ -177,29 +177,17 @@ def _parse(argv: list) -> argparse.Namespace:
     return build_parser(command).parse_args(argv[split + 1:])
 
 
-def _print_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    # a warning that is shown prints as one line, like note: and error:; the
-    # unproved search past t_rise shows each time, so every sweep row that
-    # takes it says so, and every other warning keeps the filters in force
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "always", message="D is not known to be monotone", category=RuntimeWarning
-        )
-        warnings.showwarning = _print_warning
-        cli = sys.modules[__name__]
-        try:
-            return getattr(cli, f"cmd_{args.command}")(cli.build_config(args), args)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    cli = sys.modules[__name__]
+    try:
+        return getattr(cli, f"cmd_{args.command}")(cli.build_config(args), args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def run():

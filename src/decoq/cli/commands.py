@@ -176,6 +176,30 @@ def cmd_curve(cfg: RunConfig, args) -> int:
 
 # ---------------------------------------------------------------- tld
 
+def _relaxation_window(cfg: RunConfig, beta: float, tau_gate_units: float) -> dict:
+    """The golden-rule window at E_J; null where a value is not a positive normal double.
+
+    The excited state decays at Gamma_down = 2 pi J(E_J) (1 + n) and the
+    populations relax at Gamma_1 = 2 pi J(E_J) (1 + 2n), n = 1/expm1(beta E_J),
+    so its deviation (Gamma_down/Gamma_1)(1 - e^(-Gamma_1 t)) reaches the
+    threshold at tau_M = -log1p(-threshold Gamma_1/Gamma_down)/Gamma_1
+    (Makhlin, Schoen & Shnirman, RMP 73, 357 (2001)).
+    """
+    x = beta * cfg.e_j
+    try:
+        n = math.exp(-x) / -math.expm1(-x)  # 1/expm1(x), and 0 at beta = inf
+        two_pi_j = 2.0 * math.pi * cfg.eta * cfg.e_j**cfg.s * math.exp(-cfg.e_j / cfg.omega_c)
+        rate, rate_1 = two_pi_j * (1.0 + n), two_pi_j * (1.0 + 2.0 * n)
+        tau = -math.log1p(-cfg.threshold * (1.0 + 2.0 * n) / (1.0 + n)) / rate_1
+    except (OverflowError, ZeroDivisionError):
+        rate = tau = math.nan
+    values = (rate, tau, tau * TIME_UNIT_S / _SECONDS_PER_PS, tau / tau_gate_units)
+    if not all(sys.float_info.min <= v < math.inf for v in values):
+        values = (None,) * 4
+    return dict(zip(("relaxation_rate", "tau_ld_relax_units", "tau_ld_relax_ps",
+                     "ratio_relax_over_gate"), values))
+
+
 def _tld_report(cfg: RunConfig) -> dict:
     spec = cfg.bath_spec()
     tau_gate_units = 1.0 / cfg.e_j
@@ -193,6 +217,8 @@ def _tld_report(cfg: RunConfig) -> dict:
         },
         "d_at_gate": max_decoherence(dephasing_exponent(tau_gate_units, spec)),
     }
+    report.update(_relaxation_window(cfg, spec.beta, tau_gate_units))
+    relax = report["tau_ld_relax_units"]
     try:
         tau = low_decoherence_time(cfg.threshold, spec, cfg.t_max)
     except NoCrossingError as exc:
@@ -202,6 +228,8 @@ def _tld_report(cfg: RunConfig) -> dict:
                 "tau_ld_units": None,
                 "tau_ld_ps": None,
                 "d_at_t_max": exc.d_at_t_max,
+                # the dephasing window is known only to pass t_max
+                "window_set_by": "relaxation" if relax is not None and relax < cfg.t_max else None,
                 "verdict": (
                     "D stays below the threshold on the whole window; "
                     "the low-decoherence time exceeds t_max"
@@ -217,6 +245,7 @@ def _tld_report(cfg: RunConfig) -> dict:
             "tau_ld_units": tau,
             "tau_ld_ps": tau_ps,
             "ratio_ld_over_gate": tau / tau_gate_units,
+            "window_set_by": "relaxation" if relax is not None and relax < tau else "dephasing",
             "verdict": (
                 "low-decoherence window covers the idle gate"
                 if covers

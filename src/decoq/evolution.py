@@ -16,11 +16,10 @@ here and loads it on first use.
 import functools
 import math
 import struct
-import warnings
 from collections.abc import Callable
 
-from . import _bind_on_first_use, linspace
-from .bath import BathSpec, _validate_dephasing, dephasing_exponent
+from . import _bind_on_first_use
+from .bath import BathSpec, _b2_peak_bound, _validate_dephasing, dephasing_exponent
 
 EIGENBASIS = "eigenbasis"
 COMPUTATIONAL = "computational"
@@ -106,11 +105,11 @@ def low_decoherence_time(threshold: float, spec: BathSpec, t_max: float) -> floa
     For s <= 2 B2 is non-decreasing, so D rises on [0, t_max].  For s > 2
     each term of B2 rises while its argument r = omega_c t (or t / (beta m),
     m >= 1/(beta omega_c)) stays below tan(pi/s), so D rises on [0, t_rise],
-    t_rise = tan(pi/s)/omega_c, and a crossing there is the first one.  Past
-    t_rise nothing is proved: the first cell of a 2049-point grid that reaches
-    the threshold is bisected, with a RuntimeWarning.  B2 is memoized per
-    call.  Raises NoCrossingError (carrying d(t_max)) if D(t_max) is below
-    the threshold, ValueError for thresholds outside (0, 1/2).
+    t_rise = tan(pi/s)/omega_c, and a crossing there is the first one; past
+    it only bath._b2_peak_bound, which holds at every t, is proved.  B2 is
+    memoized per call.  Raises NoCrossingError (carrying d(t_max)) if D is
+    proved to stay below the threshold, and ValueError for a threshold
+    outside (0, 1/2) or where neither a crossing nor its absence is proved.
     """
     _check_threshold_and_t_max(threshold, t_max)
 
@@ -122,22 +121,15 @@ def low_decoherence_time(threshold: float, spec: BathSpec, t_max: float) -> floa
     hi = min(t_rise, t_max)
     if d_of_t(hi) >= threshold:
         return _bisect(d_of_t, threshold, 0.0, hi)
+    # past t_rise, a relative 1e-12 covers the round-off of B2 and of its bound
+    d_bound = max_decoherence(_b2_peak_bound(spec) * (1.0 + 1e-12)) if hi < t_max else 0.0
+    if d_bound >= threshold:
+        raise ValueError(f"first crossing past t_rise={t_rise:.6e} is not proved at s={spec.s}: "
+                         f"D(t_rise)={d_of_t(t_rise):.6e} < threshold {threshold:.6e} "
+                         f"<= D(bound)={d_bound:.6e}")
     d_end = d_of_t(t_max)
-    if d_end < threshold:
-        raise NoCrossingError(
-            f"decoherence level {d_end:.6e} at t_max={t_max} never reaches "
-            f"threshold {threshold:.6e}",
-            d_at_t_max=d_end,
-        )
-    # t_rise < t_max here: D(t_rise) is below the threshold and D(t_max) is not
-    warnings.warn(
-        f"D is not known to be monotone past t_rise={t_rise:.6e} at s={spec.s}; "
-        "bisecting the first cell of a 2049-point grid that reaches the threshold",
-        RuntimeWarning,
-    )
-    grid = linspace(0.0, t_max, 2049)
-    lo, hi = next((a, b) for a, b in zip(grid, grid[1:]) if d_of_t(b) >= threshold)
-    return _bisect(d_of_t, threshold, lo, hi)
+    raise NoCrossingError(f"decoherence level {d_end:.6e} at t_max={t_max} never reaches "
+                          f"threshold {threshold:.6e}", d_at_t_max=d_end)
 
 
 # the one record of `states` that is still importable from here

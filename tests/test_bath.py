@@ -9,6 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from decoq.bath import (
     C_SERIES_U,
     BathSpec,
+    _b2_peak_bound,
+    _hurwitz,
+    _thermal_sum,
     dephasing_exponent,
     dephasing_exponent_zero_t,
     influence_exponent,
@@ -23,7 +26,7 @@ from decoq.discrete import (
     phase_shift_modes,
     spectral_density,
 )
-from decoq.units import temperature_to_beta
+from decoq.units import KB_UEV_PER_K, temperature_to_beta
 
 BETA_30MK = temperature_to_beta(30.0)
 
@@ -429,6 +432,65 @@ class TestKernel:
         spec = bench_spec(s=s, omega_c=omega_c, beta=temperature_to_beta(temp_mk))
         ref = mpmath_direct(t, spec)
         assert dephasing_exponent(t, spec) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+class TestPeakBound:
+    """The bound on B2 at every t for s > 2, which proves a no crossing past t_rise."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=st.floats(1.001, 8.0), log_a=st.floats(-6.0, 3.0))
+    def test_hurwitz_matches_mpmath(self, p, log_a):
+        a = 10.0**log_a
+        with mpmath.workdps(30):
+            ref = float(mpmath.zeta(p, 1 + mpmath.mpf(a)))
+        assert _hurwitz(p, a) == pytest.approx(ref, rel=2e-15, abs=0.0)
+        # Gamma(p) times the sum is the y -> inf limit of B2's thermal sum
+        assert _thermal_sum(p, a, math.inf) == pytest.approx(
+            math.gamma(p) * ref, rel=1e-13, abs=0.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        s=st.floats(2.0, 6.0, exclude_min=True),
+        temp_mk=st.one_of(st.just(0.0), st.floats(1.0, 300.0)),
+        log_omega_c=st.floats(math.log10(50.0), 4.0),
+    )
+    @example(s=2.0 + 1e-9, temp_mk=300.0, log_omega_c=math.log10(50.0))
+    @example(s=6.0, temp_mk=0.0, log_omega_c=4.0)
+    def test_bound_holds_at_every_t(self, s, temp_mk, log_omega_c):
+        beta = math.inf if temp_mk == 0.0 else temperature_to_beta(temp_mk)
+        spec = bench_spec(s=s, omega_c=10.0**log_omega_c, beta=beta)
+        bound = _b2_peak_bound(spec)
+        t_rise = math.tan(math.pi / s) / spec.omega_c
+        # thermal term n peaks at t = tan(pi/s) beta (n + a): the grid passes
+        # the peaks of the first 1e4 of them
+        t_end = 1e3 * t_rise + (0.0 if temp_mk == 0.0 else 1e4 * spec.beta * math.tan(math.pi / s))
+        for t in np.geomspace(1e-3 * t_rise, t_end, 400):
+            assert dephasing_exponent(float(t), spec) <= bound * (1.0 + 1e-12)
+        if temp_mk == 0.0:
+            # one term, which peaks at t_rise
+            assert bound == pytest.approx(dephasing_exponent(t_rise, spec), rel=1e-12, abs=0.0)
+
+    def test_bound_holds_in_the_classical_limit(self):
+        # beta omega_c = 3.9e-19: B2 is its classical limit, whose one term
+        # peaks at omega_c t = tan(pi/(s-1)), and the bound of the full sum
+        # still covers it
+        spec = bench_spec(s=4.0, omega_c=1e-20)
+        bound = _b2_peak_bound(spec)
+        peak = max(dephasing_exponent(float(t), spec) for t in np.geomspace(1e18, 1e23, 400))
+        assert peak <= bound * (1.0 + 1e-12) < 1.2 * peak
+
+    @pytest.mark.parametrize(
+        "s, omega_c, temp_mk",
+        [
+            (200.0, 200.0, 30.0),  # Gamma(nu) overflows
+            (80.0, 1e4, 30.0),  # omega_c^nu overflows
+            (26.0, 1e-5, 1e15 * 1e-5 / (KB_UEV_PER_K * 1e-3)),  # the sum underflows, a = 1e15
+            (2.5, 1e-200, 1e203),  # beta omega_c underflows to 0
+        ],
+    )
+    def test_bound_that_cannot_be_formed_proves_nothing(self, s, omega_c, temp_mk):
+        assert _b2_peak_bound(bench_spec(s=s, omega_c=omega_c,
+                                         beta=temperature_to_beta(temp_mk))) == math.inf
 
 
 class TestPhaseShift:

@@ -1,6 +1,5 @@
 import math
 import re
-import warnings
 
 import mpmath
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from decoq import linspace
-from decoq.bath import BathSpec, dephasing_exponent, influence_exponent
+from decoq.bath import BathSpec, _b2_peak_bound, dephasing_exponent, influence_exponent
 from decoq.evolution import (
     COMPUTATIONAL,
     EIGENBASIS,
@@ -332,7 +331,7 @@ class TestLinspace:
         n=st.integers(2, 3000),
     )
     @example(lo=0.0, hi=0.5, n=400)  # curve's default grid
-    @example(lo=0.0, hi=10.0, n=2049)  # the dense first-crossing scan
+    @example(lo=0.0, hi=10.0, n=2049)  # a long grid with an odd count
     @example(lo=-3.5e-7, hi=0.5000035, n=5)  # svgplot's ticks
     @example(lo=0.0, hi=5e-324, n=5)  # the step underflows to zero
     @example(lo=1.0, hi=1.0, n=5)
@@ -446,8 +445,8 @@ class TestFindCrossing:
         assert len(probes) <= 64
 
     def test_no_crossing_error_carries_level(self):
-        # s > 2 with t_rise < t_max: D(t_rise) and D(t_max) both stay below
-        # the threshold, so no bracket is proved and the error reports D(t_max)
+        # s > 2 with t_rise < t_max: D(t_rise) and the bound on D past t_rise
+        # both stay below the threshold, and the error reports D(t_max)
         spec = BathSpec(eta=1e-12, omega_c=200.0, beta=temperature_to_beta(30.0), s=3.0)
         assert math.tan(math.pi / spec.s) / spec.omega_c < 1.0
         with pytest.raises(NoCrossingError, match="never reaches") as err:
@@ -539,22 +538,24 @@ class TestLowDecoherenceTime:
     BETA_30MK = temperature_to_beta(30.0)
 
     @pytest.mark.parametrize(
-        "spec,threshold,t_max,tau,calls",
+        "spec,threshold,t_max,outcome,calls",
         [
             # the benchmark point, and the tld runs of tests/golden
             (BathSpec(1e-6, 200.0, BETA_30MK), 1e-4, 10.0, 5.8583302660491405, 63),
             (BathSpec(1e-6, 200.0, BETA_30MK, 80.0), 1e-4, 10.0, 2.404047425476015e-152, 63),
             (BathSpec(1e-9, 200.0, BETA_30MK, 3.0), 8.5e-5, 1000.0, 0.005796217996904163, 63),
+            (BathSpec(1e-9, 200.0, BETA_30MK, 3.0), 9.1e-5, 1000.0, NoCrossingError, 2),
             (BathSpec(1.0598897093789957e-09, 44.12905023409275,
                       temperature_to_beta(69.74256994832315), 2.627190751706458),
-             9.794163274970207e-07, 0.27958368503951514, 0.0630166818734783, 507),
-            (BathSpec(1e-6, 200.0, BETA_30MK), 1e-4, 1.0, None, 1),
+             9.794163274970207e-07, 0.27958368503951514, ValueError, 1),
+            (BathSpec(1e-6, 200.0, BETA_30MK), 1e-4, 1.0, NoCrossingError, 1),
         ],
-        ids=["benchmark", "s80", "s3", "hump", "no-crossing"],
+        ids=["benchmark", "s80", "s3", "s3-bound", "hump", "no-crossing"],
     )
-    def test_b2_probe_counts(self, monkeypatch, spec, threshold, t_max, tau, calls):
-        # one probe at min(t_rise, t_max), one at t_max if that falls short,
-        # then the bisection (and past t_rise the grid): B2 is memoized
+    def test_b2_probe_counts(self, monkeypatch, spec, threshold, t_max, outcome, calls):
+        # one probe at min(t_rise, t_max), then the bisection, or one at
+        # t_max for the level a no-crossing error carries: B2 is memoized,
+        # and the bound past t_rise probes nothing
         import decoq.evolution
 
         probes = []
@@ -564,14 +565,12 @@ class TestLowDecoherenceTime:
             return dephasing_exponent(t, spec)
 
         monkeypatch.setattr(decoq.evolution, "dephasing_exponent", counting)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the hump's past-t_rise search
-            if tau is None:
-                with pytest.raises(NoCrossingError):
-                    low_decoherence_time(threshold, spec, t_max)
-            else:
-                assert low_decoherence_time(threshold, spec, t_max) == pytest.approx(
-                    tau, rel=1e-15, abs=0.0)
+        if isinstance(outcome, type):
+            with pytest.raises(outcome):
+                low_decoherence_time(threshold, spec, t_max)
+        else:
+            assert low_decoherence_time(threshold, spec, t_max) == pytest.approx(
+                outcome, rel=1e-15, abs=0.0)
         assert len(probes) == calls
 
     def test_threshold_validation(self):
@@ -620,8 +619,8 @@ class TestLowDecoherenceTime:
         u=st.floats(0.01, 1.0),
     )
     def test_first_crossing_past_the_rise(self, s, temp_mk, omega_c, log_eta, log_span, u):
-        # past t_rise D may fall and rise again; the first cell of the
-        # 2049-point grid that reaches the threshold is bisected, with a warning
+        # past t_rise D may fall and rise again, and a threshold that D
+        # reaches there is above the bound too, so the window is refused
         spec = BathSpec(10.0**log_eta, omega_c, temperature_to_beta(temp_mk), s)
         t_rise = math.tan(math.pi / s) / omega_c
         t_max = t_rise * 10.0**log_span
@@ -632,11 +631,10 @@ class TestLowDecoherenceTime:
         d_rise, d_end = d(t_rise), d(t_max)
         threshold = d_rise + u * (d_end - d_rise)
         assume(d_rise < threshold <= d_end < 0.5)
-        with pytest.warns(RuntimeWarning, match=rf"past t_rise=\S+ at s={re.escape(str(s))};"):
-            tau = low_decoherence_time(threshold, spec, t_max)
-        assert_first_double_at_threshold(d, tau, threshold)
-        assert tau >= t_rise
-        assert all(d(t) < threshold for t in linspace(0.0, t_max, 2049) if t < tau)
+        refusal = rf"past t_rise=\S+ is not proved at s={re.escape(str(s))}: D\(t_rise\)="
+        with pytest.raises(ValueError, match=refusal):
+            low_decoherence_time(threshold, spec, t_max)
+        assert max_decoherence(_b2_peak_bound(spec)) >= d_end >= threshold
 
 
 def window_or_none(threshold, spec, t_max):
@@ -644,6 +642,15 @@ def window_or_none(threshold, spec, t_max):
         return low_decoherence_time(threshold, spec, t_max)
     except NoCrossingError:
         return None
+
+
+def window_outcome(threshold, spec, t_max):
+    """The window, None for a proved no crossing, or "refused" where neither is proved."""
+    try:
+        return window_or_none(threshold, spec, t_max)
+    except ValueError as exc:
+        assert "is not proved" in str(exc)
+        return "refused"
 
 
 # the whole pipeline, B2 kernel plus root find, over the monotone exponents
@@ -660,7 +667,7 @@ PIPELINE = dict(
 class TestPipelineProperties:
     @settings(deadline=None)
     @given(lam=st.floats(0.1, 10.0), **dict(PIPELINE, s=st.floats(1.0, 6.0)))
-    # a first crossing past t_rise, which only the grid finds
+    # a first crossing past t_rise, which the bound leaves unproved
     @example(
         s=2.627190751706458, temp_mk=69.74256994832315, omega_c=44.12905023409275,
         eta=1.0598897093789957e-09, threshold=9.794163274970207e-07,
@@ -668,27 +675,27 @@ class TestPipelineProperties:
     )
     def test_scaling_covariance(self, s, temp_mk, omega_c, eta, threshold, t_max, lam):
         # omega_c -> lam omega_c, T -> lam T and eta -> lam^(1-s) eta turn
-        # B2(t) into B2(lam t), so the window shrinks by lam
+        # B2(t) into B2(lam t) and leave the bound past t_rise as it is, so
+        # the window shrinks by lam, and a no crossing or refusal stays one
         spec = BathSpec(eta, omega_c, temperature_to_beta(temp_mk), s)
         scaled = BathSpec(
             lam ** (1.0 - s) * eta, lam * omega_c, temperature_to_beta(lam * temp_mk), s
         )
-        # a D(t_max), or for s > 2 a D(t_rise), within round-off of the
-        # threshold leaves the verdict to rounding
-        probes = [t_max]
+        # a D(t_max), or for s > 2 a D(t_rise) or D(bound), within round-off
+        # of the threshold leaves the outcome to rounding
+        b2_levels = [dephasing_exponent(t_max, spec)]
         if s > 2.0:
-            probes.append(math.tan(math.pi / s) / omega_c)
-        for t in probes:
-            d_probe = max_decoherence(dephasing_exponent(t, spec))
-            assume(abs(d_probe / threshold - 1.0) > 1e-9)
-        with warnings.catch_warnings():
-            # past t_rise the search warns that D is not known to be monotone
-            warnings.simplefilter("ignore", RuntimeWarning)
-            tau = window_or_none(threshold, spec, t_max)
-            tau_scaled = window_or_none(threshold, scaled, t_max / lam)
-        assert (tau is None) == (tau_scaled is None)
-        if tau is not None:
+            b2_levels += [dephasing_exponent(math.tan(math.pi / s) / omega_c, spec),
+                          _b2_peak_bound(spec)]
+        for b2 in b2_levels:
+            assume(abs(max_decoherence(b2) / threshold - 1.0) > 1e-9)
+        tau = window_outcome(threshold, spec, t_max)
+        tau_scaled = window_outcome(threshold, scaled, t_max / lam)
+        assert type(tau) is type(tau_scaled)
+        if isinstance(tau, float):
             assert lam * tau_scaled == pytest.approx(tau, rel=1e-12, abs=0.0)
+        else:
+            assert tau == tau_scaled
 
     @settings(deadline=None)
     @given(axis=st.sampled_from(["temp_mk", "eta", "omega_c"]), factor=st.floats(1.01, 10.0),

@@ -32,7 +32,10 @@ GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = {
     # D peaks near omega_c t = tan(pi/3) and falls to below the threshold by t_max
     "s3.cfg": "s = 3\neta = 1e-9\nthreshold = 8.5e-5\nt_max = 1000\n",
-    # D crosses past t_rise, falls back below the threshold and crosses again
+    # the same bath, with a threshold above the bound on D past t_rise
+    "s3-bound.cfg": "s = 3\neta = 1e-9\nthreshold = 9.1e-5\nt_max = 1000\n",
+    # D crosses past t_rise, falls back below the threshold and crosses again,
+    # and the bound past t_rise is above the threshold
     "hump.cfg": (
         "s = 2.627190751706458\ntemp_mk = 69.74256994832315\nomega_c = 44.12905023409275\n"
         "eta = 1.0598897093789957e-09\nt_max = 0.27958368503951514\n"
@@ -51,6 +54,7 @@ CASES = {
     "bad-flag": ["tld", "--thr", "1e-4"],
     "tld": ["tld", "--out", "{dir}/tld.json"],
     "tld-s3": ["tld", "--config", "{dir}/s3.cfg", "--out", "{dir}/tld.json"],
+    "tld-s3-bound": ["tld", "--config", "{dir}/s3-bound.cfg", "--out", "{dir}/tld.json"],
     "tld-hump": ["tld", "--config", "{dir}/hump.cfg", "--out", "{dir}/tld.json"],
     "tld-no-crossing": ["tld", "--t-max", "1", "--out", "{dir}/tld.json"],
     "tld-s80": ["tld", "--config", "{dir}/s80.cfg", "--out", "{dir}/tld.json"],
