@@ -68,7 +68,7 @@ _EXPORTS = {
     ".oracle": (
         "BathTruncationWarning", "CompositeSystem", "DimensionCapError", "ErrorScalingResult",
         "SplitComparison", "TruncatedBathMode", "error_scaling", "evolve_exact", "evolve_split",
-        "gate_unitary", "split_vs_closed_form", "thermal_bath_state",
+        "gate_unitary", "split_vs_closed_form",
     ),
     ".units": ("HBAR_UEV_S", "KB_UEV_PER_K", "TIME_UNIT_S", "temperature_to_beta"),
 }

@@ -17,9 +17,10 @@ t_max = 0.5, not 10), the file, then the flag.
 
 Exit codes: 0 success, 1 usage or configuration error (including a bath
 whose B2 or C is not finite in double precision, an s > 2 window whose
-first crossing past t_rise is not proved, a repeated initial state and
-an output path that cannot be written), 2 no threshold crossing on the
-window, 3 a verification or consistency check failed.
+first crossing past t_rise is not proved and an output path that cannot
+be written), 2 no threshold crossing on the window, 3 a verification or
+consistency check failed (including a sweep with an error row or a
+tau_ld that grows along its axis).
 """
 
 import argparse
@@ -46,8 +47,8 @@ _ON_FIRST_USE = {
 }
 __getattr__ = _bind_on_first_use(globals(), _ON_FIRST_USE)
 
-# initial states on the Bloch sphere of the degeneracy-point eigenbasis,
-# given as (theta, phi)
+# the initial states whose norms curve writes, in this order, as (theta,
+# phi) on the Bloch sphere of the degeneracy-point eigenbasis
 PRESETS = {
     "point": (0.0, 0.0),
     "line1": (math.pi / 3.0, 0.0),
@@ -68,7 +69,6 @@ _FIELDS = {
     "n_samples": (400, "--samples", "number of grid samples"),
     "threshold": (1e-4, "--threshold", "decoherence threshold"),
     "seed": (1234, "--seed", "seed for randomized checks"),
-    "initial_states": (("point", "line1", "line2"), None, None),
 }
 
 _TLD_FIELDS = ("e_j", "temp_mk", "eta", "omega_c", "s", "t_max", "threshold")
@@ -76,7 +76,7 @@ _TLD_FIELDS = ("e_j", "temp_mk", "eta", "omega_c", "s", "t_max", "threshold")
 # RunConfig fields each subcommand reads: they alone are its flags, its
 # config-file keys and its config echo
 _COMMAND_FIELDS = {
-    "curve": ("e_j", "temp_mk", "eta", "omega_c", "s", "t_max", "n_samples", "initial_states"),
+    "curve": ("e_j", "temp_mk", "eta", "omega_c", "s", "t_max", "n_samples"),
     "tld": _TLD_FIELDS,
     "sweep": _TLD_FIELDS,  # one tld report per axis value
     "verify": ("e_j", "seed"),  # every check runs on its own fixed bath
@@ -114,8 +114,6 @@ class _Parser(argparse.ArgumentParser):
 # --config, its fields' flags and --out, and cmd_<subcommand> runs it
 _COMMANDS = {
     "curve": {
-        "--state": {"action": "append", "choices": sorted(PRESETS), "dest": "initial_states",
-                    "help": "initial state preset, repeatable (default: all three)"},
         "--log-y": {"action": "store_true"},
     },
     "tld": {},
@@ -124,8 +122,6 @@ _COMMANDS = {
         "--values": {"required": True, "type": _axis_values,
                      "help": "comma separated axis values"},
         "--log-y": {"action": "store_true"},
-        "--check": {"action": "store_true",
-                    "help": "fail (exit 3) if tau_ld rises along T, eta, E_J or omega_c"},
     },
     "verify": {
         "--corrupt": {"choices": ["b2"],

@@ -45,14 +45,6 @@ class RunConfig(namedtuple("RunConfig", _FIELDS, defaults=[d for d, _, _ in _FIE
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.initial_states:
-            raise ValueError("at least one initial state is required")
-        for name in self.initial_states:
-            if name not in PRESETS:
-                raise ValueError(f"unknown initial state {name!r}; choose from {sorted(PRESETS)}")
-        # each state names a CSV column, and a column must not repeat
-        if len(set(self.initial_states)) < len(self.initial_states):
-            raise ValueError(f"initial states repeat: {', '.join(self.initial_states)}")
 
     def bath_spec(self) -> BathSpec:
         return BathSpec(eta=self.eta, omega_c=self.omega_c,
@@ -60,10 +52,7 @@ class RunConfig(namedtuple("RunConfig", _FIELDS, defaults=[d for d, _, _ in _FIE
 
     def echo(self, command: str) -> dict:
         """The fields the subcommand reads, as written into its output."""
-        out = {field: getattr(self, field) for field in _COMMAND_FIELDS[command]}
-        if "initial_states" in out:
-            out["initial_states"] = list(self.initial_states)
-        return out
+        return {field: getattr(self, field) for field in _COMMAND_FIELDS[command]}
 
 
 def parse_config_file(path: str, command: str) -> dict:
@@ -82,9 +71,6 @@ def parse_config_file(path: str, command: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r} for {command}")
-            if types[key] is tuple:
-                overrides[key] = tuple(p.strip() for p in value.split(",") if p.strip())
-                continue
             try:
                 overrides[key] = types[key](value)
             except ValueError as exc:
@@ -101,7 +87,6 @@ def build_config(args) -> RunConfig:
     for field in values:
         if getattr(args, field, None) is not None:
             values[field] = getattr(args, field)
-    values["initial_states"] = tuple(values["initial_states"])
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
@@ -152,16 +137,16 @@ def cmd_curve(cfg: RunConfig, args) -> int:
     d = [max_decoherence(b) for b in b2]
     norms = [
         [pure_state_norm(*PRESETS[name], b, t, cfg.e_j) for b, t in zip(b2, times)]
-        for name in cfg.initial_states
+        for name in PRESETS
     ]
 
     out_csv = args.out or "curve.csv"
-    columns = ["t", "b_squared", "c_shift", "D"] + [f"norm_{n}" for n in cfg.initial_states]
+    columns = ["t", "b_squared", "c_shift", "D"] + [f"norm_{n}" for n in PRESETS]
     _write_csv(out_csv, cfg.echo("curve"), "curve", columns, zip(times, b2, shift, d, *norms))
     print(f"wrote {out_csv} ({len(times)} samples)")
 
     series = [("D(t)", times, d, "points")]
-    for name, norm in zip(cfg.initial_states, norms):
+    for name, norm in zip(PRESETS, norms):
         series.append((f"norm {name}", times, norm, "line"))
     _write_plot(
         out_csv,
@@ -326,28 +311,27 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         log_y=args.log_y,
     )
 
-    if args.check:
-        # a point that could not be computed is not checked, so it fails;
-        # a point with no crossing has no tau_ld to order and is skipped
-        errors = [(value, status) for value, *_, status in rows if status.startswith("error")]
-        for value, status in errors:
-            print(f"check failed: {args.axis} = {value!r} gives {status}", file=sys.stderr)
-        if errors:
+    # a point that could not be computed is not checked, so it fails;
+    # a point with no crossing has no tau_ld to order and is skipped
+    errors = [(value, status) for value, *_, status in rows if status.startswith("error")]
+    for value, status in errors:
+        print(f"check failed: {args.axis} = {value!r} gives {status}", file=sys.stderr)
+    if errors:
+        return 3
+    # B2(t) = 8 int J(w) w^-2 sin^2(wt/2) coth(beta w/2) dw does not fall
+    # as T (coth), eta or omega_c (J at every w) rises, and E_J does not
+    # enter it, so tau_ld must not grow along T, eta, E_J or omega_c
+    prev = None
+    for _, y in sorted(zip(xs, ys), key=lambda xy: xy[0]):
+        if not math.isfinite(y):
+            continue
+        if prev is not None and y > prev * (1.0 + 1e-9):
+            print(
+                f"check failed: tau_ld rises from {prev:.6g} to "
+                f"{y:.6g} along increasing {args.axis}",
+                file=sys.stderr,
+            )
             return 3
-        # B2(t) = 8 int J(w) w^-2 sin^2(wt/2) coth(beta w/2) dw does not fall
-        # as T (coth), eta or omega_c (J at every w) rises, and E_J does not
-        # enter it, so tau_ld must not grow along T, eta, E_J or omega_c
-        prev = None
-        for _, y in sorted(zip(xs, ys), key=lambda xy: xy[0]):
-            if not math.isfinite(y):
-                continue
-            if prev is not None and y > prev * (1.0 + 1e-9):
-                print(
-                    f"check failed: tau_ld rises from {prev:.6g} to "
-                    f"{y:.6g} along increasing {args.axis}",
-                    file=sys.stderr,
-                )
-                return 3
-            prev = y
-        print(f"monotonicity check passed along {args.axis}")
+        prev = y
+    print(f"monotonicity check passed along {args.axis}")
     return 0

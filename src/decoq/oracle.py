@@ -66,7 +66,7 @@ TRUNCATION_WEIGHT_TOL = 1e-13
 # round-off and carry no information about the step size
 ERROR_FLOOR = 1e-13
 
-# largest composite dimension d of the dense d x d and (d/2)-square arrays
+# largest composite dimension d of the dense (d/2)-square parity blocks
 MAX_DIM = 4096
 
 
@@ -139,22 +139,6 @@ def _kron_sum(ops) -> np.ndarray:
     )
 
 
-def build_hamiltonians(system: CompositeSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Return (H_sys, H_int_plus_bath) on the full composite space.
-
-    H_sys = -E_J/2 sigma_x x 1, and H_ib = sigma_z x C + 1 x E with the
-    Kronecker sums C and E of the modes' couplings and energies.  No map
-    calls it: it is the tests' dense reference, whose sigma_z = -1 block
-    comes from -C and not from the parity the maps rest on.
-    """
-    _check_dim(system.modes)
-    energies, couplings = zip(*map(_mode_operators, system.modes))
-    sigma_x, sigma_z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
-    h_sys = np.kron(-0.5 * system.e_j * sigma_x, np.eye(system.bath_dim))
-    h_ib = np.kron(sigma_z, _kron_sum(couplings)) + np.kron(np.eye(2), _kron_sum(energies))
-    return h_sys, h_ib
-
-
 @functools.lru_cache(maxsize=8)
 def _eigensystem(system: CompositeSystem):
     """Cached (evals, evecs) of h_{+,k}, the sum of _mode_operators(m_k), per mode.
@@ -224,17 +208,6 @@ def _mode_weights(modes, beta: float) -> list[np.ndarray]:
             probs[1:] = np.exp(-beta * m.omega * np.arange(1, m.n_fock))
         weights.append(probs / probs.sum())
     return weights
-
-
-def thermal_bath_state(modes, beta: float) -> np.ndarray:
-    """Truncated thermal state of the bath, diagonal in the Fock basis.
-
-    The Kronecker product of the per-mode weights; beta = inf puts every
-    mode in its ground state, and it warns as _mode_weights does.
-    """
-    modes = tuple(modes)  # read twice, by the cap and by the weights
-    _check_dim(modes)
-    return np.diag(functools.reduce(np.kron, _mode_weights(modes, beta)))
 
 
 def _in_charge_basis(state: QubitState, reduce) -> QubitState:

@@ -62,7 +62,6 @@ class TestRunConfig:
         cfg = RunConfig()
         cfg.validate()
         assert cfg.e_j == 51.8
-        assert cfg.initial_states == ("point", "line1", "line2")
 
     @pytest.mark.parametrize(
         "field,value",
@@ -74,6 +73,7 @@ class TestRunConfig:
             ("s", 0.5),
             ("threshold", 0.5),
             ("n_samples", 1),
+            ("seed", -1),
         ],
     )
     def test_rejects_bad_field(self, field, value):
@@ -100,10 +100,6 @@ class TestConfigFile:
         assert cfg.temp_mk == 30.0  # flag beats file
         assert cfg.t_max == 10.0  # reports keep the long window
 
-        states = tmp_path / "states.cfg"
-        states.write_text("initial_states = point, line2\n")
-        args = build_parser("curve").parse_args(["--config", str(states)])
-        assert build_config(args).initial_states == ("point", "line2")
         seed = tmp_path / "seed.cfg"
         seed.write_text("seed = 7\n")
         assert build_config(build_parser("verify").parse_args(["--config", str(seed)])).seed == 7
@@ -123,15 +119,15 @@ class TestConfigFile:
     # the flags each subcommand takes: --config, --out, the flags of the
     # RunConfig fields it reads, and its own
     COMMAND_FLAGS = {
-        "curve": "--ej --temp-mk --eta --cutoff --t-max --samples --state --log-y",
+        "curve": "--ej --temp-mk --eta --cutoff --t-max --samples --log-y",
         "tld": "--ej --temp-mk --eta --cutoff --t-max --threshold",
         "sweep": "--ej --temp-mk --eta --cutoff --t-max --threshold "
-                 "--axis --values --log-y --check",
+                 "--axis --values --log-y",
         "verify": "--ej --seed --corrupt",
     }
     # the config-file keys each subcommand takes
     COMMAND_KEYS = {
-        "curve": "e_j temp_mk eta omega_c s t_max n_samples initial_states",
+        "curve": "e_j temp_mk eta omega_c s t_max n_samples",
         "tld": "e_j temp_mk eta omega_c s t_max threshold",
         "sweep": "e_j temp_mk eta omega_c s t_max threshold",
         "verify": "e_j seed",
@@ -161,8 +157,8 @@ class TestConfigFile:
                     assert last.startswith("error: ") and flag in last
 
             keys = self.COMMAND_KEYS[command].split()
-            for field, default in RunConfig._field_defaults.items():
-                config.write_text(f"{field} = {'point' if type(default) is tuple else 3}\n")
+            for field in RunConfig._fields:
+                config.write_text(f"{field} = 3\n")
                 if field in keys:
                     assert field in parse_config_file(str(config), command)
                 else:
@@ -170,8 +166,6 @@ class TestConfigFile:
                     last = capsys.readouterr().err.splitlines()[-1]
                     assert last == f"error: {config}:1: unknown key {field!r} for {command}"
             assert RunConfig().echo(command).keys() == set(keys)
-        args = build_parser("curve").parse_args(["--state", "line1", "--state", "point"])
-        assert build_config(args).initial_states == ("line1", "point")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -190,6 +184,13 @@ class TestConfigFile:
         path.write_text("eta = fast\n")
         with pytest.raises(ValueError, match="bad value"):
             parse_config_file(str(path), "tld")
+
+    def test_list_value_rejected(self, tmp_path):
+        # every key is a scalar: a comma list is a bad value, not a tuple
+        path = tmp_path / "list.cfg"
+        path.write_text("eta = 1e-6, 2e-6\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: bad value for eta: "):
+            parse_config_file(str(path), "curve")
 
     def test_missing_file_exits_one(self, tmp_path):
         code = main(["tld", "--config", str(tmp_path / "nope.cfg")])
@@ -251,12 +252,6 @@ class TestCurveCommand:
         assert main(["curve", "--samples", "12", "--out", str(a)]) == 0
         assert main(["curve", "--samples", "12", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_state_subset(self, tmp_path):
-        out = tmp_path / "one.csv"
-        assert main(["curve", "--samples", "8", "--state", "line2", "--out", str(out)]) == 0
-        _, header, _ = read_csv(out)
-        assert header == ["t", "b_squared", "c_shift", "D", "norm_line2"]
 
     def test_svg_has_series(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -408,7 +403,7 @@ class TestSweepCommand:
     def test_e_j_whose_gate_time_overflows_is_an_error_row(self, tmp_path):
         # 1/E_J overflows at 5e-324; the row used to blame a time of inf
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--axis", "E_J", "--values", "5e-324,51.8", "--out", str(out)]) == 0
+        assert main(["sweep", "--axis", "E_J", "--values", "5e-324,51.8", "--out", str(out)]) == 3
         _, _, (tiny, ordinary) = read_csv(out)
         assert tiny[-1] == "error: gate time 1/e_j is not finite in double precision at e_j=5e-324"
         assert ordinary[-1] == "ok"
@@ -417,11 +412,10 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         code = main(
             [
-                "sweep", "--axis", "T", "--values", "0,10,30,100",
-                "--check", "--out", str(out),
+                "sweep", "--axis", "T", "--values", "0,10,30,100", "--out", str(out),
             ]
         )
-        # the rows are written whole; the T = 0 error row then fails --check
+        # the rows are written whole; the T = 0 error row then fails the check
         assert code == 3
         _, header, rows = read_csv(out)
         keys = ["tau_ld_units", "tau_ld_ps", "d_at_gate"]
@@ -454,7 +448,7 @@ class TestSweepCommand:
         # an axis value that could not be computed is a point the check
         # did not make; a value with no crossing has no tau_ld to order
         out = str(tmp_path / "sweep.csv")
-        argv = ["sweep", "--axis", "T", "--check", "--out", out, "--values"]
+        argv = ["sweep", "--axis", "T", "--out", out, "--values"]
         assert main(argv + ["0,10,30,-5,100"]) == 3
         assert capsys.readouterr().err.splitlines() == [
             "check failed: T = 0.0 gives error: temperature must be positive and finite; got 0.0",
@@ -470,7 +464,7 @@ class TestSweepCommand:
         # B2 does not fall as omega_c rises and does not depend on E_J, so
         # tau_ld may not rise along these axes either
         out = str(tmp_path / "sweep.csv")
-        assert main(["sweep", "--axis", axis, "--values", values, "--check", "--out", out]) == 0
+        assert main(["sweep", "--axis", axis, "--values", values, "--out", out]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == (
             f"monotonicity check passed along {axis}"
         )
@@ -478,8 +472,7 @@ class TestSweepCommand:
     def test_error_rows_do_not_set_the_plot_range(self, tmp_path):
         # eta = -1 is an error row: its value is not a point of the axis
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--axis", "eta", "--values", "1e-6,-1", "--check",
-                     "--out", str(out)]) == 3
+        assert main(["sweep", "--axis", "eta", "--values", "1e-6,-1", "--out", str(out)]) == 3
         svg = (tmp_path / "sweep.svg").read_text()
         ticks = re.findall(r'<text x="[^"]+" y="446.0" text-anchor="middle">([^<]+)</text>', svg)
         assert ticks and all(float(tick) > 0.0 for tick in ticks), ticks
@@ -498,32 +491,35 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         code = main(
             [
-                "sweep", "--axis", "eta", "--values", "1e-5,1e-4,1e-3",
-                "--check", "--out", str(out),
+                "sweep", "--axis", "eta", "--values", "1e-5,1e-4,1e-3", "--out", str(out),
             ]
         )
         assert code == 0
 
     def test_every_row_past_t_rise_is_refused(self, tmp_path, capsys):
         # E_J does not move B2, so both rows meet the same unproved first
-        # crossing past t_rise; each row is an error, and with nothing
-        # finite to plot only the skipped plot is noted
+        # crossing past t_rise; each row is an error, which fails the check,
+        # and with nothing finite to plot the skipped plot is noted
         config = tmp_path / "hump.cfg"
         config.write_text(HUMP_CONFIG)
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--config", str(config), "--axis", "E_J", "--values", "20,51.8"]
-        assert main(argv + ["--out", str(out)]) == 0
-        assert capsys.readouterr().err.splitlines() == [
-            f"note: skipped {tmp_path / 'sweep.svg'}: no finite data to plot"]
+        assert main(argv + ["--out", str(out)]) == 3
         _, _, rows = read_csv(out)
-        assert [row[-1].startswith("error: first crossing past t_rise=5.756980e-02 is not "
-                                   "proved") for row in rows] == [True, True]
+        statuses = [row[-1] for row in rows]
+        assert [status.startswith("error: first crossing past t_rise=5.756980e-02 is not "
+                                  "proved") for status in statuses] == [True, True]
+        assert capsys.readouterr().err.splitlines() == [
+            f"note: skipped {tmp_path / 'sweep.svg'}: no finite data to plot",
+            f"check failed: E_J = 20.0 gives {statuses[0]}",
+            f"check failed: E_J = 51.8 gives {statuses[1]}",
+        ]
 
     def test_check_fails_when_tau_ld_rises(self, monkeypatch, tmp_path, capsys):
         # a tau_ld that grows with eta breaks the monotonicity the check asserts
         monkeypatch.setattr(commands, "low_decoherence_time",
                             lambda threshold, spec, t_max: spec.eta)
-        argv = ["sweep", "--axis", "eta", "--values", "1e-6,2e-6,3e-6", "--check",
+        argv = ["sweep", "--axis", "eta", "--values", "1e-6,2e-6,3e-6",
                 "--out", str(tmp_path / "s.csv")]
         assert main(argv) == 3
         assert capsys.readouterr().err.splitlines() == [
@@ -653,8 +649,6 @@ def fuzzed_argv(draw):
         # one word, so a list that starts with -1 is not read as a flag
         values = draw(st.lists(pool, min_size=2, max_size=3))
         argv += ["--axis", axis, "--values=" + ",".join(values)]
-        if draw(st.booleans()):
-            argv.append("--check")
     return argv
 
 
@@ -706,37 +700,33 @@ class TestExitCodes:
         assert err[0].startswith("error: B2 is not finite in double precision at s=80.0, "
                                  "omega_c=10000.0, t=")
 
-    def test_removed_quad_tol_is_rejected(self, tmp_path, capsys):
-        config = tmp_path / "old.cfg"
-        config.write_text("quad_tol = 1e-8\n")
-        out = str(tmp_path / "t.json")
-        assert main(["tld", "--quad-tol", "1e-8", "--out", out]) == 1
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith("error: ") and "--quad-tol" in last
-        assert main(["tld", "--config", str(config), "--out", out]) == 1
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith("error: ") and "'quad_tol'" in last
+    @pytest.mark.parametrize(
+        "argv,flag,key",
+        [(["tld", "--quad-tol", "1e-8"], "--quad-tol", "quad_tol"),
+         (["curve", "--state", "line1"], "--state", "initial_states"),
+         (["sweep", "--axis", "T", "--values", "10,30", "--check"], "--check", None)],
+        ids=["quad-tol", "state", "check"],
+    )
+    def test_removed_setting_is_rejected(self, tmp_path, capsys, argv, flag, key):
+        # a removed flag, and its config key, is a usage error that names it
+        out = str(tmp_path / "out.dat")
+        assert main(argv + ["--out", out]) == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+        assert len(err) == 1 and flag in err[0]
+        if key is not None:
+            config = tmp_path / "old.cfg"
+            config.write_text(f"{key} = {argv[2]}\n")
+            assert main([argv[0], "--config", str(config), "--out", out]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {config}:1: unknown key {key!r} for {argv[0]}"]
         assert not os.path.exists(out)
-
-    def test_repeated_state_exits_one(self, tmp_path, capsys):
-        # each state is a CSV column; a repeat would write a duplicate header
-        config = tmp_path / "dup.cfg"
-        config.write_text("initial_states = point, line1, point\n")
-        out = tmp_path / "c.csv"
-        assert main(["curve", "--state", "point", "--state", "point", "--out", str(out)]) == 1
-        assert main(["curve", "--config", str(config), "--out", str(out)]) == 1
-        assert not out.exists()
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: initial states repeat: point, point",
-                       "error: initial states repeat: point, line1, point"]
 
     @pytest.mark.parametrize(
         "command,line,message",
         [("verify", "seed = -1", "seed must be >= 0, got -1"),
-         ("curve", "initial_states = ,", "at least one initial state is required"),
-         ("curve", "initial_states = point, north",
-          "unknown initial state 'north'; choose from ['line1', 'line2', 'point']")],
-        ids=["seed", "no-state", "unknown-state"],
+         ("curve", "n_samples = 1", "n_samples must be >= 2, got 1"),
+         ("tld", "temp_mk = nan", "temperature must be positive and finite, got nan")],
+        ids=["seed", "n-samples", "temperature"],
     )
     def test_bad_config_setting_exits_one(self, tmp_path, capsys, command, line, message):
         config = tmp_path / "bad.cfg"
@@ -799,6 +789,16 @@ class TestExitCodes:
         assert not any("Traceback" in line for line in lines)
         if code == 1:
             assert sum(line.startswith("error:") for line in lines) == 1
+        if argv[0] == "sweep" and (tmp / "out.dat").exists():
+            # every sweep checks: an error row, or a tau_ld that rises along
+            # the axis, exits 3, and any other sweep exits 0
+            _, header, rows = read_csv(tmp / "out.dat")
+            taus = sorted((float(row[0]), float(row[header.index("tau_ld_units")]))
+                          for row in rows if not row[-1].startswith("error"))
+            finite = [tau for _, tau in taus if math.isfinite(tau)]
+            rises = any(b > a * (1.0 + 1e-9) for a, b in zip(finite, finite[1:]))
+            failed = rises or any(row[-1].startswith("error") for row in rows)
+            assert code == (3 if failed else 0)
 
     def test_unknown_flag_before_the_command_is_named(self, capsys):
         # the flag is reported before the missing command
@@ -892,8 +892,7 @@ class TestLazyImport:
             "    ('curve s=2', ['curve', *s2], 0),\n"
             "    ('tld s=2', ['tld', *s2], 0),\n"
             "    ('tld no crossing', ['tld', '--eta', '0'], 2),\n"
-            "    ('sweep --check', ['sweep', '--axis', 'T', '--values', '10,30,100',\n"
-            "                       '--check'], 0),\n"
+            "    ('sweep', ['sweep', '--axis', 'T', '--values', '10,30,100'], 0),\n"
             "):\n"
             "    assert main(argv + ['--out', out + name.replace(' ', '_')]) == code, name\n"
             "    loaded.append(scipy_loaded())\n"
@@ -1014,7 +1013,8 @@ class TestLazyImport:
         assert run_python(script).strip() == "[]"
 
 
-# decoq.__all__ when the package imported every submodule eagerly
+# decoq.__all__ when the package imported every submodule eagerly, less
+# thermal_bath_state, which moved into the oracle tests as a dense reference
 PUBLIC_NAMES = [
     "BathSpec", "BathTruncationWarning", "COMPUTATIONAL", "CompositeSystem",
     "DeviationOperator", "DimensionCapError", "DiscreteBath", "EIGENBASIS",
@@ -1026,7 +1026,7 @@ PUBLIC_NAMES = [
     "evolve_real_influence_sum", "evolve_split", "gate_unitary", "influence_exponent",
     "low_decoherence_time", "max_decoherence", "phase_shift", "phase_shift_modes",
     "pure_state", "pure_state_norm", "random_density_matrix", "spectral_density",
-    "split_vs_closed_form", "temperature_to_beta", "thermal_bath_state",
+    "split_vs_closed_form", "temperature_to_beta",
 ]
 
 # the names decoq.evolution defines, and the one record it takes from

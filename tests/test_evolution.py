@@ -699,22 +699,31 @@ class TestPipelineProperties:
 
     @settings(deadline=None)
     @given(axis=st.sampled_from(["temp_mk", "eta", "omega_c"]), factor=st.floats(1.01, 10.0),
-           **PIPELINE)
+           **dict(PIPELINE, s=st.floats(1.0, 6.0)))
     def test_window_does_not_grow_with_temperature_or_coupling(
         self, s, temp_mk, omega_c, eta, threshold, t_max, axis, factor
     ):
-        # sweep --check's rule: a hotter, more strongly coupled or wider
-        # band bath dephases faster, so tau_ld may not rise by more than 1e-9
+        # the rule every sweep checks: a hotter, more strongly coupled or
+        # wider band bath dephases faster, so tau_ld may not rise by more
+        # than 1e-9.  A proved tau_ld lies in [0, t_rise], where the grown
+        # B2 is at least the base one, so the grown bath crosses there too;
+        # only along omega_c does t_rise shrink, and past the grown t_rise
+        # the crossing may be left unproved
         base = {"temp_mk": temp_mk, "eta": eta, "omega_c": omega_c}
         grown = dict(base, **{axis: factor * base[axis]})
 
         def spec_of(p):
             return BathSpec(p["eta"], p["omega_c"], temperature_to_beta(p["temp_mk"]), s)
 
-        tau = window_or_none(threshold, spec_of(base), t_max)
-        if tau is None:
+        tau = window_outcome(threshold, spec_of(base), t_max)
+        if not isinstance(tau, float):
             return
-        assert low_decoherence_time(threshold, spec_of(grown), t_max) <= tau * (1.0 + 1e-9)
+        tau_grown = window_outcome(threshold, spec_of(grown), t_max)
+        if tau_grown == "refused":
+            assert axis == "omega_c" and s > 2.0
+            assert tau > math.tan(math.pi / s) / grown["omega_c"]
+        else:
+            assert tau_grown is not None and tau_grown <= tau * (1.0 + 1e-9)
 
 
 class TestRecords:

@@ -65,13 +65,13 @@ CASES = {
     "curve-eta-0": ["curve", "--eta", "0", "--out", "{dir}/curve.csv"],
     # s3.cfg sets threshold, which curve does not read
     "curve-unread-key": ["curve", "--config", "{dir}/s3.cfg", "--out", "{dir}/curve.csv"],
-    "sweep-T-check": ["sweep", "--axis", "T", "--values", "10,30,100,300", "--check",
+    "sweep-T-check": ["sweep", "--axis", "T", "--values", "10,30,100,300",
                       "--out", "{dir}/sweep.csv"],
     "sweep-eta": ["sweep", "--axis", "eta", "--values", "1e-7,1e-6,1e-5", "--log-y",
                   "--out", "{dir}/sweep.csv"],
     "sweep-E_J-hump": ["sweep", "--axis", "E_J", "--values", "20,51.8", "--config",
                        "{dir}/hump.cfg", "--out", "{dir}/sweep.csv"],
-    "sweep-check-error": ["sweep", "--axis", "eta", "--values", "1e-6,-1", "--check",
+    "sweep-check-error": ["sweep", "--axis", "eta", "--values", "1e-6,-1",
                           "--out", "{dir}/sweep.csv"],
     "verify": ["verify", "--out", "{dir}/verify.json"],
     "verify-corrupt-b2": ["verify", "--corrupt", "b2", "--out", "{dir}/verify.json"],

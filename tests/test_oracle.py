@@ -16,13 +16,11 @@ from decoq.oracle import (
     CompositeSystem,
     DimensionCapError,
     TruncatedBathMode,
-    build_hamiltonians,
     discrete_bath_from_modes,
     error_scaling,
     evolve_exact,
     evolve_split,
     split_vs_closed_form,
-    thermal_bath_state,
 )
 from decoq import oracle
 from decoq.units import temperature_to_beta
@@ -32,6 +30,26 @@ BETA_30MK = temperature_to_beta(30.0)
 
 def one_mode_system(e_j=51.8, omega=8.0, g=0.5, n_fock=14):
     return CompositeSystem(e_j=e_j, modes=(TruncatedBathMode(omega, g, n_fock),))
+
+
+def build_hamiltonians(system):
+    """(H_sys, H_ib) on the full composite space, the dense reference of the maps.
+
+    H_sys = -E_J/2 sigma_x x 1, and H_ib = sigma_z x C + 1 x E with the
+    Kronecker sums C and E of the modes' couplings and energies; its
+    sigma_z = -1 block comes from -C and not from the parity the maps rest on.
+    """
+    energies, couplings = zip(*map(oracle._mode_operators, system.modes))
+    sigma_x, sigma_z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    h_sys = np.kron(-0.5 * system.e_j * sigma_x, np.eye(system.bath_dim))
+    h_ib = (np.kron(sigma_z, oracle._kron_sum(couplings))
+            + np.kron(np.eye(2), oracle._kron_sum(energies)))
+    return h_sys, h_ib
+
+
+def thermal_bath_state(modes, beta):
+    """Truncated thermal state of the bath: the Kronecker product of the mode weights, diagonal."""
+    return np.diag(functools.reduce(np.kron, oracle._mode_weights(modes, beta)))
 
 
 def _expm_herm(h, t):
@@ -90,18 +108,15 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "entry",
         [
-            build_hamiltonians,
-            lambda system: thermal_bath_state(system.modes, BETA_30MK),
             oracle._dense_eigensystem,
             lambda system: evolve_exact(system, pure_state(0.5), BETA_30MK, 0.1),
             lambda system: error_scaling(system, pure_state(0.5), BETA_30MK,
                                          np.geomspace(1e-4, 1e-3, 4)),
         ],
-        ids=["build_hamiltonians", "thermal_bath_state", "_dense_eigensystem",
-             "evolve_exact-dense", "error_scaling"],
+        ids=["_dense_eigensystem", "evolve_exact-dense", "error_scaling"],
     )
     def test_dimension_cap(self, monkeypatch, entry):
-        # the cap guards the dense d x d and (d/2)-square arrays, not the system
+        # the cap guards the dense (d/2)-square arrays, not the system
         def refuse(*args, **kwargs):
             raise AssertionError("diagonalised past the cap")
 
@@ -110,6 +125,12 @@ class TestConstruction:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         with pytest.raises(DimensionCapError, match=CAP_MESSAGE):
             entry(system)
+
+    def test_dimension_at_the_cap_is_allowed(self):
+        # the cap is inclusive: d = MAX_DIM passes and the next even d does not
+        oracle._check_dim((TruncatedBathMode(8.0, 0.1, oracle.MAX_DIM // 2),))
+        with pytest.raises(DimensionCapError, match=r"^composite dimension 4098 exceeds"):
+            oracle._check_dim((TruncatedBathMode(8.0, 0.1, oracle.MAX_DIM // 2 + 1),))
 
     @pytest.mark.parametrize("t", [0.3, 1.7])
     def test_maps_without_dense_arrays_run_past_the_cap(self, t):
@@ -186,13 +207,6 @@ class TestThermalBathState:
         assert rho.shape == (72, 72)
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0.0
-
-    def test_modes_may_be_any_iterable(self):
-        # the cap and the weights both read the modes
-        modes = (TruncatedBathMode(8.0, 0.5, 12), TruncatedBathMode(16.0, 0.2, 6))
-        np.testing.assert_array_equal(
-            thermal_bath_state(iter(modes), BETA_30MK), thermal_bath_state(modes, BETA_30MK)
-        )
 
     def test_zero_temperature_is_ground_state(self):
         rho = thermal_bath_state((TruncatedBathMode(8.0, 0.5, 5),), math.inf)
@@ -309,6 +323,15 @@ class TestSplitVsClosedForm:
         assert bath.omegas.size == 1
         assert float(bath.g_sq[0]) == pytest.approx(0.25, rel=1e-12)
 
+    def test_modes_may_be_any_iterable(self):
+        # the merge reads the modes once, so a generator gives the tuple's bath
+        modes = (TruncatedBathMode(16.0, 0.2, 6), TruncatedBathMode(8.0, 0.5, 12),
+                 TruncatedBathMode(16.0, 0.1, 4))
+        from_iter = discrete_bath_from_modes(iter(modes))
+        from_tuple = discrete_bath_from_modes(modes)
+        np.testing.assert_array_equal(from_iter.omegas, from_tuple.omegas)
+        np.testing.assert_array_equal(from_iter.g_sq, from_tuple.g_sq)
+
 
 class TestFactorisedAgainstDense:
     """The per-mode factorisation against full-space linear algebra."""
@@ -355,11 +378,18 @@ class TestFactorisedAgainstDense:
         assert np.max(np.abs(exact - dense_reference(zero, state, beta, t, False))) <= 1e-12
 
     def test_large_system_never_builds_the_composite(self, monkeypatch):
-        # d = 2048: no entry point builds H, at E_J = 0 or at E_J != 0
-        def refuse(system):
-            raise AssertionError("composite Hamiltonian built")
+        # d = 2048: no entry point forms a d x d array such as H, at E_J = 0
+        # or at E_J != 0; the parity blocks are (d/2)-square
+        kron = np.kron
 
-        monkeypatch.setattr(oracle, "build_hamiltonians", refuse)
+        def refusing(a, b):
+            out = kron(a, b)
+            if out.ndim == 2 and max(out.shape) >= 2048:
+                raise AssertionError("composite-dimension array formed")
+            return out
+
+        oracle._dense_eigensystem.cache_clear()
+        monkeypatch.setattr(np, "kron", refusing)
         modes = (TruncatedBathMode(15.0, 0.3, 32), TruncatedBathMode(24.0, 0.2, 32))
         state = pure_state(0.7, 0.2)
         for e_j in (0.0, 51.8):
@@ -453,11 +483,10 @@ class TestWorkDone:
             half = (system.bath_dim,) * 2
             assert calls == [half, half] + [(m.n_fock,) * 2 for m in system.modes]
 
-    def test_dense_exact_forms_no_bath_density_matrix(self, monkeypatch):
-        def refuse(modes, beta):
-            raise AssertionError("bath density matrix formed")
-
-        monkeypatch.setattr(oracle, "thermal_bath_state", refuse)
+    def test_dense_exact_forms_no_bath_density_matrix(self):
+        # the bath state enters as the vector of its weights; no oracle
+        # function forms the (d/2)-square density matrix of the tests' reference
+        assert not hasattr(oracle, "thermal_bath_state")
         modes = (TruncatedBathMode(15.0, 0.3, 8), TruncatedBathMode(24.0, 0.2, 8))
         system = CompositeSystem(e_j=51.8, modes=modes)
         state = pure_state(0.7, 0.2)
