@@ -66,9 +66,9 @@ _EXPORTS = {
         "evolve_real_influence_sum", "pure_state", "random_density_matrix",
     ),
     ".oracle": (
-        "BathTruncationWarning", "CompositeSystem", "DimensionCapError", "ErrorScalingResult",
-        "SplitComparison", "TruncatedBathMode", "error_scaling", "evolve_exact", "evolve_split",
-        "gate_unitary", "split_vs_closed_form",
+        "CompositeSystem", "DimensionCapError", "ErrorScalingResult", "SplitComparison",
+        "TruncatedBathMode", "error_scaling", "evolve_exact", "evolve_split", "gate_unitary",
+        "split_vs_closed_form",
     ),
     ".units": ("HBAR_UEV_S", "KB_UEV_PER_K", "TIME_UNIT_S", "temperature_to_beta"),
 }

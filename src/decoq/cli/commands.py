@@ -185,10 +185,34 @@ def _relaxation_window(cfg: RunConfig, beta: float, tau_gate_units: float) -> di
                      "ratio_relax_over_gate"), values))
 
 
+def _eta_max(cfg: RunConfig, spec: BathSpec, tau_gate_units: float, b2: float):
+    """First double eta with D(tau_g) >= threshold; null unless a positive normal double.
+
+    B2 is linear in eta, so D(tau_g) = threshold at eta L / B2(tau_g),
+    L = -log1p(-2 threshold); nextafter steps from there find the first double.
+    """
+    def reaches(eta: float) -> bool:
+        b2_at = dephasing_exponent(tau_gate_units, spec._replace(eta=eta))
+        return max_decoherence(b2_at) >= cfg.threshold
+
+    try:
+        eta = cfg.eta * -math.log1p(-2.0 * cfg.threshold) / b2
+    except ZeroDivisionError:  # B2 = 0: eta = 0, or B2 underflows
+        return None
+    if not sys.float_info.min <= eta < math.inf:
+        return None
+    while not reaches(eta):
+        eta = math.nextafter(eta, math.inf)
+    while reaches(below := math.nextafter(eta, 0.0)):
+        eta = below
+    return eta if sys.float_info.min <= eta else None
+
+
 def _tld_report(cfg: RunConfig) -> dict:
     spec = cfg.bath_spec()
     tau_gate_units = 1.0 / cfg.e_j
     tau_gate_ps = tau_gate_units * TIME_UNIT_S / _SECONDS_PER_PS
+    b2_gate = dephasing_exponent(tau_gate_units, spec)
     report = {
         "version": __version__,
         "convention": CUTOFF_CONVENTION,
@@ -200,7 +224,8 @@ def _tld_report(cfg: RunConfig) -> dict:
             "tau_gate_ps": REFERENCE_TAU_G_PS,
             "tau_gate_rel_dev": tau_gate_ps / REFERENCE_TAU_G_PS - 1.0,
         },
-        "d_at_gate": max_decoherence(dephasing_exponent(tau_gate_units, spec)),
+        "d_at_gate": max_decoherence(b2_gate),
+        "budget": {"eta_max": _eta_max(cfg, spec, tau_gate_units, b2_gate)},
     }
     report.update(_relaxation_window(cfg, spec.beta, tau_gate_units))
     relax = report["tau_ld_relax_units"]

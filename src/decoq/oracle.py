@@ -1,13 +1,15 @@
 """Brute-force reference dynamics for a qubit coupled to truncated bath modes.
 
 The composite Hilbert space is the qubit tensored with a handful of
-oscillator modes, each truncated to n_fock levels.  Everything here is
-exact linear algebra on that truncated Hamiltonian: exponentiate by
-eigendecomposition, partial-trace the bath out.  The point is to have an
-independent check of the reduced closed-form map and of the accuracy
-order of the symmetric propagator splitting, so this module deliberately
-shares no formulas with the closed-form path beyond the Hamiltonian
-itself.
+oscillator modes, each held at the Fock levels its thermal state needs:
+max(n_fock, 1 + ceil(ln(1/TRUNCATION_WEIGHT_TOL)/(beta omega))), so n_fock
+is a floor and the top level weighs at most TRUNCATION_WEIGHT_TOL relative
+to the ground state.  Everything here is exact linear algebra on that
+truncated Hamiltonian: exponentiate by eigendecomposition, partial-trace
+the bath out.  The point is to have an independent check of the reduced
+closed-form map and of the accuracy order of the symmetric propagator
+splitting, so this module deliberately shares no formulas with the
+closed-form path beyond the Hamiltonian itself.
 
 The coupling-plus-bath part H_ib = sigma_z x sum_k g_k (a_k + a_k^dag)
 + 1 x sum_k omega_k n_k is block-diagonal in sigma_z, and each block is
@@ -22,7 +24,7 @@ product of traces
     chi(t) = prod_k tr[U_k diag(p_k) P U_k^dag P]
            = prod_k sum_ij (-1)^(i+j) p_{k,j} |U_{k,ij}|^2,  U_k = exp(-i h_{+,k} t),
 
-so one n_fock x n_fock eigendecomposition per mode replaces the
+so one eigendecomposition per mode, on its held levels, replaces the
 composite one.  The split step A(t/2) B(t) A(t/2) therefore acts on the
 2x2 state as A(t/2) (rho_01 -> chi rho_01) A(t/2), and the exact
 evolution is the same map with A = 1 whenever E_J = 0.  chi is not the
@@ -35,9 +37,11 @@ charge x Fock blocks [[S, D P], [P D, P S P]], from which the bath trace
 sum_icdj u_{ai,cj} rho_cd p_j conj(u_{bi,dj}) is taken with no composite H
 and no d x d density matrix.
 
-Each entry point that takes beta checks its arguments and computes the
-bath weights once, then calls the private split and exact maps, never
-another entry point.
+Each entry point holds the bath once (_held), then calls the private
+split and exact maps, never another entry point; so the per-mode and the
+dense path, and both sides of error_scaling, see the same held system.
+Where a mode needs more than MAX_DIM // 2 levels, or a dense path more
+than MAX_DIM dimensions, it raises DimensionCapError instead.
 
 Conventions match the rest of the package: the qubit part of the
 Hamiltonian is -E_J/2 sigma_x in the charge basis, the bath couples
@@ -58,9 +62,10 @@ from .discrete import DiscreteBath, _check_phase, dephasing_exponent_modes, phas
 from .evolution import COMPUTATIONAL, EIGENBASIS, _check_e_j, _check_time_and_e_j
 from .states import QubitState, basis_change, evolve_real
 
-# relative thermal weight of the highest retained Fock level above which
-# the truncated thermal state is considered unreliable
+# largest relative thermal weight of a held mode's highest Fock level;
+# _held keeps 1 + ceil(_HOLD_LOG/(beta omega)) levels to stay under it
 TRUNCATION_WEIGHT_TOL = 1e-13
+_HOLD_LOG = math.log(1.0 / TRUNCATION_WEIGHT_TOL)
 
 # measured split-vs-exact errors at or below this are dominated by float
 # round-off and carry no information about the step size
@@ -71,15 +76,11 @@ MAX_DIM = 4096
 
 
 class DimensionCapError(ValueError):
-    """Composite Hilbert space would exceed MAX_DIM."""
-
-
-class BathTruncationWarning(UserWarning):
-    """Fock truncation leaves non-negligible thermal weight out."""
+    """The held bath would need a mode past MAX_DIM // 2 levels or a dense d past MAX_DIM."""
 
 
 class TruncatedBathMode(_record("TruncatedBathMode", "omega g n_fock")):
-    """One oscillator mode: frequency omega (ueV), coupling g (ueV), n_fock levels."""
+    """One oscillator mode: frequency omega (ueV), coupling g (ueV), at least n_fock levels."""
 
     __slots__ = ()
 
@@ -119,13 +120,6 @@ class CompositeSystem(_record("CompositeSystem", "e_j modes")):
         return 2 * self.bath_dim
 
 
-def _check_dim(modes) -> None:
-    """Refuse the dense arrays of a composite dimension past MAX_DIM."""
-    if (dim := 2 * math.prod(m.n_fock for m in modes)) > MAX_DIM:
-        raise DimensionCapError(f"composite dimension {dim} exceeds the cap {MAX_DIM}; "
-                                "reduce n_fock or the number of modes")
-
-
 def _mode_operators(m: TruncatedBathMode) -> tuple[np.ndarray, np.ndarray]:
     """(omega a^dag a, g (a + a^dag)) of one mode on its n_fock levels."""
     a = np.diag(np.sqrt(np.arange(1.0, m.n_fock)), 1)
@@ -157,9 +151,8 @@ def _dense_eigensystem(system: CompositeSystem):
     """Cached bath parity P and (evals, evecs) of H_+ and H_- = h -+ (E_J/2) P, for E_J != 0.
 
     The two blocks' eigenvectors take 4 d^2 bytes, so only the two most
-    recent systems are kept.
+    recent systems are kept.  _held has capped d at MAX_DIM.
     """
-    _check_dim(system.modes)
     parity = functools.reduce(np.kron, [(-1.0) ** np.arange(m.n_fock) for m in system.modes])
     h = _kron_sum([np.add(*_mode_operators(m)) for m in system.modes])
     blocks = tuple(np.linalg.eigh(h - s * system.e_j * np.diag(parity)) for s in (0.5, -0.5))
@@ -182,32 +175,36 @@ def gate_unitary(e_j: float, tau: float) -> np.ndarray:
     return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
 
 
-def _mode_weights(modes, beta: float) -> list[np.ndarray]:
-    """Truncated Boltzmann weights of each mode's Fock levels.
+def _held(system: CompositeSystem, beta: float, dense: bool = False):
+    """(system with each mode at the levels its thermal state needs, their weights).
 
-    Level 0 weighs 1 and level k >= 1 exp(-beta omega k), so a mode whose
-    beta omega overflows, beta = inf among them, is in its ground state.
-    Warns when the highest retained level still carries relative weight
-    above TRUNCATION_WEIGHT_TOL; every public function calls this from its
-    own body, so stacklevel 3 names its caller.
+    A mode keeps max(n_fock, 1 + ceil(_HOLD_LOG/(beta omega))) levels, n_fock
+    where beta omega overflows (beta = inf among them).  Level 0 weighs 1
+    and level k >= 1 exp(-beta omega k).  A mode past MAX_DIM // 2 levels,
+    the largest eigh the dense path allows, or with dense a composite
+    dimension past MAX_DIM, is a DimensionCapError naming levels and beta.
     """
     _validate_beta(beta)
-    weights = []
-    for m in modes:
-        top_weight = math.exp(-beta * m.omega * (m.n_fock - 1))
-        if top_weight > TRUNCATION_WEIGHT_TOL:
-            warnings.warn(
-                f"mode at omega={m.omega} keeps relative weight "
-                f"{top_weight:.2e} in its highest Fock level; "
-                "increase n_fock for a faithful thermal state",
-                BathTruncationWarning,
-                stacklevel=3,
-            )
-        probs = np.ones(m.n_fock)
+    modes, weights = [], []
+    for m in system.modes:
+        try:
+            levels = max(m.n_fock, 1 + math.ceil(_HOLD_LOG / (beta * m.omega)))
+        except (OverflowError, ZeroDivisionError):  # the count is past the largest double
+            levels = math.inf
+        if levels > MAX_DIM // 2:
+            raise DimensionCapError(f"mode at omega={m.omega} needs {float(levels):.6g} Fock "
+                                    f"levels at beta={beta}, past the cap {MAX_DIM // 2}")
+        probs = np.ones(levels)
         with np.errstate(over="ignore"):  # a beta omega k past the largest double is weight 0
-            probs[1:] = np.exp(-beta * m.omega * np.arange(1, m.n_fock))
+            probs[1:] = np.exp(-beta * m.omega * np.arange(1, levels))
+        modes.append(m._replace(n_fock=levels))
         weights.append(probs / probs.sum())
-    return weights
+    held = system._replace(modes=modes)
+    if dense and held.dim > MAX_DIM:
+        raise DimensionCapError(
+            f"composite dimension {held.dim} of the held levels "
+            f"{tuple(m.n_fock for m in modes)} at beta={beta} exceeds the cap {MAX_DIM}")
+    return held, weights
 
 
 def _in_charge_basis(state: QubitState, reduce) -> QubitState:
@@ -218,7 +215,7 @@ def _in_charge_basis(state: QubitState, reduce) -> QubitState:
     return basis_change(out) if eigen else out
 
 
-def _split_map(system: CompositeSystem, state: QubitState, weights, t: float) -> QubitState:
+def _split_map(system: CompositeSystem, weights, state: QubitState, t: float) -> QubitState:
     """Reduced state after A(t/2) B(t) A(t/2), bath traced out per mode.
 
     The bath trace commutes with the qubit-only A, so B acts on the 2x2
@@ -234,10 +231,10 @@ def _split_map(system: CompositeSystem, state: QubitState, weights, t: float) ->
     return _in_charge_basis(state, lambda rho: a_half @ ((a_half @ rho @ a_dag) * b_step) @ a_dag)
 
 
-def _exact_map(system: CompositeSystem, state: QubitState, weights, t: float) -> QubitState:
+def _exact_map(system: CompositeSystem, weights, state: QubitState, t: float) -> QubitState:
     """Exact reduced state: the split map at E_J = 0, else the bath trace of the parity blocks."""
     if system.e_j == 0.0:
-        return _split_map(system, state, weights, t)
+        return _split_map(system, weights, state, t)
     _check_time_and_e_j(t, system.e_j)
     parity, blocks = _dense_eigensystem(system)
     u_plus, u_minus = (_propagator(evals, evecs, t) for evals, evecs in blocks)
@@ -257,7 +254,7 @@ def evolve_exact(system: CompositeSystem, state: QubitState, beta: float, t: flo
     split map with A = 1 is exact; otherwise H's two parity blocks are
     diagonalized and the bath traced out of their propagators directly.
     """
-    return _exact_map(system, state, _mode_weights(system.modes, beta), t)
+    return _exact_map(*_held(system, beta, dense=system.e_j != 0.0), state, t)
 
 
 def evolve_split(system: CompositeSystem, state: QubitState, beta: float, t: float) -> QubitState:
@@ -266,7 +263,7 @@ def evolve_split(system: CompositeSystem, state: QubitState, beta: float, t: flo
     A is the bare-qubit propagator, B covers the coupling plus the bath
     energy for the full step.
     """
-    return _split_map(system, state, _mode_weights(system.modes, beta), t)
+    return _split_map(*_held(system, beta), state, t)
 
 
 class ErrorScalingResult(namedtuple("ErrorScalingResult", "times errors slope intercept")):
@@ -299,7 +296,7 @@ def error_scaling(
             "the two propagator factors commute, so the splitting is exact "
             "and there is no error to fit"
         )
-    weights = _mode_weights(system.modes, beta)
+    system, weights = _held(system, beta, dense=True)
     _, blocks = _dense_eigensystem(system)
     if times[-1] * max(np.max(np.abs(evals)) for evals, _ in blocks) > 1.5:
         warnings.warn(
@@ -310,8 +307,8 @@ def error_scaling(
 
     errors = np.empty_like(times)
     for i, t in enumerate(times):
-        exact = _exact_map(system, state, weights, t)
-        split = _split_map(system, state, weights, t)
+        exact = _exact_map(system, weights, state, t)
+        split = _split_map(system, weights, state, t)
         errors[i] = np.linalg.norm(exact.rho - split.rho)
 
     keep = errors > ERROR_FLOOR
@@ -354,16 +351,18 @@ def split_vs_closed_form(
 ) -> SplitComparison:
     """Compare one split step against the closed-form reduced map.
 
-    The two should agree to the Fock-truncation error: the closed form is
-    the exact partial trace of the split propagator over a thermal bath.
+    The two agree to round-off: the closed form is the exact partial trace
+    of the split propagator over a thermal bath, and the held levels leave
+    out at most TRUNCATION_WEIGHT_TOL of a mode's thermal weight.  A strong
+    coupling's displacement is not held; it needs a higher n_fock (README).
     """
-    weights = _mode_weights(system.modes, beta)
+    held, weights = _held(system, beta)
     work = state if state.basis == EIGENBASIS else basis_change(state)
     bath = discrete_bath_from_modes(system.modes)
     b2 = dephasing_exponent_modes(t, bath, beta)
     shift = phase_shift_modes(t, bath)
     closed = evolve_real(work, b2, t, system.e_j).rho
-    split = _split_map(system, work, weights, t).rho
+    split = _split_map(held, weights, work, t).rho
     return SplitComparison(
         rho_split=split,
         rho_closed=closed,

@@ -388,6 +388,38 @@ class TestTldCommand:
         assert report["no_crossing"] is True
         assert report["tau_ld_units"] is None
         assert report["d_at_t_max"] == 0.0
+        # B2 = 0 at every eta gives no eta budget
+        assert report["budget"] == {"eta_max": None}
+
+    @staticmethod
+    def eta_max_checked(cfg):
+        """eta_max of cfg's tld report, checked as the first double with D(tau_g) >= threshold."""
+        spec, tau_g = cfg.bath_spec(), 1.0 / cfg.e_j
+        b2 = dephasing_exponent(tau_g, spec)
+        eta = commands._eta_max(cfg, spec, tau_g, b2)
+        d = lambda e: max_decoherence(dephasing_exponent(tau_g, spec._replace(eta=e)))  # noqa: E731
+        assert d(eta) >= cfg.threshold > d(math.nextafter(eta, 0.0))
+        # one division away from L / b, b = B2/eta
+        assert eta == pytest.approx(cfg.eta * -math.log1p(-2.0 * cfg.threshold) / b2, rel=1e-15)
+        return eta
+
+    def test_eta_budget(self, tmp_path):
+        # the abstract's verdict holds up to 36 times the default eta; a no
+        # crossing report carries the same budget, which does not need tau_ld
+        assert self.eta_max_checked(RunConfig()) == 3.604201689225632e-05
+        for extra, code in (([], 0), (["--t-max", "1"], 2)):
+            out = tmp_path / "tld.json"
+            assert main(["tld", *extra, "--out", str(out)]) == code
+            assert json.loads(out.read_text())["budget"] == {"eta_max": 3.604201689225632e-05}
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.floats(1.0, 6.0), temp_mk=st.floats(1.0, 300.0), omega_c=st.floats(50.0, 1e4),
+           log_eta=st.floats(-9.0, -4.0), threshold=st.floats(1e-6, 1e-2))
+    def test_eta_budget_is_the_first_double_at_the_threshold(self, s, temp_mk, omega_c,
+                                                               log_eta, threshold):
+        cfg = RunConfig(s=s, temp_mk=temp_mk, omega_c=omega_c, eta=10.0**log_eta,
+                        threshold=threshold)
+        self.eta_max_checked(cfg)
 
 
 class TestSweepCommand:
@@ -1014,9 +1046,10 @@ class TestLazyImport:
 
 
 # decoq.__all__ when the package imported every submodule eagerly, less
-# thermal_bath_state, which moved into the oracle tests as a dense reference
+# thermal_bath_state, which moved into the oracle tests as a dense reference,
+# and the oracle's truncation warning, which went when it began to hold the bath
 PUBLIC_NAMES = [
-    "BathSpec", "BathTruncationWarning", "COMPUTATIONAL", "CompositeSystem",
+    "BathSpec", "COMPUTATIONAL", "CompositeSystem",
     "DeviationOperator", "DimensionCapError", "DiscreteBath", "EIGENBASIS",
     "ErrorScalingResult", "HBAR_UEV_S", "KB_UEV_PER_K", "NoCrossingError", "QubitState",
     "SplitComparison", "TIME_UNIT_S", "TruncatedBathMode", "basis_change",
@@ -1122,8 +1155,9 @@ class TestTracedNames:
             "        assert cli.main([command]) == 0\n"
             "    print(command, sorted(calls.items()))\n"
         )
+        # tld: B2 at the gate, then three for the first double of the eta budget
         assert run_python(script).splitlines() == [
             "curve [('dephasing_exponent', 400)]",
-            "tld [('dephasing_exponent', 1), ('low_decoherence_time', 1)]",
+            "tld [('dephasing_exponent', 4), ('low_decoherence_time', 1)]",
             "verify [('dephasing_exponent', 1), ('error_scaling', 1)]",
         ]

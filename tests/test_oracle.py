@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from decoq.discrete import dephasing_exponent_modes
 from decoq.evolution import COMPUTATIONAL
-from decoq.states import QubitState, evolve_ideal, pure_state, random_density_matrix
+from decoq.states import QubitState, evolve_ideal, evolve_real, pure_state, random_density_matrix
 from decoq import basis_change, gate_unitary
 from decoq.oracle import (
-    BathTruncationWarning,
     CompositeSystem,
     DimensionCapError,
     TruncatedBathMode,
@@ -48,8 +47,18 @@ def build_hamiltonians(system):
 
 
 def thermal_bath_state(modes, beta):
-    """Truncated thermal state of the bath: the Kronecker product of the mode weights, diagonal."""
-    return np.diag(functools.reduce(np.kron, oracle._mode_weights(modes, beta)))
+    """Thermal state of the bath on the modes' n_fock levels: diagonal, a Kronecker product."""
+    def weights(m):
+        p = np.array([1.0] + [math.exp(-beta * m.omega * k) for k in range(1, m.n_fock)])
+        return p / p.sum()
+
+    return np.diag(functools.reduce(np.kron, map(weights, modes)))
+
+
+def held_levels(mode, beta):
+    """The levels the oracle holds a mode at, from the rule in its docstring."""
+    need = math.log(1.0 / oracle.TRUNCATION_WEIGHT_TOL) / (beta * mode.omega)
+    return max(mode.n_fock, 1 + math.ceil(need))
 
 
 def _expm_herm(h, t):
@@ -58,11 +67,12 @@ def _expm_herm(h, t):
 
 
 def dense_reference(system, state, beta, t, split):
-    """Reduced state by full-space propagation and partial trace.
+    """Reduced state by full-space propagation and partial trace, on the held levels.
 
     split=False propagates with H_sys + H_ib, split=True with
     A(t/2) exp(-i H_ib t) A(t/2); the result is in the input basis.
     """
+    system = system._replace(modes=[m._replace(n_fock=held_levels(m, beta)) for m in system.modes])
     h_sys, h_ib = build_hamiltonians(system)
     if split:
         a_half = np.kron(gate_unitary(system.e_j, 0.5 * t), np.eye(system.bath_dim))
@@ -70,29 +80,36 @@ def dense_reference(system, state, beta, t, split):
     else:
         u = _expm_herm(h_sys + h_ib, t)
     comp = state if state.basis == COMPUTATIONAL else basis_change(state)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BathTruncationWarning)
-        rho0 = np.kron(comp.rho, thermal_bath_state(system.modes, beta))
+    rho0 = np.kron(comp.rho, thermal_bath_state(system.modes, beta))
     nb = system.bath_dim
     full = (u @ rho0 @ u.conj().T).reshape(2, nb, 2, nb)
     out = QubitState(np.einsum("aibi->ab", full), COMPUTATIONAL)
     return (out if state.basis == COMPUTATIONAL else basis_change(out)).rho
 
 
+BETAS = st.one_of(st.just(math.inf), st.floats(1.0, 300.0).map(temperature_to_beta))
+
+
 @st.composite
-def composite_systems(draw, max_bath_dim=256, couplings=st.floats(0.0, 1.0)):
-    """1-3 modes whose Fock levels keep the composite dimension <= 2 * max_bath_dim."""
-    n_modes = draw(st.integers(1, 3))
+def held_systems(draw, betas=BETAS, couplings=st.floats(0.0, 1.0), max_bath_dim=256):
+    """(beta, 1-3 modes) whose held levels keep the composite dimension <= 2 * max_bath_dim.
+
+    A warm bath may leave room for fewer modes than drawn.
+    """
+    beta, n_modes = draw(betas), draw(st.integers(1, 3))
     budget, modes = max_bath_dim, []
     for k in range(n_modes):
         # leave at least two levels for every mode still to come
-        cap = min(16, budget // 2 ** (n_modes - k - 1))
-        n_fock = draw(st.integers(2, cap))
-        budget //= n_fock
-        omega = draw(st.floats(2.0, 40.0))
-        g = draw(couplings)
-        modes.append(TruncatedBathMode(omega, g, n_fock))
-    return tuple(modes)
+        cap = budget // 2 ** (n_modes - k - 1)
+        # an omega at or above low is held in at most cap levels
+        low = max(2.0, math.log(1.0 / oracle.TRUNCATION_WEIGHT_TOL) / (beta * (cap - 1)) * 1.01)
+        if low > 40.0:
+            break
+        mode = TruncatedBathMode(draw(st.floats(low, 40.0)), draw(couplings),
+                                 draw(st.integers(2, min(16, cap))))
+        budget //= held_levels(mode, beta)
+        modes.append(mode)
+    return beta, tuple(modes)
 
 
 # d = 8192, past MAX_DIM: no dense array of it may be formed
@@ -100,7 +117,8 @@ CAPPED_MODES = tuple(
     TruncatedBathMode(w, g, 16) for w, g in ((15.0, 0.3), (20.0, 0.2), (24.0, 0.25))
 )
 CAP_MESSAGE = (
-    r"^composite dimension 8192 exceeds the cap 4096; reduce n_fock or the number of modes$"
+    rf"^composite dimension 8192 of the held levels \(16, 16, 16\) at beta={BETA_30MK} "
+    r"exceeds the cap 4096$"
 )
 
 
@@ -108,12 +126,11 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "entry",
         [
-            oracle._dense_eigensystem,
             lambda system: evolve_exact(system, pure_state(0.5), BETA_30MK, 0.1),
             lambda system: error_scaling(system, pure_state(0.5), BETA_30MK,
                                          np.geomspace(1e-4, 1e-3, 4)),
         ],
-        ids=["_dense_eigensystem", "evolve_exact-dense", "error_scaling"],
+        ids=["evolve_exact-dense", "error_scaling"],
     )
     def test_dimension_cap(self, monkeypatch, entry):
         # the cap guards the dense (d/2)-square arrays, not the system
@@ -127,10 +144,20 @@ class TestConstruction:
             entry(system)
 
     def test_dimension_at_the_cap_is_allowed(self):
-        # the cap is inclusive: d = MAX_DIM passes and the next even d does not
-        oracle._check_dim((TruncatedBathMode(8.0, 0.1, oracle.MAX_DIM // 2),))
-        with pytest.raises(DimensionCapError, match=r"^composite dimension 4098 exceeds"):
-            oracle._check_dim((TruncatedBathMode(8.0, 0.1, oracle.MAX_DIM // 2 + 1),))
+        # both caps are inclusive: a mode of MAX_DIM // 2 levels, d = MAX_DIM, is
+        # held, and one more level is refused; _held diagonalises nothing
+        def system(*levels):
+            modes = [TruncatedBathMode(8.0 + k, 0.1, n) for k, n in enumerate(levels)]
+            return CompositeSystem(e_j=51.8, modes=modes)
+
+        held, _ = oracle._held(system(oracle.MAX_DIM // 2), math.inf, dense=True)
+        assert held == system(oracle.MAX_DIM // 2) and held.dim == oracle.MAX_DIM
+        with pytest.raises(DimensionCapError, match=r"^mode at omega=8\.0 needs 2049 Fock levels "
+                                                    r"at beta=inf, past the cap 2048$"):
+            oracle._held(system(oracle.MAX_DIM // 2 + 1), math.inf)
+        with pytest.raises(DimensionCapError, match=r"^composite dimension 4100 of the held "
+                                                    r"levels \(1025, 2\) at beta=inf exceeds"):
+            oracle._held(system(1025, 2), math.inf, dense=True)
 
     @pytest.mark.parametrize("t", [0.3, 1.7])
     def test_maps_without_dense_arrays_run_past_the_cap(self, t):
@@ -200,28 +227,52 @@ class TestConstruction:
                 )
 
 
-class TestThermalBathState:
-    def test_normalized_and_diagonal(self):
-        modes = (TruncatedBathMode(8.0, 0.5, 12), TruncatedBathMode(16.0, 0.2, 6))
-        rho = thermal_bath_state(modes, BETA_30MK)
-        assert rho.shape == (72, 72)
-        assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0.0
+class TestHeldBath:
+    """_held: each mode at the levels its thermal state needs, and their weights."""
+
+    def test_weights_are_the_thermal_state_of_the_held_levels(self):
+        system = CompositeSystem(e_j=51.8, modes=(TruncatedBathMode(8.0, 0.5, 12),
+                                                   TruncatedBathMode(16.0, 0.2, 6)))
+        held, weights = oracle._held(system, BETA_30MK)
+        p = functools.reduce(np.kron, weights)
+        assert p.shape == (72,) and p.sum() == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(np.diag(p), thermal_bath_state(held.modes, BETA_30MK),
+                                   rtol=1e-14, atol=0.0)
 
     def test_zero_temperature_is_ground_state(self):
-        rho = thermal_bath_state((TruncatedBathMode(8.0, 0.5, 5),), math.inf)
-        expected = np.zeros((5, 5))
-        expected[0, 0] = 1.0
-        np.testing.assert_allclose(rho, expected, atol=0.0)
+        system = CompositeSystem(e_j=51.8, modes=(TruncatedBathMode(8.0, 0.5, 5),))
+        held, (p,) = oracle._held(system, math.inf)
+        assert held == system
+        np.testing.assert_array_equal(p, [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_occupation_ratio_is_boltzmann(self):
-        rho = thermal_bath_state((TruncatedBathMode(8.0, 0.5, 12),), BETA_30MK)
-        p = np.diag(rho)
+        system = CompositeSystem(e_j=51.8, modes=(TruncatedBathMode(8.0, 0.5, 12),))
+        _, (p,) = oracle._held(system, BETA_30MK)
         assert p[1] / p[0] == pytest.approx(math.exp(-BETA_30MK * 8.0), rel=1e-12)
 
-    def test_warns_when_truncation_is_too_tight(self):
-        with pytest.warns(BathTruncationWarning):
-            thermal_bath_state((TruncatedBathMode(1.0, 0.5, 3),), BETA_30MK)
+    @pytest.mark.parametrize(
+        "temp_mk, modes, levels",
+        [
+            # the benchmark's 8-level systems, once left truncated with a warning
+            (218.5, ((12.0, 0.3), (20.0, 0.2)), (48, 30)),
+            (115.9, ((12.0, 0.3), (16.0, 0.2)), (26, 20)),
+            # verify's split-order system keeps its floor
+            (30.0, ((16.0, 0.8), (23.0, 0.6)), (6, 6)),
+            (300.0, ((2.0, 0.6),), (388,)),
+        ],
+        ids=["218.5mK", "115.9mK", "verify-30mK", "300mK-soft"],
+    )
+    def test_levels_hold_the_thermal_weight(self, temp_mk, modes, levels):
+        beta = temperature_to_beta(temp_mk)
+        floor = 6 if temp_mk == 30.0 else 8
+        system = CompositeSystem(e_j=0.0, modes=[TruncatedBathMode(w, g, floor) for w, g in modes])
+        held, weights = oracle._held(system, beta)
+        assert tuple(m.n_fock for m in held.modes) == levels
+        assert [m.n_fock for m in held.modes] == [held_levels(m, beta) for m in system.modes]
+        for m, p in zip(held.modes, weights):
+            # the top level is under the tolerance; one level fewer is not, unless at the floor
+            assert p[-1] / p[0] <= oracle.TRUNCATION_WEIGHT_TOL
+            assert m.n_fock == floor or p[-2] / p[0] > oracle.TRUNCATION_WEIGHT_TOL
 
     @pytest.mark.parametrize("e_j", [0.0, 51.8])
     def test_huge_finite_beta_is_the_ground_state(self, e_j):
@@ -230,9 +281,10 @@ class TestThermalBathState:
         for evolve in (evolve_exact, evolve_split):
             at_inf = evolve(system, pure_state(0.5), math.inf, 0.4).rho
             np.testing.assert_array_equal(evolve(system, pure_state(0.5), 1e308, 0.4).rho, at_inf)
-        np.testing.assert_array_equal(
-            thermal_bath_state(system.modes, 1e308), thermal_bath_state(system.modes, math.inf)
-        )
+        for beta in (1e308, math.inf):
+            held, (p,) = oracle._held(system, beta)
+            assert held == system
+            np.testing.assert_array_equal(p, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("entry", [evolve_exact, evolve_split, split_vs_closed_form])
     @pytest.mark.parametrize("e_j", [0.0, 51.8])
@@ -247,13 +299,73 @@ class TestThermalBathState:
             np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("e_j", [0.0, 51.8])
-    def test_evolutions_warn_when_truncation_is_too_tight(self, e_j):
-        system = CompositeSystem(e_j=e_j, modes=(TruncatedBathMode(1.0, 0.5, 3),))
+    def test_tight_floor_is_held_without_a_warning(self, e_j):
+        # two levels of a 1 ueV mode at 30 mK leave 46% of its thermal weight
+        # out; the oracle holds it at 79 levels and warns nothing
+        system = CompositeSystem(e_j=e_j, modes=(TruncatedBathMode(1.0, 0.05, 2),))
+        assert oracle._held(system, BETA_30MK)[0].modes[0].n_fock == 79
         state = pure_state(0.5)
-        with pytest.warns(BathTruncationWarning):
-            evolve_exact(system, state, BETA_30MK, 0.1)
-        with pytest.warns(BathTruncationWarning):
-            evolve_split(system, state, BETA_30MK, 0.1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            exact = evolve_exact(system, state, BETA_30MK, 0.1).rho
+            split = evolve_split(system, state, BETA_30MK, 0.1).rho
+        assert caught == []
+        for got, is_split in ((exact, False), (split, True)):
+            np.testing.assert_allclose(
+                got, dense_reference(system, state, BETA_30MK, 0.1, is_split), rtol=0, atol=1e-12)
+
+
+class TestDimensionCapError:
+    """Where the oracle cannot hold the bath it raises, naming the levels and beta."""
+
+    ENTRIES = [
+        lambda system, beta: evolve_exact(system, pure_state(0.5), beta, 0.1),
+        lambda system, beta: evolve_split(system, pure_state(0.5), beta, 0.1),
+        lambda system, beta: split_vs_closed_form(system, pure_state(0.5), beta, 0.1),
+        lambda system, beta: error_scaling(system, pure_state(0.5), beta,
+                                           np.geomspace(1e-4, 1e-3, 4)),
+    ]
+    IDS = ["evolve_exact", "evolve_split", "split_vs_closed_form", "error_scaling"]
+
+    @pytest.fixture(autouse=True)
+    def no_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("diagonalised a bath it cannot hold")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=IDS)
+    def test_mode_past_half_the_cap(self, entry):
+        # at 1 K a 1 ueV mode needs 1 + ceil(ln(1e13)/(beta omega)) = 2581 levels
+        beta = temperature_to_beta(1000.0)
+        system = CompositeSystem(e_j=51.8, modes=(TruncatedBathMode(1.0, 0.1, 4),))
+        with pytest.raises(DimensionCapError, match=rf"^mode at omega=1\.0 needs 2581 Fock levels "
+                                                    rf"at beta={beta}, past the cap 2048$"):
+            entry(system, beta)
+
+    @pytest.mark.parametrize("beta, omega", [(5e-324, 1.0), (5e-324, 0.1)],
+                             ids=["subnormal", "underflow-to-zero"])
+    @pytest.mark.parametrize("entry", ENTRIES, ids=IDS)
+    def test_level_count_past_the_largest_double(self, entry, beta, omega):
+        # beta omega = 5e-324 makes the count inf, and 0 a division by zero;
+        # neither may escape as OverflowError or ZeroDivisionError
+        system = CompositeSystem(e_j=51.8, modes=(TruncatedBathMode(omega, 0.1, 4),))
+        with pytest.raises(DimensionCapError, match=rf"^mode at omega={omega} needs inf Fock "
+                                                    r"levels at beta=5e-324, past the cap 2048$"):
+            entry(system, beta)
+
+    @pytest.mark.parametrize("entry", [ENTRIES[0], ENTRIES[3]],
+                             ids=["evolve_exact", "error_scaling"])
+    def test_dense_held_dimension_past_the_cap(self, entry):
+        # floors of 8 give d = 128, but at 300 mK the modes are held at
+        # 388 and 38 levels, d = 29488; the per-mode maps run at that d
+        beta = temperature_to_beta(300.0)
+        system = CompositeSystem(e_j=51.8, modes=(TruncatedBathMode(2.0, 0.1, 8),
+                                                  TruncatedBathMode(21.0, 0.1, 8)))
+        with pytest.raises(DimensionCapError, match=rf"^composite dimension 29488 of the held "
+                                                    rf"levels \(388, 38\) at beta={beta} exceeds "
+                                                    r"the cap 4096$"):
+            entry(system, beta)
 
 
 class TestDecoupledLimit:
@@ -278,22 +390,65 @@ class TestPureDephasing:
             assert out.rho[0, 1] == pytest.approx(0.5 * math.exp(-b2), abs=1e-10)
             assert out.rho[0, 0].real == pytest.approx(0.5, abs=1e-12)
 
-    def test_truncation_error_falls_with_fock_levels(self):
-        # soft mode at strong coupling: the truncated prediction homes in
-        # on the closed form as levels are added
+    def test_fock_levels_are_a_floor(self):
+        # a soft mode at 300 mK is held at 388 levels whatever its floor, so
+        # floors of 4, 8 and 16 give one answer, the closed form's
         beta = temperature_to_beta(300.0)
         rho0 = QubitState(np.full((2, 2), 0.5, dtype=complex), COMPUTATIONAL)
         t = 0.8
-        diffs = []
-        for n_fock in (4, 8, 16):
-            system = CompositeSystem(e_j=0.0, modes=(TruncatedBathMode(2.0, 0.6, n_fock),))
-            bath = discrete_bath_from_modes(system.modes)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", BathTruncationWarning)
-                out = evolve_exact(system, rho0, beta, t)
-            b2 = dephasing_exponent_modes(t, bath, beta)
-            diffs.append(abs(out.rho[0, 1] - 0.5 * math.exp(-b2)))
-        assert diffs[0] > diffs[1] > diffs[2]
+        outs = [
+            evolve_exact(CompositeSystem(e_j=0.0, modes=(TruncatedBathMode(2.0, 0.1, n_fock),)),
+                         rho0, beta, t).rho
+            for n_fock in (4, 8, 16)
+        ]
+        for out in outs[1:]:
+            np.testing.assert_array_equal(out, outs[0])
+        bath = discrete_bath_from_modes([TruncatedBathMode(2.0, 0.1, 4)])
+        b2 = dephasing_exponent_modes(t, bath, beta)
+        assert abs(outs[0][0, 1] - 0.5 * math.exp(-b2)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        beta=BETAS,
+        modes=st.lists(
+            st.tuples(st.floats(2.0, 40.0), st.floats(0.0, 0.1), st.integers(12, 40)),
+            min_size=1, max_size=3,
+        ),
+        t=st.floats(1e-3, 30.0),
+        e_j=st.sampled_from([0.0, 51.8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_maps_match_the_mode_sum(self, beta, modes, t, e_j, seed):
+        # the region README claims: g <= 0.1 omega and a floor of at least 12
+        # levels, at any temperature; the exact map is the split one at E_J = 0
+        modes = [TruncatedBathMode(w, ratio * w, n) for w, ratio, n in modes]
+        system = CompositeSystem(e_j=e_j, modes=modes)
+        state = random_density_matrix(np.random.default_rng(seed))
+        b2 = dephasing_exponent_modes(t, discrete_bath_from_modes(modes), beta)
+        closed = evolve_real(state, b2, t, e_j).rho
+        got = [evolve_split(system, state, beta, t).rho,
+               split_vs_closed_form(system, state, beta, t).rho_split]
+        if e_j == 0.0:
+            got.append(evolve_exact(system, state, beta, t).rho)
+        for rho in got:
+            assert np.max(np.abs(rho - closed)) <= 1e-12
+
+    @pytest.mark.parametrize("n_fock, low, high", [(2, 0.1, 0.5), (16, 0.0, 1e-12)],
+                             ids=["floor-2", "floor-16"])
+    def test_floor_holds_the_displacement(self, n_fock, low, high):
+        # the held levels cover thermal weight only: at T = 0 and g = 0.3 omega
+        # the displaced vacuum needs the floor's levels, and two levels are
+        # off by up to about 0.26 of a coherence of 0.5
+        system = CompositeSystem(e_j=0.0, modes=(TruncatedBathMode(10.0, 3.0, n_fock),))
+        assert oracle._held(system, math.inf)[0] == system
+        bath = discrete_bath_from_modes(system.modes)
+        rho0 = QubitState(np.full((2, 2), 0.5, dtype=complex), COMPUTATIONAL)
+        worst = max(
+            abs(evolve_split(system, rho0, math.inf, t).rho[0, 1]
+                - 0.5 * math.exp(-dephasing_exponent_modes(t, bath, math.inf)))
+            for t in np.linspace(0.01, 3.0, 300)
+        )
+        assert low <= worst <= high
 
 
 class TestSplitVsClosedForm:
@@ -359,21 +514,19 @@ class TestFactorisedAgainstDense:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        modes=composite_systems(),
-        beta=st.one_of(st.just(math.inf), st.floats(1.0, 300.0).map(temperature_to_beta)),
+        beta_modes=held_systems(),
         t=st.floats(1e-3, 3.0),
         e_j=st.sampled_from([0.0, 51.8]),
         basis=st.sampled_from([COMPUTATIONAL, "eigenbasis"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_fuzz(self, modes, beta, t, e_j, basis, seed):
+    def test_fuzz(self, beta_modes, t, e_j, basis, seed):
+        beta, modes = beta_modes
         state = random_density_matrix(np.random.default_rng(seed), basis)
         system = CompositeSystem(e_j=e_j, modes=modes)
         zero = CompositeSystem(e_j=0.0, modes=modes)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BathTruncationWarning)
-            split = evolve_split(system, state, beta, t).rho
-            exact = evolve_exact(zero, state, beta, t).rho
+        split = evolve_split(system, state, beta, t).rho
+        exact = evolve_exact(zero, state, beta, t).rho
         assert np.max(np.abs(split - dense_reference(system, state, beta, t, True))) <= 1e-12
         assert np.max(np.abs(exact - dense_reference(zero, state, beta, t, False))) <= 1e-12
 
@@ -418,13 +571,14 @@ class TestFactorisedAgainstDense:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        modes=composite_systems(couplings=st.just(0.0) | st.floats(0.0, 1.0)),
-        beta=st.floats(1.0, 300.0).map(temperature_to_beta),
+        beta_modes=held_systems(betas=st.floats(1.0, 300.0).map(temperature_to_beta),
+                                couplings=st.just(0.0) | st.floats(0.0, 1.0)),
         t=st.floats(1e-3, 3.0),
         e_j=st.floats(0.0, 200.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_parity_blocks_fuzz(self, modes, beta, t, e_j, seed):
+    def test_parity_blocks_fuzz(self, beta_modes, t, e_j, seed):
+        beta, modes = beta_modes
         system = CompositeSystem(e_j=e_j, modes=modes)
         _, blocks = oracle._dense_eigensystem(system)
         assert [evecs.shape for _, evecs in blocks] == [(system.bath_dim,) * 2] * 2
@@ -434,9 +588,7 @@ class TestFactorisedAgainstDense:
         rng = np.random.default_rng(seed)
         for basis in (COMPUTATIONAL, "eigenbasis"):
             state = random_density_matrix(rng, basis)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", BathTruncationWarning)
-                exact = evolve_exact(system, state, beta, t)
+            exact = evolve_exact(system, state, beta, t)
             assert exact.basis == basis
             dense = dense_reference(system, state, beta, t, False)
             assert np.max(np.abs(exact.rho - dense)) <= 1e-12
@@ -499,7 +651,6 @@ class TestWorkDone:
     @pytest.mark.parametrize(
         "e_j,call",
         [
-            (51.8, lambda system: thermal_bath_state(system.modes, BETA_30MK)),
             (51.8, lambda system: evolve_exact(system, pure_state(0.5), BETA_30MK, 0.1)),
             (0.0, lambda system: evolve_exact(system, pure_state(0.5), BETA_30MK, 0.1)),
             (51.8, lambda system: evolve_split(system, pure_state(0.5), BETA_30MK, 0.1)),
@@ -507,26 +658,46 @@ class TestWorkDone:
             (51.8, lambda system: error_scaling(system, pure_state(0.5), BETA_30MK,
                                               np.geomspace(4e-4, 3e-3, 6))),
         ],
-        ids=["thermal_bath_state", "evolve_exact-dense", "evolve_exact-e_j=0",
-             "evolve_split", "split_vs_closed_form", "error_scaling"],
+        ids=["evolve_exact-dense", "evolve_exact-e_j=0", "evolve_split", "split_vs_closed_form",
+             "error_scaling"],
     )
-    def test_dense_truncation_warning_points_at_the_caller(self, e_j, call):
-        # each public entry point reaches the warning through its own depth
-        # of private helpers; the warning must still name the caller's line
+    def test_no_entry_point_warns_of_truncation(self, e_j, call):
+        # three levels of a 1 ueV mode at 30 mK used to warn; now held at 79
         system = CompositeSystem(e_j=e_j, modes=(TruncatedBathMode(1.0, 0.5, 3),))
-        with pytest.warns(BathTruncationWarning) as caught:
-            call(system)
-        assert {w.filename for w in caught if w.category is BathTruncationWarning} == {__file__}
-
-    def test_error_scaling_warns_once(self):
-        # the bath weights are computed once per call, not once per step size
-        system = CompositeSystem(e_j=51.8, modes=(TruncatedBathMode(1.0, 0.5, 3),))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            error_scaling(system, pure_state(0.5), BETA_30MK, np.geomspace(4e-4, 3e-3, 6))
-        truncation = [w for w in caught if w.category is BathTruncationWarning]
-        assert len(truncation) == 1
-        assert truncation[0].filename == __file__
+            call(system)
+        assert caught == []
+
+    def test_error_scaling_gives_both_maps_one_held_system(self, monkeypatch):
+        # floors of 2 are held at 6 and 5 levels at 30 mK; the exact and the
+        # split map of every step see that one system and its weights
+        seen = []
+
+        def recording(name):
+            mapped = getattr(oracle, name)
+
+            def call(system, weights, state, t):
+                seen.append((name, system, weights))
+                return mapped(system, weights, state, t)
+
+            monkeypatch.setattr(oracle, name, call)
+
+        for name in ("_exact_map", "_split_map"):
+            recording(name)
+        system = CompositeSystem(e_j=51.8, modes=(TruncatedBathMode(16.0, 0.8, 2),
+                                                   TruncatedBathMode(23.0, 0.6, 2)))
+        state, times = pure_state(math.pi / 3.0, 0.3), np.geomspace(4e-4, 3e-3, 6)
+        result = error_scaling(system, state, BETA_30MK, times)
+        held = oracle._held(system, BETA_30MK)[0]
+        assert [m.n_fock for m in held.modes] == [6, 5]
+        assert [name for name, _, _ in seen] == ["_exact_map", "_split_map"] * 6
+        assert all(s is seen[0][1] and w is seen[0][2] for _, s, w in seen)
+        assert seen[0][1] == held
+        # so the fit is the one of the held system given outright
+        monkeypatch.undo()
+        np.testing.assert_array_equal(error_scaling(held, state, BETA_30MK, times).errors,
+                                      result.errors)
 
 
 class TestArguments:
