@@ -24,8 +24,9 @@ from collections import namedtuple
 # thermal sum of B2: terms n < EM_N are summed directly, the rest by
 # Euler-Maclaurin at q = EM_N + a.  The summand is analytic at distance >= q
 # from the real axis, so the Bernoulli corrections B_2j/(2j)! below shrink
-# like (2 pi q)^-2j; seven of them leave B2 exact to double precision at
-# any t (checked against mpmath for s up to 10).
+# like (2 pi q)^-2j; with seven of them B2 is within 1e-12 relative of
+# mpmath for s in [1, 20], T = 0 or T in [1, 1e6] mK, omega_c in [50, 1e4]
+# and t in [1e-7, 1e5] (README, "Claims").
 EM_N = 20
 EM_COEFFS = tuple(
     b / math.factorial(2 * j)

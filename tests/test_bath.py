@@ -85,6 +85,19 @@ def mpmath_b2(t, spec, dps=40):
         return float(4 * spec.eta * total)
 
 
+def reference_dps(s):
+    """Digits for mpmath_b2 and mpmath_c: a large s cancels 2 more per unit of s in their sums."""
+    return 40 + math.ceil(2.0 * s)
+
+
+def mpmath_d(t, spec):
+    """D = -expm1(-B2)/2 from mpmath_b2 at reference_dps digits."""
+    dps = reference_dps(spec.s)
+    b2 = mpmath_b2(t, spec, dps)
+    with mpmath.workdps(dps):
+        return float(-mpmath.expm1(-mpmath.mpf(b2)) / 2)
+
+
 def mpmath_c(t, spec, dps=40):
     """C(t) = eta omega_c^nu [Gamma(nu+1) x - Gamma(nu) Im (1 - ix)^-nu].
 
@@ -400,8 +413,7 @@ class TestKernel:
         beta = math.inf if temp_mk is None else temperature_to_beta(temp_mk)
         spec = bench_spec(s=s, omega_c=10.0**log_omega_c, beta=beta)
         t = 10.0**log_t
-        # a large s cancels more digits in the reference's sums: 2 more per unit of s
-        dps = 40 + math.ceil(2.0 * s)
+        dps = reference_dps(s)
         assert dephasing_exponent(t, spec) == pytest.approx(
             mpmath_b2(t, spec, dps), rel=1e-12, abs=0.0
         )

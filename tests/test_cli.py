@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import fnmatch
 import io
 import json
 import math
@@ -30,6 +31,8 @@ from decoq.cli import (
 )
 from decoq.evolution import low_decoherence_time, max_decoherence
 from decoq.units import TIME_UNIT_S, temperature_to_beta
+from test_bath import mpmath_b2, mpmath_d, reference_dps
+from test_golden import GOLDEN
 
 # a superohmic bath whose D crosses the threshold past t_rise, falls back
 # below it and crosses again before t_max
@@ -421,6 +424,35 @@ class TestTldCommand:
                         threshold=threshold)
         self.eta_max_checked(cfg)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=st.floats(1.0, 6.0),
+        # below 6.5e-308 mK beta is inf: the bath at T = 0
+        temp_mk=st.one_of(st.just(1e-320), st.floats(1.0, 300.0)),
+        log_omega_c=st.floats(math.log10(50.0), 4.0),
+        log_eta=st.floats(-9.0, -5.0),
+        e_j=st.floats(5.0, 500.0),
+        log_threshold=st.floats(-6.0, -2.0),
+        log_t_max=st.floats(-3.0, 1.0),
+    )
+    def test_gate_level_and_budget_match_mpmath(self, s, temp_mk, log_omega_c, log_eta, e_j,
+                                                log_threshold, log_t_max):
+        # d_at_gate of every tld report and sweep row; for s > 2 the window
+        # ends by t_rise, past which a crossing may be refused
+        omega_c = 10.0**log_omega_c
+        t_max = min(10.0**log_t_max, math.tan(math.pi / s) / omega_c if s > 2.0 else math.inf)
+        cfg = RunConfig(e_j=e_j, temp_mk=temp_mk, eta=10.0**log_eta, omega_c=omega_c, s=s,
+                        t_max=t_max, threshold=10.0**log_threshold)
+        spec = cfg.bath_spec()
+        report = commands._tld_report(cfg)
+        assert report["d_at_gate"] == pytest.approx(mpmath_d(1.0 / e_j, spec), rel=1e-12, abs=0.0)
+        # eta_max: B2 is linear in eta, so D(tau_g) = threshold at eta L / B2(tau_g)
+        b2_gate = mpmath_b2(1.0 / e_j, spec, reference_dps(s))
+        eta_max = cfg.eta * -math.log1p(-2.0 * cfg.threshold) / b2_gate
+        assert report["budget"]["eta_max"] == pytest.approx(eta_max, rel=1e-12, abs=0.0)
+        if report["no_crossing"]:
+            assert report["d_at_t_max"] == pytest.approx(mpmath_d(t_max, spec), rel=1e-12, abs=0.0)
+
 
 class TestSweepCommand:
     def test_temperature_whose_kb_t_underflows_runs_at_zero_temperature(self, tmp_path):
@@ -643,14 +675,49 @@ class TestVerifyCommand:
         assert failed == ["pure-dephasing-oracle"]
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_table(header: str) -> list[list[str]]:
+    """The cells of each row of the README table under header."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rule = "|---" * (header.count("|") - 1) + "|"
+    body = readme.split(f"{header}\n{rule}\n")[1].split("\n\n")[0]
+    rows = [[cell.strip() for cell in line.strip("|").split(" | ")] for line in body.splitlines()]
+    assert all(len(row) == header.count("|") - 1 for row in rows), header
+    return rows
+
+
+def golden_keys() -> set[str]:
+    """Each key of the golden files: a JSON path in dots, a check by its name, a CSV column."""
+    keys = set()
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{path}{key}.")
+        elif isinstance(value, list):
+            for check in value:
+                keys.add(f"{path}{check['name']}")
+        else:
+            keys.add(path[:-1])
+
+    for path in GOLDEN.glob("*/*.json"):
+        walk(json.loads(path.read_text()), "")
+    for path in GOLDEN.glob("*/*.csv"):
+        keys.update(next(line for line in path.read_text().splitlines()
+                         if not line.startswith("#")).split(","))
+    return keys
+
+
 class TestReadme:
+    CLAIMS = "| key | written by | tolerance | reference | region | tests |"
+
     def test_flag_table_matches_the_parsers(self):
         # each row of README's subcommand table: the flags in the parser's
         # order (besides --config and --out) and the keys of _COMMAND_FIELDS
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        table = readme.split("| subcommand | flags | config keys |\n|---|---|---|\n")[1]
-        rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \| `([^`]*)` \|$", table.split("\n\n")[0],
-                          re.M)
+        rows = [[cell.strip("`") for cell in row]
+                for row in readme_table("| subcommand | flags | config keys |")]
         assert [command for command, _, _ in rows] == list(_COMMAND_FIELDS)
         for command, flags, keys in rows:
             parser = build_parser(command)
@@ -658,6 +725,45 @@ class TestReadme:
                      if flag not in ("-h", "--help", "--config", "--out")]
             assert flags.split() == taken, command
             assert tuple(keys.split()) == _COMMAND_FIELDS[command], command
+
+    def key_rows(self) -> dict:
+        """The Claims rows of output keys, by key pattern; library rows name no key."""
+        return {row[0].strip("`"): row for row in readme_table(self.CLAIMS)
+                if re.fullmatch(r"`[\w.*-]+`", row[0])}
+
+    def test_claims_cover_every_golden_key(self):
+        patterns = self.key_rows()
+        keys = golden_keys()
+        assert [key for key in sorted(keys)
+                if not any(fnmatch.fnmatchcase(key, p) for p in patterns)] == []
+        assert [p for p in patterns if not fnmatch.filter(keys, p)] == []
+
+    def test_claims_name_collected_tests(self):
+        rows = readme_table(self.CLAIMS)
+        assert all("`tests/" in row[-1] for row in rows)
+        nodes = sorted({node for row in rows for node in re.findall(r"`(tests/[^`]+)`", row[-1])})
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+             *nodes], capture_output=True, text=True, cwd=ROOT, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        collected = set(proc.stdout.splitlines())
+        assert [node for node in nodes
+                if not any(line == node or line.startswith(node + "[") for line in collected)
+                ] == []
+
+    def test_verify_rows_state_the_printed_tolerance(self):
+        rows = self.key_rows()
+        report = json.loads((GOLDEN / "verify" / "verify.json").read_text())
+        for check in report["checks"]:
+            printed = re.fullmatch(r".* \((?:tol|expected within) (.+)\)", check["detail"])[1]
+            assert rows[f"checks.{check['name']}"][2] == printed, check["name"]
+
+    def test_cross_version_loop_is_the_workflows(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        loop = re.search(r"```sh\n(d=\$\(mktemp -d\).*)\n```", readme)[1]
+        workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+        assert re.search(r"run: \|\n +(d=\$\(mktemp -d\).*)\n", workflow)[1] == loop
 
 
 # flag values at the edges of a double, drawn beside each flag's ordinary value

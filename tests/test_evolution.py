@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from decoq import linspace
 from decoq.bath import BathSpec, _b2_peak_bound, dephasing_exponent, influence_exponent
+from decoq.cli import PRESETS
 from decoq.evolution import (
     COMPUTATIONAL,
     EIGENBASIS,
@@ -38,6 +39,7 @@ from decoq.states import (
     random_density_matrix,
 )
 from decoq.units import temperature_to_beta
+from test_bath import mpmath_b2, mpmath_d, reference_dps
 
 E_J = 51.8
 
@@ -223,6 +225,30 @@ class TestPureStateNorm:
         ref = deviation_norm_closed_form(pure_state(theta, phi), b2, t, e_j)
         got = pure_state_norm(theta, phi, b2, t, e_j)
         assert abs(got - ref) <= 1e-15 * max_decoherence(b2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=st.floats(1.0, 6.0),
+        temp_mk=st.one_of(st.just(0.0), st.floats(1.0, 300.0)),
+        log_omega_c=st.floats(math.log10(50.0), 4.0),
+        log_eta=st.floats(-9.0, -5.0),
+        log_t=st.floats(-7.0, 1.0),
+        e_j=st.floats(5.0, 500.0),
+    )
+    def test_curve_columns_match_mpmath(self, s, temp_mk, log_omega_c, log_eta, log_t, e_j):
+        # curve's D and norm_* columns, formed from B2 as cmd_curve forms them
+        beta = math.inf if temp_mk == 0.0 else temperature_to_beta(temp_mk)
+        spec = BathSpec(10.0**log_eta, 10.0**log_omega_c, beta, s)
+        t = 10.0**log_t
+        b2 = dephasing_exponent(t, spec)
+        d_ref = mpmath_d(t, spec)
+        assert max_decoherence(b2) == pytest.approx(d_ref, rel=1e-12, abs=0.0)
+        with mpmath.workdps(30):
+            half = mpmath.mpf(t) * e_j / 2
+            for theta, phi in PRESETS.values():
+                ref = d_ref * mpmath.hypot(mpmath.cos(theta),
+                                           mpmath.sin(theta) * mpmath.sin(phi + half))
+                assert abs(pure_state_norm(theta, phi, b2, t, e_j) - float(ref)) <= 1e-12 * d_ref
 
 
 class TestClosedFormArguments:
@@ -477,6 +503,27 @@ def mpmath_ohmic_root(threshold, spec, dps=40):
         return float(mpmath.findroot(f, (lo, hi), solver="anderson"))
 
 
+def mpmath_root(threshold, spec, t_star, t_top):
+    """The double where B2 from mpmath_b2 reaches L = -log1p(-2 threshold), near t_star.
+
+    B2 must rise on (0, t_top].  A bracket about t_star widens until it
+    holds L, and is bisected to adjacent doubles.
+    """
+    dps = reference_dps(spec.s)
+    with mpmath.workdps(dps):
+        target = float(-mpmath.log1p(-2 * mpmath.mpf(threshold)))
+    width = 1e-6
+    while not (mpmath_b2(lo := t_star / (1.0 + width), spec, dps) < target
+               <= mpmath_b2(hi := min(t_star * (1.0 + width), t_top), spec, dps)):
+        width *= 1e3
+    while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
+        if mpmath_b2(mid, spec, dps) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class TestLowDecoherenceTime:
     SPEC = BathSpec(eta=1e-4, omega_c=200.0, beta=temperature_to_beta(30.0))
 
@@ -495,7 +542,7 @@ class TestLowDecoherenceTime:
         threshold=st.floats(1e-5, 1e-3),
     )
     def test_first_double_at_threshold(self, s, temp_mk, omega_c, eta, threshold):
-        # B2 is monotone for 1 <= s <= 2, so the dense fallback never warns
+        # B2 is monotone for 1 <= s <= 2, so the bisection of [0, t_max] finds the first crossing
         spec = BathSpec(eta, omega_c, temperature_to_beta(temp_mk), s)
         try:
             tau = low_decoherence_time(threshold, spec, 1000.0)
@@ -521,6 +568,38 @@ class TestLowDecoherenceTime:
         tau = low_decoherence_time(threshold, spec, 1000.0)
         root = mpmath_ohmic_root(threshold, spec)
         assert tau == pytest.approx(root, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=24, deadline=None)
+    @given(
+        s=st.floats(1.0, 6.0, exclude_min=True),
+        temp_mk=st.one_of(st.just(0.0), st.floats(1.0, 300.0)),
+        log_omega_c=st.floats(math.log10(50.0), 4.0),
+        log_eta=st.floats(-9.0, -5.0),
+        u=st.floats(0.0, 1.0),
+    )
+    def test_root_matches_mpmath(self, s, temp_mk, log_omega_c, log_eta, u):
+        # a threshold met at t_star: anywhere in the window for s <= 2, and
+        # on the rise for s > 2, where B2 rises up to t_rise
+        beta = math.inf if temp_mk == 0.0 else temperature_to_beta(temp_mk)
+        spec = BathSpec(10.0**log_eta, 10.0**log_omega_c, beta, s)
+        t_rise = math.tan(math.pi / s) / spec.omega_c if s > 2.0 else math.inf
+        t_star = (0.05 + 0.95 * u) * t_rise if s > 2.0 else 10.0 ** (7.5 * u - 5.0)
+
+        def d(t):
+            return max_decoherence(dephasing_exponent(t, spec))
+
+        threshold = d(t_star)
+        assume(0.0 < threshold < 0.5)
+        tau = low_decoherence_time(threshold, spec, 1000.0)
+        # D at tau is the threshold to D's own tolerance
+        assert mpmath_d(tau, spec) == pytest.approx(threshold, rel=1e-12, abs=0.0)
+        # tau's relative error is D's over the log-slope d ln D/d ln t, which
+        # falls to 0 where B2 saturates (s = 2 at T = 0), where it peaks
+        # (t_rise) and where D nears 1/2
+        slope = (d(tau * 1.0001) - d(tau * 0.9999)) / (2e-4 * d(tau))
+        if slope >= 0.01:
+            assert tau == pytest.approx(mpmath_root(threshold, spec, t_star, t_rise),
+                                        rel=1e-12, abs=0.0)
 
     def test_stronger_coupling_shortens_window(self):
         weak = low_decoherence_time(1e-4, self.SPEC, 5.0)
