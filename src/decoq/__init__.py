@@ -57,8 +57,8 @@ _EXPORTS = {
         "phase_shift_modes", "spectral_density",
     ),
     ".evolution": (
-        "COMPUTATIONAL", "EIGENBASIS", "NoCrossingError", "low_decoherence_time",
-        "max_decoherence", "pure_state_norm",
+        "COMPUTATIONAL", "EIGENBASIS", "IdleWindow", "NoCrossingError", "idle_window",
+        "low_decoherence_time", "max_decoherence", "pure_state_norm",
     ),
     ".states": (
         "DeviationOperator", "QubitState", "basis_change", "bloch_supremum_scan", "deviation",

@@ -7,12 +7,12 @@ from collections import namedtuple
 
 from .. import __version__, linspace
 from ..bath import BathSpec
-from ..evolution import NoCrossingError, _check_threshold_and_t_max, pure_state_norm
-from ..units import TIME_UNIT_S, temperature_to_beta
+from ..evolution import _check_gate_e_j, _check_threshold_and_t_max, idle_window, pure_state_norm
+from ..units import _to_ps, temperature_to_beta
 # decoq.cli binds these on first use; taken from it, a wrapper set there is what runs
 from . import (
     _AXIS_TO_FIELD, _COMMAND_DEFAULTS, _COMMAND_FIELDS, _FIELDS, PRESETS, dephasing_exponent,
-    low_decoherence_time, max_decoherence, phase_shift,
+    max_decoherence, phase_shift,
 )
 
 # adopted spectral-density convention, echoed into every output file
@@ -21,15 +21,6 @@ CUTOFF_CONVENTION = "J(omega) = eta * omega**s * exp(-omega/omega_c), decaying c
 # benchmark reference values (ps) used only to report relative deviations
 REFERENCE_TAU_LD_PS = 49.4
 REFERENCE_TAU_G_PS = 12.7
-_SECONDS_PER_PS = 1e-12
-
-
-def _check_gate_e_j(e_j: float):
-    """Stricter than the maps' E_J >= 0: the gate time 1/E_J must be a positive double."""
-    if not math.isfinite(e_j) or e_j <= 0.0:
-        raise ValueError(f"e_j must be positive, got {e_j}")
-    if not math.isfinite(1.0 / e_j):
-        raise ValueError(f"gate time 1/e_j is not finite in double precision at e_j={e_j}")
 
 
 class RunConfig(namedtuple("RunConfig", _FIELDS, defaults=[d for d, _, _ in _FIELDS.values()])):
@@ -161,108 +152,39 @@ def cmd_curve(cfg: RunConfig, args) -> int:
 
 # ---------------------------------------------------------------- tld
 
-def _relaxation_window(cfg: RunConfig, beta: float, tau_gate_units: float) -> dict:
-    """The golden-rule window at E_J; null where a value is not a positive normal double.
-
-    The excited state decays at Gamma_down = 2 pi J(E_J) (1 + n) and the
-    populations relax at Gamma_1 = 2 pi J(E_J) (1 + 2n), n = 1/expm1(beta E_J),
-    so its deviation (Gamma_down/Gamma_1)(1 - e^(-Gamma_1 t)) reaches the
-    threshold at tau_M = -log1p(-threshold Gamma_1/Gamma_down)/Gamma_1
-    (Makhlin, Schoen & Shnirman, RMP 73, 357 (2001)).
-    """
-    x = beta * cfg.e_j
-    try:
-        n = math.exp(-x) / -math.expm1(-x)  # 1/expm1(x), and 0 at beta = inf
-        two_pi_j = 2.0 * math.pi * cfg.eta * cfg.e_j**cfg.s * math.exp(-cfg.e_j / cfg.omega_c)
-        rate, rate_1 = two_pi_j * (1.0 + n), two_pi_j * (1.0 + 2.0 * n)
-        tau = -math.log1p(-cfg.threshold * (1.0 + 2.0 * n) / (1.0 + n)) / rate_1
-    except (OverflowError, ZeroDivisionError):
-        rate = tau = math.nan
-    values = (rate, tau, tau * TIME_UNIT_S / _SECONDS_PER_PS, tau / tau_gate_units)
-    if not all(sys.float_info.min <= v < math.inf for v in values):
-        values = (None,) * 4
-    return dict(zip(("relaxation_rate", "tau_ld_relax_units", "tau_ld_relax_ps",
-                     "ratio_relax_over_gate"), values))
-
-
-def _eta_max(cfg: RunConfig, spec: BathSpec, tau_gate_units: float, b2: float):
-    """First double eta with D(tau_g) >= threshold; null unless a positive normal double.
-
-    B2 is linear in eta, so D(tau_g) = threshold at eta L / B2(tau_g),
-    L = -log1p(-2 threshold); nextafter steps from there find the first double.
-    """
-    def reaches(eta: float) -> bool:
-        b2_at = dephasing_exponent(tau_gate_units, spec._replace(eta=eta))
-        return max_decoherence(b2_at) >= cfg.threshold
-
-    try:
-        eta = cfg.eta * -math.log1p(-2.0 * cfg.threshold) / b2
-    except ZeroDivisionError:  # B2 = 0: eta = 0, or B2 underflows
-        return None
-    if not sys.float_info.min <= eta < math.inf:
-        return None
-    while not reaches(eta):
-        eta = math.nextafter(eta, math.inf)
-    while reaches(below := math.nextafter(eta, 0.0)):
-        eta = below
-    return eta if sys.float_info.min <= eta else None
-
-
 def _tld_report(cfg: RunConfig) -> dict:
-    spec = cfg.bath_spec()
-    tau_gate_units = 1.0 / cfg.e_j
-    tau_gate_ps = tau_gate_units * TIME_UNIT_S / _SECONDS_PER_PS
-    b2_gate = dephasing_exponent(tau_gate_units, spec)
+    window = idle_window(cfg.threshold, cfg.bath_spec(), cfg.e_j, cfg.t_max)
+    tau_g, tau, relax = window.tau_g, window.tau_ld, window.tau_relax
+    tau_gate_ps = _to_ps(tau_g)
     report = {
         "version": __version__,
         "convention": CUTOFF_CONVENTION,
         "threshold": cfg.threshold,
-        "tau_gate_units": tau_gate_units,
+        "tau_gate_units": tau_g,
         "tau_gate_ps": tau_gate_ps,
         "reference": {
             "tau_ld_ps": REFERENCE_TAU_LD_PS,
             "tau_gate_ps": REFERENCE_TAU_G_PS,
             "tau_gate_rel_dev": tau_gate_ps / REFERENCE_TAU_G_PS - 1.0,
         },
-        "d_at_gate": max_decoherence(b2_gate),
-        "budget": {"eta_max": _eta_max(cfg, spec, tau_gate_units, b2_gate)},
+        "d_at_gate": window.d_at_gate,
+        "budget": {"eta_max": window.eta_max},
+        "relaxation_rate": window.relaxation_rate,
+        "tau_ld_relax_units": relax,
+        "tau_ld_relax_ps": None if relax is None else _to_ps(relax),
+        "ratio_relax_over_gate": None if relax is None else relax / tau_g,
+        "no_crossing": tau is None,
+        "window_set_by": window.window_set_by,
     }
-    report.update(_relaxation_window(cfg, spec.beta, tau_gate_units))
-    relax = report["tau_ld_relax_units"]
-    try:
-        tau = low_decoherence_time(cfg.threshold, spec, cfg.t_max)
-    except NoCrossingError as exc:
-        report.update(
-            {
-                "no_crossing": True,
-                "tau_ld_units": None,
-                "tau_ld_ps": None,
-                "d_at_t_max": exc.d_at_t_max,
-                # the dephasing window is known only to pass t_max
-                "window_set_by": "relaxation" if relax is not None and relax < cfg.t_max else None,
-                "verdict": (
-                    "D stays below the threshold on the whole window; "
-                    "the low-decoherence time exceeds t_max"
-                ),
-            }
-        )
+    if tau is None:
+        report.update(tau_ld_units=None, tau_ld_ps=None, d_at_t_max=window.d_at_t_max,
+                      verdict="D stays below the threshold on the whole window; "
+                              "the low-decoherence time exceeds t_max")
         return report
-    tau_ps = tau * TIME_UNIT_S / _SECONDS_PER_PS
-    covers = tau >= tau_gate_units
-    report.update(
-        {
-            "no_crossing": False,
-            "tau_ld_units": tau,
-            "tau_ld_ps": tau_ps,
-            "ratio_ld_over_gate": tau / tau_gate_units,
-            "window_set_by": "relaxation" if relax is not None and relax < tau else "dephasing",
-            "verdict": (
-                "low-decoherence window covers the idle gate"
-                if covers
-                else "low-decoherence window is shorter than the idle gate"
-            ),
-        }
-    )
+    tau_ps = _to_ps(tau)
+    report.update(tau_ld_units=tau, tau_ld_ps=tau_ps, ratio_ld_over_gate=tau / tau_g,
+                  verdict="low-decoherence window covers the idle gate" if tau >= tau_g
+                  else "low-decoherence window is shorter than the idle gate")
     report["reference"]["tau_ld_rel_dev"] = tau_ps / REFERENCE_TAU_LD_PS - 1.0
     return report
 

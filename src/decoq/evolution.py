@@ -4,9 +4,9 @@ The reduced map for a dephasing coupling damps the eigenbasis coherence by
 u = exp(-B2(t)) (see `states`), so the worst-case deviation norm over all
 initial states is D = (1 - u)/2.  This module holds D, the closed-form norm
 of a pure state, and the low-decoherence time where D first reaches a
-threshold, on the math module alone: curve, tld and sweep run on it.
-B2 is checked in `bath` (inf allowed); t, E_J, the threshold and t_max
-are checked here, for `states`, `oracle` and `cli` as well.
+threshold, and the idle gate's answer (`idle_window`), on the math module
+alone: curve, tld and sweep run on it.  B2 is checked in `bath` (inf
+allowed); t, E_J, the threshold and t_max are checked here, for all.
 
 The density-matrix records and numpy maps (QubitState, DeviationOperator,
 evolve_real, ...) live in `states`; QubitState is still importable from
@@ -16,10 +16,12 @@ here and loads it on first use.
 import functools
 import math
 import struct
+import sys
 from collections.abc import Callable
 
 from . import _bind_on_first_use
-from .bath import BathSpec, _b2_peak_bound, _validate_dephasing, dephasing_exponent
+from .bath import BathSpec, _b2_peak_bound, _record, _validate_dephasing, dephasing_exponent
+from .units import _to_ps
 
 EIGENBASIS = "eigenbasis"
 COMPUTATIONAL = "computational"
@@ -36,6 +38,14 @@ class NoCrossingError(RuntimeError):
 def _check_e_j(e_j: float):
     if not math.isfinite(e_j) or e_j < 0.0:
         raise ValueError(f"E_J must be finite and >= 0, got {e_j}")
+
+
+def _check_gate_e_j(e_j: float):
+    """Stricter than the maps' E_J >= 0: the gate time 1/E_J must be a positive double."""
+    if not math.isfinite(e_j) or e_j <= 0.0:
+        raise ValueError(f"e_j must be positive, got {e_j}")
+    if not math.isfinite(1.0 / e_j):
+        raise ValueError(f"gate time 1/e_j is not finite in double precision at e_j={e_j}")
 
 
 def _check_time_and_e_j(t: float, e_j: float):
@@ -130,6 +140,86 @@ def low_decoherence_time(threshold: float, spec: BathSpec, t_max: float) -> floa
     d_end = d_of_t(t_max)
     raise NoCrossingError(f"decoherence level {d_end:.6e} at t_max={t_max} never reaches "
                           f"threshold {threshold:.6e}", d_at_t_max=d_end)
+
+
+def _relaxation_window(threshold: float, spec: BathSpec, e_j: float, tau_g: float):
+    """(Gamma_down, tau_M) at E_J, or (None, None) unless both, tau_M in ps and
+    tau_M/tau_g are positive normal doubles.
+
+    The excited state decays at Gamma_down = 2 pi J(E_J) (1 + n) and the
+    populations relax at Gamma_1 = 2 pi J(E_J) (1 + 2n), n = 1/expm1(beta E_J),
+    so its deviation (Gamma_down/Gamma_1)(1 - e^(-Gamma_1 t)) reaches the
+    threshold at tau_M = -log1p(-threshold Gamma_1/Gamma_down)/Gamma_1
+    (Makhlin, Schoen & Shnirman, RMP 73, 357 (2001)).
+    """
+    x = spec.beta * e_j
+    try:
+        n = math.exp(-x) / -math.expm1(-x)  # 1/expm1(x), and 0 at beta = inf
+        two_pi_j = 2.0 * math.pi * spec.eta * e_j**spec.s * math.exp(-e_j / spec.omega_c)
+        rate, rate_1 = two_pi_j * (1.0 + n), two_pi_j * (1.0 + 2.0 * n)
+        tau = -math.log1p(-threshold * (1.0 + 2.0 * n) / (1.0 + n)) / rate_1
+    except (OverflowError, ZeroDivisionError):
+        rate = tau = math.nan
+    normal = all(sys.float_info.min <= v < math.inf for v in (rate, tau, _to_ps(tau), tau / tau_g))
+    return (rate, tau) if normal else (None, None)
+
+
+def _eta_max(threshold: float, spec: BathSpec, tau_g: float, b2_gate: float):
+    """First double eta with D(tau_g) >= threshold; None unless a positive normal double.
+
+    B2 is linear in eta, so D(tau_g) = threshold at eta L / B2(tau_g),
+    L = -log1p(-2 threshold); nextafter steps from there find the first double.
+    """
+    def reaches(eta: float) -> bool:
+        return max_decoherence(dephasing_exponent(tau_g, spec._replace(eta=eta))) >= threshold
+
+    try:
+        eta = spec.eta * -math.log1p(-2.0 * threshold) / b2_gate
+    except ZeroDivisionError:  # B2 = 0: eta = 0, or B2 underflows
+        return None
+    if not sys.float_info.min <= eta < math.inf:
+        return None
+    while not reaches(eta):
+        eta = math.nextafter(eta, math.inf)
+    while reaches(below := math.nextafter(eta, 0.0)):
+        eta = below
+    return eta if sys.float_info.min <= eta else None
+
+
+class IdleWindow(_record("IdleWindow", "tau_g d_at_gate eta_max tau_ld d_at_t_max "
+                                       "relaxation_rate tau_relax window_set_by")):
+    """The idle gate's answer, as `idle_window` finds it; times in hbar/ueV.
+
+    tau_g = 1/E_J, d_at_gate = D(tau_g), eta_max the first double eta with
+    D(tau_g) >= threshold; tau_ld the first crossing, or None for a proved
+    no crossing, with d_at_t_max = D(t_max) (else None); relaxation_rate
+    and tau_relax the golden rule's Gamma_down and tau_M; window_set_by
+    "dephasing" or "relaxation", whichever window is shorter.  Each of
+    eta_max and the golden-rule pair is None unless a positive normal
+    double (tau_M also in ps and over tau_g).  With no crossing, tau_ld is
+    known only to pass t_max, so window_set_by is "relaxation" if
+    tau_M < t_max and None otherwise.  The fields are results: none is checked.
+    """
+
+    __slots__ = ()
+
+
+def idle_window(threshold: float, spec: BathSpec, e_j: float, t_max: float) -> IdleWindow:
+    """The IdleWindow of a gate at E_J and a window [0, t_max]; ValueError as the argument
+    checks and low_decoherence_time raise it (an s > 2 crossing past t_rise unproved)."""
+    _check_gate_e_j(e_j)
+    _check_threshold_and_t_max(threshold, t_max)
+    tau_g = 1.0 / e_j
+    b2_gate = dephasing_exponent(tau_g, spec)
+    d_at_gate, eta_max = max_decoherence(b2_gate), _eta_max(threshold, spec, tau_g, b2_gate)
+    rate, relax = _relaxation_window(threshold, spec, e_j, tau_g)
+    try:
+        tau, d_end = low_decoherence_time(threshold, spec, t_max), None
+    except NoCrossingError as exc:
+        tau, d_end = None, exc.d_at_t_max
+    shorter = relax is not None and relax < (t_max if tau is None else tau)
+    set_by = "relaxation" if shorter else None if tau is None else "dephasing"
+    return IdleWindow(tau_g, d_at_gate, eta_max, tau, d_end, rate, relax, set_by)
 
 
 # the one record of `states` that is still importable from here

@@ -12,6 +12,10 @@ KB_UEV_PER_K = 86.17333
 TIME_UNIT_S = HBAR_UEV_S
 
 
+def _to_ps(t: float) -> float:  # a time in hbar/ueV in ps, as the reports write it
+    return t * TIME_UNIT_S / 1e-12
+
+
 def temperature_to_beta(temp_mk: float) -> float:
     """Inverse temperature beta = 1/(kB T) in 1/ueV for T given in mK.
 

@@ -62,7 +62,15 @@ def mpmath_b2(t, spec, dps=40):
     with G_nu(x) = Gamma(nu) [1 - Re (1 - ix)^-nu]; the thermal sum is
     2 (lnG(1+a) - Re lnG(1+a+iy)) at nu = 0 and (Re psi(1+a+iy) - psi(1+a))/beta
     at nu = 1, the limits of the zeta difference.
+
+    Below x = omega_c t = 1, 1 - Re (1 - ix)^-nu is of order x^2, and each
+    thermal difference of order y^2 at y = t/beta, so each subtraction loses
+    about 2 digits per decade of the smaller of x and y (y only at finite
+    beta): dps gains 2 max(0, ceil(-log10 min(x, y))) digits.
     """
+    small = min([spec.omega_c * t] + ([t / spec.beta] if math.isfinite(spec.beta) else []))
+    if small > 0.0:
+        dps += 2 * max(0, math.ceil(-math.log10(small)))
     with mpmath.workdps(dps):
         wc, t, nu = mpmath.mpf(spec.omega_c), mpmath.mpf(t), mpmath.mpf(spec.s) - 1
         x = wc * t
@@ -418,6 +426,21 @@ class TestKernel:
             mpmath_b2(t, spec, dps), rel=1e-12, abs=0.0
         )
         assert phase_shift(t, spec) == pytest.approx(mpmath_c(t, spec, dps), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "t,spec",
+        [
+            (5.7e-133, bench_spec(s=2.0, omega_c=100.0, beta=math.inf)),
+            (1e-20, bench_spec(omega_c=100.0)),
+        ],
+        ids=["s2-zero-T", "s1-30mK"],
+    )
+    def test_matches_mpmath_where_the_reference_cancels(self, t, spec):
+        # without the digits its subtractions lose, mpmath_b2 gave 0.0 at
+        # the first point, and at the second was 2.4e-7 off at 40 digits and
+        # 9.5e-10 at 40 + 2s
+        reference = mpmath_b2(t, spec, reference_dps(spec.s))
+        assert dephasing_exponent(t, spec) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(

@@ -29,9 +29,9 @@ from decoq.cli import (
     main,
     parse_config_file,
 )
-from decoq.evolution import low_decoherence_time, max_decoherence
-from decoq.units import TIME_UNIT_S, temperature_to_beta
-from test_bath import mpmath_b2, mpmath_d, reference_dps
+from decoq import evolution
+from decoq.evolution import idle_window, low_decoherence_time, max_decoherence
+from decoq.units import TIME_UNIT_S, _to_ps, temperature_to_beta
 from test_golden import GOLDEN
 
 # a superohmic bath whose D crosses the threshold past t_rise, falls back
@@ -394,37 +394,22 @@ class TestTldCommand:
         # B2 = 0 at every eta gives no eta budget
         assert report["budget"] == {"eta_max": None}
 
-    @staticmethod
-    def eta_max_checked(cfg):
-        """eta_max of cfg's tld report, checked as the first double with D(tau_g) >= threshold."""
-        spec, tau_g = cfg.bath_spec(), 1.0 / cfg.e_j
-        b2 = dephasing_exponent(tau_g, spec)
-        eta = commands._eta_max(cfg, spec, tau_g, b2)
-        d = lambda e: max_decoherence(dephasing_exponent(tau_g, spec._replace(eta=e)))  # noqa: E731
-        assert d(eta) >= cfg.threshold > d(math.nextafter(eta, 0.0))
-        # one division away from L / b, b = B2/eta
-        assert eta == pytest.approx(cfg.eta * -math.log1p(-2.0 * cfg.threshold) / b2, rel=1e-15)
-        return eta
-
     def test_eta_budget(self, tmp_path):
-        # the abstract's verdict holds up to 36 times the default eta; a no
-        # crossing report carries the same budget, which does not need tau_ld
-        assert self.eta_max_checked(RunConfig()) == 3.604201689225632e-05
+        # a no crossing report carries the same budget, which does not need tau_ld
         for extra, code in (([], 0), (["--t-max", "1"], 2)):
             out = tmp_path / "tld.json"
             assert main(["tld", *extra, "--out", str(out)]) == code
             assert json.loads(out.read_text())["budget"] == {"eta_max": 3.604201689225632e-05}
 
-    @settings(max_examples=60, deadline=None)
-    @given(s=st.floats(1.0, 6.0), temp_mk=st.floats(1.0, 300.0), omega_c=st.floats(50.0, 1e4),
-           log_eta=st.floats(-9.0, -4.0), threshold=st.floats(1e-6, 1e-2))
-    def test_eta_budget_is_the_first_double_at_the_threshold(self, s, temp_mk, omega_c,
-                                                               log_eta, threshold):
-        cfg = RunConfig(s=s, temp_mk=temp_mk, omega_c=omega_c, eta=10.0**log_eta,
-                        threshold=threshold)
-        self.eta_max_checked(cfg)
+    # each field of idle_window's record, and the key of tld's report that writes it
+    RECORD_KEYS = {
+        "tau_g": ("tau_gate_units",), "d_at_gate": ("d_at_gate",),
+        "eta_max": ("budget", "eta_max"), "tau_ld": ("tau_ld_units",),
+        "d_at_t_max": ("d_at_t_max",), "relaxation_rate": ("relaxation_rate",),
+        "tau_relax": ("tau_ld_relax_units",), "window_set_by": ("window_set_by",),
+    }
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         s=st.floats(1.0, 6.0),
         # below 6.5e-308 mK beta is inf: the bath at T = 0
@@ -435,23 +420,35 @@ class TestTldCommand:
         log_threshold=st.floats(-6.0, -2.0),
         log_t_max=st.floats(-3.0, 1.0),
     )
-    def test_gate_level_and_budget_match_mpmath(self, s, temp_mk, log_omega_c, log_eta, e_j,
-                                                log_threshold, log_t_max):
-        # d_at_gate of every tld report and sweep row; for s > 2 the window
-        # ends by t_rise, past which a crossing may be refused
-        omega_c = 10.0**log_omega_c
-        t_max = min(10.0**log_t_max, math.tan(math.pi / s) / omega_c if s > 2.0 else math.inf)
-        cfg = RunConfig(e_j=e_j, temp_mk=temp_mk, eta=10.0**log_eta, omega_c=omega_c, s=s,
-                        t_max=t_max, threshold=10.0**log_threshold)
-        spec = cfg.bath_spec()
+    # a no crossing, and an s > 2 window whose first crossing is not proved
+    @example(s=1.29, temp_mk=1e-320, log_omega_c=3.88, log_eta=-7.57, e_j=205.1,
+             log_threshold=-3.8, log_t_max=-1.32)
+    @example(s=2.06, temp_mk=75.8, log_omega_c=2.37, log_eta=-6.55, e_j=366.9,
+             log_threshold=-3.7, log_t_max=-0.63)
+    def test_report_writes_the_idle_window(self, s, temp_mk, log_omega_c, log_eta, e_j,
+                                           log_threshold, log_t_max):
+        # every number of the record, bit for bit, or the same ValueError,
+        # which tld exits 1 on and sweep writes as an error: row
+        cfg = RunConfig(e_j=e_j, temp_mk=temp_mk, eta=10.0**log_eta, omega_c=10.0**log_omega_c,
+                        s=s, t_max=10.0**log_t_max, threshold=10.0**log_threshold)
+        try:
+            window = idle_window(cfg.threshold, cfg.bath_spec(), cfg.e_j, cfg.t_max)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as written:
+                commands._tld_report(cfg)
+            assert str(written.value) == str(exc)
+            return
         report = commands._tld_report(cfg)
-        assert report["d_at_gate"] == pytest.approx(mpmath_d(1.0 / e_j, spec), rel=1e-12, abs=0.0)
-        # eta_max: B2 is linear in eta, so D(tau_g) = threshold at eta L / B2(tau_g)
-        b2_gate = mpmath_b2(1.0 / e_j, spec, reference_dps(s))
-        eta_max = cfg.eta * -math.log1p(-2.0 * cfg.threshold) / b2_gate
-        assert report["budget"]["eta_max"] == pytest.approx(eta_max, rel=1e-12, abs=0.0)
-        if report["no_crossing"]:
-            assert report["d_at_t_max"] == pytest.approx(mpmath_d(t_max, spec), rel=1e-12, abs=0.0)
+        for field, path in self.RECORD_KEYS.items():
+            value = report
+            for key in path:
+                value = value.get(key)
+            assert repr(value) == repr(getattr(window, field)), field
+        assert report["no_crossing"] is (window.tau_ld is None)
+        # and the relaxation keys it derives, as test_relaxation checks them
+        relax = window.tau_relax
+        derived = (None, None) if relax is None else (_to_ps(relax), relax / window.tau_g)
+        assert (report["tau_ld_relax_ps"], report["ratio_relax_over_gate"]) == derived
 
 
 class TestSweepCommand:
@@ -581,7 +578,7 @@ class TestSweepCommand:
 
     def test_check_fails_when_tau_ld_rises(self, monkeypatch, tmp_path, capsys):
         # a tau_ld that grows with eta breaks the monotonicity the check asserts
-        monkeypatch.setattr(commands, "low_decoherence_time",
+        monkeypatch.setattr(evolution, "low_decoherence_time",
                             lambda threshold, spec, t_max: spec.eta)
         argv = ["sweep", "--axis", "eta", "--values", "1e-6,2e-6,3e-6",
                 "--out", str(tmp_path / "s.csv")]
@@ -592,13 +589,13 @@ class TestSweepCommand:
     def test_other_warnings_keep_the_suites_filter(self, monkeypatch, tmp_path):
         # filterwarnings = error is in force here, and main sets no filter
         # of its own, so a warning still fails the run
-        real = commands.low_decoherence_time
+        real = evolution.low_decoherence_time
 
         def noisy(*args, **kwargs):
             warnings.warn("not expected", UserWarning)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(commands, "low_decoherence_time", noisy)
+        monkeypatch.setattr(evolution, "low_decoherence_time", noisy)
         argv = ["sweep", "--axis", "T", "--values", "10,30", "--out", str(tmp_path / "s.csv")]
         with pytest.raises(UserWarning, match="not expected"):
             main(argv)
@@ -607,16 +604,17 @@ class TestSweepCommand:
         # main leaves warnings to Python: under its own filters a UserWarning
         # shows once per place, in Python's own format, and a
         # DeprecationWarning raised in decoq (stacklevel 2: the caller in
-        # decoq.cli.commands) stays hidden
+        # decoq.evolution) stays hidden
         script = (
             "import io, sys, warnings\n"
             "import decoq.cli as cli\n"
-            "real = cli.low_decoherence_time\n"
+            "import decoq.evolution as evolution\n"
+            "real = evolution.low_decoherence_time\n"
             "def noisy(*args, **kwargs):\n"
             "    warnings.warn('old', DeprecationWarning, stacklevel=2)\n"
             "    warnings.warn('odd', UserWarning, stacklevel=2)\n"
             "    return real(*args, **kwargs)\n"
-            "cli.low_decoherence_time = noisy\n"
+            "evolution.low_decoherence_time = noisy\n"
             "sys.stderr = io.StringIO()\n"
             f"code = cli.main(['sweep', '--axis', 'T', '--values', '10,30,100', "
             f"'--out', {str(tmp_path / 's.csv')!r}])\n"
@@ -627,7 +625,7 @@ class TestSweepCommand:
         shown = ast.literal_eval(err)  # the stderr lines, as printed
         # the warning line, then the source line it points at
         assert len(shown) == 2
-        assert re.fullmatch(r".*commands\.py:\d+: UserWarning: odd", shown[0])
+        assert re.fullmatch(r".*evolution\.py:\d+: UserWarning: odd", shown[0])
 
 
 class TestVerifyCommand:
@@ -1153,16 +1151,19 @@ class TestLazyImport:
 
 # decoq.__all__ when the package imported every submodule eagerly, less
 # thermal_bath_state, which moved into the oracle tests as a dense reference,
-# and the oracle's truncation warning, which went when it began to hold the bath
+# and the oracle's truncation warning, which went when it began to hold the
+# bath, plus idle_window and its record, the answer tld writes
 PUBLIC_NAMES = [
     "BathSpec", "COMPUTATIONAL", "CompositeSystem",
     "DeviationOperator", "DimensionCapError", "DiscreteBath", "EIGENBASIS",
-    "ErrorScalingResult", "HBAR_UEV_S", "KB_UEV_PER_K", "NoCrossingError", "QubitState",
+    "ErrorScalingResult", "HBAR_UEV_S", "IdleWindow", "KB_UEV_PER_K", "NoCrossingError",
+    "QubitState",
     "SplitComparison", "TIME_UNIT_S", "TruncatedBathMode", "basis_change",
     "bloch_supremum_scan", "coth", "dephasing_exponent", "dephasing_exponent_modes",
     "deviation", "deviation_norm", "deviation_norm_closed_form", "discretize_bath",
     "error_scaling", "evolve_exact", "evolve_ideal", "evolve_real",
-    "evolve_real_influence_sum", "evolve_split", "gate_unitary", "influence_exponent",
+    "evolve_real_influence_sum", "evolve_split", "gate_unitary", "idle_window",
+    "influence_exponent",
     "low_decoherence_time", "max_decoherence", "phase_shift", "phase_shift_modes",
     "pure_state", "pure_state_norm", "random_density_matrix", "spectral_density",
     "split_vs_closed_form", "temperature_to_beta",
@@ -1171,8 +1172,8 @@ PUBLIC_NAMES = [
 # the names decoq.evolution defines, and the one record it takes from
 # decoq.states, which the benchmark's oracle job reads there
 EVOLUTION_NAMES = [
-    "COMPUTATIONAL", "EIGENBASIS", "NoCrossingError", "QubitState", "_bisect",
-    "low_decoherence_time", "max_decoherence", "pure_state_norm",
+    "COMPUTATIONAL", "EIGENBASIS", "IdleWindow", "NoCrossingError", "QubitState", "_bisect",
+    "idle_window", "low_decoherence_time", "max_decoherence", "pure_state_norm",
 ]
 
 # names the benchmark's tracer looks up on each module and wraps
@@ -1231,6 +1232,20 @@ class TestPublicNames:
             "decoq.oracle []", "True decoq.svgplot", "True",
         ]
 
+    def test_idle_window_loads_neither_numpy_nor_the_cli(self):
+        script = (
+            "import sys\n"
+            "import decoq\n"
+            "spec = decoq.BathSpec(eta=1e-6, omega_c=200.0, beta=decoq.temperature_to_beta(30.0))\n"
+            "window = decoq.idle_window(1e-4, spec, 51.8, 10.0)\n"
+            "print(window.tau_ld, type(window).__name__)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'decoq')))\n"
+        )
+        assert run_python(script).splitlines() == [
+            "5.8583302660491405 IdleWindow",
+            "['decoq', 'decoq.bath', 'decoq.evolution', 'decoq.units']",
+        ]
+
     @pytest.mark.parametrize("module", ["decoq", "decoq.evolution", "decoq.cli"])
     def test_unknown_name_raises_attribute_error(self, module):
         import importlib
@@ -1240,30 +1255,36 @@ class TestPublicNames:
 
 
 class TestTracedNames:
-    def test_commands_call_the_names_bound_on_decoq_cli(self, tmp_path):
-        # the benchmark's tracer replaces these on decoq.cli before main runs;
-        # the command modules load after it and call what it put there
+    def test_commands_call_the_names_the_tracer_wraps(self, tmp_path):
+        # the benchmark's tracer replaces these on decoq.cli and decoq.evolution
+        # before main runs; the command modules load after it and call what it
+        # put on decoq.cli, and idle_window takes B2 from decoq.evolution
         script = (
             "import contextlib, io, os\n"
             f"os.chdir({str(tmp_path)!r})\n"
             "import decoq.cli as cli\n"
+            "import decoq.evolution as evolution\n"
             "calls = {}\n"
             "def counting(name, real):\n"
             "    def wrapper(*args, **kwargs):\n"
             "        calls[name] = calls.get(name, 0) + 1\n"
             "        return real(*args, **kwargs)\n"
             "    return wrapper\n"
-            "for name in ('dephasing_exponent', 'low_decoherence_time', 'error_scaling'):\n"
-            "    setattr(cli, name, counting(name, getattr(cli, name)))\n"
+            "for module, names in ((cli, ('dephasing_exponent', 'error_scaling')),\n"
+            "                      (evolution, ('dephasing_exponent',))):\n"
+            "    for name in names:\n"
+            "        key = f\"{module.__name__.rpartition('.')[2]}.{name}\"\n"
+            "        setattr(module, name, counting(key, getattr(module, name)))\n"
             "for command in ('curve', 'tld', 'verify'):\n"
             "    calls.clear()\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main([command]) == 0\n"
             "    print(command, sorted(calls.items()))\n"
         )
-        # tld: B2 at the gate, then three for the first double of the eta budget
+        # tld: B2 at the gate, three for the first double of the eta budget
+        # and 63 probes of the root find, all through decoq.evolution
         assert run_python(script).splitlines() == [
-            "curve [('dephasing_exponent', 400)]",
-            "tld [('dephasing_exponent', 4), ('low_decoherence_time', 1)]",
-            "verify [('dephasing_exponent', 1), ('error_scaling', 1)]",
+            "curve [('cli.dephasing_exponent', 400)]",
+            "tld [('evolution.dephasing_exponent', 67)]",
+            "verify [('cli.dephasing_exponent', 1), ('cli.error_scaling', 1)]",
         ]

@@ -14,6 +14,7 @@ from decoq.evolution import (
     EIGENBASIS,
     NoCrossingError,
     _bisect,
+    idle_window,
     low_decoherence_time,
     max_decoherence,
     pure_state_norm,
@@ -714,6 +715,64 @@ class TestLowDecoherenceTime:
         with pytest.raises(ValueError, match=refusal):
             low_decoherence_time(threshold, spec, t_max)
         assert max_decoherence(_b2_peak_bound(spec)) >= d_end >= threshold
+
+
+def on_the_rise(t_max, spec):
+    """t_max cut to t_rise = tan(pi/s)/omega_c for s > 2, where every crossing is proved."""
+    return min(t_max, math.tan(math.pi / spec.s) / spec.omega_c) if spec.s > 2.0 else t_max
+
+
+def eta_max_checked(threshold, spec, e_j):
+    """idle_window's eta_max, checked as the first double with D(tau_g) >= threshold."""
+    tau_g = 1.0 / e_j
+    eta = idle_window(threshold, spec, e_j, on_the_rise(10.0, spec)).eta_max
+    d = lambda e: max_decoherence(dephasing_exponent(tau_g, spec._replace(eta=e)))  # noqa: E731
+    assert d(eta) >= threshold > d(math.nextafter(eta, 0.0))
+    # one division away from L / b, b = B2/eta
+    b2 = dephasing_exponent(tau_g, spec)
+    assert eta == pytest.approx(spec.eta * -math.log1p(-2.0 * threshold) / b2, rel=1e-15)
+    return eta
+
+
+class TestIdleWindow:
+    def test_eta_budget_at_the_benchmark_point(self):
+        # the abstract's verdict holds up to 36 times the default eta
+        spec = BathSpec(eta=1e-6, omega_c=200.0, beta=temperature_to_beta(30.0))
+        assert eta_max_checked(1e-4, spec, E_J) == 3.604201689225632e-05
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.floats(1.0, 6.0), temp_mk=st.floats(1.0, 300.0), omega_c=st.floats(50.0, 1e4),
+           log_eta=st.floats(-9.0, -4.0), threshold=st.floats(1e-6, 1e-2))
+    def test_eta_budget_is_the_first_double_at_the_threshold(self, s, temp_mk, omega_c,
+                                                               log_eta, threshold):
+        spec = BathSpec(eta=10.0**log_eta, omega_c=omega_c, beta=temperature_to_beta(temp_mk), s=s)
+        eta_max_checked(threshold, spec, E_J)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=st.floats(1.0, 6.0),
+        temp_mk=st.one_of(st.just(0.0), st.floats(1.0, 300.0)),
+        log_omega_c=st.floats(math.log10(50.0), 4.0),
+        log_eta=st.floats(-9.0, -5.0),
+        e_j=st.floats(5.0, 500.0),
+        log_threshold=st.floats(-6.0, -2.0),
+        log_t_max=st.floats(-3.0, 1.0),
+    )
+    def test_gate_level_and_budget_match_mpmath(self, s, temp_mk, log_omega_c, log_eta, e_j,
+                                                log_threshold, log_t_max):
+        # d_at_gate of every tld report and sweep row; for s > 2 the window
+        # ends by t_rise, past which a crossing may be refused
+        beta = math.inf if temp_mk == 0.0 else temperature_to_beta(temp_mk)
+        spec = BathSpec(eta=10.0**log_eta, omega_c=10.0**log_omega_c, beta=beta, s=s)
+        threshold, t_max = 10.0**log_threshold, on_the_rise(10.0**log_t_max, spec)
+        window = idle_window(threshold, spec, e_j, t_max)
+        assert window.d_at_gate == pytest.approx(mpmath_d(1.0 / e_j, spec), rel=1e-12, abs=0.0)
+        # eta_max: B2 is linear in eta, so D(tau_g) = threshold at eta L / B2(tau_g)
+        b2_gate = mpmath_b2(1.0 / e_j, spec, reference_dps(s))
+        eta_max = spec.eta * -math.log1p(-2.0 * threshold) / b2_gate
+        assert window.eta_max == pytest.approx(eta_max, rel=1e-12, abs=0.0)
+        if window.tau_ld is None:
+            assert window.d_at_t_max == pytest.approx(mpmath_d(t_max, spec), rel=1e-12, abs=0.0)
 
 
 def window_or_none(threshold, spec, t_max):

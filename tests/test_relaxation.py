@@ -1,4 +1,4 @@
-"""The relaxation-limited window that `tld` reports beside the dephasing one."""
+"""The relaxation-limited window that `idle_window` reports beside the dephasing one."""
 
 import math
 import random
@@ -7,25 +7,34 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decoq.cli import RunConfig
-from decoq.cli.commands import _relaxation_window, _tld_report
-from decoq.units import TIME_UNIT_S, temperature_to_beta
+from decoq.bath import BathSpec
+from decoq.evolution import idle_window
+from decoq.units import TIME_UNIT_S, _to_ps, temperature_to_beta
+from test_evolution import on_the_rise
 
-RELAX_KEYS = ("relaxation_rate", "tau_ld_relax_units", "tau_ld_relax_ps", "ratio_relax_over_gate")
+# the benchmark point, as the command line's defaults hold it
+BENCH = {"threshold": 1e-4, "eta": 1e-6, "omega_c": 200.0, "beta": temperature_to_beta(30.0),
+         "s": 1.0, "e_j": 51.8, "t_max": 10.0}
 
 
-def mpmath_relaxation(cfg, dps=30):
+def window_at(**settings_):
+    """idle_window at the benchmark point with settings_ replaced."""
+    kw = {**BENCH, **settings_}
+    spec = BathSpec(kw["eta"], kw["omega_c"], kw["beta"], kw["s"])
+    return idle_window(kw["threshold"], spec, kw["e_j"], kw["t_max"])
+
+
+def mpmath_relaxation(spec, e_j, threshold, dps=30):
     """Gamma_down and tau_M of the golden rule at E_J, in mpmath."""
     with mpmath.workdps(dps):
-        e_j, thr = mpmath.mpf(cfg.e_j), mpmath.mpf(cfg.threshold)
-        j = cfg.eta * e_j ** mpmath.mpf(cfg.s) * mpmath.exp(-e_j / mpmath.mpf(cfg.omega_c))
-        beta = temperature_to_beta(cfg.temp_mk) if cfg.temp_mk > 0.0 else math.inf
-        n = 0 if math.isinf(beta) else 1 / mpmath.expm1(mpmath.mpf(beta) * e_j)
+        e_j, thr = mpmath.mpf(e_j), mpmath.mpf(threshold)
+        j = spec.eta * e_j ** mpmath.mpf(spec.s) * mpmath.exp(-e_j / mpmath.mpf(spec.omega_c))
+        n = 0 if math.isinf(spec.beta) else 1 / mpmath.expm1(mpmath.mpf(spec.beta) * e_j)
         rate, rate_1 = 2 * mpmath.pi * j * (1 + n), 2 * mpmath.pi * j * (1 + 2 * n)
         return float(rate), float(-mpmath.log1p(-thr * rate_1 / rate) / rate_1)
 
 
-def mpmath_born_deviation(t, cfg, dps=15):
+def mpmath_born_deviation(t, spec, e_j, dps=15):
     """The excited state's deviation to first order in eta, in its omega form.
 
     D_e(t) = int dw J(w) [(1 + n(w)) F_t(w - E_J) + n(w) F_t(w + E_J)],
@@ -35,11 +44,11 @@ def mpmath_born_deviation(t, cfg, dps=15):
     like exp(-u t): its factor J n/x^2 has no pole with Re w >= w1.
     """
     with mpmath.workdps(dps):
-        eta, wc, e_j, t = (mpmath.mpf(v) for v in (cfg.eta, cfg.omega_c, cfg.e_j, t))
-        beta = mpmath.mpf(temperature_to_beta(cfg.temp_mk))
+        eta, wc, e_j, t = (mpmath.mpf(v) for v in (spec.eta, spec.omega_c, e_j, t))
+        beta = mpmath.mpf(spec.beta)
 
         def weights(w):  # J(w) (1 + n(w)) and J(w) n(w)
-            j = eta * w**cfg.s * mpmath.exp(-w / wc)
+            j = eta * w**spec.s * mpmath.exp(-w / wc)
             n = 1 / mpmath.expm1(beta * w)
             return j * (1 + n), j * n
 
@@ -80,17 +89,16 @@ class TestRelaxationWindow:
         threshold=st.floats(1e-6, 0.4),
     )
     def test_closed_form_matches_mpmath(self, s, temp_mk, e_j, omega_c, eta, threshold):
-        # temp_mk = 0 is beta = inf, which RunConfig does not take but the rates do
-        cfg = RunConfig(e_j=e_j, temp_mk=temp_mk, omega_c=omega_c, eta=eta, s=s,
-                        threshold=threshold)
         beta = math.inf if temp_mk == 0.0 else temperature_to_beta(temp_mk)
-        window = _relaxation_window(cfg, beta, 1.0 / e_j)
-        rate, tau = mpmath_relaxation(cfg)
-        assert window["relaxation_rate"] == pytest.approx(rate, rel=1e-13, abs=0.0)
-        assert window["tau_ld_relax_units"] == pytest.approx(tau, rel=1e-13, abs=0.0)
-        assert window["tau_ld_relax_ps"] == pytest.approx(
+        spec = BathSpec(eta=eta, omega_c=omega_c, beta=beta, s=s)
+        window = idle_window(threshold, spec, e_j, on_the_rise(10.0, spec))
+        rate, tau = mpmath_relaxation(spec, e_j, threshold)
+        assert window.relaxation_rate == pytest.approx(rate, rel=1e-13, abs=0.0)
+        assert window.tau_relax == pytest.approx(tau, rel=1e-13, abs=0.0)
+        # tld's tau_ld_relax_ps and ratio_relax_over_gate, as it forms them
+        assert _to_ps(window.tau_relax) == pytest.approx(
             tau * TIME_UNIT_S * 1e12, rel=1e-13, abs=0.0)
-        assert window["ratio_relax_over_gate"] == pytest.approx(tau * e_j, rel=1e-13, abs=0.0)
+        assert window.tau_relax / window.tau_g == pytest.approx(tau * e_j, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize(
         "settings_",
@@ -98,22 +106,24 @@ class TestRelaxationWindow:
             {"e_j": 1e5, "omega_c": 50.0},  # J(E_J) underflows to 0
             {"e_j": 1e5, "s": 80.0},  # E_J^s overflows
             {"eta": 0.0},  # no coupling, no relaxation
+            # tau_M = 5.1e305 units is a double, but not in ps
+            {"e_j": 1e-300, "beta": math.inf, "eta": 1.6e-7, "threshold": 0.4},
         ],
     )
     def test_rate_that_is_not_a_double_reports_null(self, settings_):
-        report = _tld_report(RunConfig(**settings_))
-        assert [report[key] for key in RELAX_KEYS] == [None] * 4
-        assert report["window_set_by"] == (None if report["no_crossing"] else "dephasing")
+        window = window_at(**settings_)
+        assert (window.relaxation_rate, window.tau_relax) == (None, None)
+        assert window.window_set_by == (None if window.tau_ld is None else "dephasing")
 
     def test_window_set_by_the_shorter_window(self):
         # at the benchmark point tau_M = 0.398 units and tau_ld = 5.858; with
         # no crossing below t_max = 0.3 neither window is known to be shorter
-        assert _tld_report(RunConfig())["window_set_by"] == "relaxation"
-        assert _tld_report(RunConfig(t_max=1.0))["window_set_by"] == "relaxation"
-        assert _tld_report(RunConfig(t_max=0.3))["window_set_by"] is None
+        assert window_at().window_set_by == "relaxation"
+        assert window_at(t_max=1.0).window_set_by == "relaxation"
+        assert window_at(t_max=0.3).window_set_by is None
         # s = 3 crosses at 0.0058 units, before tau_M = 0.126
-        s3 = RunConfig(s=3.0, eta=1e-9, threshold=8.5e-5, t_max=1000.0)
-        assert _tld_report(s3)["window_set_by"] == "dephasing"
+        s3 = window_at(s=3.0, eta=1e-9, threshold=8.5e-5, t_max=1000.0)
+        assert s3.window_set_by == "dephasing"
 
     def test_matches_the_first_crossing_of_the_born_deviation(self):
         # a seeded grid over T in [10, 300] mK, E_J in [20, 150], omega_c in
@@ -122,12 +132,13 @@ class TestRelaxationWindow:
         rng = random.Random(13)
         gaps = []
         for _ in range(5):
-            cfg = RunConfig(temp_mk=rng.uniform(10.0, 300.0), e_j=rng.uniform(20.0, 150.0),
-                            omega_c=10.0 ** rng.uniform(math.log10(50.0), 3.0),
-                            eta=10.0 ** rng.uniform(-7.0, -5.0))
-            tau_m = _tld_report(cfg)["tau_ld_relax_units"]
+            temp_mk, e_j = rng.uniform(10.0, 300.0), rng.uniform(20.0, 150.0)
+            omega_c = 10.0 ** rng.uniform(math.log10(50.0), 3.0)
+            spec = BathSpec(eta=10.0 ** rng.uniform(-7.0, -5.0), omega_c=omega_c,
+                            beta=temperature_to_beta(temp_mk))
+            tau_m = idle_window(1e-4, spec, e_j, 10.0).tau_relax
             crossing = float(mpmath.findroot(
-                lambda t: mpmath_born_deviation(t, cfg) - cfg.threshold, (tau_m, 1.02 * tau_m)))
-            assert mpmath_born_deviation(0.5 * crossing, cfg) < cfg.threshold
+                lambda t: mpmath_born_deviation(t, spec, e_j) - 1e-4, (tau_m, 1.02 * tau_m)))
+            assert mpmath_born_deviation(0.5 * crossing, spec, e_j) < 1e-4
             gaps.append(tau_m / crossing - 1.0)
         assert max(map(abs, gaps)) <= 0.112
