@@ -26,7 +26,18 @@ from decoq.discrete import (
     phase_shift_modes,
     spectral_density,
 )
+from decoq.cli import PRESETS
+from decoq.evolution import max_decoherence, pure_state_norm
 from decoq.units import KB_UEV_PER_K, temperature_to_beta
+from references import (
+    mpmath_b2,
+    mpmath_c,
+    mpmath_d,
+    mpmath_direct,
+    mpmath_norm,
+    single_pass_sums,
+    zero_t_b2,
+)
 
 BETA_30MK = temperature_to_beta(30.0)
 
@@ -35,130 +46,6 @@ def bench_spec(**kw):
     base = dict(eta=1e-6, omega_c=200.0, beta=BETA_30MK, s=1.0)
     base.update(kw)
     return BathSpec(**base)
-
-
-def zero_t_b2(t, spec):
-    """B2 at T = 0 for s = 1: 2 eta ln(1 + omega_c^2 t^2)."""
-    return 2.0 * spec.eta * math.log1p((spec.omega_c * t) ** 2)
-
-
-def single_pass_sums(t, bath, beta):
-    """B2 and C of a discrete bath as one numpy sum over all modes at once."""
-    w, g2 = bath
-    with np.errstate(over="ignore"):
-        b2 = np.sum(8.0 * g2 / w**2 * np.sin(0.5 * w * t) ** 2 / np.tanh(0.5 * beta * w))
-    x = w * t
-    small = np.abs(x) < 0.1
-    xs = np.where(small, x, 0.0)
-    series = (xs**3 / 6.0) * (1.0 - xs**2 / 20.0 + xs**4 / 840.0 - xs**6 / 60480.0)
-    c = np.sum(g2 / w**2 * np.where(small, series, x - np.sin(x)))
-    return float(b2), float(c)
-
-
-def mpmath_b2(t, spec, dps=40):
-    """B2 from the coth expansion, summed over n by mpmath special functions.
-
-    4 eta [omega_c^nu G_nu(x) + 2 beta^-nu Gamma(nu) (zeta(nu, 1+a) - Re zeta(nu, 1+a-iy))]
-    with G_nu(x) = Gamma(nu) [1 - Re (1 - ix)^-nu]; the thermal sum is
-    2 (lnG(1+a) - Re lnG(1+a+iy)) at nu = 0 and (Re psi(1+a+iy) - psi(1+a))/beta
-    at nu = 1, the limits of the zeta difference.
-
-    Below x = omega_c t = 1, 1 - Re (1 - ix)^-nu is of order x^2, and each
-    thermal difference of order y^2 at y = t/beta, so each subtraction loses
-    about 2 digits per decade of the smaller of x and y (y only at finite
-    beta): dps gains 2 max(0, ceil(-log10 min(x, y))) digits.
-    """
-    small = min([spec.omega_c * t] + ([t / spec.beta] if math.isfinite(spec.beta) else []))
-    if small > 0.0:
-        dps += 2 * max(0, math.ceil(-math.log10(small)))
-    with mpmath.workdps(dps):
-        wc, t, nu = mpmath.mpf(spec.omega_c), mpmath.mpf(t), mpmath.mpf(spec.s) - 1
-        x = wc * t
-        if nu == 0:
-            total = mpmath.log1p(x * x) / 2
-        else:
-            total = wc**nu * mpmath.gamma(nu) * (1 - mpmath.re(mpmath.mpc(1, -x) ** -nu))
-        if math.isfinite(spec.beta):
-            beta = mpmath.mpf(spec.beta)
-            a, y = 1 / (beta * wc), t / beta
-            z = mpmath.mpc(1 + a, y)
-            if nu == 0:
-                total += 2 * (mpmath.loggamma(1 + a) - mpmath.re(mpmath.loggamma(z)))
-            elif nu == 1:
-                total += 2 * (mpmath.re(mpmath.digamma(z)) - mpmath.digamma(1 + a)) / beta
-            else:
-                total += 2 * beta**-nu * mpmath.gamma(nu) * (
-                    mpmath.zeta(nu, 1 + a) - mpmath.re(mpmath.zeta(nu, mpmath.conj(z)))
-                )
-        return float(4 * spec.eta * total)
-
-
-def reference_dps(s):
-    """Digits for mpmath_b2 and mpmath_c: a large s cancels 2 more per unit of s in their sums."""
-    return 40 + math.ceil(2.0 * s)
-
-
-def mpmath_d(t, spec):
-    """D = -expm1(-B2)/2 from mpmath_b2 at reference_dps digits."""
-    dps = reference_dps(spec.s)
-    b2 = mpmath_b2(t, spec, dps)
-    with mpmath.workdps(dps):
-        return float(-mpmath.expm1(-mpmath.mpf(b2)) / 2)
-
-
-def mpmath_c(t, spec, dps=40):
-    """C(t) = eta omega_c^nu [Gamma(nu+1) x - Gamma(nu) Im (1 - ix)^-nu].
-
-    At nu = 0 it is eta (x - atan x).
-    """
-    with mpmath.workdps(dps):
-        wc, t, nu = mpmath.mpf(spec.omega_c), mpmath.mpf(t), mpmath.mpf(spec.s) - 1
-        x = wc * t
-        if nu == 0:
-            return float(spec.eta * (x - mpmath.atan(x)))
-        return float(spec.eta * wc**nu * (
-            mpmath.gamma(nu + 1) * x - mpmath.gamma(nu) * mpmath.im(mpmath.mpc(1, -x) ** -nu)
-        ))
-
-
-def mpmath_direct(t, spec, shift=False, dps=20):
-    """B2 (or C with shift=True) by mpmath quadrature of its defining integral.
-
-    Independent of the coth expansion.  [0, 2 pi/t] is integrated as
-    written.  Beyond it the oscillating factor is split off: f(w) w t or
-    f(w) is integrated on the real line and f(w) exp(i w t) on the vertical
-    ray w1 + i u, where it decays like exp(-u t).  f has no singularity
-    with Re w > 0, so the rotation is exact.
-    """
-    with mpmath.workdps(dps):
-        wc, t, s = mpmath.mpf(spec.omega_c), mpmath.mpf(t), mpmath.mpf(spec.s)
-        beta = mpmath.mpf(spec.beta) if math.isfinite(spec.beta) else None
-
-        def f(w):
-            v = w ** (s - 2) * mpmath.exp(-w / wc)
-            return v * mpmath.coth(beta * w / 2) if beta is not None and not shift else v
-
-        if shift:
-            def head(w):
-                return f(w) * (w * t - mpmath.sin(w * t))
-
-            def smooth(w):
-                return f(w) * w * t
-        else:
-            def head(w):
-                return 2 * f(w) * mpmath.sin(w * t / 2) ** 2
-
-            smooth = f
-        w1 = 2 * mpmath.pi / t
-        inner = mpmath.quad(head, [0] + [wc * k for k in (1, 8) if wc * k < w1] + [w1])
-        outer = mpmath.quad(smooth, [w1] + [w for w in (wc, 8 * wc) if w > w1] + [mpmath.inf])
-        ray = mpmath.quad(
-            lambda u: f(mpmath.mpc(w1, u)) * mpmath.exp(-u * t), [0, 2 / t, 16 / t, mpmath.inf]
-        )
-        osc = mpmath.mpc(0, 1) * mpmath.expj(w1 * t) * ray
-        if shift:
-            return float(spec.eta * (inner + outer - mpmath.im(osc)))
-        return float(4 * spec.eta * (inner + outer - mpmath.re(osc)))
 
 
 class TestCoth:
@@ -421,26 +308,64 @@ class TestKernel:
         beta = math.inf if temp_mk is None else temperature_to_beta(temp_mk)
         spec = bench_spec(s=s, omega_c=10.0**log_omega_c, beta=beta)
         t = 10.0**log_t
-        dps = reference_dps(s)
-        assert dephasing_exponent(t, spec) == pytest.approx(
-            mpmath_b2(t, spec, dps), rel=1e-12, abs=0.0
-        )
-        assert phase_shift(t, spec) == pytest.approx(mpmath_c(t, spec, dps), rel=1e-12, abs=0.0)
+        assert dephasing_exponent(t, spec) == pytest.approx(mpmath_b2(t, spec), rel=1e-12, abs=0.0)
+        assert phase_shift(t, spec) == pytest.approx(mpmath_c(t, spec), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
-        "t,spec",
+        "quantity,reference,t,spec",
         [
-            (5.7e-133, bench_spec(s=2.0, omega_c=100.0, beta=math.inf)),
-            (1e-20, bench_spec(omega_c=100.0)),
+            (dephasing_exponent, mpmath_b2, 5.7e-133, bench_spec(s=2.0, omega_c=100.0,
+                                                                  beta=math.inf)),
+            (dephasing_exponent, mpmath_b2, 1e-20, bench_spec(omega_c=100.0)),
+            (phase_shift, mpmath_c, 1e-20, bench_spec(beta=math.inf)),
+            (phase_shift, mpmath_c, 1e-20, bench_spec(s=1.5, beta=math.inf)),
+            (phase_shift, mpmath_c, 1e-40, bench_spec(beta=math.inf)),
         ],
-        ids=["s2-zero-T", "s1-30mK"],
+        ids=["s2-zero-T", "s1-30mK", "C-s1-zero-T", "C-s1.5-zero-T", "C-s1-1e-40"],
     )
-    def test_matches_mpmath_where_the_reference_cancels(self, t, spec):
+    def test_matches_mpmath_where_the_reference_cancels(self, quantity, reference, t, spec):
         # without the digits its subtractions lose, mpmath_b2 gave 0.0 at
         # the first point, and at the second was 2.4e-7 off at 40 digits and
-        # 9.5e-10 at 40 + 2s
-        reference = mpmath_b2(t, spec, reference_dps(spec.s))
-        assert dephasing_exponent(t, spec) == pytest.approx(reference, rel=1e-12, abs=0.0)
+        # 9.5e-10 at 40 + 2s; at 40 + 2s digits mpmath_c was 2.75e-8 off at
+        # the third, 1.0e-10 at the fourth and 0.0 at the fifth
+        assert quantity(t, spec) == pytest.approx(reference(t, spec), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        s=st.floats(1.0, 20.0),
+        temp_mk=st.one_of(st.none(), st.floats(0.0, 6.0).map(lambda log_mk: 10.0**log_mk)),
+        log_omega_c=st.floats(math.log10(50.0), 4.0),
+        log_t=st.floats(-150.0, -7.0),
+        e_j=st.floats(5.0, 500.0),
+    )
+    # the smallest B2, D and C of their regions, B2's edge one ulp above
+    # s = 1, and the most digits
+    @example(s=1.0, temp_mk=None, log_omega_c=math.log10(50.0), log_t=-140.0, e_j=5.0)
+    @example(s=1.0 + 2.0**-52, temp_mk=None, log_omega_c=math.log10(50.0), log_t=-140.0,
+             e_j=5.0)
+    @example(s=1.0, temp_mk=None, log_omega_c=math.log10(50.0), log_t=-100.0, e_j=500.0)
+    @example(s=20.0, temp_mk=1e6, log_omega_c=4.0, log_t=-140.0, e_j=500.0)
+    def test_matches_mpmath_at_short_times(self, s, temp_mk, log_omega_c, log_t, e_j):
+        # test_matches_mpmath's box below t = 1e-7, with curve's D and
+        # norm_* columns as test_curve_columns_match_mpmath forms them.  The
+        # claims stop where decoq forms a subnormal double: B2's at 1e-140,
+        # since _g's (s - 1) x^2/2 underflows near s = 1 (4.7e-12 off at
+        # s = 1 + 2.2e-16, omega_c = 56.2, T = 0, t = 1e-150), and C's at
+        # 1e-100, since _c_unit forms x^3 before omega_c^nu (0.0 at s = 11,
+        # omega_c = 2479, t = 1.2e-114)
+        beta = math.inf if temp_mk is None else temperature_to_beta(temp_mk)
+        spec = bench_spec(s=s, omega_c=10.0**log_omega_c, beta=beta)
+        t = 10.0**log_t
+        if t >= 1e-140:
+            b2 = dephasing_exponent(t, spec)
+            assert b2 == pytest.approx(mpmath_b2(t, spec), rel=1e-12, abs=0.0)
+            d_ref = mpmath_d(t, spec)
+            assert max_decoherence(b2) == pytest.approx(d_ref, rel=1e-12, abs=0.0)
+            for theta, phi in PRESETS.values():
+                ref = mpmath_norm(d_ref, theta, phi, t, e_j)
+                assert abs(pure_state_norm(theta, phi, b2, t, e_j) - ref) <= 1e-12 * d_ref
+        if t >= 1e-100:
+            assert phase_shift(t, spec) == pytest.approx(mpmath_c(t, spec), rel=1e-12, abs=0.0)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(

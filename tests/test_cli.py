@@ -32,7 +32,8 @@ from decoq.cli import (
 from decoq import evolution
 from decoq.evolution import idle_window, low_decoherence_time, max_decoherence
 from decoq.units import TIME_UNIT_S, _to_ps, temperature_to_beta
-from test_golden import GOLDEN
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # a superohmic bath whose D crosses the threshold past t_rise, falls back
 # below it and crosses again before t_max
@@ -762,6 +763,20 @@ class TestReadme:
         loop = re.search(r"```sh\n(d=\$\(mktemp -d\).*)\n```", readme)[1]
         workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
         assert re.search(r"run: \|\n +(d=\$\(mktemp -d\).*)\n", workflow)[1] == loop
+
+
+class TestSuiteLayout:
+    def test_no_test_module_imports_another(self):
+        # what two test modules share belongs in tests/references.py
+        imports = []
+        for path in sorted((ROOT / "tests").glob("test_*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imports += [(path.name, alias.name) for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    imports.append((path.name, node.module or ""))
+        assert [(name, module) for name, module in imports
+                if module.split(".")[0].startswith("test_")] == []
 
 
 # flag values at the edges of a double, drawn beside each flag's ordinary value

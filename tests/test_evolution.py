@@ -1,7 +1,6 @@
 import math
 import re
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -40,7 +39,7 @@ from decoq.states import (
     random_density_matrix,
 )
 from decoq.units import temperature_to_beta
-from test_bath import mpmath_b2, mpmath_d, reference_dps
+from references import mpmath_b2, mpmath_d, mpmath_norm, mpmath_root, on_the_rise
 
 E_J = 51.8
 
@@ -244,12 +243,9 @@ class TestPureStateNorm:
         b2 = dephasing_exponent(t, spec)
         d_ref = mpmath_d(t, spec)
         assert max_decoherence(b2) == pytest.approx(d_ref, rel=1e-12, abs=0.0)
-        with mpmath.workdps(30):
-            half = mpmath.mpf(t) * e_j / 2
-            for theta, phi in PRESETS.values():
-                ref = d_ref * mpmath.hypot(mpmath.cos(theta),
-                                           mpmath.sin(theta) * mpmath.sin(phi + half))
-                assert abs(pure_state_norm(theta, phi, b2, t, e_j) - float(ref)) <= 1e-12 * d_ref
+        for theta, phi in PRESETS.values():
+            ref = mpmath_norm(d_ref, theta, phi, t, e_j)
+            assert abs(pure_state_norm(theta, phi, b2, t, e_j) - ref) <= 1e-12 * d_ref
 
 
 class TestClosedFormArguments:
@@ -482,49 +478,6 @@ class TestFindCrossing:
         assert err.value.d_at_t_max == d_end < 1e-4
 
 
-def mpmath_ohmic_root(threshold, spec, dps=40):
-    """Root of the s = 1 closed form B2(t) = -ln(1 - 2 threshold) in mpmath.
-
-    B2 = 4 eta [ln(1 + w_c^2 t^2)/2 + 2 ln G(1+a) - 2 Re ln G(1+a+iy)],
-    a = 1/(beta w_c), y = t/beta (Leggett et al., RMP 59, 1 (1987)).
-    """
-    with mpmath.workdps(dps):
-        eta, wc, beta = (mpmath.mpf(v) for v in spec[:3])
-        a = 1 / (beta * wc)
-        target = -mpmath.log1p(-2 * mpmath.mpf(threshold))
-
-        def f(t):
-            gammas = mpmath.loggamma(1 + a) - mpmath.re(mpmath.loggamma(1 + a + 1j * t / beta))
-            return 4 * eta * (mpmath.log1p((wc * t) ** 2) / 2 + 2 * gammas) - target
-
-        lo = mpmath.mpf(1e-6)
-        hi = lo
-        while f(hi) < 0:
-            lo, hi = hi, 2 * hi
-        return float(mpmath.findroot(f, (lo, hi), solver="anderson"))
-
-
-def mpmath_root(threshold, spec, t_star, t_top):
-    """The double where B2 from mpmath_b2 reaches L = -log1p(-2 threshold), near t_star.
-
-    B2 must rise on (0, t_top].  A bracket about t_star widens until it
-    holds L, and is bisected to adjacent doubles.
-    """
-    dps = reference_dps(spec.s)
-    with mpmath.workdps(dps):
-        target = float(-mpmath.log1p(-2 * mpmath.mpf(threshold)))
-    width = 1e-6
-    while not (mpmath_b2(lo := t_star / (1.0 + width), spec, dps) < target
-               <= mpmath_b2(hi := min(t_star * (1.0 + width), t_top), spec, dps)):
-        width *= 1e3
-    while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
-        if mpmath_b2(mid, spec, dps) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 class TestLowDecoherenceTime:
     SPEC = BathSpec(eta=1e-4, omega_c=200.0, beta=temperature_to_beta(30.0))
 
@@ -567,7 +520,7 @@ class TestLowDecoherenceTime:
     def test_ohmic_root_matches_mpmath(self, temp_mk, omega_c, eta, threshold):
         spec = BathSpec(eta, omega_c, temperature_to_beta(temp_mk))
         tau = low_decoherence_time(threshold, spec, 1000.0)
-        root = mpmath_ohmic_root(threshold, spec)
+        root = mpmath_root(threshold, spec, tau, 1000.0)
         assert tau == pytest.approx(root, rel=1e-12, abs=0.0)
 
     @settings(max_examples=24, deadline=None)
@@ -717,11 +670,6 @@ class TestLowDecoherenceTime:
         assert max_decoherence(_b2_peak_bound(spec)) >= d_end >= threshold
 
 
-def on_the_rise(t_max, spec):
-    """t_max cut to t_rise = tan(pi/s)/omega_c for s > 2, where every crossing is proved."""
-    return min(t_max, math.tan(math.pi / spec.s) / spec.omega_c) if spec.s > 2.0 else t_max
-
-
 def eta_max_checked(threshold, spec, e_j):
     """idle_window's eta_max, checked as the first double with D(tau_g) >= threshold."""
     tau_g = 1.0 / e_j
@@ -768,7 +716,7 @@ class TestIdleWindow:
         window = idle_window(threshold, spec, e_j, t_max)
         assert window.d_at_gate == pytest.approx(mpmath_d(1.0 / e_j, spec), rel=1e-12, abs=0.0)
         # eta_max: B2 is linear in eta, so D(tau_g) = threshold at eta L / B2(tau_g)
-        b2_gate = mpmath_b2(1.0 / e_j, spec, reference_dps(s))
+        b2_gate = mpmath_b2(1.0 / e_j, spec)
         eta_max = spec.eta * -math.log1p(-2.0 * threshold) / b2_gate
         assert window.eta_max == pytest.approx(eta_max, rel=1e-12, abs=0.0)
         if window.tau_ld is None:

@@ -23,68 +23,13 @@ from decoq.oracle import (
 )
 from decoq import oracle
 from decoq.units import temperature_to_beta
+from references import build_hamiltonians, dense_reference, held_levels, thermal_bath_state
 
 BETA_30MK = temperature_to_beta(30.0)
 
 
 def one_mode_system(e_j=51.8, omega=8.0, g=0.5, n_fock=14):
     return CompositeSystem(e_j=e_j, modes=(TruncatedBathMode(omega, g, n_fock),))
-
-
-def build_hamiltonians(system):
-    """(H_sys, H_ib) on the full composite space, the dense reference of the maps.
-
-    H_sys = -E_J/2 sigma_x x 1, and H_ib = sigma_z x C + 1 x E with the
-    Kronecker sums C and E of the modes' couplings and energies; its
-    sigma_z = -1 block comes from -C and not from the parity the maps rest on.
-    """
-    energies, couplings = zip(*map(oracle._mode_operators, system.modes))
-    sigma_x, sigma_z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
-    h_sys = np.kron(-0.5 * system.e_j * sigma_x, np.eye(system.bath_dim))
-    h_ib = (np.kron(sigma_z, oracle._kron_sum(couplings))
-            + np.kron(np.eye(2), oracle._kron_sum(energies)))
-    return h_sys, h_ib
-
-
-def thermal_bath_state(modes, beta):
-    """Thermal state of the bath on the modes' n_fock levels: diagonal, a Kronecker product."""
-    def weights(m):
-        p = np.array([1.0] + [math.exp(-beta * m.omega * k) for k in range(1, m.n_fock)])
-        return p / p.sum()
-
-    return np.diag(functools.reduce(np.kron, map(weights, modes)))
-
-
-def held_levels(mode, beta):
-    """The levels the oracle holds a mode at, from the rule in its docstring."""
-    need = math.log(1.0 / oracle.TRUNCATION_WEIGHT_TOL) / (beta * mode.omega)
-    return max(mode.n_fock, 1 + math.ceil(need))
-
-
-def _expm_herm(h, t):
-    evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-
-
-def dense_reference(system, state, beta, t, split):
-    """Reduced state by full-space propagation and partial trace, on the held levels.
-
-    split=False propagates with H_sys + H_ib, split=True with
-    A(t/2) exp(-i H_ib t) A(t/2); the result is in the input basis.
-    """
-    system = system._replace(modes=[m._replace(n_fock=held_levels(m, beta)) for m in system.modes])
-    h_sys, h_ib = build_hamiltonians(system)
-    if split:
-        a_half = np.kron(gate_unitary(system.e_j, 0.5 * t), np.eye(system.bath_dim))
-        u = a_half @ _expm_herm(h_ib, t) @ a_half
-    else:
-        u = _expm_herm(h_sys + h_ib, t)
-    comp = state if state.basis == COMPUTATIONAL else basis_change(state)
-    rho0 = np.kron(comp.rho, thermal_bath_state(system.modes, beta))
-    nb = system.bath_dim
-    full = (u @ rho0 @ u.conj().T).reshape(2, nb, 2, nb)
-    out = QubitState(np.einsum("aibi->ab", full), COMPUTATIONAL)
-    return (out if state.basis == COMPUTATIONAL else basis_change(out)).rho
 
 
 BETAS = st.one_of(st.just(math.inf), st.floats(1.0, 300.0).map(temperature_to_beta))

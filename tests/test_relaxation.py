@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from decoq.bath import BathSpec
 from decoq.evolution import idle_window
 from decoq.units import TIME_UNIT_S, _to_ps, temperature_to_beta
-from test_evolution import on_the_rise
+from references import mpmath_born_deviation, mpmath_relaxation, on_the_rise
 
 # the benchmark point, as the command line's defaults hold it
 BENCH = {"threshold": 1e-4, "eta": 1e-6, "omega_c": 200.0, "beta": temperature_to_beta(30.0),
@@ -22,60 +22,6 @@ def window_at(**settings_):
     kw = {**BENCH, **settings_}
     spec = BathSpec(kw["eta"], kw["omega_c"], kw["beta"], kw["s"])
     return idle_window(kw["threshold"], spec, kw["e_j"], kw["t_max"])
-
-
-def mpmath_relaxation(spec, e_j, threshold, dps=30):
-    """Gamma_down and tau_M of the golden rule at E_J, in mpmath."""
-    with mpmath.workdps(dps):
-        e_j, thr = mpmath.mpf(e_j), mpmath.mpf(threshold)
-        j = spec.eta * e_j ** mpmath.mpf(spec.s) * mpmath.exp(-e_j / mpmath.mpf(spec.omega_c))
-        n = 0 if math.isinf(spec.beta) else 1 / mpmath.expm1(mpmath.mpf(spec.beta) * e_j)
-        rate, rate_1 = 2 * mpmath.pi * j * (1 + n), 2 * mpmath.pi * j * (1 + 2 * n)
-        return float(rate), float(-mpmath.log1p(-thr * rate_1 / rate) / rate_1)
-
-
-def mpmath_born_deviation(t, spec, e_j, dps=15):
-    """The excited state's deviation to first order in eta, in its omega form.
-
-    D_e(t) = int dw J(w) [(1 + n(w)) F_t(w - E_J) + n(w) F_t(w + E_J)],
-    F_t(x) = 4 sin^2(x t/2)/x^2.  Up to w1 = E_J + 2 pi/t the integrand is
-    integrated as written; past it F_t = 2 (1 - cos x t)/x^2, and the
-    oscillating part is taken on the vertical ray w1 + i u, where it decays
-    like exp(-u t): its factor J n/x^2 has no pole with Re w >= w1.
-    """
-    with mpmath.workdps(dps):
-        eta, wc, e_j, t = (mpmath.mpf(v) for v in (spec.eta, spec.omega_c, e_j, t))
-        beta = mpmath.mpf(spec.beta)
-
-        def weights(w):  # J(w) (1 + n(w)) and J(w) n(w)
-            j = eta * w**spec.s * mpmath.exp(-w / wc)
-            n = 1 / mpmath.expm1(beta * w)
-            return j * (1 + n), j * n
-
-        def head(w):
-            up, down = weights(w)
-            x1, x2 = w - e_j, w + e_j
-            f1 = t**2 if x1 == 0 else 4 * mpmath.sin(x1 * t / 2) ** 2 / x1**2
-            return up * f1 + down * 4 * mpmath.sin(x2 * t / 2) ** 2 / x2**2
-
-        def poles(w):
-            up, down = weights(w)
-            return up / (w - e_j) ** 2, down / (w + e_j) ** 2
-
-        def ray(u):
-            w = mpmath.mpc(0, u) + w1
-            g1, g2 = poles(w)
-            osc = g1 * mpmath.expj((w1 - e_j) * t) + g2 * mpmath.expj((w1 + e_j) * t)
-            return osc * mpmath.exp(-u * t) * 1j
-
-        period = 2 * mpmath.pi / t
-        w1 = e_j + period
-        below = [e_j - k * period for k in range(int(e_j / period) + 1)]
-        inner = mpmath.quad(head, [0] + sorted(w for w in below if w > 0) + [w1])
-        smooth = mpmath.quad(lambda w: 2 * sum(poles(w)), [w1, max(w1, wc), max(w1, 8 * wc),
-                                                          mpmath.inf])
-        osc = mpmath.quad(ray, [0, 2 / t, 16 / t, mpmath.inf])
-        return float(inner + smooth - 2 * mpmath.re(osc))
 
 
 class TestRelaxationWindow:
