@@ -24,9 +24,8 @@ from collections import namedtuple
 # thermal sum of B2: terms n < EM_N are summed directly, the rest by
 # Euler-Maclaurin at q = EM_N + a.  The summand is analytic at distance >= q
 # from the real axis, so the Bernoulli corrections B_2j/(2j)! below shrink
-# like (2 pi q)^-2j; with seven of them B2 is within 1e-12 relative of
-# mpmath for s in [1, 20], T = 0 or T in [1, 1e6] mK, omega_c in [50, 1e4]
-# and t in [1e-7, 1e5] (README, "Claims").
+# like (2 pi q)^-2j; with seven of them B2 meets the tolerance and region
+# of README's `b_squared` row ("Claims").
 EM_N = 20
 EM_COEFFS = tuple(
     b / math.factorial(2 * j)
@@ -81,41 +80,31 @@ class BathSpec(_record("BathSpec", "eta omega_c beta s")):
 # continuum integrals
 
 
-def _half_log1p_sq(r: float) -> float:
-    """log(1 + r^2)/2; from r = 1e150, where r*r nears overflow, it is log(r) to the last bit."""
-    return 0.5 * math.log1p(r * r) if r < 1e150 else math.log(r)
-
-
 def _g(mu: float, r: float) -> float:
-    """G_mu(r) = Gamma(mu) [1 - Re (1 - i r)^-mu], with G_0(r) = log(1 + r^2)/2.
+    """G_mu(r) = Gamma(mu) [1 - Re (1 - i r)^-mu] for mu >= -1, with its limits at mu = 0 and -1.
 
-    p^-mu G_mu(t/p) = int_0^inf dw w^(mu-1) exp(-p w) (1 - cos w t).  The
-    two terms below are non-negative for mu > 0; for -1/2 <= mu < 0 they
-    differ in sign, but neither exceeds twice their sum.
+    p^-mu G_mu(t/p) = int_0^inf dw w^(mu-1) exp(-p w) (1 - cos w t).  With
+    L = log(1 + r^2)/2, log r from r = 1e150 where r*r nears overflow, and
+    th = atan r, G_0 = L.  From mu = -1/2 up, G is two terms: non-negative
+    for mu > 0, and for mu < 0 of opposite sign but neither above twice
+    their sum.  Below -1/2 those would cancel to a part in 1/nu, nu = mu + 1;
+    the form -Gamma(mu) Re[(1 - i r) expm1(-nu log(1 - i r))] keeps every
+    term of order nu and tends to G_-1 = r th - L.  The kernel's mu there is
+    s - 2, so mu + 1 gives back s - 1 exactly.
     """
-    half_l = _half_log1p_sq(r)
+    half_l = 0.5 * math.log1p(r * r) if r < 1e150 else math.log(r)
     if mu == 0.0:
         return half_l
-    return math.gamma(mu) * (
-        -math.expm1(-mu * half_l)
-        + 2.0 * math.exp(-mu * half_l) * math.sin(0.5 * mu * math.atan(r)) ** 2
-    )
-
-
-def _g_below(nu: float, r: float) -> float:
-    """G_(nu-1)(r), the Euler-Maclaurin integral of the thermal sum.
-
-    For nu < 1/2 the two terms of _g would cancel to a part in 1/nu; the
-    form -Gamma(nu-1) Re[(1 - i r) expm1(-nu log(1 - i r))] keeps every
-    term of order nu and tends to r atan(r) - log(1 + r^2)/2 at nu = 0.
-    """
-    if nu >= 0.5:
-        return _g(nu - 1.0, r)
-    half_l = _half_log1p_sq(r)
+    if mu >= -0.5:
+        return math.gamma(mu) * (
+            -math.expm1(-mu * half_l)
+            + 2.0 * math.exp(-mu * half_l) * math.sin(0.5 * mu * math.atan(r)) ** 2
+        )
+    nu = mu + 1.0
     th = math.atan(r)
     if nu == 0.0:
         return r * th - half_l
-    return math.gamma(nu - 1.0) * (
+    return math.gamma(mu) * (
         -math.expm1(-nu * half_l) * math.cos(nu * th)
         + 2.0 * math.sin(0.5 * nu * th) ** 2
         - r * math.exp(-nu * half_l) * math.sin(nu * th)
@@ -127,7 +116,7 @@ def _thermal_sum(nu: float, a: float, y: float) -> float:
     total = sum((n + a) ** -nu * _g(nu, y / (n + a)) for n in range(1, EM_N))
     q = EM_N + a
     r = y / q
-    total += q ** (1.0 - nu) * _g_below(nu, r) + 0.5 * q**-nu * _g(nu, r)
+    total += q ** (1.0 - nu) * _g(nu - 1.0, r) + 0.5 * q**-nu * _g(nu, r)
     for j, c in enumerate(EM_COEFFS, 1):
         total += c * q ** (1.0 - nu - 2 * j) * _g(nu + 2 * j - 1, r)
     return total
@@ -177,7 +166,7 @@ def _classical(nu: float, beta: float, omega_c: float, t: float) -> float:
     if x < 1e-9:
         log_h = math.log(0.5 * math.gamma(nu + 1.0))
     else:
-        log_h = math.log(_g_below(nu, x)) - 2.0 * math.log(x)
+        log_h = math.log(_g(nu - 1.0, x)) - 2.0 * math.log(x)
     return math.exp(
         math.log(2.0) - math.log(beta) + (nu + 1.0) * math.log(omega_c) + 2.0 * math.log(t) + log_h
     )

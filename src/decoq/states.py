@@ -48,7 +48,7 @@ BLOCH_GRID = 200
 
 
 def _modulus(z: complex) -> float:
-    """abs(z), libm's hypot as in numpy's abs, but inf where abs() would overflow."""
+    """Python's complex abs(z), and inf where that abs would overflow."""
     try:
         return abs(z)
     except OverflowError:

@@ -4,8 +4,10 @@ from hypothesis import settings
 
 import decoq
 
-# the same examples on every run, so two runs of the suite reach the same
-# verdict; each test keeps its own max_examples and deadline
+# derandomized: one command draws the same examples on every run.  Hypothesis
+# also draws from the literal constants of every local module loaded in the
+# process, so a run of other test files can draw other examples; a verdict is
+# the full tier-1 command's.  Each test keeps its own max_examples and deadline
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 

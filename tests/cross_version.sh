@@ -1,0 +1,23 @@
+#!/bin/sh
+# curve, tld, sweep and --version run on the standard library alone and must
+# write byte-identical files under python3.10 and python3.11, which must both
+# be on PATH.  Every launch must exit 0 but the s = 3 tld, the no crossing
+# that the bound past t_rise proves (exit 2); a launch that fails names its
+# interpreter and fails the script.  Prints "same" when the files agree.
+root=$(cd "$(dirname "$0")/.." && pwd)
+d=$(mktemp -d)
+ok=1
+for py in python3.10 python3.11; do
+    mkdir "$d/$py"
+    (
+        export PYTHONPATH="$root/src"
+        cd "$d/$py" &&
+        printf 's = 3\neta = 1e-9\nthreshold = 9.1e-5\nt_max = 1000\n' > s3-bound.cfg &&
+        $py -m decoq.cli --version > version &&
+        for c in tld curve "sweep --axis T --values 10,30,100"; do
+            $py -m decoq.cli $c --out "${c%% *}" > /dev/null || exit
+        done &&
+        { $py -m decoq.cli tld --config s3-bound.cfg --out tld-s3-bound > /dev/null || [ $? = 2 ]; }
+    ) || { echo "a launch failed under $py"; ok=0; }
+done
+[ $ok = 1 ] && diff -r "$d/python3.10" "$d/python3.11" && echo same

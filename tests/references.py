@@ -10,8 +10,9 @@ mpmath_b2 and mpmath_c set their own digits (`_digits`): 40 + ceil(2s),
 since a large s cancels 2 more per unit of s in their sums, plus
 2 max(0, ceil(-log10 min(omega_c t, t/beta))), t/beta only at finite
 beta, since below 1 each of their subtractions loses about 2 digits per
-decade of the smaller of the two.  The other mpmath references work at
-fixed digits, which no caller sets.
+decade of the smaller of the two.  mpmath_g sets its own: 40, plus that
+count (`_lost`) for each of r, |mu| and |mu + 1|.  The other mpmath
+references work at fixed digits, which no caller sets.
 """
 
 import cmath
@@ -35,11 +36,34 @@ def on_the_rise(t_max, spec):
 # ---------------------------------------------------------------- B2, C and D
 
 
+def _lost(small):
+    """The digits a subtraction loses to a small part of its terms: 2 per decade below 1."""
+    return 2 * max(0, math.ceil(-math.log10(small))) if small > 0.0 else 0
+
+
 def _digits(t, spec):
     """The digits of mpmath_b2 and mpmath_c at t: the rule in the module docstring."""
     small = min([spec.omega_c * t] + ([t / spec.beta] if math.isfinite(spec.beta) else []))
-    lost = 2 * max(0, math.ceil(-math.log10(small))) if small > 0.0 else 0
-    return 40 + math.ceil(2.0 * spec.s) + lost
+    return 40 + math.ceil(2.0 * spec.s) + _lost(small)
+
+
+def mpmath_g(mu, r):
+    """G_mu(r) = Gamma(mu) [1 - Re (1 - i r)^-mu] from mpmath's complex power.
+
+    At mu = 0 it is its limit Re log(1 - i r), at mu = -1 its limit
+    -Re[(1 - i r) log(1 - i r)].  Its digits are 40 plus _lost of r, |mu|
+    and |mu + 1|: the subtraction loses 2 per decade of r below 1, and
+    near the poles of Gamma at 0 and -1 one per decade of |mu| or |mu + 1|.
+
+    From decoq: nothing.
+    """
+    with mpmath.workdps(40 + _lost(r) + _lost(abs(mu)) + _lost(abs(mu + 1.0))):
+        z = mpmath.mpc(1, -mpmath.mpf(r))
+        if mu == 0.0:
+            return float(mpmath.re(mpmath.log(z)))
+        if mu == -1.0:
+            return float(-mpmath.re(z * mpmath.log(z)))
+        return float(mpmath.gamma(mu) * (1 - mpmath.re(z ** -mpmath.mpf(mu))))
 
 
 @functools.lru_cache(maxsize=64)

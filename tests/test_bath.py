@@ -8,8 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from decoq.bath import (
     C_SERIES_U,
+    EM_COEFFS,
     BathSpec,
     _b2_peak_bound,
+    _g,
     _hurwitz,
     _thermal_sum,
     dephasing_exponent,
@@ -34,6 +36,7 @@ from references import (
     mpmath_c,
     mpmath_d,
     mpmath_direct,
+    mpmath_g,
     mpmath_norm,
     single_pass_sums,
     zero_t_b2,
@@ -228,12 +231,11 @@ class TestOhmicClosedForm:
         log_t=st.floats(-7.0, 3.0),
     )
     # short times at a hot, narrow bath, where the thermal term dominates
-    # and log-gamma differences cancel worst; and the far corner
+    # and mpmath_b2's log-gamma differences cancel worst; and the far corner
     @example(temp_mk=300.0, log_omega_c=math.log10(50.0), log_t=-7.0)
     @example(temp_mk=100.0, log_omega_c=math.log10(50.0), log_t=-5.0)
     @example(temp_mk=1.0, log_omega_c=4.0, log_t=3.0)
     def test_matches_mpmath(self, temp_mk, log_omega_c, log_t):
-        # covers both the y^2 series and the log-gamma branch
         spec = bench_spec(omega_c=10.0**log_omega_c, beta=temperature_to_beta(temp_mk))
         t = 10.0**log_t
         ref = mpmath_b2(t, spec)
@@ -244,7 +246,7 @@ class TestOhmicClosedForm:
         [(1.0, 200.0, 1e-4), (30.0, 1e4, 1e3)],
     )
     def test_quadrature_defect_points_match_mpmath(self, temp_mk, omega_c, t):
-        # the quadrature path is off by 6e-7 and 4e-3 here
+        # an adaptive quadrature of B2 was off by 6e-7 and 4e-3 here
         spec = bench_spec(omega_c=omega_c, beta=temperature_to_beta(temp_mk))
         ref = mpmath_b2(t, spec)
         assert dephasing_exponent(t, spec) == pytest.approx(ref, rel=1e-12, abs=0.0)
@@ -260,17 +262,50 @@ class TestOhmicClosedForm:
 
     @pytest.mark.parametrize("temp_mk", [10.0, 30.0, 100.0, 300.0])
     @pytest.mark.parametrize("omega_c", [50.0, 200.0])
-    def test_matches_quadrature(self, temp_mk, omega_c):
-        # against the direct integral, which does not expand coth
+    def test_matches_direct_integral(self, temp_mk, omega_c):
+        # against mpmath_direct, which does not expand coth
         spec = bench_spec(omega_c=omega_c, beta=temperature_to_beta(temp_mk))
         for t in np.geomspace(1e-4, 100.0, 4):
             t = float(t)
-            quad = mpmath_direct(t, spec)
-            assert dephasing_exponent(t, spec) == pytest.approx(quad, rel=1e-12, abs=0.0)
+            ref = mpmath_direct(t, spec)
+            assert dephasing_exponent(t, spec) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def kernel_order(s, j):
+    """The j-th order _thermal_sum takes G at: nu - 1, nu, then nu + 2k - 1 for k >= 1."""
+    nu = s - 1.0
+    return (nu - 1.0, nu, *(nu + 2 * k - 1 for k in range(1, len(EM_COEFFS) + 1)))[j]
 
 
 class TestKernel:
-    """B2 and C for every s >= 1 against mpmath, to 1e-12 relative."""
+    """B2 and C for every s >= 1 against mpmath, to 1e-12 relative, and G_mu to 1e-13."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        # half the draws of s in [1, 2], where nu - 1 crosses the switch at -1/2
+        mu=st.builds(kernel_order, st.floats(1.0, 2.0) | st.floats(1.0, 20.0),
+                     st.integers(0, len(EM_COEFFS) + 1)),
+        r=st.floats(-140.0, 300.0).map(lambda log_r: 10.0**log_r),
+    )
+    # both sides of the switch to the expm1 form at mu = -1/2, and inside
+    # it; the limits G_0 and G_-1 and the order of s = 1 + 2^-52, at the
+    # smallest and largest r; the switch to L = log r at r = 1e150
+    @example(mu=-0.5, r=1.0)
+    @example(mu=math.nextafter(-0.5, -1.0), r=1.0)
+    @example(mu=-0.75, r=1.0)
+    @example(mu=math.nextafter(-0.5, 0.0), r=1e300)
+    @example(mu=math.nextafter(-0.5, -1.0), r=1e-140)
+    @example(mu=0.0, r=1e-140)
+    @example(mu=-1.0, r=1e-140)
+    @example(mu=-1.0 + 2.0**-52, r=1e-140)
+    @example(mu=-1.0 + 2.0**-52, r=1e300)
+    @example(mu=0.0, r=math.nextafter(1e150, 0.0))
+    @example(mu=0.0, r=1e150)
+    @example(mu=-0.25, r=math.nextafter(1e150, math.inf))
+    def test_g_matches_mpmath(self, mu, r):
+        # below mu = 0 the error grows with |mu| log r, since exp(-mu L)
+        # inherits the rounding of mu L: 5.5e-14 at r near 1e300
+        assert _g(mu, r) == pytest.approx(mpmath_g(mu, r), rel=1e-13, abs=0.0)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -339,24 +374,30 @@ class TestKernel:
         e_j=st.floats(5.0, 500.0),
     )
     # the smallest B2, D and C of their regions, B2's edge one ulp above
-    # s = 1, and the most digits
-    @example(s=1.0, temp_mk=None, log_omega_c=math.log10(50.0), log_t=-140.0, e_j=5.0)
-    @example(s=1.0 + 2.0**-52, temp_mk=None, log_omega_c=math.log10(50.0), log_t=-140.0,
+    # s = 1 and at the hot corner where its thermal sum is least, and the
+    # most digits
+    @example(s=1.0, temp_mk=None, log_omega_c=math.log10(50.0), log_t=-135.0, e_j=5.0)
+    @example(s=1.0 + 2.0**-52, temp_mk=None, log_omega_c=math.log10(50.0), log_t=-135.0,
              e_j=5.0)
+    @example(s=20.0, temp_mk=1e6, log_omega_c=math.log10(50.0), log_t=-135.0, e_j=500.0)
     @example(s=1.0, temp_mk=None, log_omega_c=math.log10(50.0), log_t=-100.0, e_j=500.0)
-    @example(s=20.0, temp_mk=1e6, log_omega_c=4.0, log_t=-140.0, e_j=500.0)
+    @example(s=20.0, temp_mk=1e6, log_omega_c=4.0, log_t=-135.0, e_j=500.0)
     def test_matches_mpmath_at_short_times(self, s, temp_mk, log_omega_c, log_t, e_j):
         # test_matches_mpmath's box below t = 1e-7, with curve's D and
         # norm_* columns as test_curve_columns_match_mpmath forms them.  The
-        # claims stop where decoq forms a subnormal double: B2's at 1e-140,
-        # since _g's (s - 1) x^2/2 underflows near s = 1 (4.7e-12 off at
-        # s = 1 + 2.2e-16, omega_c = 56.2, T = 0, t = 1e-150), and C's at
-        # 1e-100, since _c_unit forms x^3 before omega_c^nu (0.0 at s = 11,
-        # omega_c = 2479, t = 1.2e-114)
+        # claims stop where decoq forms a subnormal double.  B2's stop at
+        # 1e-135: the thermal sum's terms (n + a)^-nu G_nu(y/(n + a)) are
+        # subnormal before 2 beta^-nu scales them up at large s and a
+        # (3.6e-7 off at s = 20, 1e6 mK, omega_c = 50, t = 1e-140; 3.8e-12
+        # at 1e-137; 99% at s = 18.53, omega_c = 103.4, t = 1.55e-156), and
+        # near s = 1 _g's (s - 1) x^2/2 is (8.0e-12 at s = 1 + 2^-52,
+        # omega_c = 50, T = 0, t = 1e-150).  C's stop at 1e-100, since
+        # _c_unit forms x^3 before omega_c^nu (0.0 at s = 11, omega_c = 2479,
+        # t = 1.2e-114)
         beta = math.inf if temp_mk is None else temperature_to_beta(temp_mk)
         spec = bench_spec(s=s, omega_c=10.0**log_omega_c, beta=beta)
         t = 10.0**log_t
-        if t >= 1e-140:
+        if t >= 1e-135:
             b2 = dephasing_exponent(t, spec)
             assert b2 == pytest.approx(mpmath_b2(t, spec), rel=1e-12, abs=0.0)
             d_ref = mpmath_d(t, spec)

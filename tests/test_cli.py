@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import fnmatch
+import importlib.util
 import io
 import json
 import math
@@ -636,15 +637,8 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["all_pass"] is True
-        names = {c["name"] for c in report["checks"]}
-        assert names == {
-            "discrete-vs-continuum-b2",
-            "pure-dephasing-oracle",
-            "closed-vs-influence-sum",
-            "norm-pipeline",
-            "bloch-supremum",
-            "split-order",
-        }
+        # the benchmark scores each check it names, by that name
+        assert [c["name"] for c in report["checks"]] == list(benchmark_verify_checks())
 
     def test_a_check_that_raises_fails(self, monkeypatch, tmp_path, capsys):
         # a crash is a failed check, and the other checks still run
@@ -675,6 +669,22 @@ class TestVerifyCommand:
 
 
 ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def benchmark_tracing():
+    """perfbench/tracing.py as it stands; it imports the standard library alone."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def benchmark_verify_checks():
+    """VERIFY_CHECKS, read from perfbench/checks.py's source: that module imports numpy."""
+    tree = ast.parse((PERFBENCH / "checks.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == ["VERIFY_CHECKS"])
 
 
 def readme_table(header: str) -> list[list[str]]:
@@ -758,11 +768,12 @@ class TestReadme:
             printed = re.fullmatch(r".* \((?:tol|expected within) (.+)\)", check["detail"])[1]
             assert rows[f"checks.{check['name']}"][2] == printed, check["name"]
 
-    def test_cross_version_loop_is_the_workflows(self):
+    def test_workflow_runs_the_cross_version_script(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
-        loop = re.search(r"```sh\n(d=\$\(mktemp -d\).*)\n```", readme)[1]
+        script = re.search(r"```sh\n(tests/\S+\.sh)\n```", readme)[1]
+        assert os.access(ROOT / script, os.X_OK)
         workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
-        assert re.search(r"run: \|\n +(d=\$\(mktemp -d\).*)\n", workflow)[1] == loop
+        assert f"        run: {script}\n" in workflow
 
 
 class TestSuiteLayout:
@@ -1191,22 +1202,6 @@ EVOLUTION_NAMES = [
     "idle_window", "low_decoherence_time", "max_decoherence", "pure_state_norm",
 ]
 
-# names the benchmark's tracer looks up on each module and wraps
-TRACED_NAMES = {
-    "decoq.cli": [
-        "dephasing_exponent", "phase_shift", "dephasing_exponent_modes", "discretize_bath",
-        "low_decoherence_time", "max_decoherence", "deviation_norm_closed_form", "evolve_real",
-        "evolve_ideal", "evolve_real_influence_sum", "deviation", "deviation_norm",
-        "bloch_supremum_scan", "evolve_exact", "error_scaling", "write_svg",
-    ],
-    "decoq.evolution": ["dephasing_exponent"],
-    "decoq.oracle": [
-        "dephasing_exponent_modes", "phase_shift_modes", "evolve_real", "gate_unitary",
-        "basis_change",
-    ],
-}
-
-
 class TestPublicNames:
     def test_all_is_unchanged_and_each_name_is_its_home_modules(self):
         import decoq
@@ -1224,7 +1219,9 @@ class TestPublicNames:
         assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
 
     def test_names_resolve_in_a_fresh_interpreter(self):
-        # each lookup is the first one, so it goes through a module __getattr__
+        # each lookup is the first one, so it goes through a module __getattr__;
+        # the benchmark's tracer looks up and wraps its BOUNDARIES names
+        traced = {module: list(names) for module, names in benchmark_tracing().BOUNDARIES.items()}
         script = (
             "import sys\n"
             "import decoq\n"
@@ -1236,7 +1233,7 @@ class TestPublicNames:
             "import decoq.states as states\n"
             "print(evolution.QubitState is states.QubitState is decoq.QubitState)\n"
             "import decoq.cli as cli\n"
-            f"for module, names in {TRACED_NAMES!r}.items():\n"
+            f"for module, names in {traced!r}.items():\n"
             "    print(module, [n for n in names if not hasattr(sys.modules[module], n)])\n"
             "print(cli.evolve_real is states.evolve_real, cli.write_svg.__module__)\n"
             "import decoq.discrete as discrete\n"
@@ -1263,10 +1260,56 @@ class TestPublicNames:
 
     @pytest.mark.parametrize("module", ["decoq", "decoq.evolution", "decoq.cli"])
     def test_unknown_name_raises_attribute_error(self, module):
-        import importlib
-
         with pytest.raises(AttributeError, match="no_such_name"):
             getattr(importlib.import_module(module), "no_such_name")
+
+
+class TestBenchmarkNames:
+    """What perfbench/ reads on decoq, read from perfbench/ itself: a name
+    it needs that decoq drops fails here, not in a benchmark run."""
+
+    def test_its_decoq_imports_resolve(self):
+        statements = set()
+        for path in PERFBENCH.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("decoq"):
+                    statements.update(f"from {node.module} import {a.name}" for a in node.names)
+                elif isinstance(node, ast.Import):
+                    statements.update(f"import {a.name}" for a in node.names
+                                      if a.name.startswith("decoq"))
+        assert "from decoq.bath import dephasing_exponent_zero_t" in statements
+        failed = []
+        for statement in sorted(statements):
+            try:
+                exec(statement, {})
+            except ImportError:
+                failed.append(statement)
+        assert failed == []
+
+    def test_oracle_job_reads_resolve(self):
+        # each attribute chain the oracle job reads on decoq.evolution and
+        # decoq.oracle, and the oracle functions the tracer's API_LAYERS wrap
+        tree = ast.parse((PERFBENCH / "jobs" / "oracle_job.py").read_text(encoding="utf-8"))
+        chains = {("oracle", name) for name in benchmark_tracing().API_LAYERS}
+        for node in ast.walk(tree):
+            attrs = []
+            while isinstance(node, ast.Attribute):
+                attrs.insert(0, node.attr)
+                node = node.value
+            if attrs and isinstance(node, ast.Name) and node.id in ("evolution", "oracle"):
+                chains.add((node.id, *attrs))
+        assert ("oracle", "_eigensystem", "cache_info") in chains
+        modules = {"evolution": evolution, "oracle": importlib.import_module("decoq.oracle")}
+
+        def resolves(chain):
+            obj = modules[chain[0]]
+            for attr in chain[1:]:
+                if not hasattr(obj, attr):
+                    return False
+                obj = getattr(obj, attr)
+            return True
+
+        assert [".".join(chain) for chain in sorted(chains) if not resolves(chain)] == []
 
 
 class TestTracedNames:
