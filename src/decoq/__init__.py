@@ -20,16 +20,14 @@ def _bind_on_first_use(namespace: dict, table: dict):
 
     The first lookup of a name imports its module (relative to decoq),
     binds the name in namespace, so later lookups are plain globals, and
-    returns it; a name equal to its module's name is the module itself.
-    Any other name raises AttributeError.
+    returns it.  Any other name raises AttributeError.
     """
     home = {name: module for module, names in table.items() for name in names}
 
     def __getattr__(name: str):
         if name not in home:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        module = importlib.import_module(home[name], __name__)
-        value = module if name == module.__name__ else getattr(module, name)
+        value = getattr(importlib.import_module(home[name], __name__), name)
         namespace[name] = value
         return value
 

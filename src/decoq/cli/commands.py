@@ -226,7 +226,6 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     for value in args.values:
         row_cfg = cfg._replace(**{field: value})
         try:
-            row_cfg.validate()
             report = _tld_report(row_cfg)
         except ValueError as exc:
             report, status = {}, f"error: {str(exc).replace(',', ';')}"

@@ -19,20 +19,23 @@ P = diag((-1)^n) gives P a_k P = -a_k also on the truncated levels, so
 h_{-,k} = P h_{+,k} P.  With a product thermal state diag(p_k) per mode,
 the bath trace of exp(-i H_ib t) rho_0 exp(i H_ib t) keeps the
 populations and multiplies the charge coherence rho_01 by the real
-product of traces
+product of traces, which with U_k = exp(-i h_{+,k} t) and the eigensystem
+h_{+,k} = V diag(E) V^T expands over pairs of eigenvalues:
 
     chi(t) = prod_k tr[U_k diag(p_k) P U_k^dag P]
-           = prod_k sum_ij (-1)^(i+j) p_{k,j} |U_{k,ij}|^2,  U_k = exp(-i h_{+,k} t),
+           = prod_k sum_ij (-1)^(i+j) p_{k,j} |U_{k,ij}|^2
+           = prod_k sum_nm cos((E_n - E_m) t) (V^T P V)_nm (V^T P diag(p_k) V)_nm,
 
 so one eigendecomposition per mode, on its held levels, replaces the
-composite one.  The split step A(t/2) B(t) A(t/2) therefore acts on the
-2x2 state as A(t/2) (rho_01 -> chi rho_01) A(t/2), and the exact
-evolution is the same map with A = 1 whenever E_J = 0.  chi is not the
-closed-form B^2 of the continuum or mode-sum formulas, so the check stays
-independent.  At E_J != 0 sigma_z is not conserved, but the parity
-sigma_x x P, P = prod_k P_k, is: on the states |0>|v> +- |1>P|v>, H is the
-(d/2)-square H_+- = h -+ (E_J/2) P, h the Kronecker sum of the h_{+,k}.
-With U_+- = exp(-i H_+- t) and S, D = (U_+ +- U_-)/2, exp(-i H t) has the
+composite one, and no complex matrix is formed.  The split step
+A(t/2) B(t) A(t/2) therefore acts on the 2x2 state as
+A(t/2) (rho_01 -> chi rho_01) A(t/2), and the exact evolution is the same
+map with A = 1 whenever E_J = 0.  chi is not the closed-form B^2 of the
+continuum or mode-sum formulas, so the check stays independent.  At
+E_J != 0 sigma_z is not conserved, but the parity sigma_x x P,
+P = prod_k P_k, is: on the states |0>|v> +- |1>P|v>, H is the (d/2)-square
+H_+- = h -+ (E_J/2) P, h the Kronecker sum of the h_{+,k}.  With
+U_+- = exp(-i H_+- t) and S, D = (U_+ +- U_-)/2, exp(-i H t) has the
 charge x Fock blocks [[S, D P], [P D, P S P]], from which the bath trace
 sum_icdj u_{ai,cj} rho_cd p_j conj(u_{bi,dj}) is taken with no composite H
 and no d x d density matrix.
@@ -120,10 +123,10 @@ class CompositeSystem(_record("CompositeSystem", "e_j modes")):
         return 2 * self.bath_dim
 
 
-def _mode_operators(m: TruncatedBathMode) -> tuple[np.ndarray, np.ndarray]:
-    """(omega a^dag a, g (a + a^dag)) of one mode on its n_fock levels."""
+def _mode_operator(m: TruncatedBathMode) -> np.ndarray:
+    """h_{+,k} = omega a^dag a + g (a + a^dag) of one mode on its n_fock levels."""
     a = np.diag(np.sqrt(np.arange(1.0, m.n_fock)), 1)
-    return m.omega * (a.T @ a), m.g * (a + a.T)
+    return m.omega * (a.T @ a) + m.g * (a + a.T)
 
 
 def _kron_sum(ops) -> np.ndarray:
@@ -135,12 +138,12 @@ def _kron_sum(ops) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _eigensystem(system: CompositeSystem):
-    """Cached (evals, evecs) of h_{+,k}, the sum of _mode_operators(m_k), per mode.
+    """Cached (evals, evecs) of h_{+,k}, _mode_operator(m_k), per mode.
 
     The split map, and the exact map at E_J = 0, need nothing else: h_{-,k}
     is its parity mirror, and the composite H_ib is never built.
     """
-    out = tuple(np.linalg.eigh(np.add(*_mode_operators(m))) for m in system.modes)
+    out = tuple(np.linalg.eigh(_mode_operator(m)) for m in system.modes)
     for array in (a for pair in out for a in pair):
         array.flags.writeable = False
     return out
@@ -154,17 +157,11 @@ def _dense_eigensystem(system: CompositeSystem):
     recent systems are kept.  _held has capped d at MAX_DIM.
     """
     parity = functools.reduce(np.kron, [(-1.0) ** np.arange(m.n_fock) for m in system.modes])
-    h = _kron_sum([np.add(*_mode_operators(m)) for m in system.modes])
+    h = _kron_sum([_mode_operator(m) for m in system.modes])
     blocks = tuple(np.linalg.eigh(h - s * system.e_j * np.diag(parity)) for s in (0.5, -0.5))
     for array in (parity, *(a for pair in blocks for a in pair)):
         array.flags.writeable = False
     return parity, blocks
-
-
-def _propagator(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) = V e^(-iEt) V.T from eigh of a real symmetric H; max |E| t must be a double."""
-    _check_phase(float(np.max(np.abs(evals))), t)
-    return (evecs * np.exp(-1j * evals * t)) @ evecs.T
 
 
 def gate_unitary(e_j: float, tau: float) -> np.ndarray:
@@ -225,8 +222,10 @@ def _split_map(system: CompositeSystem, weights, state: QubitState, t: float) ->
     a_half = gate_unitary(system.e_j, 0.5 * t)
     chi = 1.0
     for (evals, evecs), p in zip(_eigensystem(system), weights):
-        parity = (-1.0) ** np.arange(p.size)
-        chi *= parity @ np.abs(_propagator(evals, evecs, t)) ** 2 @ (parity * p)
+        _check_phase(float(np.max(np.abs(evals))), t)
+        signed = evecs.T * (-1.0) ** np.arange(p.size)  # V^T P
+        chi *= np.sum(np.cos(np.subtract.outer(evals, evals) * t)
+                      * (signed @ evecs) * ((signed * p) @ evecs))
     a_dag, b_step = a_half.conj().T, np.array([[1.0, chi], [chi, 1.0]])
     return _in_charge_basis(state, lambda rho: a_half @ ((a_half @ rho @ a_dag) * b_step) @ a_dag)
 
@@ -237,7 +236,9 @@ def _exact_map(system: CompositeSystem, weights, state: QubitState, t: float) ->
         return _split_map(system, weights, state, t)
     _check_time_and_e_j(t, system.e_j)
     parity, blocks = _dense_eigensystem(system)
-    u_plus, u_minus = (_propagator(evals, evecs, t) for evals, evecs in blocks)
+    for evals, _ in blocks:
+        _check_phase(float(np.max(np.abs(evals))), t)
+    u_plus, u_minus = ((evecs * np.exp(-1j * evals * t)) @ evecs.T for evals, evecs in blocks)
     s, d, pc = 0.5 * (u_plus + u_minus), 0.5 * (u_plus - u_minus), parity[:, None]
     u = np.array([[s, d * parity], [pc * d, pc * s * parity]])  # u[a, c]: charge block a, c
     p = functools.reduce(np.kron, weights)

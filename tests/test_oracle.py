@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decoq.discrete import dephasing_exponent_modes
@@ -323,6 +323,10 @@ class TestDecoupledLimit:
             np.testing.assert_allclose(exact.rho, ideal.rho, atol=1e-12)
 
 
+SCAN128_BETA = temperature_to_beta(218.5261463943531)
+SCAN128_MODES = [(12.0, 0.025, 12), (20.0, 0.01, 12)]
+
+
 class TestPureDephasing:
     def test_coherence_decays_by_mode_exponent(self):
         # with no qubit Hamiltonian the bath only scrubs charge coherence
@@ -363,6 +367,9 @@ class TestPureDephasing:
         e_j=st.sampled_from([0.0, 51.8]),
         seed=st.integers(0, 2**32 - 1),
     )
+    # the benchmark's scan128.2 system, held at 48 x 30 levels at 218.5 mK
+    @example(beta=SCAN128_BETA, modes=SCAN128_MODES, t=1.2170500360858743, e_j=0.0, seed=0)
+    @example(beta=SCAN128_BETA, modes=SCAN128_MODES, t=1.2170500360858743, e_j=51.8, seed=0)
     def test_maps_match_the_mode_sum(self, beta, modes, t, e_j, seed):
         # the region README claims: g <= 0.1 omega and a floor of at least 12
         # levels, at any temperature; the exact map is the split one at E_J = 0
