@@ -7,11 +7,14 @@ influence functional survive:
     C(t)  =     integral dw J(w) w^-2 (w t - sin(w t))
 
 with the power-law spectral density J(w) = eta * w^s * exp(-w/omega_c).
-Both are evaluated exactly for every s >= 1 and any temperature, with
-nothing but the math module: C(t) in closed form, B2(t) from the expansion
-coth(beta w/2) = 1 + 2 sum_n exp(-n beta w), whose every term integrates to
-an elementary function (Leggett et al., RMP 59, 1 (1987); Palma, Suominen &
-Ekert, Proc. R. Soc. A 452, 567 (1996)).
+C multiplies chi^2 - chi'^2 = 0 for the coupling eigenvalues chi = +-1, so
+it cancels from every qubit quantity: it is a library integral here, and
+no command writes it.  Both are evaluated exactly for every s >= 1 and
+any temperature, with nothing but the math module: C(t) in closed form,
+B2(t) from the expansion coth(beta w/2) = 1 + 2 sum_n exp(-n beta w),
+whose every term integrates to an elementary function (Leggett et al.,
+RMP 59, 1 (1987); Palma, Suominen & Ekert, Proc. R. Soc. A 452, 567
+(1996)).
 
 Convention note: the exponential cutoff is the decaying form exp(-w/omega_c);
 a growing exponential would make every moment of J divergent.
@@ -283,21 +286,16 @@ def phase_shift(t: float, spec: BathSpec) -> float:
     return _finite(c, "C", t, spec)
 
 
-def influence_exponent(chi_fwd: int, chi_bwd: int, dephasing: float, shift: float) -> complex:
-    """Exponent of the two-branch influence factor.
+def influence_exponent(chi_fwd: int, chi_bwd: int, dephasing: float) -> float:
+    """Exponent of the two-branch influence factor, -B2 (chi_fwd - chi_bwd)^2 / 4.
 
-    For forward/backward dephasing-coupling eigenvalues chi in {+1, -1}:
-
-        -B2 (chi_fwd - chi_bwd)^2 / 4 - i C (chi_fwd^2 - chi_bwd^2)
-
-    Both chi^2 terms equal one, so the imaginary part vanishes identically;
-    it is computed literally here so tests can assert that cancellation.
+    For forward/backward dephasing-coupling eigenvalues chi in {+1, -1}.  The
+    shift term -i C (chi_fwd^2 - chi_bwd^2) of the influence functional is 0,
+    since both chi^2 equal one, so C is not an argument.
     """
     for chi in (chi_fwd, chi_bwd):
         if chi not in (1, -1):
             raise ValueError(f"branch eigenvalues must be +1 or -1, got {chi}")
     _validate_dephasing(dephasing)
     diff = chi_fwd - chi_bwd
-    real = -dephasing * diff * diff / 4.0 if diff else 0.0  # B2 = inf: not -inf * 0 = nan
-    return complex(real, -shift * (chi_fwd**2 - chi_bwd**2))
-
+    return -dephasing * diff * diff / 4.0 if diff else 0.0  # B2 = inf: not -inf * 0 = nan

@@ -16,9 +16,9 @@ built-in default, the subcommand's own default (curve looks at
 t_max = 0.5, not 10), the file, then the flag.
 
 Exit codes: 0 success, 1 usage or configuration error (including a bath
-whose B2 or C is not finite in double precision, an s > 2 window whose
-first crossing past t_rise is not proved and an output path that cannot
-be written), 2 no threshold crossing on the window, 3 a verification or
+whose B2 is not finite in double precision, an s > 2 window whose first
+crossing past t_rise is not proved and an output path that cannot be
+written), 2 no threshold crossing on the window, 3 a verification or
 consistency check failed (including a sweep with an error row or a
 tau_ld that grows along its axis).
 """
@@ -37,6 +37,7 @@ _ON_FIRST_USE = {
     ".cli.commands": ("RunConfig", "build_config", "cmd_curve", "cmd_sweep", "cmd_tld",
                       "parse_config_file"),
     ".cli.checks": ("cmd_verify",),
+    # no command calls phase_shift; it stays bound here, where the benchmark's tracer wraps it
     ".bath": ("dephasing_exponent", "phase_shift"),
     ".discrete": ("dephasing_exponent_modes", "discretize_bath"),
     ".evolution": ("low_decoherence_time", "max_decoherence"),

@@ -12,7 +12,7 @@ from ..units import _to_ps, temperature_to_beta
 # decoq.cli binds these on first use; taken from it, a wrapper set there is what runs
 from . import (
     _AXIS_TO_FIELD, _COMMAND_DEFAULTS, _COMMAND_FIELDS, _FIELDS, PRESETS, dephasing_exponent,
-    max_decoherence, phase_shift,
+    max_decoherence,
 )
 
 # adopted spectral-density convention, echoed into every output file
@@ -124,7 +124,6 @@ def cmd_curve(cfg: RunConfig, args) -> int:
     spec = cfg.bath_spec()
     times = linspace(0.0, cfg.t_max, cfg.n_samples)
     b2 = [dephasing_exponent(t, spec) for t in times]
-    shift = [phase_shift(t, spec) for t in times]
     d = [max_decoherence(b) for b in b2]
     norms = [
         [pure_state_norm(*PRESETS[name], b, t, cfg.e_j) for b, t in zip(b2, times)]
@@ -132,8 +131,8 @@ def cmd_curve(cfg: RunConfig, args) -> int:
     ]
 
     out_csv = args.out or "curve.csv"
-    columns = ["t", "b_squared", "c_shift", "D"] + [f"norm_{n}" for n in PRESETS]
-    _write_csv(out_csv, cfg.echo("curve"), "curve", columns, zip(times, b2, shift, d, *norms))
+    columns = ["t", "b_squared", "D"] + [f"norm_{n}" for n in PRESETS]
+    _write_csv(out_csv, cfg.echo("curve"), "curve", columns, zip(times, b2, d, *norms))
     print(f"wrote {out_csv} ({len(times)} samples)")
 
     series = [("D(t)", times, d, "points")]

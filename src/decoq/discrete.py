@@ -1,9 +1,9 @@
 """Discrete-mode bath: finite oscillator sets and their mode sums.
 
 `discretize_bath` cuts J(w) into midpoint bins, and the mode sums of
-B2(t) and C(t) are the references against which verify and the oracle
-check the continuum kernels of `bath`.  This module needs numpy and loads
-on first use.
+B2(t) and C(t) are references for the continuum kernels of `bath`: verify
+and the oracle check B2 against its sum, and the tests check C.  This
+module needs numpy and loads on first use.
 
 Memory: the bath's two arrays are the only full-length arrays here.
 `discretize_bath` fills them in place, `DiscreteBath` checks and adopts

@@ -159,25 +159,25 @@ _CHI = (1, -1)
 
 
 def evolve_real_influence_sum(
-    state: QubitState, dephasing: float, shift: float, t: float, e_j: float
+    state: QubitState, dephasing: float, t: float, e_j: float
 ) -> QubitState:
     """Reduced map evaluated as the influence-functional sum, by matrix products.
 
     The split propagator sandwiches the dephasing factor between two free
     half-steps h = exp(-i t lambda/2), diagonal in the eigenbasis.  The
-    influence factor F = exp(-B2 (chi - chi')^2/4 - i C (chi^2 - chi'^2))
-    multiplies each charge-basis entry (chi, chi') of the half-evolved
-    state, so with the overlaps O = S^T, O_{j chi} = <phi_j | chi>, the sum
-    over every eigenbasis/charge-basis index pair contracts to
+    influence factor F = exp(-B2 (chi - chi')^2/4) multiplies each
+    charge-basis entry (chi, chi') of the half-evolved state, so with the
+    overlaps O = S^T, O_{j chi} = <phi_j | chi>, the sum over every
+    eigenbasis/charge-basis index pair contracts to
 
         M = O^T (h rho h^*) O,    out = h O (F o M) O^T h^*
 
     (o the entrywise product), which must reproduce evolve_real.  The
-    C-dependent phase cancels identically for chi in {+1, -1}.
+    shift phase exp(-i C (chi^2 - chi'^2)) is 1 for chi in {+1, -1}, so C
+    does not enter.
     """
     _check_evolution(state, dephasing, t, e_j)
-    f = np.array([[cmath.exp(influence_exponent(a, b, dephasing, shift)) for b in _CHI]
-                  for a in _CHI])
+    f = np.array([[math.exp(influence_exponent(a, b, dephasing)) for b in _CHI] for a in _CHI])
     h = np.exp(-0.5j * t * np.array([[0.5 * e_j], [-0.5 * e_j]]))  # a column
     m = _S @ (h * state.rho * h.conj().T) @ _S.T
     out = h * (_S.T @ (f * m) @ _S) * h.conj().T

@@ -213,7 +213,7 @@ class TestCurveCommand:
         assert meta[0] == f"# decoq {__version__} curve"
         assert any("convention" in line for line in meta)
         assert header == [
-            "t", "b_squared", "c_shift", "D", "norm_point", "norm_line1", "norm_line2",
+            "t", "b_squared", "D", "norm_point", "norm_line1", "norm_line2",
         ]
         assert len(rows) == 20
         # full-precision round trip: re-deriving B^2 at a parsed t must
@@ -224,7 +224,7 @@ class TestCurveCommand:
         # D column is consistent with b_squared (expm1 vs exp costs a few
         # digits at tiny exponents, hence the loose relative band)
         b2 = float(rows[7][1])
-        assert float(rows[7][3]) == pytest.approx(0.5 * (1 - math.exp(-b2)), rel=1e-8, abs=0.0)
+        assert float(rows[7][2]) == pytest.approx(0.5 * (1 - math.exp(-b2)), rel=1e-8, abs=0.0)
         assert (tmp_path / "curve.svg").exists()
 
     def test_hot_bath_long_window(self, tmp_path):
@@ -1328,8 +1328,9 @@ class TestTracedNames:
             "        calls[name] = calls.get(name, 0) + 1\n"
             "        return real(*args, **kwargs)\n"
             "    return wrapper\n"
-            "for module, names in ((cli, ('dephasing_exponent', 'error_scaling')),\n"
-            "                      (evolution, ('dephasing_exponent',))):\n"
+            "traced = ((cli, ('dephasing_exponent', 'error_scaling', 'phase_shift')),\n"
+            "          (evolution, ('dephasing_exponent',)))\n"
+            "for module, names in traced:\n"
             "    for name in names:\n"
             "        key = f\"{module.__name__.rpartition('.')[2]}.{name}\"\n"
             "        setattr(module, name, counting(key, getattr(module, name)))\n"
@@ -1339,8 +1340,10 @@ class TestTracedNames:
             "        assert cli.main([command]) == 0\n"
             "    print(command, sorted(calls.items()))\n"
         )
-        # tld: B2 at the gate, three for the first double of the eta budget
-        # and 63 probes of the root find, all through decoq.evolution
+        # curve: B2 at each of its 400 points, and no C, which cancels from
+        # every qubit quantity; tld: B2 at the gate, three for the first double
+        # of the eta budget and 63 probes of the root find, all through
+        # decoq.evolution
         assert run_python(script).splitlines() == [
             "curve [('cli.dephasing_exponent', 400)]",
             "tld [('evolution.dephasing_exponent', 67)]",

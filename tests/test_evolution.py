@@ -144,18 +144,11 @@ class TestEvolveReal:
         for _ in range(300):
             st = random_density_matrix(rng)
             b2 = float(rng.uniform(0.0, 2.5))
-            shift = float(rng.uniform(0.0, 1.0))
             t = float(rng.uniform(0.0, 2.0))
             fast = evolve_real(st, b2, t, E_J)
-            slow = evolve_real_influence_sum(st, b2, shift, t, E_J)
+            slow = evolve_real_influence_sum(st, b2, t, E_J)
             worst = max(worst, float(np.max(np.abs(fast.rho - slow.rho))))
         assert worst < 1e-12
-
-    def test_shift_drops_out_of_reduced_dynamics(self, rng):
-        st = random_density_matrix(rng)
-        a = evolve_real_influence_sum(st, 0.3, 0.0, 0.7, E_J)
-        b = evolve_real_influence_sum(st, 0.3, 5.0, 0.7, E_J)
-        np.testing.assert_allclose(a.rho, b.rho, atol=1e-14)
 
     def test_cptp_on_many_states(self, rng):
         for _ in range(500):
@@ -279,8 +272,8 @@ class TestDephasingRule:
         "bloch_supremum_scan": lambda b2: bloch_supremum_scan(b2, 0.4, E_J),
         "evolve_real": lambda b2: evolve_real(pure_state(0.3), b2, 0.4, E_J),
         "evolve_real_influence_sum": lambda b2: evolve_real_influence_sum(
-            pure_state(0.3), b2, 0.1, 0.4, E_J),
-        "influence_exponent": lambda b2: influence_exponent(1, -1, b2, 0.1),
+            pure_state(0.3), b2, 0.4, E_J),
+        "influence_exponent": lambda b2: influence_exponent(1, -1, b2),
     }
 
     @pytest.mark.parametrize("b2", [math.nan, -1.0], ids=["nan", "negative"])
@@ -296,7 +289,7 @@ class TestDephasingRule:
             state = random_density_matrix(rng)
             t = float(rng.uniform(0.0, 2.0))
             fast = evolve_real(state, math.inf, t, E_J)
-            slow = evolve_real_influence_sum(state, math.inf, 0.7, t, E_J)
+            slow = evolve_real_influence_sum(state, math.inf, t, E_J)
             assert np.max(np.abs(fast.rho - slow.rho)) <= 1e-15
             np.testing.assert_array_equal(fast.rho, evolve_real(state, 800.0, t, E_J).rho)
             # the limit of test_full_charge_dephasing_limit, reached exactly
@@ -305,10 +298,9 @@ class TestDephasingRule:
             assert abs(fast.rho[1, 0] - 0.5 * (r01 + r10 * np.exp(1j * t * E_J))) <= 1e-15
 
     @pytest.mark.parametrize("chi", [1, -1])
-    @pytest.mark.parametrize("shift", [0.0, 0.7, -2.0])
-    def test_influence_exponent_of_equal_branches_is_zero_at_infinite_b2(self, chi, shift):
-        assert influence_exponent(chi, chi, math.inf, shift) == 0
-        assert influence_exponent(chi, -chi, math.inf, shift).real == -math.inf
+    def test_influence_exponent_of_equal_branches_is_zero_at_infinite_b2(self, chi):
+        assert influence_exponent(chi, chi, math.inf) == 0
+        assert influence_exponent(chi, -chi, math.inf) == -math.inf
 
 
 # a one-mode oracle system whose E_J t overflows before its omega t does
@@ -325,7 +317,7 @@ class TestPhaseRule:
         "evolve_real": lambda t: evolve_real(pure_state(0.3), 0.1, t, E_J),
         "evolve_ideal": lambda t: evolve_ideal(pure_state(0.3), t, E_J),
         "evolve_real_influence_sum": lambda t: evolve_real_influence_sum(
-            pure_state(0.3), 0.1, 0.1, t, E_J),
+            pure_state(0.3), 0.1, t, E_J),
         "gate_unitary": lambda t: gate_unitary(E_J, t),
         "evolve_exact": lambda t: evolve_exact(DRIVEN, pure_state(0.3), math.inf, t),
         "evolve_split": lambda t: evolve_split(DRIVEN, pure_state(0.3), math.inf, t),

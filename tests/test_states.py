@@ -144,7 +144,7 @@ class TestValidator:
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         state = random_density_matrix(rng)
         evolve_real(state, 0.4, 0.3, 51.8)
-        evolve_real_influence_sum(state, 0.4, 0.2, 0.3, 51.8)
+        evolve_real_influence_sum(state, 0.4, 0.3, 51.8)
         QubitState(np.diag([0.3, 0.7]))
         pure_state(1.0, 0.5)
         with pytest.raises(ValueError, match="negative eigenvalue"):
@@ -163,8 +163,10 @@ class TestInfluenceSum:
         e_j=st.floats(0.0, 200.0),
     )
     def test_matches_the_index_sum(self, weight, angle, phase, b2, shift, t, e_j):
+        # the reference keeps the shift term -i C (chi^2 - chi'^2), which the map
+        # leaves out because it is 0: so C drawn here must not move the result
         state = QubitState(density(weight, angle, phase))
-        got = evolve_real_influence_sum(state, b2, shift, t, e_j).rho
+        got = evolve_real_influence_sum(state, b2, t, e_j).rho
         want = influence_sum_reference(state, b2, shift, t, e_j)
         assert np.max(np.abs(got - want)) <= 1e-15
 
