@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -39,7 +40,14 @@ from decoq.states import (
     random_density_matrix,
 )
 from decoq.units import temperature_to_beta
-from references import mpmath_b2, mpmath_d, mpmath_norm, mpmath_root, on_the_rise
+from references import (
+    influence_sum_reference,
+    mpmath_b2,
+    mpmath_d,
+    mpmath_norm,
+    mpmath_root,
+    on_the_rise,
+)
 
 E_J = 51.8
 
@@ -149,6 +157,14 @@ class TestEvolveReal:
             slow = evolve_real_influence_sum(st, b2, t, E_J)
             worst = max(worst, float(np.max(np.abs(fast.rho - slow.rho))))
         assert worst < 1e-12
+
+    def test_shift_drops_out_of_reduced_dynamics(self, rng):
+        # the reference keeps the shift term -i C (chi^2 - chi'^2); the map takes no C
+        st = random_density_matrix(rng)
+        got = evolve_real_influence_sum(st, 0.3, 0.7, E_J).rho
+        for shift in (0.0, 5.0):
+            np.testing.assert_allclose(
+                influence_sum_reference(st, 0.3, shift, 0.7, E_J), got, atol=1e-14)
 
     def test_cptp_on_many_states(self, rng):
         for _ in range(500):
@@ -298,9 +314,15 @@ class TestDephasingRule:
             assert abs(fast.rho[1, 0] - 0.5 * (r01 + r10 * np.exp(1j * t * E_J))) <= 1e-15
 
     @pytest.mark.parametrize("chi", [1, -1])
-    def test_influence_exponent_of_equal_branches_is_zero_at_infinite_b2(self, chi):
+    @pytest.mark.parametrize("shift", [0.0, 0.7, -2.0])
+    def test_influence_exponent_of_equal_branches_is_zero_at_infinite_b2(self, chi, shift):
         assert influence_exponent(chi, chi, math.inf) == 0
         assert influence_exponent(chi, -chi, math.inf) == -math.inf
+        # the full factor exp(-B2 (chi - chi')^2/4 - i C (chi^2 - chi'^2)), with
+        # any C, at a B2 where exp(-B2) underflows to 0, is the factor at B2 = inf
+        for chi_ in (chi, -chi):
+            full = cmath.exp(-800.0 * (chi - chi_) ** 2 / 4 - 1j * shift * (chi**2 - chi_**2))
+            assert full == math.exp(influence_exponent(chi, chi_, math.inf))
 
 
 # a one-mode oracle system whose E_J t overflows before its omega t does
