@@ -194,6 +194,12 @@ def _validate_beta(beta: float):
         raise ValueError(f"beta must be > 0 (inf allowed), got {beta}")
 
 
+def _check_phase(name: str, frequency: float, t: float):
+    """The phase frequency * t that a map, mode sum or propagator turns must be a double."""
+    if not math.isfinite(frequency * t):
+        raise ValueError(f"{name}*t is not finite in double precision at {name}={frequency}, t={t}")
+
+
 def _validate_dephasing(b2: float):
     if not b2 >= 0.0:  # rejects nan too; inf is full dephasing
         raise ValueError(f"dephasing exponent must be >= 0, got {b2}")

@@ -17,7 +17,7 @@ import operator
 
 import numpy as np
 
-from .bath import BathSpec, _record, _validate_beta, _validate_time
+from .bath import BathSpec, _check_phase, _record, _validate_beta, _validate_time
 
 # modes per block of every loop over a whole bath: 64 kB per float64 array,
 # which bounds the temporaries of a check, a fill or a mode sum
@@ -76,12 +76,6 @@ class DiscreteBath(_record("DiscreteBath", "omegas g_sq")):
         return super().__new__(cls, w, g2)
 
 
-def _check_phase(omega: float, t: float):
-    """The largest phase omega t that a mode sum or a propagator turns must be a double."""
-    if not math.isfinite(omega * t):
-        raise ValueError(f"omega*t is not finite in double precision at omega={omega}, t={t}")
-
-
 def coth(x):
     """Hyperbolic cotangent for x > 0 arrays; coth(inf) = 1."""
     out = 1.0 / np.tanh(np.asarray(x, dtype=float))
@@ -134,7 +128,7 @@ def dephasing_exponent_modes(t: float, bath: DiscreteBath, beta: float) -> float
     """
     _validate_time(t)
     _validate_beta(beta)
-    _check_phase(float(bath.omegas[-1]), t)  # the frequencies increase
+    _check_phase("omega", float(bath.omegas[-1]), t)  # the frequencies increase
 
     def terms(w, g2):
         return 8.0 * g2 / w**2 * np.sin(0.5 * w * t) ** 2 * coth(0.5 * beta * w)
@@ -146,5 +140,5 @@ def dephasing_exponent_modes(t: float, bath: DiscreteBath, beta: float) -> float
 def phase_shift_modes(t: float, bath: DiscreteBath) -> float:
     """Discrete-mode phase shift C(t) = sum_k g_k^2/omega_k^2 (w_k t - sin w_k t)."""
     _validate_time(t)
-    _check_phase(float(bath.omegas[-1]), t)
+    _check_phase("omega", float(bath.omegas[-1]), t)
     return _block_sum(lambda w, g2: g2 / w**2 * _x_minus_sin(w * t), *bath)

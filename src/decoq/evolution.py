@@ -17,10 +17,11 @@ import functools
 import math
 import struct
 import sys
+from collections import namedtuple
 from collections.abc import Callable
 
 from . import _bind_on_first_use
-from .bath import BathSpec, _b2_peak_bound, _record, _validate_dephasing, dephasing_exponent
+from .bath import BathSpec, _b2_peak_bound, _check_phase, _validate_dephasing, dephasing_exponent
 from .units import _to_ps
 
 EIGENBASIS = "eigenbasis"
@@ -53,8 +54,7 @@ def _check_time_and_e_j(t: float, e_j: float):
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     _check_e_j(e_j)
-    if not math.isfinite(t * e_j):
-        raise ValueError(f"E_J*t is not finite in double precision at E_J={e_j}, t={t}")
+    _check_phase("E_J", e_j, t)
 
 
 def _check_threshold_and_t_max(threshold: float, t_max: float):
@@ -186,8 +186,8 @@ def _eta_max(threshold: float, spec: BathSpec, tau_g: float, b2_gate: float):
     return eta if sys.float_info.min <= eta else None
 
 
-class IdleWindow(_record("IdleWindow", "tau_g d_at_gate eta_max tau_ld d_at_t_max "
-                                       "relaxation_rate tau_relax window_set_by")):
+class IdleWindow(namedtuple("IdleWindow", "tau_g d_at_gate eta_max tau_ld d_at_t_max "
+                                          "relaxation_rate tau_relax window_set_by")):
     """The idle gate's answer, as `idle_window` finds it; times in hbar/ueV.
 
     tau_g = 1/E_J, d_at_gate = D(tau_g), eta_max the first double eta with

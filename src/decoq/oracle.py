@@ -60,9 +60,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from .bath import _record, _validate_beta
+from .bath import _check_phase, _record, _validate_beta
 # no map calls phase_shift_modes; it stays bound here, where the benchmark's tracer wraps it
-from .discrete import DiscreteBath, _check_phase, dephasing_exponent_modes, phase_shift_modes
+from .discrete import DiscreteBath, dephasing_exponent_modes, phase_shift_modes
 from .evolution import COMPUTATIONAL, EIGENBASIS, _check_e_j, _check_time_and_e_j
 from .states import QubitState, basis_change, evolve_real
 
@@ -223,7 +223,7 @@ def _split_map(system: CompositeSystem, weights, state: QubitState, t: float) ->
     a_half = gate_unitary(system.e_j, 0.5 * t)
     chi = 1.0
     for (evals, evecs), p in zip(_eigensystem(system), weights):
-        _check_phase(float(np.max(np.abs(evals))), t)
+        _check_phase("omega", float(np.max(np.abs(evals))), t)
         signed = evecs.T * (-1.0) ** np.arange(p.size)  # V^T P
         chi *= np.sum(np.cos(np.subtract.outer(evals, evals) * t)
                       * (signed @ evecs) * ((signed * p) @ evecs))
@@ -238,7 +238,7 @@ def _exact_map(system: CompositeSystem, weights, state: QubitState, t: float) ->
     _check_time_and_e_j(t, system.e_j)
     parity, blocks = _dense_eigensystem(system)
     for evals, _ in blocks:
-        _check_phase(float(np.max(np.abs(evals))), t)
+        _check_phase("omega", float(np.max(np.abs(evals))), t)
     u_plus, u_minus = ((evecs * np.exp(-1j * evals * t)) @ evecs.T for evals, evecs in blocks)
     s, d, pc = 0.5 * (u_plus + u_minus), 0.5 * (u_plus - u_minus), parity[:, None]
     u = np.array([[s, d * parity], [pc * d, pc * s * parity]])  # u[a, c]: charge block a, c

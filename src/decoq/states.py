@@ -47,14 +47,6 @@ POSITIVITY_TOL = -1e-10
 BLOCH_GRID = 200
 
 
-def _modulus(z: complex) -> float:
-    """Python's complex abs(z), and inf where that abs would overflow."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
-
-
 def _checked(matrix, basis: str, density: bool) -> np.ndarray:
     """matrix as a read-only 2x2 complex array, once it passes its record's checks.
 
@@ -71,8 +63,9 @@ def _checked(matrix, basis: str, density: bool) -> np.ndarray:
         raise ValueError(f"{what} has a non-finite entry")
     if basis not in _BASES:
         raise ValueError(f"basis must be one of {_BASES}, got {basis!r}")
-    # the largest entry of |m - m^dagger|
-    skew = max(2.0 * abs(r00.imag), _modulus(r01 - r10.conjugate()), 2.0 * abs(r11.imag))
+    # the largest entry of |m - m^dagger|; hypot is inf where complex abs would overflow
+    skew = max(2.0 * abs(r00.imag), math.hypot(r01.real - r10.real, r01.imag + r10.imag),
+               2.0 * abs(r11.imag))
     if skew > HERMITICITY_TOL:
         raise ValueError(f"{what} is not hermitian within tolerance")
     trace = r00 + r11
