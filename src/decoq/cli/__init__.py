@@ -49,9 +49,9 @@ _ON_FIRST_USE = {
 __getattr__ = _bind_on_first_use(globals(), _ON_FIRST_USE)
 
 # the initial states whose norms curve writes, in this order, as (theta,
-# phi) on the Bloch sphere of the degeneracy-point eigenbasis
+# phi) on the Bloch sphere of the degeneracy-point eigenbasis; the pole
+# (0, 0) has none, since its norm is D itself
 PRESETS = {
-    "point": (0.0, 0.0),
     "line1": (math.pi / 3.0, 0.0),
     "line2": (math.pi / 2.0, 0.0),
 }

@@ -23,6 +23,10 @@ REFERENCE_TAU_LD_PS = 49.4
 REFERENCE_TAU_G_PS = 12.7
 
 
+# a grid and its columns take about 0.6 KB a sample, so the cap is about 0.6 GB
+_MAX_SAMPLES = 10**6
+
+
 class RunConfig(namedtuple("RunConfig", _FIELDS, defaults=[d for d, _, _ in _FIELDS.values()])):
     """Physics and numerics knobs; _COMMAND_FIELDS says which each subcommand reads."""
 
@@ -34,6 +38,8 @@ class RunConfig(namedtuple("RunConfig", _FIELDS, defaults=[d for d, _, _ in _FIE
         _check_threshold_and_t_max(self.threshold, self.t_max)
         if self.n_samples < 2:
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
+        if self.n_samples > _MAX_SAMPLES:
+            raise ValueError(f"n_samples must be <= {_MAX_SAMPLES}, got {self.n_samples}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -43,7 +43,9 @@ def _check_e_j(e_j: float):
 
 def _check_gate_e_j(e_j: float):
     """Stricter than the maps' E_J >= 0: the gate time 1/E_J must be a positive double."""
-    if not math.isfinite(e_j) or e_j <= 0.0:
+    if not math.isfinite(e_j):
+        raise ValueError(f"e_j must be finite, got {e_j}")
+    if e_j <= 0.0:
         raise ValueError(f"e_j must be positive, got {e_j}")
     if not math.isfinite(1.0 / e_j):
         raise ValueError(f"gate time 1/e_j is not finite in double precision at e_j={e_j}")

@@ -78,6 +78,7 @@ class TestRunConfig:
             ("s", 0.5),
             ("threshold", 0.5),
             ("n_samples", 1),
+            ("n_samples", 10**6 + 1),
             ("seed", -1),
         ],
     )
@@ -213,7 +214,7 @@ class TestCurveCommand:
         assert meta[0] == f"# decoq {__version__} curve"
         assert any("convention" in line for line in meta)
         assert header == [
-            "t", "b_squared", "D", "norm_point", "norm_line1", "norm_line2",
+            "t", "b_squared", "D", "norm_line1", "norm_line2",
         ]
         assert len(rows) == 20
         # full-precision round trip: re-deriving B^2 at a parsed t must
@@ -470,6 +471,19 @@ class TestSweepCommand:
         _, _, (tiny, ordinary) = read_csv(out)
         assert tiny[-1] == "error: gate time 1/e_j is not finite in double precision at e_j=5e-324"
         assert ordinary[-1] == "ok"
+
+    @pytest.mark.parametrize(
+        "axis,value,status",
+        [("T", "1e308", "error: temperature must be at most 2.0861363195112867e+306 mK for "
+                        "kB*T to be a double; got 1e+308"),
+         ("E_J", "inf", "error: e_j must be finite; got inf")],
+        ids=["temperature", "e_j"],
+    )
+    def test_setting_out_of_range_is_a_named_error_row(self, tmp_path, axis, value, status):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", axis, "--values", f"{value},51.8", "--out", str(out)]) == 3
+        _, _, (bad, _) = read_csv(out)
+        assert bad[-1] == status
 
     def test_temperature_sweep_with_failures_recorded(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -887,8 +901,15 @@ class TestExitCodes:
         "command,line,message",
         [("verify", "seed = -1", "seed must be >= 0, got -1"),
          ("curve", "n_samples = 1", "n_samples must be >= 2, got 1"),
-         ("tld", "temp_mk = nan", "temperature must be positive and finite, got nan")],
-        ids=["seed", "n-samples", "temperature"],
+         ("tld", "temp_mk = nan", "temperature must be positive and finite, got nan"),
+         # these used to run out of memory, blame beta = 0.0 and call inf not positive
+         ("curve", "n_samples = 1000000000000000000000",
+          "n_samples must be <= 1000000, got 1000000000000000000000"),
+         ("tld", "temp_mk = 1e308",
+          "temperature must be at most 2.0861363195112867e+306 mK for kB*T to be a double, "
+          "got 1e+308"),
+         ("tld", "e_j = inf", "e_j must be finite, got inf")],
+        ids=["seed", "n-samples", "temperature", "n-samples-cap", "hot-temperature", "e-j-inf"],
     )
     def test_bad_config_setting_exits_one(self, tmp_path, capsys, command, line, message):
         config = tmp_path / "bad.cfg"
@@ -1011,8 +1032,10 @@ class TestExitCodes:
         assert __version__ in capsys.readouterr().out
 
     def test_presets_cover_pole_and_equator(self):
-        assert PRESETS["point"][0] == 0.0
-        assert PRESETS["line2"][0] == pytest.approx(math.pi / 2.0)
+        # the pole's norm is D, which curve writes as its own column
+        assert list(PRESETS) == ["line1", "line2"]
+        assert PRESETS["line1"] == (math.pi / 3.0, 0.0)
+        assert PRESETS["line2"] == (math.pi / 2.0, 0.0)
 
 
 def run_python(script):

@@ -235,6 +235,18 @@ class TestPureStateNorm:
         got = pure_state_norm(theta, phi, b2, t, e_j)
         assert abs(got - ref) <= 1e-15 * max_decoherence(b2)
 
+    @given(
+        phi=st.floats(allow_nan=False, allow_infinity=False),
+        b2=st.floats(0.0, math.inf),
+        t=st.floats(allow_nan=False, allow_infinity=False),
+        e_j=st.floats(0.0, allow_infinity=False),
+    )
+    @example(phi=0.0, b2=math.inf, t=0.25, e_j=E_J)
+    def test_pole_state_norm_is_max_decoherence(self, phi, b2, t, e_j):
+        # curve writes the pole's norm once, as D
+        assume(math.isfinite(t * e_j))
+        assert pure_state_norm(0.0, phi, b2, t, e_j) == max_decoherence(b2)
+
     @settings(max_examples=40, deadline=None)
     @given(
         s=st.floats(1.0, 6.0),
@@ -697,6 +709,19 @@ def eta_max_checked(threshold, spec, e_j):
 
 
 class TestIdleWindow:
+    @pytest.mark.parametrize(
+        "e_j,message",
+        [(math.inf, "e_j must be finite, got inf"), (math.nan, "e_j must be finite, got nan"),
+         (0.0, "e_j must be positive, got 0.0"), (-1.0, "e_j must be positive, got -1.0")],
+        ids=["inf", "nan", "zero", "negative"],
+    )
+    def test_gate_e_j_rule_names_the_failure(self, e_j, message):
+        # inf used to be called not positive
+        spec = BathSpec(eta=1e-6, omega_c=200.0, beta=temperature_to_beta(30.0))
+        with pytest.raises(ValueError) as caught:
+            idle_window(1e-4, spec, e_j, 10.0)
+        assert str(caught.value) == message
+
     def test_eta_budget_at_the_benchmark_point(self):
         # the abstract's verdict holds up to 36 times the default eta
         spec = BathSpec(eta=1e-6, omega_c=200.0, beta=temperature_to_beta(30.0))

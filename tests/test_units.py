@@ -40,6 +40,17 @@ def test_beta_is_infinite_where_kb_t_underflows(temp_mk):
     assert temperature_to_beta(1e-320) == math.inf
 
 
+def test_beta_rejects_a_temperature_whose_kb_t_overflows():
+    # 1e308 mK used to give beta = 0.0, which BathSpec then blamed
+    hottest = 2.0861363195112867e306
+    assert temperature_to_beta(hottest) == 1.0 / (KB_UEV_PER_K * hottest * 1e-3) > 0.0
+    for temp_mk in (math.nextafter(hottest, math.inf), 1e308):
+        with pytest.raises(ValueError) as caught:
+            temperature_to_beta(temp_mk)
+        assert str(caught.value) == ("temperature must be at most 2.0861363195112867e+306 mK "
+                                     f"for kB*T to be a double, got {temp_mk}")
+
+
 @given(st.floats(min_value=3e-323, max_value=1e300))
 def test_beta_is_the_reciprocal_wherever_kb_t_is_not_zero(temp_mk):
     assert temperature_to_beta(temp_mk) == 1.0 / (KB_UEV_PER_K * temp_mk * 1e-3)
