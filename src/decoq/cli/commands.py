@@ -108,14 +108,21 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_plot(csv_path: str, series, **labels) -> None:
-    """SVG next to the CSV; data with nothing finite to plot skips it with a note.
+def _plot_path(csv_path: str) -> str:
+    """The SVG next to the CSV; a CSV path that is that SVG's is refused."""
+    out_svg = os.path.splitext(csv_path)[0] + ".svg"
+    if out_svg == csv_path:
+        raise ValueError(f"--out {csv_path} is the plot's path; give the CSV another extension")
+    return out_svg
+
+
+def _write_plot(out_svg: str, series, **labels) -> None:
+    """The SVG at out_svg; data with nothing finite to plot skips it with a note.
 
     Each series is a (label, x, y, mode) tuple, as write_svg takes it.
     """
     from . import write_svg
 
-    out_svg = os.path.splitext(csv_path)[0] + ".svg"
     try:
         write_svg(out_svg, series, **labels)
     except ValueError as exc:
@@ -127,6 +134,8 @@ def _write_plot(csv_path: str, series, **labels) -> None:
 # ---------------------------------------------------------------- curve
 
 def cmd_curve(cfg: RunConfig, args) -> int:
+    out_csv = args.out or "curve.csv"
+    out_svg = _plot_path(out_csv)
     spec = cfg.bath_spec()
     times = linspace(0.0, cfg.t_max, cfg.n_samples)
     b2 = [dephasing_exponent(t, spec) for t in times]
@@ -136,7 +145,6 @@ def cmd_curve(cfg: RunConfig, args) -> int:
         for name in PRESETS
     ]
 
-    out_csv = args.out or "curve.csv"
     columns = ["t", "b_squared", "D"] + [f"norm_{n}" for n in PRESETS]
     _write_csv(out_csv, cfg.echo("curve"), "curve", columns, zip(times, b2, d, *norms))
     print(f"wrote {out_csv} ({len(times)} samples)")
@@ -145,7 +153,7 @@ def cmd_curve(cfg: RunConfig, args) -> int:
     for name, norm in zip(PRESETS, norms):
         series.append((f"norm {name}", times, norm, "line"))
     _write_plot(
-        out_csv,
+        out_svg,
         series,
         title="decoherence measures",
         xlabel="t (hbar/ueV)",
@@ -226,6 +234,8 @@ _SWEEP_KEYS = ("tau_ld_units", "tau_ld_ps", "d_at_gate")
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
+    out_csv = args.out or "sweep.csv"
+    out_svg = _plot_path(out_csv)
     field = _AXIS_TO_FIELD[args.axis]
     rows = []
     for value in args.values:
@@ -240,7 +250,6 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         cells = (math.nan if report.get(key) is None else report[key] for key in _SWEEP_KEYS)
         rows.append((value, *cells, status))
 
-    out_csv = args.out or "sweep.csv"
     _write_csv(out_csv, cfg.echo("sweep"), f"sweep axis={args.axis}",
                ["value", *_SWEEP_KEYS, "status"], rows)
     print(f"wrote {out_csv} ({len(rows)} points)")
@@ -251,7 +260,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     xs = [row[0] for row in plotted]
     ys = [row[1] for row in plotted]
     _write_plot(
-        out_csv,
+        out_svg,
         [
             ("tau_ld", xs, ys, "line"),
             ("points", xs, ys, "points"),

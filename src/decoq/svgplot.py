@@ -1,16 +1,19 @@
 """Small SVG line-plot writer with no plotting dependency.
 
 `write_svg` draws a handful of polyline or scatter series on one pair of
-axes, with optional logarithmic y scaling, into a self-contained SVG
-file.  It builds the whole document before it opens the file, so data
-with nothing finite to plot raises ValueError and leaves any file at the
-path untouched.  However many samples a series has, a line draws at
-most four consecutive ones per pixel column and a scatter one marker
-per cell 1 pixel wide and 2.5 tall.  Good enough for quick inspection of
+axes into a self-contained SVG file.  A logarithmic y axis is a linear
+one over log10 of the data (0 and below are not drawn), labelled at
+powers of ten; a flat series spans one decade there.  It builds the
+whole document before it opens the file, so data with nothing finite
+to plot raises ValueError and leaves any file at the path untouched.
+However many samples a series has, a line draws at most four
+consecutive ones per pixel column and a scatter one marker per cell 1
+pixel wide and 2.5 tall.  Good enough for quick inspection of
 decoherence curves and sweeps; not a general plotting library.
 """
 
 import math
+import sys
 from itertools import groupby
 
 from . import linspace
@@ -31,17 +34,16 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _data_range(values, positive_only: bool) -> tuple[float, float]:
-    merged = [
-        v for vs in values for v in vs
-        if math.isfinite(v) and (v > 0.0 or not positive_only)
-    ]
+def _data_range(values, decades: bool) -> tuple[float, float]:
+    merged = [v for vs in values for v in vs if math.isfinite(v)]
     if not merged:
         raise ValueError("no finite data to plot")
     lo, hi = min(merged), max(merged)
     if lo == hi:
-        pad = 0.05 * abs(lo) or 0.5  # 0.5 also where 5% of a subnormal lo rounds to 0
-        lo, hi = lo - pad, hi + pad
+        # half a decade on a log axis; on a linear one 5% of |lo|, or 0.5
+        # where that rounds to 0 (lo subnormal), kept to finite ends
+        pad = 0.5 if decades else (0.05 * abs(lo) or 0.5)
+        lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
     return lo, hi
 
 
@@ -81,6 +83,13 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [2.0 * v for v in linspace(lo / 2, hi / 2, 5)]
 
 
+def _pixels(start: float, end: float, origin: float, length: float):
+    """Data start to pixel origin, end to origin + length; on halves, so a
+    span past the largest double still maps to finite pixels."""
+    half_span = end / 2 - start / 2
+    return lambda v: origin + (v / 2 - start / 2) / half_span * length
+
+
 def write_svg(path, series, *, title: str, xlabel: str, ylabel: str, log_y: bool) -> None:
     """Draw the series and write the SVG document to path.
 
@@ -88,26 +97,19 @@ def write_svg(path, series, *, title: str, xlabel: str, ylabel: str, log_y: bool
     and y, and mode 'line' or 'points'.  Raises ValueError, before path is
     opened, when no sample is finite (or, with log_y, positive).
     """
-    x_lo, x_hi = _data_range([x for _, x, _, _ in series], positive_only=False)
-    y_lo, y_hi = _data_range([y for _, _, y, _ in series], positive_only=log_y)
     if log_y:
-        y_lo, y_hi = math.log10(y_lo), math.log10(y_hi)
-        if y_lo == y_hi:
-            y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        series = [(label, xs, [math.log10(v) if v > 0.0 else math.nan for v in ys], mode)
+                  for label, xs, ys, mode in series]
+    x_lo, x_hi = _data_range([x for _, x, _, _ in series], decades=False)
+    y_lo, y_hi = _data_range([y for _, _, y, _ in series], decades=log_y)
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
-
-    # halves throughout, so a span past the largest double maps to finite pixels
-    def px(x: float) -> float:
-        return _MARGIN_LEFT + (x / 2 - x_lo / 2) / (x_hi / 2 - x_lo / 2) * plot_w
-
-    def py(y: float) -> float:
-        yy = math.log10(y) if log_y else y
-        return _MARGIN_TOP + (y_hi / 2 - yy / 2) / (y_hi / 2 - y_lo / 2) * plot_h
+    px = _pixels(x_lo, x_hi, _MARGIN_LEFT, plot_w)
+    py = _pixels(y_hi, y_lo, _MARGIN_TOP, plot_h)
 
     def shown(x: float, y: float) -> bool:
-        return math.isfinite(x) and math.isfinite(y) and (y > 0.0 or not log_y)
+        return math.isfinite(x) and math.isfinite(y)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -131,16 +133,12 @@ def write_svg(path, series, *, title: str, xlabel: str, ylabel: str, log_y: bool
             f'text-anchor="middle">{escape(_fmt(xt))}</text>'
         )
     if log_y:
-        lo_dec = math.floor(y_lo)
-        hi_dec = math.ceil(y_hi)
-        decades = list(range(lo_dec, hi_dec + 1))
-        step = max(1, (len(decades) - 1) // 5 or 1)
-        tick_vals = [10.0**d for d in decades[::step]]
+        decades = range(math.floor(y_lo), math.ceil(y_hi) + 1)
+        y_ticks = decades[::max(1, (len(decades) - 1) // 5)]
     else:
-        tick_vals = _ticks(y_lo, y_hi)
-    for yt in tick_vals:
-        yy = math.log10(yt) if log_y else yt
-        if not (y_lo - 1e-9 <= yy <= y_hi + 1e-9):
+        y_ticks = _ticks(y_lo, y_hi)
+    for yt in y_ticks:
+        if not (y_lo - 1e-9 <= yt <= y_hi + 1e-9):
             continue
         gy = py(yt)
         parts.append(
@@ -149,7 +147,7 @@ def write_svg(path, series, *, title: str, xlabel: str, ylabel: str, log_y: bool
         )
         parts.append(
             f'<text x="{_MARGIN_LEFT - 6}" y="{gy + 4:.2f}" '
-            f'text-anchor="end">{escape(_fmt(yt))}</text>'
+            f'text-anchor="end">{escape(_fmt(10.0**yt if log_y else yt))}</text>'
         )
 
     # series

@@ -1,7 +1,7 @@
 #!/bin/sh
-# curve, tld, sweep and --version run on the standard library alone and must
-# write byte-identical files under python3.10 and python3.11, which must both
-# be on PATH.  Every launch must exit 0 but the s = 3 tld, the no crossing
+# curve (linear and --log-y), tld, sweep and --version run on the standard
+# library alone and must write byte-identical files under python3.10 and
+# python3.11, which must both be on PATH.  Every launch must exit 0 but the s = 3 tld, the no crossing
 # that the bound past t_rise proves (exit 2); a launch that fails names its
 # interpreter and fails the script.  Prints "same" when the files agree.
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -17,6 +17,7 @@ for py in python3.10 python3.11; do
         for c in tld curve "sweep --axis T --values 10,30,100"; do
             $py -m decoq.cli $c --out "${c%% *}" > /dev/null || exit
         done &&
+        $py -m decoq.cli curve --log-y --out curve-log-y > /dev/null &&
         { $py -m decoq.cli tld --config s3-bound.cfg --out tld-s3-bound > /dev/null || [ $? = 2 ]; }
     ) || { echo "a launch failed under $py"; ok=0; }
 done

@@ -546,6 +546,15 @@ class TestSweepCommand:
             f"monotonicity check passed along {axis}"
         )
 
+    def test_flat_log_plot_spans_one_decade(self, tmp_path):
+        # tau_ld does not depend on E_J, so both rows plot one value: on a
+        # log axis that is the decade centred on it, labelled at 10
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--axis", "E_J", "--values", "40,60", "--log-y", "--out", str(out)]
+        assert main(argv) == 0
+        svg = (tmp_path / "sweep.svg").read_text()
+        assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == ["10"]
+
     def test_error_rows_do_not_set_the_plot_range(self, tmp_path):
         # eta = -1 is an error row: its value is not a point of the axis
         out = tmp_path / "sweep.csv"
@@ -949,6 +958,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["curve", "--samples", "4"], ["sweep", "--axis", "T", "--values", "30,100"]],
+        ids=["curve", "sweep"],
+    )
+    def test_output_that_is_the_plot_path_exits_one(self, tmp_path, capsys, argv):
+        # the plot goes next to the CSV as <stem>.svg, so a CSV named
+        # plot.svg would be written and then overwritten by the plot
+        out = tmp_path / "plot.svg"
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --out {out} is the plot's path; give the CSV another extension\n")
+        assert not out.exists()
 
     @settings(max_examples=150, deadline=None)
     @given(argv=fuzzed_argv(), s=st.sampled_from([None, "2", "3"]) | st.sampled_from(EDGE_VALUES))

@@ -18,30 +18,41 @@ def test_write_svg_breaks_lines_and_labels_decades(tmp_path):
     assert [len(points.split()) for points in runs] == [3, 2]
     y_labels = re.findall(r'text-anchor="end">([^<]*)</text>', svg)
     assert y_labels == ["1e-06", "1e-05", "0.0001", "0.001", "0.01"]
+    # the decade past 1.5e308 is not a double: it is left out, not raised
+    write_svg(path, [("D", [0.0, 1.0], [1e300, 1.5e308], "line")], title="t", xlabel="x",
+              ylabel="y", log_y=True)
+    y_labels = re.findall(r'text-anchor="end">([^<]*)</text>', path.read_text())
+    assert y_labels == [f"1e+{d}" for d in range(300, 309)]
 
 
 def test_write_svg_gives_coincident_logs_one_decade(tmp_path):
-    # 123 and the next double have the same log10: the axis spans the
-    # decade centred on it, labelled at the one power of ten inside
+    # 123 and the next double have the same log10, and so do 123 and 123:
+    # the axis spans the decade centred on it, labelled at the one power
+    # of ten inside
     path = tmp_path / "plot.svg"
-    y = [123.0, math.nextafter(123.0, math.inf)]
-    write_svg(path, [("D", [0.0, 1.0], y, "points")], title="t", xlabel="x", ylabel="y",
-              log_y=True)
-    svg = path.read_text()
-    assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == ["100"]
-    assert len(re.findall(r"<circle ", svg)) == 2
+    for y in ([123.0, math.nextafter(123.0, math.inf)], [123.0, 123.0]):
+        write_svg(path, [("D", [0.0, 1.0], y, "points")], title="t", xlabel="x", ylabel="y",
+                  log_y=True)
+        svg = path.read_text()
+        assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == ["100"], y
+        assert len(re.findall(r"<circle ", svg)) == 2
 
 
 def test_write_svg_pads_a_single_subnormal_value(tmp_path):
     # 5% of 5e-324 rounds to 0, which left a zero-width axis and a
-    # ZeroDivisionError; the axis spans [-0.5, 0.5] as it does around 0
+    # ZeroDivisionError; the axis spans [-0.5, 0.5] as it does around 0.
+    # 1.75e308 + 5% overflows, which left an axis running to inf with nan
+    # ticks; the padded end stops at the largest double
     path = tmp_path / "plot.svg"
-    write_svg(path, [("D", [5e-324], [5e-324], "points")], title="t", xlabel="x", ylabel="y",
-              log_y=False)
-    svg = path.read_text()
-    assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == [
-        "-0.5", "-0.25", "0", "0.25", "0.5"]
-    assert len(re.findall(r"<circle ", svg)) == 1
+    for v, ticks in [(5e-324, ["-0.5", "-0.25", "0", "0.25", "0.5"]),
+                     (1.75e308, ["1.66e+308", "1.7e+308", "1.73e+308", "1.76e+308", "1.8e+308"])]:
+        write_svg(path, [("D", [v], [v], "points")], title="t", xlabel="x", ylabel="y",
+                  log_y=False)
+        svg = path.read_text()
+        assert "nan" not in svg and "inf" not in svg
+        assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == ticks
+        assert re.findall(r'text-anchor="middle">([^<]*)</text>', svg)[:5] == ticks
+        assert len(re.findall(r"<circle ", svg)) == 1
 
 
 def _to_pixels(svg, xs, ys, x_range, y_range, log_y):
@@ -76,10 +87,12 @@ def _assert_markers_cover(svg, full):
     assert all(near(p, 1.006, 2.506) for p in full)
 
 
-def test_write_svg_keeps_four_samples_per_pixel_column(tmp_path):
+@pytest.mark.parametrize("log_y", [False, True])
+def test_write_svg_keeps_four_samples_per_pixel_column(tmp_path, log_y):
     # 10^5 oscillating samples over 620 pixel columns: the file stays small,
     # and each column still spans its samples' lowest and highest y.  Each
-    # column's x stay 0.25 from its edges, so a 2-decimal x names its column
+    # column's x stay 0.25 from its edges, so a 2-decimal x names its column.
+    # On a log axis the line is 10**y, which oscillates over three decades
     path = tmp_path / "plot.svg"
     per_column = 161
     x = [c + 0.25 + 0.5 * j / (per_column - 1) for c in range(620) for j in range(per_column)]
@@ -88,8 +101,10 @@ def test_write_svg_keeps_four_samples_per_pixel_column(tmp_path):
     points = [1.5 * (xv / 620.0) ** 8 for xv in point_x]
     # x from 0 to 620 spans the 620-pixel plot box: data x sits at pixel left + x
     x, line = [0.0] + x + [620.0], [0.0] + line + [0.0]
+    if log_y:
+        line = [10.0**v for v in line]
     write_svg(path, [("D", x, line, "line"), ("P", point_x, points, "points")],
-              title="t", xlabel="x", ylabel="y", log_y=False)
+              title="t", xlabel="x", ylabel="y", log_y=log_y)
     assert path.stat().st_size < 300_000
     svg = path.read_text()
     x_range, y_range = (0.0, 620.0), (min(line + points), max(line + points))
@@ -104,11 +119,11 @@ def test_write_svg_keeps_four_samples_per_pixel_column(tmp_path):
 
     (drawn_line,) = re.findall(r'<polyline points="([^"]*)"', svg)
     got = extremes(tuple(map(float, p.split(","))) for p in drawn_line.split())
-    want = extremes(_to_pixels(svg, x, line, x_range, y_range, log_y=False))
+    want = extremes(_to_pixels(svg, x, line, x_range, y_range, log_y))
     assert got.keys() == want.keys()
     for column, (lo, hi) in want.items():
         assert got[column] == pytest.approx((lo, hi), abs=0.006)
-    _assert_markers_cover(svg, _to_pixels(svg, point_x, points, x_range, y_range, log_y=False))
+    _assert_markers_cover(svg, _to_pixels(svg, point_x, points, x_range, y_range, log_y))
 
 
 @pytest.mark.parametrize("log_y", [False, True])
