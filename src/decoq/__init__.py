@@ -49,10 +49,9 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
 # submodule -> the public names it defines; a submodule name is not in it,
 # so `from decoq import oracle` falls back to importing decoq.oracle
 _EXPORTS = {
-    ".bath": ("BathSpec", "dephasing_exponent", "influence_exponent", "phase_shift"),
+    ".bath": ("BathSpec", "dephasing_exponent", "phase_shift"),
     ".discrete": (
-        "DiscreteBath", "coth", "dephasing_exponent_modes", "discretize_bath",
-        "phase_shift_modes", "spectral_density",
+        "DiscreteBath", "dephasing_exponent_modes", "discretize_bath", "phase_shift_modes",
     ),
     ".evolution": (
         "COMPUTATIONAL", "EIGENBASIS", "IdleWindow", "NoCrossingError", "idle_window",

@@ -290,18 +290,3 @@ def phase_shift(t: float, spec: BathSpec) -> float:
     except OverflowError:
         c = math.inf
     return _finite(c, "C", t, spec)
-
-
-def influence_exponent(chi_fwd: int, chi_bwd: int, dephasing: float) -> float:
-    """Exponent of the two-branch influence factor, -B2 (chi_fwd - chi_bwd)^2 / 4.
-
-    For forward/backward dephasing-coupling eigenvalues chi in {+1, -1}.  The
-    shift term -i C (chi_fwd^2 - chi_bwd^2) of the influence functional is 0,
-    since both chi^2 equal one, so C is not an argument.
-    """
-    for chi in (chi_fwd, chi_bwd):
-        if chi not in (1, -1):
-            raise ValueError(f"branch eigenvalues must be +1 or -1, got {chi}")
-    _validate_dephasing(dephasing)
-    diff = chi_fwd - chi_bwd
-    return -dephasing * diff * diff / 4.0 if diff else 0.0  # B2 = inf: not -inf * 0 = nan

@@ -56,7 +56,7 @@ def parse_config_file(path: str, command: str) -> dict:
     """Read a flat key = value file of the subcommand's keys; '#' starts a comment."""
     types = {field: type(_FIELDS[field][0]) for field in _COMMAND_FIELDS[command]}
     overrides = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of a key
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -101,11 +101,15 @@ def _write_csv(path: str, config: dict, kind: str, columns, rows) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """payload as RFC 8259 JSON; a value that is inf or nan is refused before the file opens."""
     import json
 
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path} not written: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _plot_path(csv_path: str) -> str:

@@ -74,12 +74,6 @@ class DiscreteBath(_record("DiscreteBath", "omegas g_sq")):
         return super().__new__(cls, w, g2)
 
 
-def coth(x):
-    """Hyperbolic cotangent for x > 0 arrays; coth(inf) = 1."""
-    out = 1.0 / np.tanh(np.asarray(x, dtype=float))
-    return out if out.ndim else float(out)
-
-
 def _x_minus_sin(x):
     """x - sin(x) on a 1-d array, by the series that avoids cancellation where |x| < 0.1 only."""
     out = x - np.sin(x)
@@ -88,15 +82,6 @@ def _x_minus_sin(x):
     x2 = xs * xs
     out[small] = (xs * x2 / 6.0) * (1.0 - x2 / 20.0 + x2 * x2 / 840.0 - x2**3 / 60480.0)
     return out
-
-
-def spectral_density(omega, spec: BathSpec):
-    """J(omega) = eta * omega**s * exp(-omega/omega_c); omega >= 0."""
-    w = np.asarray(omega, dtype=float)
-    if np.any(w < 0.0):
-        raise ValueError("spectral density is defined for omega >= 0")
-    out = spec.eta * np.power(w, spec.s) * np.exp(-w / spec.omega_c)
-    return out if out.ndim else float(out)
 
 
 def discretize_bath(spec: BathSpec, n_modes: int, omega_max: float) -> DiscreteBath:
@@ -113,7 +98,8 @@ def discretize_bath(spec: BathSpec, n_modes: int, omega_max: float) -> DiscreteB
     w *= dw
     g2 = np.empty(n_modes)
     for w_block, g2_block in _blocks(w, g2):
-        np.multiply(spectral_density(w_block, spec), dw, out=g2_block)
+        j = spec.eta * np.power(w_block, spec.s) * np.exp(-w_block / spec.omega_c)
+        np.multiply(j, dw, out=g2_block)
     w.setflags(write=False)
     g2.setflags(write=False)
     return DiscreteBath(omegas=w, g_sq=g2)
@@ -129,7 +115,7 @@ def dephasing_exponent_modes(t: float, bath: DiscreteBath, beta: float) -> float
     _check_phase("omega", float(np.max(bath.omegas)), t)
 
     def terms(w, g2):
-        return 8.0 * g2 / w**2 * np.sin(0.5 * w * t) ** 2 * coth(0.5 * beta * w)
+        return 8.0 * g2 / w**2 * np.sin(0.5 * w * t) ** 2 * (1.0 / np.tanh(0.5 * beta * w))
 
     with np.errstate(over="ignore"):  # a beta w past the largest double is coth = 1
         return _block_sum(terms, *bath)

@@ -42,12 +42,13 @@ def _check_e_j(e_j: float):
 
 
 def _check_gate_e_j(e_j: float):
-    """Stricter than the maps' E_J >= 0: the gate time 1/E_J must be a positive double."""
+    """Stricter than the maps' E_J >= 0: the gate time 1/E_J must be a positive double,
+    in time units and in ps as the reports write it (below about E_J = 3.66e-306 it is not)."""
     if not math.isfinite(e_j):
         raise ValueError(f"e_j must be finite, got {e_j}")
     if e_j <= 0.0:
         raise ValueError(f"e_j must be positive, got {e_j}")
-    if not math.isfinite(1.0 / e_j):
+    if not math.isfinite(_to_ps(1.0 / e_j)):
         raise ValueError(f"gate time 1/e_j is not finite in double precision at e_j={e_j}")
 
 
@@ -171,14 +172,23 @@ def _eta_max(threshold: float, spec: BathSpec, tau_g: float, b2_gate: float):
 
     B2 is linear in eta, so D(tau_g) = threshold at eta L / B2(tau_g),
     L = -log1p(-2 threshold); nextafter steps from there find the first double.
+    Where eta L or B2(tau_g) is subnormal, and so has lost digits, the guess
+    is taken at eta scaled by the power of two that brings B2 to [1/2, 1).
     """
     def reaches(eta: float) -> bool:
         return max_decoherence(dephasing_exponent(tau_g, spec._replace(eta=eta))) >= threshold
 
-    try:
-        eta = spec.eta * -math.log1p(-2.0 * threshold) / b2_gate
-    except ZeroDivisionError:  # B2 = 0: eta = 0, or B2 underflows
+    level = -math.log1p(-2.0 * threshold)
+    if b2_gate == 0.0:  # eta = 0, or B2 underflows
         return None
+    eta = spec.eta
+    if min(eta * level, b2_gate) < sys.float_info.min:
+        try:
+            eta = math.ldexp(eta, -math.frexp(b2_gate)[1])
+        except OverflowError:  # eta / B2(tau_g), and so the budget, is past the largest double
+            return None
+        b2_gate = dephasing_exponent(tau_g, spec._replace(eta=eta))
+    eta = eta * level / b2_gate
     if not sys.float_info.min <= eta < math.inf:
         return None
     while not reaches(eta):

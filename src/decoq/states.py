@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .bath import _record, _validate_dephasing, influence_exponent
+from .bath import _record, _validate_dephasing
 from .evolution import COMPUTATIONAL, EIGENBASIS, _check_time_and_e_j, max_decoherence
 
 _BASES = (EIGENBASIS, COMPUTATIONAL)
@@ -148,9 +148,6 @@ def evolve_real(state: QubitState, dephasing: float, t: float, e_j: float) -> Qu
     return QubitState([[1.0 - r11, r10.conjugate()], [r10, r11]], EIGENBASIS)
 
 
-_CHI = (1, -1)
-
-
 def evolve_real_influence_sum(
     state: QubitState, dephasing: float, t: float, e_j: float
 ) -> QubitState:
@@ -159,7 +156,8 @@ def evolve_real_influence_sum(
     The split propagator sandwiches the dephasing factor between two free
     half-steps h = exp(-i t lambda/2), diagonal in the eigenbasis.  The
     influence factor F = exp(-B2 (chi - chi')^2/4) multiplies each
-    charge-basis entry (chi, chi') of the half-evolved state, so with the
+    charge-basis entry (chi, chi') of the half-evolved state; for chi in
+    {+1, -1} it is F = [[1, u], [u, 1]] with u = exp(-B2).  With the
     overlaps O = S^T, O_{j chi} = <phi_j | chi>, the sum over every
     eigenbasis/charge-basis index pair contracts to
 
@@ -170,7 +168,8 @@ def evolve_real_influence_sum(
     does not enter.
     """
     _check_evolution(state, dephasing, t, e_j)
-    f = np.array([[math.exp(influence_exponent(a, b, dephasing)) for b in _CHI] for a in _CHI])
+    u = math.exp(-dephasing)
+    f = np.array([[1.0, u], [u, 1.0]])
     h = np.exp(-0.5j * t * np.array([[0.5 * e_j], [-0.5 * e_j]]))  # a column
     m = _S @ (h * state.rho * h.conj().T) @ _S.T
     out = h * (_S.T @ (f * m) @ _S) * h.conj().T

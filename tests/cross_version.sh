@@ -6,6 +6,7 @@
 # interpreter and fails the script.  Prints "same" when the files agree.
 root=$(cd "$(dirname "$0")/.." && pwd)
 d=$(mktemp -d)
+trap 'rm -rf "$d"' EXIT
 ok=1
 for py in python3.10 python3.11; do
     mkdir "$d/$py"

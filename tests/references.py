@@ -207,6 +207,37 @@ def single_pass_sums(t, bath, beta):
     return float(b2), float(c)
 
 
+def mpmath_modes_b2(t, bath, beta):
+    """B2 = 8 sum_k g_k^2/w_k^2 sin^2(w_k t/2) coth(beta w_k/2) of a discrete bath, at 40 digits.
+
+    coth is 1 at beta = inf.
+
+    From decoq: nothing.
+    """
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        total = 0
+        for w, g2 in zip(*bath):
+            w = mpmath.mpf(w)
+            coth = 1 if math.isinf(beta) else mpmath.coth(mpmath.mpf(beta) * w / 2)
+            total += 8 * mpmath.mpf(g2) / w**2 * mpmath.sin(w * t / 2) ** 2 * coth
+        return float(total)
+
+
+def mpmath_midpoint_weights(spec, n_modes, omega_max):
+    """g_k^2 = J(w_k) dw of the midpoint rule, at exact w_k = (k - 1/2) dw, dw = omega_max/n_modes.
+
+    J(w) = eta w^s exp(-w/omega_c), at 40 digits; a list of doubles, k = 1..n_modes.
+
+    From decoq: nothing.
+    """
+    with mpmath.workdps(40):
+        dw = mpmath.mpf(omega_max) / n_modes
+        w = [(k - mpmath.mpf(0.5)) * dw for k in range(1, n_modes + 1)]
+        return [float(spec.eta * v ** mpmath.mpf(spec.s) * mpmath.exp(-v / spec.omega_c) * dw)
+                for v in w]
+
+
 def mpmath_root(threshold, spec, t_star, t_top):
     """The double where B2 from mpmath_b2 reaches L = -log1p(-2 threshold), near t_star.
 

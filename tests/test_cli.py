@@ -122,6 +122,16 @@ class TestConfigFile:
         ):
             assert build_config(build_parser("curve").parse_args(argv)).t_max == t_max, argv
 
+    def test_byte_order_mark_is_not_part_of_a_key(self, tmp_path):
+        # Notepad's "UTF-8 with BOM": its first key used to read '\ufeffeta'
+        text = "eta = 1e-6\ntemp_mk = 60\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        parsed = parse_config_file(str(marked), "tld")
+        assert parsed == parse_config_file(str(plain), "tld") == {"eta": 1e-6, "temp_mk": 60.0}
+
     # the flags each subcommand takes: --config, --out, the flags of the
     # RunConfig fields it reads, and its own
     COMMAND_FLAGS = {
@@ -470,6 +480,14 @@ class TestSweepCommand:
         assert main(["sweep", "--axis", "E_J", "--values", "5e-324,51.8", "--out", str(out)]) == 3
         _, _, (tiny, ordinary) = read_csv(out)
         assert tiny[-1] == "error: gate time 1/e_j is not finite in double precision at e_j=5e-324"
+        assert ordinary[-1] == "ok"
+
+    def test_e_j_whose_gate_time_in_ps_overflows_is_an_error_row(self, tmp_path):
+        # 1/E_J = 1e306 units is a double, but not its 6.6e308 ps
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", "E_J", "--values", "1e-306,51.8", "--out", str(out)]) == 3
+        _, _, (tiny, ordinary) = read_csv(out)
+        assert tiny[-1] == "error: gate time 1/e_j is not finite in double precision at e_j=1e-306"
         assert ordinary[-1] == "ok"
 
     @pytest.mark.parametrize(
@@ -867,11 +885,26 @@ class TestExitCodes:
         assert main(["tld", "--ej", "-5"]) == 1
 
     def test_e_j_whose_gate_time_overflows_is_named(self, tmp_path, capsys):
-        # the gate time 1/E_J overflows; the error used to name a time of inf
+        # the gate time 1/E_J overflows at 5e-324, where the error used to name
+        # a time of inf; at 1e-306 only its 2.7e308 ps does, where tld used to
+        # write "Infinity" into its JSON
         out = tmp_path / "t.json"
-        assert main(["tld", "--ej", "5e-324", "--out", str(out)]) == 1
+        for e_j in ("5e-324", "1e-306"):
+            argv = ["tld", "--ej", e_j, "--temp-mk", "1e-320", "--cutoff", "1e-10"]
+            assert main(argv + ["--out", str(out)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: gate time 1/e_j is not finite in double precision at e_j={e_j}"]
+            assert not out.exists()
+
+    def test_non_finite_json_value_is_refused_before_the_file_opens(self, tmp_path, capsys):
+        # tau_ld / tau_g overflows: RFC 8259 has no Infinity, which tld used to write
+        out = tmp_path / "t.json"
+        argv = ["tld", "--ej", "1e15", "--eta", "1e-303", "--t-max", "1e305", "--temp-mk", "300"]
+        assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: gate time 1/e_j is not finite in double precision at e_j=5e-324"]
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {out} not written: Out of range float values are not "
+                                 "JSON compliant")
         assert not out.exists()
 
     def test_unrepresentable_bath_exits_one(self, tmp_path, capsys):
@@ -1226,20 +1259,20 @@ class TestLazyImport:
 # decoq.__all__ when the package imported every submodule eagerly, less
 # thermal_bath_state, which moved into the oracle tests as a dense reference,
 # and the oracle's truncation warning, which went when it began to hold the
-# bath, plus idle_window and its record, the answer tld writes
+# bath, plus idle_window and its record, the answer tld writes, less coth,
+# spectral_density and influence_exponent, each folded into its one caller
 PUBLIC_NAMES = [
     "BathSpec", "COMPUTATIONAL", "CompositeSystem",
     "DeviationOperator", "DimensionCapError", "DiscreteBath", "EIGENBASIS",
     "ErrorScalingResult", "HBAR_UEV_S", "IdleWindow", "KB_UEV_PER_K", "NoCrossingError",
     "QubitState",
     "SplitComparison", "TIME_UNIT_S", "TruncatedBathMode", "basis_change",
-    "bloch_supremum_scan", "coth", "dephasing_exponent", "dephasing_exponent_modes",
+    "bloch_supremum_scan", "dephasing_exponent", "dephasing_exponent_modes",
     "deviation", "deviation_norm", "deviation_norm_closed_form", "discretize_bath",
     "error_scaling", "evolve_exact", "evolve_ideal", "evolve_real",
     "evolve_real_influence_sum", "evolve_split", "gate_unitary", "idle_window",
-    "influence_exponent",
     "low_decoherence_time", "max_decoherence", "phase_shift", "phase_shift_modes",
-    "pure_state", "pure_state_norm", "random_density_matrix", "spectral_density",
+    "pure_state", "pure_state_norm", "random_density_matrix",
     "split_vs_closed_form", "temperature_to_beta",
 ]
 

@@ -1,4 +1,3 @@
-import cmath
 import math
 import re
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from decoq import linspace
-from decoq.bath import BathSpec, _b2_peak_bound, dephasing_exponent, influence_exponent
+from decoq.bath import BathSpec, _b2_peak_bound, dephasing_exponent
 from decoq.cli import PRESETS
 from decoq.evolution import (
     COMPUTATIONAL,
@@ -301,7 +300,6 @@ class TestDephasingRule:
         "evolve_real": lambda b2: evolve_real(pure_state(0.3), b2, 0.4, E_J),
         "evolve_real_influence_sum": lambda b2: evolve_real_influence_sum(
             pure_state(0.3), b2, 0.4, E_J),
-        "influence_exponent": lambda b2: influence_exponent(1, -1, b2),
     }
 
     @pytest.mark.parametrize("b2", [math.nan, -1.0], ids=["nan", "negative"])
@@ -324,17 +322,6 @@ class TestDephasingRule:
             (r00, r01), (r10, r11) = state.rho
             assert abs(fast.rho[1, 1] - 0.5 * (r00 + r11)) <= 1e-15
             assert abs(fast.rho[1, 0] - 0.5 * (r01 + r10 * np.exp(1j * t * E_J))) <= 1e-15
-
-    @pytest.mark.parametrize("chi", [1, -1])
-    @pytest.mark.parametrize("shift", [0.0, 0.7, -2.0])
-    def test_influence_exponent_of_equal_branches_is_zero_at_infinite_b2(self, chi, shift):
-        assert influence_exponent(chi, chi, math.inf) == 0
-        assert influence_exponent(chi, -chi, math.inf) == -math.inf
-        # the full factor exp(-B2 (chi - chi')^2/4 - i C (chi^2 - chi'^2)), with
-        # any C, at a B2 where exp(-B2) underflows to 0, is the factor at B2 = inf
-        for chi_ in (chi, -chi):
-            full = cmath.exp(-800.0 * (chi - chi_) ** 2 / 4 - 1j * shift * (chi**2 - chi_**2))
-            assert full == math.exp(influence_exponent(chi, chi_, math.inf))
 
 
 # a one-mode oracle system whose E_J t overflows before its omega t does
@@ -726,6 +713,28 @@ class TestIdleWindow:
         # the abstract's verdict holds up to 36 times the default eta
         spec = BathSpec(eta=1e-6, omega_c=200.0, beta=temperature_to_beta(30.0))
         assert eta_max_checked(1e-4, spec, E_J) == 3.604201689225632e-05
+
+    @pytest.mark.parametrize("eta", [1e-309, 1e-311, 5e-324])
+    def test_eta_budget_of_a_subnormal_eta_takes_few_probes(self, monkeypatch, eta):
+        # eta L and B2(tau_g) are subnormal, and a guess formed from them was
+        # 6,089,072 ulps off at eta = 1e-311, which a nextafter walk took
+        # about 100 s to cross; the budget does not depend on eta
+        import decoq.evolution
+
+        spec = BathSpec(eta=eta, omega_c=200.0, beta=temperature_to_beta(30.0))
+        probes = []
+
+        def counting(t, spec):
+            probes.append(t)
+            return dephasing_exponent(t, spec)
+
+        monkeypatch.setattr(decoq.evolution, "dephasing_exponent", counting)
+        budget = idle_window(1e-4, spec, E_J, 10.0).eta_max
+        assert len(probes) <= 70
+        tau_g = 1.0 / E_J
+        d = lambda e: max_decoherence(dephasing_exponent(tau_g, spec._replace(eta=e)))  # noqa: E731
+        assert d(budget) >= 1e-4 > d(math.nextafter(budget, 0.0))
+        assert budget == 3.604201689225632e-05
 
     @settings(max_examples=60, deadline=None)
     @given(s=st.floats(1.0, 6.0), temp_mk=st.floats(1.0, 300.0), omega_c=st.floats(50.0, 1e4),
