@@ -210,17 +210,14 @@ def single_pass_sums(t, bath, beta):
 def mpmath_modes_b2(t, bath, beta):
     """B2 = 8 sum_k g_k^2/w_k^2 sin^2(w_k t/2) coth(beta w_k/2) of a discrete bath, at 40 digits.
 
-    coth is 1 at beta = inf.
-
     From decoq: nothing.
     """
     with mpmath.workdps(40):
-        t = mpmath.mpf(t)
+        t, beta = mpmath.mpf(t), mpmath.mpf(beta)
         total = 0
-        for w, g2 in zip(*bath):
-            w = mpmath.mpf(w)
-            coth = 1 if math.isinf(beta) else mpmath.coth(mpmath.mpf(beta) * w / 2)
-            total += 8 * mpmath.mpf(g2) / w**2 * mpmath.sin(w * t / 2) ** 2 * coth
+        for w, g2 in zip(bath.omegas, bath.g_sq):
+            w, g2 = mpmath.mpf(w), mpmath.mpf(g2)
+            total += 8 * g2 / w**2 * mpmath.sin(w * t / 2) ** 2 * mpmath.coth(beta * w / 2)
         return float(total)
 
 
