@@ -459,6 +459,23 @@ def influence_sum_reference(state, dephasing, shift, t, e_j) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
+def charge_basis_factor(rho, out, t, e_j) -> np.ndarray:
+    """The entrywise factor a split map put on the charge-basis half-evolved state.
+
+    Undoes the free half-steps h = exp(-i t lambda/2) on both sides: the
+    half-evolved state is O^T (h rho h^*) O before the factor and
+    O^T (h^* out h) O after it, with O[j, xi] = <phi_j | xi>; the factor is
+    their entrywise ratio, rows and columns in the order of CHI.
+
+    From decoq: nothing.
+    """
+    overlap = EIGENSTATES.T
+    h = np.exp(-0.5j * t * np.array([[0.5 * e_j], [-0.5 * e_j]]))  # a column
+    before = overlap.T @ (h * np.asarray(rho) * h.conj().T) @ overlap
+    after = overlap.T @ (h.conj() * np.asarray(out) * h.T) @ overlap
+    return after / before
+
+
 def bloch_scan_reference(dephasing, t, e_j):
     """The grid search on a meshgrid of theta and phi.
 

@@ -27,8 +27,10 @@ from decoq.discrete import (
 )
 from decoq.cli import PRESETS
 from decoq.evolution import max_decoherence, pure_state_norm
+from decoq.states import evolve_real_influence_sum, pure_state
 from decoq.units import KB_UEV_PER_K, temperature_to_beta
 from references import (
+    charge_basis_factor,
     mpmath_b2,
     mpmath_c,
     mpmath_d,
@@ -50,6 +52,37 @@ def bench_spec(**kw):
     return BathSpec(**base)
 
 
+def one_mode_b2(x, t=1.0):
+    """dephasing_exponent_modes on one mode at omega = 1, g^2 = 1 and beta = 2x."""
+    return dephasing_exponent_modes(t, DiscreteBath([1.0], [1.0]), 2.0 * x)
+
+
+class TestCoth:
+    # the factor coth(beta omega/2) of the mode sum: on one_mode_b2's mode
+    # B2 = 8 sin^2(t/2) coth(x)
+    def test_large_argument_saturates(self):
+        assert one_mode_b2(25.0) == one_mode_b2(math.inf)
+
+    def test_small_argument_series(self):
+        x = 1e-6
+        assert one_mode_b2(x) == pytest.approx(8.0 * math.sin(0.5) ** 2 * (1.0 / x + x / 3.0),
+                                               rel=1e-12, abs=0.0)
+
+    def test_moderate_argument(self):
+        assert one_mode_b2(1.0) == pytest.approx(
+            8.0 * math.sin(0.5) ** 2 * math.cosh(1.0) / math.sinh(1.0), rel=1e-14, abs=0.0)
+
+    def test_vectorized(self):
+        # four modes at beta = 2, so beta omega/2 = omega, summed as a block
+        w = np.array([1e-8, 0.5, 3.0, 30.0])
+        t = 1e7  # keeps the lowest mode's sin^2(omega t/2) away from 0
+        total = dephasing_exponent_modes(t, DiscreteBath(w, np.ones(4)), 2.0)
+        each = [dephasing_exponent_modes(t, DiscreteBath([v], [1.0]), 2.0) for v in w]
+        assert total == pytest.approx(math.fsum(each), rel=1e-15, abs=0.0)
+        assert each[0] == pytest.approx(8e16 * math.sin(0.05) ** 2 * 1e8, rel=1e-10, abs=0.0)
+        assert each[-1] == dephasing_exponent_modes(t, DiscreteBath([30.0], [1.0]), math.inf)
+
+
 class TestBathSpec:
     def test_zero_temperature_allowed(self):
         spec = bench_spec(beta=math.inf)
@@ -64,6 +97,29 @@ class TestBathSpec:
         kw = {field: value}
         with pytest.raises(ValueError):
             bench_spec(**kw)
+
+
+class TestSpectralDensity:
+    # J(omega) = eta omega^s exp(-omega/omega_c), read from discretize_bath's
+    # g_k^2 = J(omega_k) d omega
+    def test_zero_frequency(self):
+        # the midpoint grid starts at d omega/2, so J never sees omega <= 0
+        bath = discretize_bath(bench_spec(), 100, 1000.0)
+        assert bath.omegas[0] == 5.0
+        assert np.all(bath.omegas > 0.0)
+        assert bath.g_sq[0] == pytest.approx(1e-6 * 5.0 * math.exp(-5.0 / 200.0) * 10.0,
+                                             rel=1e-14, abs=0.0)
+
+    def test_peaks_at_cutoff_for_linear_case(self):
+        spec = bench_spec()
+        bath = discretize_bath(spec, 4000, 2000.0)
+        assert abs(bath.omegas[np.argmax(bath.g_sq)] - spec.omega_c) < 1.0
+
+    def test_linear_in_eta(self):
+        a = discretize_bath(bench_spec(eta=1e-6), 50, 1000.0)
+        b = discretize_bath(bench_spec(eta=3e-6), 50, 1000.0)
+        np.testing.assert_array_equal(a.omegas, b.omegas)
+        np.testing.assert_allclose(b.g_sq, 3.0 * a.g_sq, rtol=1e-14, atol=0.0)
 
 
 class TestDephasingExponent:
@@ -675,3 +731,28 @@ class TestDiscreteBath:
         # random baths the error was at most 0.92 (1 + s + omega_k/omega_c) ulp
         cond = 1.0 + s + bath.omegas / spec.omega_c
         assert np.all(np.abs(bath.g_sq - ref) <= 2 * 2.23e-16 * cond * ref)
+
+
+class TestInfluenceExponent:
+    # the factor exp(-B2 (chi - chi')^2/4) that evolve_real_influence_sum puts on
+    # each charge-basis entry, read back from its output: on these states every
+    # entry is read within 8.9e-16 of [[1, u], [u, 1]], u = exp(-B2)
+    STATES = [pure_state(0.3, 0.2), pure_state(1.1, 0.0), pure_state(2.0, 1.3)]
+
+    @staticmethod
+    def factor(state, b2, t=0.4, e_j=51.8):
+        return charge_basis_factor(state.rho, evolve_real_influence_sum(state, b2, t, e_j).rho,
+                                   t, e_j)
+
+    def test_equal_branches_give_unity(self):
+        for state in self.STATES:
+            for b2 in (0.0, 0.4, 800.0, math.inf):
+                f = self.factor(state, b2)
+                assert abs(f[0, 0] - 1.0) <= 2e-15 and abs(f[1, 1] - 1.0) <= 2e-15
+
+    def test_opposite_branches_decay_without_phase(self):
+        # the squared coupling eigenvalues cancel the shift term, so the factor is real
+        for state in self.STATES:
+            f = self.factor(state, 0.4)
+            assert abs(f[0, 1] - math.exp(-0.4)) <= 2e-15
+            assert abs(f[1, 0] - math.exp(-0.4)) <= 2e-15

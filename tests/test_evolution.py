@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -40,6 +41,8 @@ from decoq.states import (
 )
 from decoq.units import temperature_to_beta
 from references import (
+    CHI,
+    charge_basis_factor,
     influence_sum_reference,
     mpmath_b2,
     mpmath_d,
@@ -322,6 +325,23 @@ class TestDephasingRule:
             (r00, r01), (r10, r11) = state.rho
             assert abs(fast.rho[1, 1] - 0.5 * (r00 + r11)) <= 1e-15
             assert abs(fast.rho[1, 0] - 0.5 * (r01 + r10 * np.exp(1j * t * E_J))) <= 1e-15
+
+    @pytest.mark.parametrize("chi", [1, -1])
+    @pytest.mark.parametrize("shift", [0.0, 0.7, -2.0])
+    def test_influence_exponent_of_equal_branches_is_zero_at_infinite_b2(self, chi, shift):
+        # the factor evolve_real_influence_sum puts on the charge-basis entry
+        # (chi, chi') at B2 = inf, read back from its output: 1 on equal
+        # branches (not -inf * 0 = nan in the exponent), 0 on opposite ones
+        state = pure_state(0.3, 0.2)
+        got = evolve_real_influence_sum(state, math.inf, 0.4, E_J).rho
+        f = charge_basis_factor(state.rho, got, 0.4, E_J)
+        # the full factor exp(-B2 (chi - chi')^2/4 - i C (chi^2 - chi'^2)), with
+        # any C, at a B2 where exp(-B2) underflows to 0, is the factor at B2 = inf
+        for chi_ in (chi, -chi):
+            full = cmath.exp(-800.0 * (chi - chi_) ** 2 / 4 - 1j * shift * (chi**2 - chi_**2))
+            assert abs(f[CHI.index(chi), CHI.index(chi_)] - full) <= 2e-15
+        want = influence_sum_reference(state, 800.0, shift, 0.4, E_J)
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 # a one-mode oracle system whose E_J t overflows before its omega t does
