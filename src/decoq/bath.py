@@ -218,8 +218,9 @@ def dephasing_exponent(t: float, spec: BathSpec) -> float:
     which at s = 1 is 4 eta [ln(1 + x^2)/2 + 2 lnG(1+a) - 2 Re lnG(1+a+iy)]
     and at beta = inf keeps only its first term.  Where a > 1e16 (see
     CLASSICAL_BETA_OMEGA_C), B2 is 8 eta/beta omega_c^(nu-1) G_(nu-1)(x),
-    which tends to 0 with omega_c.  Raises ValueError if B2 is not finite
-    in double precision.
+    which tends to 0 with omega_c.  B2 is formed last, as 4 eta times a
+    total free of eta, so it is the same double as 4.0 * eta * B2 at
+    eta = 1/4.  Raises ValueError if B2 is not finite in double precision.
     """
     _validate_time(t)
     if t == 0.0 or spec.eta == 0.0:

@@ -170,32 +170,16 @@ def _relaxation_window(threshold: float, spec: BathSpec, e_j: float, tau_g: floa
 def _eta_max(threshold: float, spec: BathSpec, tau_g: float, b2_gate: float):
     """First double eta with D(tau_g) >= threshold; None unless a positive normal double.
 
-    B2 is linear in eta, so D(tau_g) = threshold at eta L / B2(tau_g),
-    L = -log1p(-2 threshold); nextafter steps from there find the first double.
-    Where eta L or B2(tau_g) is subnormal, and so has lost digits, the guess
-    is taken at eta scaled by the power of two that brings B2 to [1/2, 1).
+    B2 is 4 eta times an eta-free total (dephasing_exponent forms it last), so
+    two bisections find it: the first double B2 with D >= threshold, then the
+    first double eta whose 4 eta total reaches that B2, if that product is finite.
     """
-    def reaches(eta: float) -> bool:
-        return max_decoherence(dephasing_exponent(tau_g, spec._replace(eta=eta))) >= threshold
-
-    level = -math.log1p(-2.0 * threshold)
     if b2_gate == 0.0:  # eta = 0, or B2 underflows
         return None
-    eta = spec.eta
-    if min(eta * level, b2_gate) < sys.float_info.min:
-        try:
-            eta = math.ldexp(eta, -math.frexp(b2_gate)[1])
-        except OverflowError:  # eta / B2(tau_g), and so the budget, is past the largest double
-            return None
-        b2_gate = dephasing_exponent(tau_g, spec._replace(eta=eta))
-    eta = eta * level / b2_gate
-    if not sys.float_info.min <= eta < math.inf:
-        return None
-    while not reaches(eta):
-        eta = math.nextafter(eta, math.inf)
-    while reaches(below := math.nextafter(eta, 0.0)):
-        eta = below
-    return eta if sys.float_info.min <= eta else None
+    total = dephasing_exponent(tau_g, spec._replace(eta=0.25))
+    level = _bisect(max_decoherence, threshold, 0.0, math.inf)
+    eta = _bisect(lambda eta: 4.0 * eta * total, level, 0.0, math.inf)
+    return eta if sys.float_info.min <= eta and 4.0 * eta * total < math.inf else None
 
 
 class IdleWindow(namedtuple("IdleWindow", "tau_g d_at_gate eta_max tau_ld d_at_t_max "

@@ -206,10 +206,9 @@ def _held(system: CompositeSystem, beta: float, dense: bool = False):
 
 
 def _in_charge_basis(state: QubitState, reduce) -> QubitState:
-    """reduce(charge-basis rho), hermitized, as a state in the basis state came in."""
+    """reduce(charge-basis rho) as a state in the basis state came in."""
     eigen = state.basis == EIGENBASIS
-    reduced = reduce((basis_change(state) if eigen else state).rho)
-    out = QubitState(0.5 * (reduced + reduced.conj().T), COMPUTATIONAL)
+    out = QubitState(reduce((basis_change(state) if eigen else state).rho), COMPUTATIONAL)
     return basis_change(out) if eigen else out
 
 

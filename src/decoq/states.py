@@ -48,12 +48,16 @@ BLOCH_GRID = 200
 
 
 def _checked(matrix, basis: str, density: bool) -> np.ndarray:
-    """matrix as a read-only 2x2 complex array, once it passes its record's checks.
+    """The exact part of matrix as a read-only 2x2 complex array, once matrix passes its checks.
 
     Both records must be finite, hermitian and in a known basis; a density
     matrix must have trace 1 and be positive, a deviation operator trace 0.
+    The part kept is the hermitian part with the trace set to that target,
+    so a record passes the same checks after a basis change or a
+    difference; an exactly hermitian matrix of that trace is kept as given.
     """
     what = "density matrix" if density else "deviation operator"
+    target = 1.0 if density else 0.0
     m = np.array(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"{what} must be 2x2, got {'shape ' if density else ''}{m.shape}")
@@ -69,7 +73,7 @@ def _checked(matrix, basis: str, density: bool) -> np.ndarray:
     if skew > HERMITICITY_TOL:
         raise ValueError(f"{what} is not hermitian within tolerance")
     trace = r00 + r11
-    if abs(trace - (1.0 if density else 0.0)) > TRACE_TOL:
+    if abs(trace - target) > TRACE_TOL:
         raise ValueError(f"trace must be 1, got {trace}" if density
                          else "deviation operator must be traceless")
     # the smallest eigenvalue of the lower triangle, the part eigvalsh reads
@@ -77,6 +81,14 @@ def _checked(matrix, basis: str, density: bool) -> np.ndarray:
                     - math.hypot(0.5 * (r00.real - r11.real), r10.real, r10.imag)
                     < POSITIVITY_TOL):
         raise ValueError("density matrix has a significantly negative eigenvalue")
+    if skew or trace != target:
+        # the trace error shared out, then the smaller diagonal entry set to target minus
+        # the larger, which sums back to target exactly
+        half = 0.5 * (trace.real - target)
+        d0, d1 = r00.real - half, r11.real - half
+        d0, d1 = (d0, target - d0) if d0 >= d1 else (target - d1, d1)
+        r10 += 0.5 * (r01.conjugate() - r10)
+        m = np.array(((d0, r10.conjugate()), (r10, d1)))
     m.setflags(write=False)
     return m
 
@@ -173,7 +185,7 @@ def evolve_real_influence_sum(
     h = np.exp(-0.5j * t * np.array([[0.5 * e_j], [-0.5 * e_j]]))  # a column
     m = _S @ (h * state.rho * h.conj().T) @ _S.T
     out = h * (_S.T @ (f * m) @ _S) * h.conj().T
-    return QubitState(0.5 * (out + out.conj().T), EIGENBASIS)  # scrub round-off: out is hermitian
+    return QubitState(out, EIGENBASIS)
 
 
 def deviation(state: QubitState, ideal: QubitState) -> DeviationOperator:

@@ -229,6 +229,32 @@ class TestDephasingExponent:
         with pytest.raises(ValueError):
             dephasing_exponent(-0.5, bench_spec())
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        s=st.floats(1.0, 200.0),
+        # beta omega_c from inf (T = 0) down past CLASSICAL_BETA_OMEGA_C
+        log_beta_omega_c=st.one_of(st.just(math.inf), st.floats(-20.0, 10.0)),
+        log_omega_c=st.floats(-160.0, 4.0),
+        eta=st.one_of(st.floats(5e-324, 2.2e-308), st.floats(1e-12, 1.0)),
+        log_t=st.floats(-6.0, 3.0),
+    )
+    def test_formed_last_as_four_eta_times_an_eta_free_total(
+        self, s, log_beta_omega_c, log_omega_c, eta, log_t
+    ):
+        # evolution's eta budget bisects 4 eta total for the first double eta,
+        # and is the kernel's own first double only while this holds bit for bit
+        omega_c, t = 10.0**log_omega_c, 10.0**log_t
+        spec = BathSpec(eta, omega_c, 10.0**log_beta_omega_c / omega_c, s)
+        try:
+            b2 = 4.0 * eta * dephasing_exponent(t, spec._replace(eta=0.25))
+        except ValueError:  # the total overflows
+            b2 = math.inf
+        if math.isfinite(b2):
+            assert dephasing_exponent(t, spec) == b2
+        else:
+            with pytest.raises(ValueError, match="B2 is not finite"):
+                dephasing_exponent(t, spec)
+
 
 class TestOhmicClosedForm:
     @settings(max_examples=300, deadline=None, derandomize=True)

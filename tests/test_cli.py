@@ -404,7 +404,7 @@ class TestTldCommand:
         assert report["no_crossing"] is True
         assert report["tau_ld_units"] is None
         assert report["d_at_t_max"] == 0.0
-        # B2 = 0 at every eta gives no eta budget
+        # B2 is 0 at the configured eta = 0, which gives no eta budget
         assert report["budget"] == {"eta_max": None}
 
     def test_eta_budget(self, tmp_path):
@@ -413,6 +413,21 @@ class TestTldCommand:
             out = tmp_path / "tld.json"
             assert main(["tld", *extra, "--out", str(out)]) == code
             assert json.loads(out.read_text())["budget"] == {"eta_max": 3.604201689225632e-05}
+
+    def test_eta_budget_where_b2_at_the_gate_is_subnormal(self, tmp_path):
+        # B2(tau_g) = 2.5e-317: a budget guess rescaled by a power of two
+        # overflowed B2 here, and tld exited 1 with "B2 is not finite"
+        out = tmp_path / "tld.json"
+        argv = ["tld", "--temp-mk", "1e-300", "--cutoff", "2.9309717529636806e-156",
+                "--eta", "2.214698305767123e-09", "--threshold", "2.065074878384282e-05",
+                "--ej", "0.03913465999019861", "--out", str(out)]
+        assert main(argv) == 2
+        eta_max = json.loads(out.read_text())["budget"]["eta_max"]
+        assert eta_max == 3.681668113133158e+303
+        spec = RunConfig(temp_mk=1e-300, omega_c=2.9309717529636806e-156).bath_spec()
+        tau_g = 1.0 / 0.03913465999019861
+        d = lambda e: max_decoherence(dephasing_exponent(tau_g, spec._replace(eta=e)))  # noqa: E731
+        assert d(eta_max) >= 2.065074878384282e-05 > d(math.nextafter(eta_max, 0.0))
 
     # each field of idle_window's record, and the key of tld's report that writes it
     RECORD_KEYS = {
@@ -1422,11 +1437,11 @@ class TestTracedNames:
             "    print(command, sorted(calls.items()))\n"
         )
         # curve: B2 at each of its 400 points, and no C, which cancels from
-        # every qubit quantity; tld: B2 at the gate, three for the first double
-        # of the eta budget and 63 probes of the root find, all through
+        # every qubit quantity; tld: B2 at the gate, one for the eta-free
+        # total of the eta budget and 63 probes of the root find, all through
         # decoq.evolution
         assert run_python(script).splitlines() == [
             "curve [('cli.dephasing_exponent', 400)]",
-            "tld [('evolution.dephasing_exponent', 67)]",
+            "tld [('evolution.dephasing_exponent', 65)]",
             "verify [('cli.dephasing_exponent', 1), ('cli.error_scaling', 1)]",
         ]

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from decoq.oracle import (
 from decoq.states import (
     DeviationOperator,
     QubitState,
+    basis_change,
     bloch_supremum_scan,
     deviation,
     deviation_norm,
@@ -99,6 +101,43 @@ class TestQubitState:
             QubitState(entries)
         with pytest.raises(ValueError, match="non-finite"):
             DeviationOperator(entries)
+
+    def test_exact_input_is_kept_as_given(self):
+        rho = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, 0.7]])
+        assert QubitState(rho).rho.tobytes() == rho.tobytes()
+        sigma = np.array([[-0.25, 0.5j], [-0.5j, 0.25]])
+        assert DeviationOperator(sigma).sigma.tobytes() == sigma.tobytes()
+
+    # a noisy copy of a state on or inside the Bloch sphere: each noise part
+    # is at most 0.35e-12, so the skew and the trace error stay below 1e-12
+    NOISE = st.floats(-0.35e-12, 0.35e-12)
+    SYSTEM = CompositeSystem(E_J, (TruncatedBathMode(30.0, 0.5, 4),))
+
+    @staticmethod
+    def noisy(data, radius, theta, phi):
+        x, y = radius * math.sin(theta) * math.cos(phi), radius * math.sin(theta) * math.sin(phi)
+        z = radius * math.cos(theta)
+        noise = [[complex(data.draw(TestQubitState.NOISE), data.draw(TestQubitState.NOISE))
+                  for _ in range(2)] for _ in range(2)]
+        return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]) + np.array(noise)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), radius=st.floats(0.0, 1.0), theta=st.floats(0.0, math.pi),
+           phi=st.floats(0.0, 2.0 * math.pi))
+    def test_states_within_the_tolerances_stay_accepted(self, data, radius, theta, phi):
+        # the record keeps the hermitian part with trace 1 exactly, so a basis
+        # change, the oracle maps and a difference of two records pass the checks
+        # that their round-off alone used to fail
+        rho = self.noisy(data, radius, theta, phi)
+        for basis in (EIGENBASIS, COMPUTATIONAL):
+            state = QubitState(rho, basis)
+            (r00, r01), (r10, r11) = state.rho.tolist()
+            assert r00 + r11 == 1.0 and r01 == r10.conjugate() and r00.imag == r11.imag == 0.0
+            assert basis_change(basis_change(state)).basis == basis
+            evolve_exact(self.SYSTEM, state, 1.0, 0.1)
+            evolve_split(self.SYSTEM, state, 1.0, 0.1)
+            other = QubitState(self.noisy(data, radius, theta, phi), basis)
+            assert np.trace(deviation(state, other).sigma) == 0.0
 
 
 class TestPureState:
@@ -704,14 +743,19 @@ class TestLowDecoherenceTime:
 
 
 def eta_max_checked(threshold, spec, e_j):
-    """idle_window's eta_max, checked as the first double with D(tau_g) >= threshold."""
+    """idle_window's eta_max, checked as the first double with D(tau_g) >= threshold.
+
+    Up to a threshold of 0.01 it is also one division away from L / b,
+    b = B2/eta; nearer 1/2, D is flat over many ulps of B2, and the first
+    double lies further from L / b.
+    """
     tau_g = 1.0 / e_j
     eta = idle_window(threshold, spec, e_j, on_the_rise(10.0, spec)).eta_max
     d = lambda e: max_decoherence(dephasing_exponent(tau_g, spec._replace(eta=e)))  # noqa: E731
     assert d(eta) >= threshold > d(math.nextafter(eta, 0.0))
-    # one division away from L / b, b = B2/eta
-    b2 = dephasing_exponent(tau_g, spec)
-    assert eta == pytest.approx(spec.eta * -math.log1p(-2.0 * threshold) / b2, rel=1e-15)
+    if threshold <= 0.01:
+        b2 = dephasing_exponent(tau_g, spec)
+        assert eta == pytest.approx(spec.eta * -math.log1p(-2.0 * threshold) / b2, rel=1e-15)
     return eta
 
 
@@ -755,6 +799,31 @@ class TestIdleWindow:
         d = lambda e: max_decoherence(dephasing_exponent(tau_g, spec._replace(eta=e)))  # noqa: E731
         assert d(budget) >= 1e-4 > d(math.nextafter(budget, 0.0))
         assert budget == 3.604201689225632e-05
+
+    @pytest.mark.parametrize("threshold,budget", [(0.49999999, 3.1943608416617906),
+                                                  (math.nextafter(0.5, 0.0), 6.546618282990856)])
+    def test_eta_budget_near_one_half(self, threshold, budget):
+        # D is flat over many ulps of eta here, and a nextafter walk took
+        # 112,622 B2 calls at 0.4999999 and did not end at 0.49999999
+        spec = BathSpec(eta=1e-6, omega_c=200.0, beta=temperature_to_beta(30.0))
+        assert eta_max_checked(threshold, spec, E_J) == budget
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.floats(1.0, 6.0), temp_mk=st.floats(1.0, 300.0), omega_c=st.floats(50.0, 1e4),
+           log_eta=st.floats(-9.0, -4.0),
+           threshold=st.floats(0.49, math.nextafter(0.5, 0.0)))
+    def test_eta_budget_near_one_half_takes_one_b2_call(self, s, temp_mk, omega_c, log_eta,
+                                                         threshold):
+        # the budget's one B2 call is the eta-free total at tau_g; every other
+        # call is at the configured bath
+        import decoq.evolution
+
+        spec = BathSpec(eta=10.0**log_eta, omega_c=omega_c, beta=temperature_to_beta(temp_mk), s=s)
+        with mock.patch.object(decoq.evolution, "dephasing_exponent",
+                               wraps=dephasing_exponent) as kernel:
+            eta_max_checked(threshold, spec, E_J)
+        budget = [call.args for call in kernel.call_args_list if call.args[1] != spec]
+        assert budget == [(1.0 / E_J, spec._replace(eta=0.25))]
 
     @settings(max_examples=60, deadline=None)
     @given(s=st.floats(1.0, 6.0), temp_mk=st.floats(1.0, 300.0), omega_c=st.floats(50.0, 1e4),
