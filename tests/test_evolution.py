@@ -108,19 +108,6 @@ class TestQubitState:
         sigma = np.array([[-0.25, 0.5j], [-0.5j, 0.25]])
         assert DeviationOperator(sigma).sigma.tobytes() == sigma.tobytes()
 
-    # a noisy copy of a state on or inside the Bloch sphere: each noise part
-    # is at most 0.35e-12, so the skew and the trace error stay below 1e-12
-    NOISE = st.floats(-0.35e-12, 0.35e-12)
-    SYSTEM = CompositeSystem(E_J, (TruncatedBathMode(30.0, 0.5, 4),))
-
-    @staticmethod
-    def noisy(data, radius, theta, phi):
-        x, y = radius * math.sin(theta) * math.cos(phi), radius * math.sin(theta) * math.sin(phi)
-        z = radius * math.cos(theta)
-        noise = [[complex(data.draw(TestQubitState.NOISE), data.draw(TestQubitState.NOISE))
-                  for _ in range(2)] for _ in range(2)]
-        return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]) + np.array(noise)
-
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), radius=st.floats(0.0, 1.0), theta=st.floats(0.0, math.pi),
            phi=st.floats(0.0, 2.0 * math.pi))
@@ -128,16 +115,22 @@ class TestQubitState:
         # the record keeps the hermitian part with trace 1 exactly, so a basis
         # change, the oracle maps and a difference of two records pass the checks
         # that their round-off alone used to fail
-        rho = self.noisy(data, radius, theta, phi)
+        x, y = radius * math.sin(theta) * math.cos(phi), radius * math.sin(theta) * math.sin(phi)
+        z = radius * math.cos(theta)
+        bloch = 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
+        # each noise part is at most 0.35e-12, so the skew and the trace error stay below 1e-12
+        part = st.floats(-0.35e-12, 0.35e-12)
+        noisy = lambda: bloch + np.array(  # noqa: E731
+            [[complex(data.draw(part), data.draw(part)) for _ in range(2)] for _ in range(2)])
+        system = CompositeSystem(E_J, (TruncatedBathMode(30.0, 0.5, 4),))
         for basis in (EIGENBASIS, COMPUTATIONAL):
-            state = QubitState(rho, basis)
+            state = QubitState(noisy(), basis)
             (r00, r01), (r10, r11) = state.rho.tolist()
             assert r00 + r11 == 1.0 and r01 == r10.conjugate() and r00.imag == r11.imag == 0.0
             assert basis_change(basis_change(state)).basis == basis
-            evolve_exact(self.SYSTEM, state, 1.0, 0.1)
-            evolve_split(self.SYSTEM, state, 1.0, 0.1)
-            other = QubitState(self.noisy(data, radius, theta, phi), basis)
-            assert np.trace(deviation(state, other).sigma) == 0.0
+            evolve_exact(system, state, 1.0, 0.1)
+            evolve_split(system, state, 1.0, 0.1)
+            assert np.trace(deviation(state, QubitState(noisy(), basis)).sigma) == 0.0
 
 
 class TestPureState:
