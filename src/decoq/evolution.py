@@ -20,7 +20,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable
 
-from . import _bind_on_first_use
+from . import _bind_on_first_use, bath
 from .bath import BathSpec, _b2_peak_bound, _check_phase, _validate_dephasing, dephasing_exponent
 from .units import _to_ps
 
@@ -167,16 +167,15 @@ def _relaxation_window(threshold: float, spec: BathSpec, e_j: float, tau_g: floa
     return (rate, tau) if normal else (None, None)
 
 
-def _eta_max(threshold: float, spec: BathSpec, tau_g: float, b2_gate: float):
+def _eta_max(threshold: float, total: float):
     """First double eta with D(tau_g) >= threshold; None unless a positive normal double.
 
-    B2 is 4 eta times an eta-free total (dephasing_exponent forms it last), so
-    two bisections find it: the first double B2 with D >= threshold, then the
+    B2(tau_g) is 4 eta times an eta-free total (dephasing_exponent forms it last),
+    so two bisections find it: the first double B2 with D >= threshold, then the
     first double eta whose 4 eta total reaches that B2, if that product is finite.
     """
-    if b2_gate == 0.0:  # eta = 0, or B2 underflows
+    if total == 0.0:  # B2(tau_g) is 0 at every eta
         return None
-    total = dephasing_exponent(tau_g, spec._replace(eta=0.25))
     level = _bisect(max_decoherence, threshold, 0.0, math.inf)
     eta = _bisect(lambda eta: 4.0 * eta * total, level, 0.0, math.inf)
     return eta if sys.float_info.min <= eta and 4.0 * eta * total < math.inf else None
@@ -187,13 +186,13 @@ class IdleWindow(namedtuple("IdleWindow", "tau_g d_at_gate eta_max tau_ld d_at_t
     """The idle gate's answer, as `idle_window` finds it; times in hbar/ueV.
 
     tau_g = 1/E_J, d_at_gate = D(tau_g), eta_max the first double eta with
-    D(tau_g) >= threshold; tau_ld the first crossing, or None for a proved
-    no crossing, with d_at_t_max = D(t_max) (else None); relaxation_rate
-    and tau_relax the golden rule's Gamma_down and tau_M; window_set_by
-    "dephasing" or "relaxation", whichever window is shorter.  Each of
-    eta_max and the golden-rule pair is None unless a positive normal
-    double (tau_M also in ps and over tau_g).  With no crossing, tau_ld is
-    known only to pass t_max, so window_set_by is "relaxation" if
+    D(tau_g) >= threshold, which the bath's own eta does not set; tau_ld the
+    first crossing, or None for a proved no crossing, with d_at_t_max = D(t_max)
+    (else None); relaxation_rate and tau_relax the golden rule's Gamma_down and
+    tau_M; window_set_by "dephasing" or "relaxation", whichever window is
+    shorter.  Each of eta_max and the golden-rule pair is None unless a positive
+    normal double (tau_M also in ps and over tau_g).  With no crossing, tau_ld
+    is known only to pass t_max, so window_set_by is "relaxation" if
     tau_M < t_max and None otherwise.  The fields are results: none is checked.
     """
 
@@ -206,8 +205,9 @@ def idle_window(threshold: float, spec: BathSpec, e_j: float, t_max: float) -> I
     _check_gate_e_j(e_j)
     _check_threshold_and_t_max(threshold, t_max)
     tau_g = 1.0 / e_j
-    b2_gate = dephasing_exponent(tau_g, spec)
-    d_at_gate, eta_max = max_decoherence(b2_gate), _eta_max(threshold, spec, tau_g, b2_gate)
+    total = dephasing_exponent(tau_g, spec._replace(eta=0.25))  # B2(tau_g)/(4 eta), free of eta
+    b2_gate = bath._finite(4.0 * spec.eta * total, "B2", tau_g, spec)
+    d_at_gate, eta_max = max_decoherence(b2_gate), _eta_max(threshold, total)
     rate, relax = _relaxation_window(threshold, spec, e_j, tau_g)
     try:
         tau, d_end = low_decoherence_time(threshold, spec, t_max), None

@@ -404,8 +404,9 @@ class TestTldCommand:
         assert report["no_crossing"] is True
         assert report["tau_ld_units"] is None
         assert report["d_at_t_max"] == 0.0
-        # B2 is 0 at the configured eta = 0, which gives no eta budget
-        assert report["budget"] == {"eta_max": None}
+        # B2 is 0 at the configured eta = 0, but the budget is read off the
+        # eta-free B2(tau_g): the default run's, where it used to be null
+        assert report["budget"] == {"eta_max": 3.604201689225632e-05}
 
     def test_eta_budget(self, tmp_path):
         # a no crossing report carries the same budget, which does not need tau_ld
@@ -922,6 +923,18 @@ class TestExitCodes:
                                  "JSON compliant")
         assert not out.exists()
 
+    def test_uncoupled_bath_whose_b2_is_not_a_double_exits_one(self, tmp_path, capsys):
+        # the eta-free B2(tau_g) overflows at 1e305 mK; at eta = 0, which skipped
+        # it, tld used to exit 2, where every eta > 0 exits 1
+        out = tmp_path / "t.json"
+        for eta in ("0", "1e-6"):
+            argv = ["tld", "--eta", eta, "--temp-mk", "1e305", "--ej", "1e-4", "--out", str(out)]
+            assert main(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["error: B2 is not finite in double precision at s=1.0, "
+                           "omega_c=200.0, t=10000.0"]
+            assert not out.exists()
+
     def test_unrepresentable_bath_exits_one(self, tmp_path, capsys):
         # omega_c^(s-1) = 1e316 overflows a double; the run ends with one
         # error line, not a traceback
@@ -1437,11 +1450,11 @@ class TestTracedNames:
             "    print(command, sorted(calls.items()))\n"
         )
         # curve: B2 at each of its 400 points, and no C, which cancels from
-        # every qubit quantity; tld: B2 at the gate, one for the eta-free
-        # total of the eta budget and 63 probes of the root find, all through
-        # decoq.evolution
+        # every qubit quantity; tld: the eta-free total of B2 at the gate,
+        # which d_at_gate and the eta budget share, and 63 probes of the root
+        # find, all through decoq.evolution
         assert run_python(script).splitlines() == [
             "curve [('cli.dephasing_exponent', 400)]",
-            "tld [('evolution.dephasing_exponent', 65)]",
+            "tld [('evolution.dephasing_exponent', 64)]",
             "verify [('cli.dephasing_exponent', 1), ('cli.error_scaling', 1)]",
         ]

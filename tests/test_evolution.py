@@ -771,6 +771,46 @@ class TestIdleWindow:
         spec = BathSpec(eta=1e-6, omega_c=200.0, beta=temperature_to_beta(30.0))
         assert eta_max_checked(1e-4, spec, E_J) == 3.604201689225632e-05
 
+    def test_b2_at_the_gate_is_taken_once(self):
+        # d_at_gate and the eta budget read one eta-free total, B2(tau_g) at
+        # eta = 1/4; B2 at the configured eta was a second call at tau_g
+        import decoq.evolution
+
+        spec = BathSpec(eta=1e-6, omega_c=200.0, beta=temperature_to_beta(30.0))
+        with mock.patch.object(decoq.evolution, "dephasing_exponent",
+                               wraps=dephasing_exponent) as kernel:
+            window = idle_window(1e-4, spec, E_J, 10.0)
+        at_gate = [call.args for call in kernel.call_args_list if call.args[0] == 1.0 / E_J]
+        assert at_gate == [(1.0 / E_J, spec._replace(eta=0.25))]
+        assert window.d_at_gate == max_decoherence(dephasing_exponent(1.0 / E_J, spec))
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.floats(1.0, 6.0), temp_mk=st.floats(1.0, 300.0), omega_c=st.floats(50.0, 1e4),
+           log_eta=st.floats(-9.0, -4.0), threshold=st.floats(1e-6, 1e-2))
+    def test_eta_budget_does_not_depend_on_eta(self, s, temp_mk, omega_c, log_eta, threshold):
+        # the budget is read off the eta-free total, so eta = 0 and a subnormal
+        # eta, whose B2(tau_g) is 0, get it too; both used to get None
+        spec = BathSpec(eta=10.0**log_eta, omega_c=omega_c, beta=temperature_to_beta(temp_mk), s=s)
+        budget = eta_max_checked(threshold, spec, E_J)
+        t_max = on_the_rise(10.0, spec)
+        for eta in (0.0, 5e-324):
+            window = idle_window(threshold, spec._replace(eta=eta), E_J, t_max)
+            assert window.eta_max == budget
+            assert window.d_at_gate == max_decoherence(dephasing_exponent(1.0 / E_J,
+                                                                          spec._replace(eta=eta)))
+
+    def test_eta_budget_where_b2_at_the_gate_underflows(self):
+        # 4 eta total underflows to 0 at this eta, though the total is 3.8e-316
+        # and the budget a double; it used to be None
+        spec = BathSpec(eta=2.3861844862539033e-12, omega_c=5.469694028818243e-79,
+                        beta=temperature_to_beta(6.555688239812569e-98), s=3.0)
+        threshold, e_j = 1.2387306120243032e-08, 26.507446227612625
+        assert dephasing_exponent(1.0 / e_j, spec) == 0.0
+        eta = idle_window(threshold, spec, e_j, 10.0).eta_max
+        assert eta == 1.620724777000946e+307
+        d = lambda e: max_decoherence(dephasing_exponent(1.0 / e_j, spec._replace(eta=e)))  # noqa: E731
+        assert d(eta) >= threshold > d(math.nextafter(eta, 0.0))
+
     @pytest.mark.parametrize("eta", [1e-309, 1e-311, 5e-324])
     def test_eta_budget_of_a_subnormal_eta_takes_few_probes(self, monkeypatch, eta):
         # eta L and B2(tau_g) are subnormal, and a guess formed from them was
@@ -807,8 +847,8 @@ class TestIdleWindow:
            threshold=st.floats(0.49, math.nextafter(0.5, 0.0)))
     def test_eta_budget_near_one_half_takes_one_b2_call(self, s, temp_mk, omega_c, log_eta,
                                                          threshold):
-        # the budget's one B2 call is the eta-free total at tau_g; every other
-        # call is at the configured bath
+        # the one B2 call at tau_g is the eta-free total that d_at_gate and the
+        # budget share; every other call is at the configured bath
         import decoq.evolution
 
         spec = BathSpec(eta=10.0**log_eta, omega_c=omega_c, beta=temperature_to_beta(temp_mk), s=s)
