@@ -788,8 +788,8 @@ class TestIdleWindow:
     @given(s=st.floats(1.0, 6.0), temp_mk=st.floats(1.0, 300.0), omega_c=st.floats(50.0, 1e4),
            log_eta=st.floats(-9.0, -4.0), threshold=st.floats(1e-6, 1e-2))
     def test_eta_budget_does_not_depend_on_eta(self, s, temp_mk, omega_c, log_eta, threshold):
-        # the budget is read off the eta-free total, so eta = 0 and a subnormal
-        # eta, whose B2(tau_g) is 0, get it too; both used to get None
+        # the budget is read off the eta-free total, so eta = 0, whose B2(tau_g)
+        # is 0 and whose budget used to be None, and a subnormal eta get it too
         spec = BathSpec(eta=10.0**log_eta, omega_c=omega_c, beta=temperature_to_beta(temp_mk), s=s)
         budget = eta_max_checked(threshold, spec, E_J)
         t_max = on_the_rise(10.0, spec)
