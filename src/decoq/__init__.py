@@ -8,6 +8,8 @@ for validation, and a small command line front end.
 
 Every public name is imported from its module on first access (PEP 562),
 so `import decoq` loads no submodule and a launch compiles only what it runs.
+verify's references and C(t) are not public names: import them from
+`states`, `bath` and `discrete`.
 """
 
 import importlib
@@ -49,19 +51,13 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
 # submodule -> the public names it defines; a submodule name is not in it,
 # so `from decoq import oracle` falls back to importing decoq.oracle
 _EXPORTS = {
-    ".bath": ("BathSpec", "dephasing_exponent", "phase_shift"),
-    ".discrete": (
-        "DiscreteBath", "dephasing_exponent_modes", "discretize_bath", "phase_shift_modes",
-    ),
+    ".bath": ("BathSpec", "dephasing_exponent"),
+    ".discrete": ("DiscreteBath", "dephasing_exponent_modes", "discretize_bath"),
     ".evolution": (
         "COMPUTATIONAL", "EIGENBASIS", "IdleWindow", "NoCrossingError", "idle_window",
         "low_decoherence_time", "max_decoherence", "pure_state_norm",
     ),
-    ".states": (
-        "DeviationOperator", "QubitState", "basis_change", "bloch_supremum_scan", "deviation",
-        "deviation_norm", "deviation_norm_closed_form", "evolve_ideal", "evolve_real",
-        "evolve_real_influence_sum", "pure_state", "random_density_matrix",
-    ),
+    ".states": ("QubitState", "basis_change", "evolve_real", "pure_state"),
     ".oracle": (
         "CompositeSystem", "DimensionCapError", "ErrorScalingResult", "SplitComparison",
         "TruncatedBathMode", "error_scaling", "evolve_exact", "evolve_split", "gate_unitary",

@@ -22,6 +22,7 @@ from .bath import BathSpec, _check_phase, _record, _validate_beta, _validate_tim
 # modes per block of every loop over a whole bath: 64 kB per float64 array,
 # which bounds the temporaries of a check, a fill or a mode sum
 _BLOCK = 8192
+_NORMAL_MIN = np.finfo(float).tiny
 
 
 def _blocks(*arrays):
@@ -109,13 +110,25 @@ def dephasing_exponent_modes(t: float, bath: DiscreteBath, beta: float) -> float
     """Discrete-mode dephasing exponent.
 
     B2(t) = 8 * sum_k g_k^2/omega_k^2 * sin^2(omega_k t/2) * coth(beta omega_k/2)
+
+    A mode whose omega_k^2 is not a normal double, where g_k^2/omega_k^2 overflows
+    or loses digits, takes its term as 2 g_k^2 t^2 (sin h/h)^2 coth, h = omega_k t/2.
     """
     _validate_time(t)
     _validate_beta(beta)
     _check_phase("omega", float(np.max(bath.omegas)), t)
 
     def terms(w, g2):
-        return 8.0 * g2 / w**2 * np.sin(0.5 * w * t) ** 2 * (1.0 / np.tanh(0.5 * beta * w))
+        w_sq = w**2
+        tiny = w_sq < _NORMAL_MIN
+        if not tiny.any():
+            return 8.0 * g2 / w_sq * np.sin(0.5 * w * t) ** 2 * (1.0 / np.tanh(0.5 * beta * w))
+        out = np.empty_like(w)
+        out[~tiny] = terms(w[~tiny], g2[~tiny])
+        h = 0.5 * w[tiny] * t
+        x = t * np.divide(np.sin(h), h, out=np.ones_like(h), where=h != 0.0)  # t at h = 0
+        out[tiny] = 2.0 * g2[tiny] * x * x * (1.0 / np.tanh(0.5 * beta * w[tiny]))
+        return out
 
     with np.errstate(over="ignore"):  # a beta w past the largest double is coth = 1
         return _block_sum(terms, *bath)

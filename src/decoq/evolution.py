@@ -8,9 +8,9 @@ threshold, and the idle gate's answer (`idle_window`), on the math module
 alone: curve, tld and sweep run on it.  B2 is checked in `bath` (inf
 allowed); t, E_J, the threshold and t_max are checked here, for all.
 
-The density-matrix records and numpy maps (QubitState, DeviationOperator,
-evolve_real, ...) live in `states`; QubitState is still importable from
-here and loads it on first use.
+The density-matrix record and numpy maps (QubitState, evolve_real, ...)
+live in `states`; QubitState is still importable from here and loads it
+on first use.
 """
 
 import functools

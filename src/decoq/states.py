@@ -17,12 +17,14 @@ full dephasing.  For a real initial coherence the familiar compact form
 expression above is the one that agrees with exact diagonalization for
 complex coherences.
 
-The records and maps here are what verify, the oracle and the Python API
-use; curve, tld and sweep run on the float path of `evolution` and never
-load this module.  A record keeps its matrix as a read-only numpy array,
-but the checks and maps work on the four entries as Python numbers and in
-closed form: the smallest eigenvalue of a 2x2 hermitian matrix is
-(rho_00 + rho_11)/2 - hypot((rho_00 - rho_11)/2, |rho_10|).
+QubitState, the one validated record, and the maps here are what verify,
+the oracle and the Python API use; curve, tld and sweep never load this
+module.  verify's references (the influence sum, the Bloch scan, random
+states and the deviation sigma = rho - rho_ideal, a read-only array) are
+not `decoq` public names.  A QubitState keeps its matrix as a read-only
+numpy array, but the checks and maps work on the four entries as Python
+numbers and in closed form: the smallest eigenvalue of a 2x2 hermitian
+matrix is (rho_00 + rho_11)/2 - hypot((rho_00 - rho_11)/2, |rho_10|).
 """
 
 import cmath
@@ -47,68 +49,50 @@ POSITIVITY_TOL = -1e-10
 BLOCH_GRID = 200
 
 
-def _checked(matrix, basis: str, density: bool) -> np.ndarray:
-    """The exact part of matrix as a read-only 2x2 complex array, once matrix passes its checks.
-
-    Both records must be finite, hermitian and in a known basis; a density
-    matrix must have trace 1 and be positive, a deviation operator trace 0.
-    The part kept is the hermitian part with the trace set to that target,
-    so a record passes the same checks after a basis change or a
-    difference; an exactly hermitian matrix of that trace is kept as given.
-    """
-    what = "density matrix" if density else "deviation operator"
-    target = 1.0 if density else 0.0
-    m = np.array(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"{what} must be 2x2, got {'shape ' if density else ''}{m.shape}")
-    (r00, r01), (r10, r11) = m.tolist()
-    # every comparison with nan is false, so the checks below would pass it
-    if not all(map(cmath.isfinite, (r00, r01, r10, r11))):
-        raise ValueError(f"{what} has a non-finite entry")
-    if basis not in _BASES:
-        raise ValueError(f"basis must be one of {_BASES}, got {basis!r}")
-    # the largest entry of |m - m^dagger|; hypot is inf where complex abs would overflow
-    skew = max(2.0 * abs(r00.imag), math.hypot(r01.real - r10.real, r01.imag + r10.imag),
-               2.0 * abs(r11.imag))
-    if skew > HERMITICITY_TOL:
-        raise ValueError(f"{what} is not hermitian within tolerance")
-    trace = r00 + r11
-    if abs(trace - target) > TRACE_TOL:
-        raise ValueError(f"trace must be 1, got {trace}" if density
-                         else "deviation operator must be traceless")
-    # the smallest eigenvalue of the lower triangle, the part eigvalsh reads
-    if density and (0.5 * (r00.real + r11.real)
-                    - math.hypot(0.5 * (r00.real - r11.real), r10.real, r10.imag)
-                    < POSITIVITY_TOL):
-        raise ValueError("density matrix has a significantly negative eigenvalue")
-    if skew or trace != target:
-        # the trace error shared out, then the smaller diagonal entry set to target minus
-        # the larger, which sums back to target exactly
-        half = 0.5 * (trace.real - target)
-        d0, d1 = r00.real - half, r11.real - half
-        d0, d1 = (d0, target - d0) if d0 >= d1 else (target - d1, d1)
-        r10 += 0.5 * (r01.conjugate() - r10)
-        m = np.array(((d0, r10.conjugate()), (r10, d1)))
-    m.setflags(write=False)
-    return m
-
-
 class QubitState(_record("QubitState", "rho basis")):
-    """Validated 2x2 density matrix with an explicit basis tag."""
+    """Validated 2x2 density matrix with an explicit basis tag.
+
+    The matrix must be finite, hermitian, of trace 1, positive and in a
+    known basis.  rho is its exact part as a read-only complex array: the
+    hermitian part with the trace set to 1, so a state passes the same
+    checks after a basis change; an exactly hermitian matrix of trace 1 is
+    kept as given.
+    """
 
     __slots__ = ()
 
     def __new__(cls, rho, basis: str = EIGENBASIS):
-        return super().__new__(cls, _checked(rho, basis, density=True), basis)
-
-
-class DeviationOperator(_record("DeviationOperator", "sigma basis")):
-    """Traceless hermitian difference between actual and ideal states."""
-
-    __slots__ = ()
-
-    def __new__(cls, sigma, basis: str = EIGENBASIS):
-        return super().__new__(cls, _checked(sigma, basis, density=False), basis)
+        m = np.array(rho, dtype=complex)
+        if m.shape != (2, 2):
+            raise ValueError(f"density matrix must be 2x2, got shape {m.shape}")
+        (r00, r01), (r10, r11) = m.tolist()
+        # every comparison with nan is false, so the checks below would pass it
+        if not all(map(cmath.isfinite, (r00, r01, r10, r11))):
+            raise ValueError("density matrix has a non-finite entry")
+        if basis not in _BASES:
+            raise ValueError(f"basis must be one of {_BASES}, got {basis!r}")
+        # the largest entry of |m - m^dagger|; hypot is inf where complex abs would overflow
+        skew = max(2.0 * abs(r00.imag), math.hypot(r01.real - r10.real, r01.imag + r10.imag),
+                   2.0 * abs(r11.imag))
+        if skew > HERMITICITY_TOL:
+            raise ValueError("density matrix is not hermitian within tolerance")
+        trace = r00 + r11
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace must be 1, got {trace}")
+        # the smallest eigenvalue of the lower triangle, the part eigvalsh reads
+        if (0.5 * (r00.real + r11.real)
+                - math.hypot(0.5 * (r00.real - r11.real), r10.real, r10.imag) < POSITIVITY_TOL):
+            raise ValueError("density matrix has a significantly negative eigenvalue")
+        if skew or trace != 1.0:
+            # the trace error shared out, then the smaller diagonal entry set to 1 minus
+            # the larger, which sums back to 1 exactly
+            half = 0.5 * (trace.real - 1.0)
+            d0, d1 = r00.real - half, r11.real - half
+            d0, d1 = (d0, 1.0 - d0) if d0 >= d1 else (1.0 - d1, d1)
+            r10 += 0.5 * (r01.conjugate() - r10)
+            m = np.array(((d0, r10.conjugate()), (r10, d1)))
+        m.setflags(write=False)
+        return super().__new__(cls, m, basis)
 
 
 def basis_change(state: QubitState) -> QubitState:
@@ -188,17 +172,18 @@ def evolve_real_influence_sum(
     return QubitState(out, EIGENBASIS)
 
 
-def deviation(state: QubitState, ideal: QubitState) -> DeviationOperator:
-    """Elementwise difference sigma = rho - rho_ideal (same basis required)."""
+def deviation(state: QubitState, ideal: QubitState) -> np.ndarray:
+    """rho - rho_ideal of two states in one basis, a read-only array traceless to an ulp."""
     if state.basis != ideal.basis:
         raise ValueError("deviation requires both states in the same basis")
-    return DeviationOperator(state.rho - ideal.rho, state.basis)
+    sigma = state.rho - ideal.rho
+    sigma.setflags(write=False)
+    return sigma
 
 
-def deviation_norm(dev: DeviationOperator) -> float:
+def deviation_norm(sigma: np.ndarray) -> float:
     """Largest-magnitude eigenvalue of sigma: sqrt(sigma_11^2 + |sigma_10|^2)."""
-    s = dev.sigma
-    return float(math.hypot(s[1, 1].real, abs(s[1, 0])))
+    return float(math.hypot(sigma[1, 1].real, abs(sigma[1, 0])))
 
 
 def deviation_norm_closed_form(

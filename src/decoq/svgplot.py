@@ -39,7 +39,7 @@ def _data_range(values, decades: bool) -> tuple[float, float]:
     if not merged:
         raise ValueError("no finite data to plot")
     lo, hi = min(merged), max(merged)
-    if lo == hi:
+    if hi / 2 - lo / 2 == 0.0:  # lo == hi, or one subnormal ulp apart: _pixels divides by it
         # half a decade on a log axis; on a linear one 5% of |lo|, or 0.5
         # where that rounds to 0 (lo subnormal), kept to finite ends
         pad = 0.5 if decades else (0.05 * abs(lo) or 0.5)

@@ -1,9 +1,10 @@
 #!/bin/sh
-# curve (linear and --log-y), tld, sweep and --version run on the standard
-# library alone and must write byte-identical files under python3.10 and
-# python3.11, which must both be on PATH.  Every launch must exit 0 but the s = 3 tld, the no crossing
-# that the bound past t_rise proves (exit 2); a launch that fails names its
-# interpreter and fails the script.  Prints "same" when the files agree.
+# curve (linear, --log-y and on a subnormal time span), tld, sweep and
+# --version run on the standard library alone and must write byte-identical
+# files under python3.10 and python3.11, which must both be on PATH.  Every
+# launch must exit 0 but the s = 3 tld, the no crossing that the bound past
+# t_rise proves (exit 2); a launch that fails names its interpreter and fails
+# the script.  Prints "same" when the files agree.
 root=$(cd "$(dirname "$0")/.." && pwd)
 d=$(mktemp -d)
 trap 'rm -rf "$d"' EXIT
@@ -19,6 +20,7 @@ for py in python3.10 python3.11; do
             $py -m decoq.cli $c --out "${c%% *}" > /dev/null || exit
         done &&
         $py -m decoq.cli curve --log-y --out curve-log-y > /dev/null &&
+        $py -m decoq.cli curve --samples 3 --t-max 5e-324 --out curve-subnormal > /dev/null &&
         { $py -m decoq.cli tld --config s3-bound.cfg --out tld-s3-bound > /dev/null || [ $? = 2 ]; }
     ) || { echo "a launch failed under $py"; ok=0; }
 done

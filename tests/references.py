@@ -406,21 +406,18 @@ def dense_reference(system, state, beta, t, split):
 # ---------------------------------------------------------------- states
 
 
-def reference_verdict(m: np.ndarray, density: bool):
-    """The check that rejects m as the numpy records did, or None if they accepted it.
+def reference_verdict(m: np.ndarray):
+    """The check that rejects m as the numpy state record did, or None if it accepted it.
 
     From decoq: the tolerance constants HERMITICITY_TOL, TRACE_TOL and POSITIVITY_TOL.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             return "hermitian"
-        if density:
-            if abs(np.trace(m) - 1.0) > TRACE_TOL:
-                return "trace"
-            if np.min(np.linalg.eigvalsh(m)) < POSITIVITY_TOL:
-                return "positive"
-        elif abs(np.trace(m)) > TRACE_TOL:
+        if abs(np.trace(m) - 1.0) > TRACE_TOL:
             return "trace"
+        if np.min(np.linalg.eigvalsh(m)) < POSITIVITY_TOL:
+            return "positive"
     return None
 
 

@@ -1,10 +1,11 @@
 import math
+import sys
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from decoq.bath import (
     C_SERIES_U,
@@ -744,6 +745,53 @@ class TestDiscreteBath:
         assert abs(b2 - ref) <= 3 * 2.23e-16 * ref
         if x >= 20.0:  # tanh(x) rounds to 1, so coth is 1 as at beta = inf
             assert b2 == dephasing_exponent_modes(t, bath, math.inf)
+
+    # the cases where 8 g^2/omega^2 overflowed (inf), went 0/0 (nan, with two
+    # numpy warnings) or lost its digits, and the least positive double
+    @pytest.mark.parametrize("omega,g_sq", [(1e-158, 0.01), (1e-162, 0.01), (1.3e-160, 1e-20),
+                                            (5e-324, 0.01)])
+    def test_tiny_frequencies_at_zero_temperature(self, omega, g_sq):
+        bath = DiscreteBath([omega], [g_sq])
+        b2 = dephasing_exponent_modes(0.3, bath, math.inf)
+        assert b2 == pytest.approx(mpmath_modes_b2(0.3, bath, math.inf), rel=1e-13, abs=0.0)
+        assert b2 == pytest.approx(2.0 * g_sq * 0.3**2, rel=1e-15, abs=0.0)
+        # in one block with modes whose omega^2 is normal
+        bath = DiscreteBath([1.0, omega, 3.0], [0.1, g_sq, 0.2])
+        assert dephasing_exponent_modes(0.3, bath, math.inf) == pytest.approx(
+            mpmath_modes_b2(0.3, bath, math.inf), rel=1e-13, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_omega=st.floats(-323.3, -154.0), log_g_sq=st.floats(-30.0, 2.0),
+           log_t=st.floats(-3.0, 160.0), log_beta=st.one_of(st.just(math.inf),
+                                                            st.floats(-5.0, 300.0)))
+    @example(log_omega=-323.3, log_g_sq=-2.0, log_t=-0.5, log_beta=math.inf)
+    @example(log_omega=-154.0, log_g_sq=0.0, log_t=154.5, log_beta=math.inf)  # h = 1.58
+    def test_tiny_frequencies_match_mpmath(self, log_omega, log_g_sq, log_t, log_beta):
+        # where omega^2 is not a normal double the term is 2 g^2 t^2 (sin h/h)^2 coth,
+        # h = omega t/2, up to a phase sin is well conditioned at; at a finite beta,
+        # beta omega/2 is a normal double
+        omega, t, beta = 10.0**log_omega, 10.0**log_t, 10.0**log_beta
+        assume(omega * t <= 10.0)
+        assume(beta == math.inf or 0.5 * beta * omega >= sys.float_info.min)
+        bath = DiscreteBath([omega], [10.0**log_g_sq])
+        ref = mpmath_modes_b2(t, bath, beta)
+        assume(ref < 1e300)
+        assert dephasing_exponent_modes(t, bath, beta) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [math.inf, BETA_30MK, 1e-3])
+    def test_normal_frequencies_keep_their_expression(self, beta):
+        # wherever omega^2 is a normal double, the term is 8 g^2/omega^2 sin^2 coth as before,
+        # bit for bit, down to the least omega whose square is normal
+        least = math.sqrt(sys.float_info.min)
+        while least * least < sys.float_info.min:
+            least = math.nextafter(least, math.inf)
+        w = np.array([least, 1e-100, 0.5, 3.0, 200.0, 5e3])
+        g2 = np.array([1e-300, 1e-190, 0.1, 0.2, 1e-3, 1e-6])
+        for t in (1e-3, 0.3, 20.0):
+            with np.errstate(over="ignore"):
+                want = float(np.sum(8.0 * g2 / w**2 * np.sin(0.5 * w * t) ** 2
+                                    * (1.0 / np.tanh(0.5 * beta * w))))
+            assert dephasing_exponent_modes(t, DiscreteBath(w, g2), beta) == want
 
     @settings(max_examples=50, deadline=None)
     @given(s=st.floats(1.0, 6.0), log_eta=st.floats(-9.0, -2.0), log_omega_c=st.floats(0.0, 4.0),

@@ -1288,21 +1288,27 @@ class TestLazyImport:
 # thermal_bath_state, which moved into the oracle tests as a dense reference,
 # and the oracle's truncation warning, which went when it began to hold the
 # bath, plus idle_window and its record, the answer tld writes, less coth,
-# spectral_density and influence_exponent, each folded into its one caller
+# spectral_density and influence_exponent, each folded into its one caller,
+# less DeviationOperator, which went, and REFERENCE_NAMES
 PUBLIC_NAMES = [
-    "BathSpec", "COMPUTATIONAL", "CompositeSystem",
-    "DeviationOperator", "DimensionCapError", "DiscreteBath", "EIGENBASIS",
-    "ErrorScalingResult", "HBAR_UEV_S", "IdleWindow", "KB_UEV_PER_K", "NoCrossingError",
-    "QubitState",
-    "SplitComparison", "TIME_UNIT_S", "TruncatedBathMode", "basis_change",
-    "bloch_supremum_scan", "dephasing_exponent", "dephasing_exponent_modes",
-    "deviation", "deviation_norm", "deviation_norm_closed_form", "discretize_bath",
-    "error_scaling", "evolve_exact", "evolve_ideal", "evolve_real",
-    "evolve_real_influence_sum", "evolve_split", "gate_unitary", "idle_window",
-    "low_decoherence_time", "max_decoherence", "phase_shift", "phase_shift_modes",
-    "pure_state", "pure_state_norm", "random_density_matrix",
-    "split_vs_closed_form", "temperature_to_beta",
+    "BathSpec", "COMPUTATIONAL", "CompositeSystem", "DimensionCapError", "DiscreteBath",
+    "EIGENBASIS", "ErrorScalingResult", "HBAR_UEV_S", "IdleWindow", "KB_UEV_PER_K",
+    "NoCrossingError", "QubitState", "SplitComparison", "TIME_UNIT_S", "TruncatedBathMode",
+    "basis_change", "dephasing_exponent", "dephasing_exponent_modes", "discretize_bath",
+    "error_scaling", "evolve_exact", "evolve_real", "evolve_split", "gate_unitary",
+    "idle_window", "low_decoherence_time", "max_decoherence", "pure_state",
+    "pure_state_norm", "split_vs_closed_form", "temperature_to_beta",
 ]
+
+# verify's references and C(t): importable from their modules, not from decoq
+REFERENCE_NAMES = {
+    "decoq.bath": ["phase_shift"],
+    "decoq.discrete": ["phase_shift_modes"],
+    "decoq.states": [
+        "bloch_supremum_scan", "deviation", "deviation_norm", "deviation_norm_closed_form",
+        "evolve_ideal", "evolve_real_influence_sum", "random_density_matrix",
+    ],
+}
 
 # the names decoq.evolution defines, and the one record it takes from
 # decoq.states, which the benchmark's oracle job reads there
@@ -1326,6 +1332,20 @@ class TestPublicNames:
         namespace = {}
         exec("from decoq import *", namespace)
         assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+    def test_references_live_in_their_modules_alone(self):
+        import decoq
+
+        namespace = {}
+        exec("from decoq import *", namespace)
+        for module, names in REFERENCE_NAMES.items():
+            home = importlib.import_module(module)
+            for name in names:
+                assert getattr(home, name).__module__ == module, name
+                assert name not in namespace and name not in decoq.__all__, name
+                with pytest.raises(AttributeError, match=name):
+                    getattr(decoq, name)
+        assert not hasattr(importlib.import_module("decoq.states"), "DeviationOperator")
 
     def test_names_resolve_in_a_fresh_interpreter(self):
         # each lookup is the first one, so it goes through a module __getattr__;

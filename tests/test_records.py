@@ -4,7 +4,7 @@ import pytest
 
 from decoq.bath import BathSpec
 from decoq.discrete import DiscreteBath
-from decoq.states import DeviationOperator, QubitState
+from decoq.states import QubitState
 from decoq.oracle import CompositeSystem, TruncatedBathMode
 
 MODE = TruncatedBathMode(omega=8.0, g=0.5, n_fock=4)
@@ -17,8 +17,6 @@ RECORDS = [
      "omegas", [-2.0, 1.0], ValueError),
     (QubitState, dict(rho=[[1.0, 0.0], [0.0, 0.0]], basis="eigenbasis"),
      "basis", "bloch", ValueError),
-    (DeviationOperator, dict(sigma=[[0.1, 0.0], [0.0, -0.1]], basis="eigenbasis"),
-     "sigma", [[0.1, 0.0], [0.0, 0.1]], ValueError),
     (TruncatedBathMode, dict(omega=8.0, g=0.5, n_fock=4),
      "n_fock", 8.5, TypeError),
     (CompositeSystem, dict(e_j=1.0, modes=(MODE,)),

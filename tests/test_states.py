@@ -17,7 +17,6 @@ from decoq.states import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
     TRACE_TOL,
-    DeviationOperator,
     QubitState,
     bloch_supremum_scan,
     evolve_real,
@@ -44,10 +43,10 @@ MESSAGES = {
 }
 
 
-def verdict(m: np.ndarray, density: bool):
-    """The check that rejects m now, or None if the record accepts it."""
+def verdict(m: np.ndarray):
+    """The check that rejects m now, or None if QubitState accepts it."""
     try:
-        (QubitState if density else DeviationOperator)(m)
+        QubitState(m)
     except ValueError as exc:
         return next(check for check, text in MESSAGES.items() if text in str(exc))
     return None
@@ -73,7 +72,7 @@ ulps = st.integers(-8, 8)
 @st.composite
 def matrices(draw):
     """2x2 complex matrices, many of them a few ulp from one tolerance."""
-    kind = draw(st.sampled_from(["any", "state", "hermitian", "trace", "positive", "deviation"]))
+    kind = draw(st.sampled_from(["any", "state", "hermitian", "trace", "positive"]))
     if kind == "any":
         entries = st.complex_numbers(allow_nan=False, allow_infinity=False)
         return np.array([[draw(entries), draw(entries)], [draw(entries), draw(entries)]])
@@ -91,9 +90,6 @@ def matrices(draw):
         m[1, 1] += TRACE_TOL + k * math.ulp(1.0)
     elif kind == "positive":
         m = density(POSITIVITY_TOL + k * math.ulp(0.5), draw(angles), draw(angles))
-    elif kind == "deviation":
-        m = m - density(draw(unit), draw(angles), draw(angles))
-        m[0, 0] += draw(st.sampled_from([0.0, TRACE_TOL, -TRACE_TOL])) + k * math.ulp(1.0)
     return m
 
 
@@ -107,18 +103,17 @@ class TestValidator:
                          [4.6473909472258521e-12 + 2.514712063996229e-12j,
                           4.9598599705599755e-01]]))
     def test_accepts_and_rejects_as_numpy_did(self, m):
-        for is_density in (True, False):
-            want, got = reference_verdict(m, is_density), verdict(m, is_density)
-            if "hermitian" in {got, want} and got != want:
-                # the skew is not computed as numpy computes it either
-                skew = float(np.max(np.abs(m - m.conj().T)))
-                assert abs(skew - HERMITICITY_TOL) <= SKEW_SLACK, m
-            elif got != want:
-                # only the eigenvalue is not computed as before, and only
-                # within rounding of the tolerance may its verdict differ
-                assert {got, want} == {"positive", None}
-                lowest = float(np.min(np.linalg.eigvalsh(m)))
-                assert abs(lowest - POSITIVITY_TOL) <= POSITIVITY_SLACK, m
+        want, got = reference_verdict(m), verdict(m)
+        if "hermitian" in {got, want} and got != want:
+            # the skew is not computed as numpy computes it either
+            skew = float(np.max(np.abs(m - m.conj().T)))
+            assert abs(skew - HERMITICITY_TOL) <= SKEW_SLACK, m
+        elif got != want:
+            # only the eigenvalue is not computed as before, and only
+            # within rounding of the tolerance may its verdict differ
+            assert {got, want} == {"positive", None}
+            lowest = float(np.min(np.linalg.eigvalsh(m)))
+            assert abs(lowest - POSITIVITY_TOL) <= POSITIVITY_SLACK, m
 
     # two of the states a grid search over `density` found where eigvalsh
     # and the closed form fall on opposite sides of POSITIVITY_TOL: weight,
@@ -135,7 +130,7 @@ class TestValidator:
         lowest = float(np.min(np.linalg.eigvalsh(m)))
         assert (lowest >= POSITIVITY_TOL) != accepted
         assert abs(lowest - POSITIVITY_TOL) <= POSITIVITY_SLACK
-        assert (verdict(m, True) is None) == accepted
+        assert (verdict(m) is None) == accepted
 
     def test_states_are_built_without_lapack(self, monkeypatch, rng):
         def refuse(*args, **kwargs):

@@ -1,7 +1,10 @@
 import math
+import os
 import re
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decoq.svgplot import write_svg
 
@@ -53,6 +56,56 @@ def test_write_svg_pads_a_single_subnormal_value(tmp_path):
         assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == ticks
         assert re.findall(r'text-anchor="middle">([^<]*)</text>', svg)[:5] == ticks
         assert len(re.findall(r"<circle ", svg)) == 1
+
+
+@pytest.mark.parametrize("log_y", [False, True], ids=["linear", "log_y"])
+@pytest.mark.parametrize("mode", ["line", "points"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_write_svg_pads_a_span_of_one_subnormal_ulp(tmp_path, axis, mode, log_y):
+    # lo != hi, but hi/2 - lo/2 rounds to 0, which _pixels divided by
+    # (curve --t-max 5e-324 raised ZeroDivisionError); the axis is padded as
+    # a single value is, so a linear one spans [-0.5, 0.5]
+    path = tmp_path / "plot.svg"
+    tiny, other = [0.0, 0.0, 5e-324], [1.0, 2.0, 4.0]  # the samples of that curve
+    x, y = (tiny, other) if axis == "x" else (other, tiny)
+    write_svg(path, [("D", x, y, mode)], title="t", xlabel="x", ylabel="y", log_y=log_y)
+    svg = path.read_text()
+    assert "nan" not in svg and "inf" not in svg
+    ticks = ["-0.5", "-0.25", "0", "0.25", "0.5"]
+    if axis == "x":
+        assert re.findall(r'text-anchor="middle">([^<]*)</text>', svg)[:5] == ticks
+    elif not log_y:
+        assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == ticks
+    # on a log axis 0 is not drawn, which leaves one y sample: a marker but no line
+    one_sample = axis == "y" and log_y
+    assert svg.count("<circle ") >= (mode == "points")
+    assert svg.count("<polyline ") == (mode == "line" and not one_sample)
+
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-323, sys.float_info.min, 1.0, sys.float_info.max,
+            -sys.float_info.max, math.inf, -math.inf, math.nan]
+samples = st.lists(st.one_of(st.sampled_from(EXTREMES), st.floats()), max_size=6)
+
+
+@st.composite
+def plots(draw):
+    """1 to 3 series of extreme, infinite and nan samples, each x as long as its y."""
+    series = []
+    for i in range(draw(st.integers(1, 3))):
+        ys = draw(samples)
+        xs = draw(st.lists(st.one_of(st.sampled_from(EXTREMES), st.floats()),
+                           min_size=len(ys), max_size=len(ys)))
+        series.append((f"s{i}", xs, ys, draw(st.sampled_from(["line", "points"]))))
+    return series
+
+
+@settings(max_examples=500, deadline=None)
+@given(series=plots(), log_y=st.booleans())
+def test_write_svg_raises_nothing_but_value_error(series, log_y):
+    try:
+        write_svg(os.devnull, series, title="t", xlabel="x", ylabel="y", log_y=log_y)
+    except ValueError as exc:
+        assert "no finite data to plot" in str(exc)
 
 
 def _to_pixels(svg, xs, ys, x_range, y_range, log_y):
