@@ -107,28 +107,27 @@ def discretize_bath(spec: BathSpec, n_modes: int, omega_max: float) -> DiscreteB
 
 
 def dephasing_exponent_modes(t: float, bath: DiscreteBath, beta: float) -> float:
-    """Discrete-mode dephasing exponent.
+    """Discrete-mode dephasing exponent, in one form for every mode.
 
-    B2(t) = 8 * sum_k g_k^2/omega_k^2 * sin^2(omega_k t/2) * coth(beta omega_k/2)
-
-    A mode whose omega_k^2 is not a normal double, where g_k^2/omega_k^2 overflows
-    or loses digits, takes its term as 2 g_k^2 t^2 (sin h/h)^2 coth, h = omega_k t/2.
+    B2(t) = 8 * sum_k g_k^2 s_k^2 coth(beta omega_k/2), s_k = sin(omega_k t/2)/omega_k,
+    with s_k = t/2 where omega_k t/2 is not a normal double and coth z = 1/z where
+    z = beta omega_k/2 is not: a term keeps its digits wherever 8 g_k^2 s_k^2 is normal.
     """
     _validate_time(t)
     _validate_beta(beta)
     _check_phase("omega", float(np.max(bath.omegas)), t)
+    beta_m, beta_e = math.frexp(beta)
 
     def terms(w, g2):
-        w_sq = w**2
-        tiny = w_sq < _NORMAL_MIN
-        if not tiny.any():
-            return 8.0 * g2 / w_sq * np.sin(0.5 * w * t) ** 2 * (1.0 / np.tanh(0.5 * beta * w))
-        out = np.empty_like(w)
-        out[~tiny] = terms(w[~tiny], g2[~tiny])
-        h = 0.5 * w[tiny] * t
-        x = t * np.divide(np.sin(h), h, out=np.ones_like(h), where=h != 0.0)  # t at h = 0
-        out[tiny] = 2.0 * g2[tiny] * x * x * (1.0 / np.tanh(0.5 * beta * w[tiny]))
-        return out
+        h = 0.5 * (w * t)  # w * t first: halving a subnormal w would round it
+        s = np.divide(np.sin(h), w, out=np.full_like(w, 0.5 * t), where=h >= _NORMAL_MIN)
+        a = 8.0 * g2 * s * s
+        z = 0.5 * (beta * w)
+        limit = z < _NORMAL_MIN
+        # 2a/(beta w) in powers of two: beta w underflows here, and 2/beta may overflow
+        m, e = np.frexp(w[limit])
+        a[limit] = np.ldexp(2.0 * a[limit] / (beta_m * m), -(beta_e + e))
+        return np.divide(a, np.tanh(z), out=a, where=~limit)
 
     with np.errstate(over="ignore"):  # a beta w past the largest double is coth = 1
         return _block_sum(terms, *bath)

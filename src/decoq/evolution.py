@@ -13,7 +13,6 @@ live in `states`; QubitState is still importable from here and loads it
 on first use.
 """
 
-import functools
 import math
 import struct
 import sys
@@ -119,28 +118,28 @@ def low_decoherence_time(threshold: float, spec: BathSpec, t_max: float) -> floa
     each term of B2 rises while its argument r = omega_c t (or t / (beta m),
     m >= 1/(beta omega_c)) stays below tan(pi/s), so D rises on [0, t_rise],
     t_rise = tan(pi/s)/omega_c, and a crossing there is the first one; past
-    it only bath._b2_peak_bound, which holds at every t, is proved.  B2 is
-    memoized per call.  Raises NoCrossingError (carrying d(t_max)) if D is
-    proved to stay below the threshold, and ValueError for a threshold
-    outside (0, 1/2) or where neither a crossing nor its absence is proved.
+    it only bath._b2_peak_bound, which holds at every t, is proved.  Raises
+    NoCrossingError (carrying d(t_max)) if D is proved to stay below the
+    threshold, and ValueError for a threshold outside (0, 1/2) or where
+    neither a crossing nor its absence is proved.
     """
     _check_threshold_and_t_max(threshold, t_max)
 
-    @functools.cache
     def d_of_t(t: float) -> float:
         return max_decoherence(dephasing_exponent(t, spec))
 
     t_rise = math.tan(math.pi / spec.s) / spec.omega_c if spec.s > 2.0 else math.inf
     hi = min(t_rise, t_max)
-    if d_of_t(hi) >= threshold:
+    d_hi = d_of_t(hi)
+    if d_hi >= threshold:
         return _bisect(d_of_t, threshold, 0.0, hi)
     # past t_rise, a relative 1e-12 covers the round-off of B2 and of its bound
     d_bound = max_decoherence(_b2_peak_bound(spec) * (1.0 + 1e-12)) if hi < t_max else 0.0
-    if d_bound >= threshold:
+    if d_bound >= threshold:  # so hi = t_rise
         raise ValueError(f"first crossing past t_rise={t_rise:.6e} is not proved at s={spec.s}: "
-                         f"D(t_rise)={d_of_t(t_rise):.6e} < threshold {threshold:.6e} "
+                         f"D(t_rise)={d_hi:.6e} < threshold {threshold:.6e} "
                          f"<= D(bound)={d_bound:.6e}")
-    d_end = d_of_t(t_max)
+    d_end = d_hi if hi == t_max else d_of_t(t_max)
     raise NoCrossingError(f"decoherence level {d_end:.6e} at t_max={t_max} never reaches "
                           f"threshold {threshold:.6e}", d_at_t_max=d_end)
 

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -767,31 +768,46 @@ class TestDiscreteBath:
     @example(log_omega=-323.3, log_g_sq=-2.0, log_t=-0.5, log_beta=math.inf)
     @example(log_omega=-154.0, log_g_sq=0.0, log_t=154.5, log_beta=math.inf)  # h = 1.58
     def test_tiny_frequencies_match_mpmath(self, log_omega, log_g_sq, log_t, log_beta):
-        # where omega^2 is not a normal double the term is 2 g^2 t^2 (sin h/h)^2 coth,
-        # h = omega t/2, up to a phase sin is well conditioned at; at a finite beta,
-        # beta omega/2 is a normal double
+        # where omega^2 is not a normal double, up to a phase sin is well conditioned
+        # at; at T = 0, and at finite betas whose beta omega/2 is a normal double or not
         omega, t, beta = 10.0**log_omega, 10.0**log_t, 10.0**log_beta
         assume(omega * t <= 10.0)
-        assume(beta == math.inf or 0.5 * beta * omega >= sys.float_info.min)
         bath = DiscreteBath([omega], [10.0**log_g_sq])
         ref = mpmath_modes_b2(t, bath, beta)
         assume(ref < 1e300)
         assert dephasing_exponent_modes(t, bath, beta) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("beta", [math.inf, BETA_30MK, 1e-3])
-    def test_normal_frequencies_keep_their_expression(self, beta):
-        # wherever omega^2 is a normal double, the term is 8 g^2/omega^2 sin^2 coth as before,
-        # bit for bit, down to the least omega whose square is normal
+    def test_normal_frequencies_match_mpmath(self, beta):
+        # wherever omega^2 is a normal double, down to the least such omega: each
+        # term within 4 ulp up to a phase omega t of 100, past which the rounding
+        # of omega t sets the error, and the whole sum within 1e-15
         least = math.sqrt(sys.float_info.min)
         while least * least < sys.float_info.min:
             least = math.nextafter(least, math.inf)
-        w = np.array([least, 1e-100, 0.5, 3.0, 200.0, 5e3])
-        g2 = np.array([1e-300, 1e-190, 0.1, 0.2, 1e-3, 1e-6])
+        w = [least, 1e-100, 0.5, 3.0, 200.0, 5e3]
+        g2 = [1e-300, 1e-190, 0.1, 0.2, 1e-3, 1e-6]
         for t in (1e-3, 0.3, 20.0):
-            with np.errstate(over="ignore"):
-                want = float(np.sum(8.0 * g2 / w**2 * np.sin(0.5 * w * t) ** 2
-                                    * (1.0 / np.tanh(0.5 * beta * w))))
-            assert dephasing_exponent_modes(t, DiscreteBath(w, g2), beta) == want
+            for omega, g_sq in zip(w, g2):
+                if omega * t <= 100.0:
+                    bath = DiscreteBath([omega], [g_sq])
+                    ref = mpmath_modes_b2(t, bath, beta)
+                    assert abs(dephasing_exponent_modes(t, bath, beta) - ref) <= 4 * 2.23e-16 * ref
+            bath = DiscreteBath(w, g2)
+            assert dephasing_exponent_modes(t, bath, beta) == pytest.approx(
+                mpmath_modes_b2(t, bath, beta), rel=1e-15, abs=0.0)
+
+    # a sin^2(omega t/2) that is subnormal, a beta omega/2 that rounds to 0, and a
+    # subnormal beta omega/2 at a beta whose 2/beta overflows
+    @pytest.mark.parametrize("omega,g_sq,t,beta", [(1e-153, 1.0, 1e-3, math.inf),
+                                                   (5e-324, 1e-30, 0.3, 1.0),
+                                                   (1.0, 1e-20, 0.3, 1e-310)])
+    def test_points_where_the_terms_lost_their_digits(self, omega, g_sq, t, beta):
+        bath = DiscreteBath([omega], [g_sq])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b2 = dephasing_exponent_modes(t, bath, beta)
+        assert b2 == pytest.approx(mpmath_modes_b2(t, bath, beta), rel=1e-13, abs=0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(s=st.floats(1.0, 6.0), log_eta=st.floats(-9.0, -2.0), log_omega_c=st.floats(0.0, 4.0),

@@ -646,8 +646,8 @@ class TestLowDecoherenceTime:
     )
     def test_b2_probe_counts(self, monkeypatch, spec, threshold, t_max, outcome, calls):
         # one probe at min(t_rise, t_max), then the bisection, or one at
-        # t_max for the level a no-crossing error carries: B2 is memoized,
-        # and the bound past t_rise probes nothing
+        # t_max for the level a no-crossing error carries: D at min(t_rise, t_max)
+        # is kept for the messages, and the bound past t_rise probes nothing
         import decoq.evolution
 
         probes = []
