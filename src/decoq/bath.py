@@ -24,7 +24,8 @@ import math
 import sys
 from collections import namedtuple
 
-# thermal sum of B2: terms n < EM_N are summed directly, the rest by
+# thermal sum of B2: terms n < EM_N are added left to right (builtin sum()
+# compensates from Python 3.12 on, so B2 would differ there), the rest by
 # Euler-Maclaurin at q = EM_N + a.  The summand is analytic at distance >= q
 # from the real axis, so the Bernoulli corrections B_2j/(2j)! below shrink
 # like (2 pi q)^-2j; with seven of them B2 meets the tolerance and region
@@ -116,7 +117,9 @@ def _g(mu: float, r: float) -> float:
 
 def _thermal_sum(nu: float, a: float, y: float) -> float:
     """sum_{n >= 1} m^-nu G_nu(y/m) with m = n + a."""
-    total = sum((n + a) ** -nu * _g(nu, y / (n + a)) for n in range(1, EM_N))
+    total = 0.0
+    for n in range(1, EM_N):
+        total += (n + a) ** -nu * _g(nu, y / (n + a))
     q = EM_N + a
     r = y / q
     total += q ** (1.0 - nu) * _g(nu - 1.0, r) + 0.5 * q**-nu * _g(nu, r)
@@ -128,7 +131,11 @@ def _thermal_sum(nu: float, a: float, y: float) -> float:
 def _hurwitz(p: float, z: complex) -> complex:
     """sum_{n >= 1} (n + z)^-p for p > 1 and Re z > -1, summed as _thermal_sum is."""
     q = EM_N + z
-    total = sum((n + z) ** -p for n in range(1, EM_N)) + q ** (1.0 - p) / (p - 1.0) + 0.5 * q**-p
+    total = 0.0
+    for n in range(1, EM_N):
+        total += (n + z) ** -p
+    total += q ** (1.0 - p) / (p - 1.0)
+    total += 0.5 * q**-p
     rising = p  # the rising factorial (p)_(2j-1) of the (2j-1)-th derivative of x^-p
     for j, c in enumerate(EM_COEFFS, 1):
         total += c * rising * q ** (1.0 - p - 2 * j)
@@ -161,9 +168,10 @@ def _classical(nu: float, beta: float, omega_c: float, t: float) -> float:
 
     As (2/beta) omega_c^(nu+1) t^2 h(x) with h = G_(nu-1)(x)/x^2, which is
     Gamma(nu+1)/2 to a relative (nu+1)(nu+2) x^2/12 below x = 1e-9, where
-    x^2 may underflow.  It is formed as the
-    exp of a sum of logs, so no factor over- or underflows on its own; that
-    costs a relative error of about 1e-14.
+    x^2 may underflow.  It is formed as the exp of a sum of logs, so no factor
+    over- or underflows on its own; that costs a relative error that grows with
+    the logs: measured against mpmath, up to 6e-14 for beta omega_c in
+    [1e-60, 1e-16], 1e-13 in [1e-200, 1e-60] and 2.7e-13 below.
     """
     x = omega_c * t
     if x < 1e-9:

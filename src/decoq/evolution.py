@@ -166,20 +166,6 @@ def _relaxation_window(threshold: float, spec: BathSpec, e_j: float, tau_g: floa
     return (rate, tau) if normal else (None, None)
 
 
-def _eta_max(threshold: float, total: float):
-    """First double eta with D(tau_g) >= threshold; None unless a positive normal double.
-
-    B2(tau_g) is 4 eta times an eta-free total (dephasing_exponent forms it last),
-    so two bisections find it: the first double B2 with D >= threshold, then the
-    first double eta whose 4 eta total reaches that B2, if that product is finite.
-    """
-    if total == 0.0:  # B2(tau_g) is 0 at every eta
-        return None
-    level = _bisect(max_decoherence, threshold, 0.0, math.inf)
-    eta = _bisect(lambda eta: 4.0 * eta * total, level, 0.0, math.inf)
-    return eta if sys.float_info.min <= eta and 4.0 * eta * total < math.inf else None
-
-
 class IdleWindow(namedtuple("IdleWindow", "tau_g d_at_gate eta_max tau_ld d_at_t_max "
                                           "relaxation_rate tau_relax window_set_by")):
     """The idle gate's answer, as `idle_window` finds it; times in hbar/ueV.
@@ -205,8 +191,11 @@ def idle_window(threshold: float, spec: BathSpec, e_j: float, t_max: float) -> I
     _check_threshold_and_t_max(threshold, t_max)
     tau_g = 1.0 / e_j
     total = dephasing_exponent(tau_g, spec._replace(eta=0.25))  # B2(tau_g)/(4 eta), free of eta
-    b2_gate = bath._finite(4.0 * spec.eta * total, "B2", tau_g, spec)
-    d_at_gate, eta_max = max_decoherence(b2_gate), _eta_max(threshold, total)
+    d_at_gate = max_decoherence(bath._finite(4.0 * spec.eta * total, "B2", tau_g, spec))
+    eta = 0.0  # a zero total is B2 = 0 at every eta (and 4 eta * 0 is nan once 4 eta overflows)
+    if total > 0.0:  # the budget: the first double eta whose D(4 eta total) reaches the threshold
+        eta = _bisect(lambda eta: max_decoherence(4.0 * eta * total), threshold, 0.0, math.inf)
+    eta_max = eta if sys.float_info.min <= eta and 4.0 * eta * total < math.inf else None
     rate, relax = _relaxation_window(threshold, spec, e_j, tau_g)
     try:
         tau, d_end = low_decoherence_time(threshold, spec, t_max), None

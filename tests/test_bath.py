@@ -1,16 +1,21 @@
+import functools
 import math
+import operator
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from decoq import bath
 from decoq.bath import (
     C_SERIES_U,
     EM_COEFFS,
+    EM_N,
     BathSpec,
     _b2_peak_bound,
     _g,
@@ -341,6 +346,35 @@ class TestKernel:
         # below mu = 0 the error grows with |mu| log r, since exp(-mu L)
         # inherits the rounding of mu L: 5.5e-14 at r near 1e300
         assert _g(mu, r) == pytest.approx(mpmath_g(mu, r), rel=1e-13, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=st.floats(1.0, 20.0),
+        log_a=st.floats(-6.0, 16.0),
+        log_y=st.floats(-10.0, 300.0),
+        p=st.floats(1.001, 8.0),
+        z=st.floats(-6.0, 3.0).map(lambda log_z: 10.0**log_z)
+        | st.builds(complex, st.floats(1e-4, 10.0), st.floats(-1e4, 1e4)),
+    )
+    def test_sums_add_their_terms_left_to_right(self, s, log_a, log_y, p, z):
+        # builtin sum() compensates from Python 3.12 on and math.fsum rounds
+        # once: either changes B2's last bits, on some interpreters or on all
+        nu, a, y = s - 1.0, 10.0**log_a, 10.0**log_y
+        q, r = EM_N + a, y / (EM_N + a)
+        thermal = [(n + a) ** -nu * _g(nu, y / (n + a)) for n in range(1, EM_N)]
+        thermal.append(q ** (1.0 - nu) * _g(nu - 1.0, r) + 0.5 * q**-nu * _g(nu, r))
+        thermal += [c * q ** (1.0 - nu - 2 * j) * _g(nu + 2 * j - 1, r)
+                    for j, c in enumerate(EM_COEFFS, 1)]
+        q = EM_N + z
+        hurwitz = [(n + z) ** -p for n in range(1, EM_N)]
+        hurwitz += [q ** (1.0 - p) / (p - 1.0), 0.5 * q**-p]
+        rising = p
+        for j, c in enumerate(EM_COEFFS, 1):
+            hurwitz.append(c * rising * q ** (1.0 - p - 2 * j))
+            rising *= (p + 2 * j - 1) * (p + 2 * j)
+        with mock.patch.object(bath, "sum", create=True, side_effect=AssertionError("sum()")):
+            assert _thermal_sum(nu, a, y) == functools.reduce(operator.add, thermal, 0.0)
+            assert _hurwitz(p, z) == functools.reduce(operator.add, hurwitz, 0.0)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -804,6 +805,22 @@ class TestIdleWindow:
         assert eta == 1.620724777000946e+307
         d = lambda e: max_decoherence(dephasing_exponent(1.0 / e_j, spec._replace(eta=e)))  # noqa: E731
         assert d(eta) >= threshold > d(math.nextafter(eta, 0.0))
+
+    def test_eta_budget_is_null_where_the_eta_free_total_is_0(self):
+        # G_0(omega_c tau_g) underflows to 0 at T = 0, so B2(tau_g) is 0 at every
+        # eta; past eta = 4.5e307, 4 eta overflows and inf * 0 is nan, which a
+        # search that does not stop at a zero total hands to max_decoherence
+        spec = BathSpec(eta=1e-6, omega_c=5e-324, beta=math.inf)
+        assert dephasing_exponent(1.0 / E_J, spec._replace(eta=0.25)) == 0.0
+        assert idle_window(1e-4, spec, E_J, 10.0).eta_max is None
+
+    def test_eta_budget_is_null_where_the_first_double_eta_is_subnormal(self):
+        # the eta-free total is 2.71e304 at 1e300 mK, so D(tau_g) first reaches
+        # the threshold at an eta near 1.85e-309, below the smallest normal double
+        spec = BathSpec(eta=1e-6, omega_c=200.0, beta=temperature_to_beta(1e300))
+        total = dephasing_exponent(1.0 / 1e-5, spec._replace(eta=0.25))
+        assert 0.0 < -math.log1p(-2e-4) / (4.0 * total) < sys.float_info.min
+        assert idle_window(1e-4, spec, 1e-5, 10.0).eta_max is None
 
     @pytest.mark.parametrize("eta", [1e-309, 1e-311, 5e-324])
     def test_eta_budget_of_a_subnormal_eta_takes_few_probes(self, monkeypatch, eta):
