@@ -183,12 +183,13 @@ def _classical(nu: float, beta: float, omega_c: float, t: float) -> float:
     )
 
 
+def _not_a_double(what: str, t: float, spec: BathSpec) -> ValueError:
+    return ValueError(f"{what} in double precision at s={spec.s}, omega_c={spec.omega_c}, t={t}")
+
+
 def _finite(value: float, name: str, t: float, spec: BathSpec) -> float:
     if not math.isfinite(value):
-        raise ValueError(
-            f"{name} is not finite in double precision at s={spec.s}, "
-            f"omega_c={spec.omega_c}, t={t}"
-        )
+        raise _not_a_double(f"{name} is not finite", t, spec)
     return value
 
 
@@ -228,7 +229,8 @@ def dephasing_exponent(t: float, spec: BathSpec) -> float:
     CLASSICAL_BETA_OMEGA_C), B2 is 8 eta/beta omega_c^(nu-1) G_(nu-1)(x),
     which tends to 0 with omega_c.  B2 is formed last, as 4 eta times a
     total free of eta, so it is the same double as 4.0 * eta * B2 at
-    eta = 1/4.  Raises ValueError if B2 is not finite in double precision.
+    eta = 1/4.  Raises ValueError if B2 is not finite in double precision, or
+    if its thermal sum underflows before 2 beta^-nu scales it.
     """
     _validate_time(t)
     if t == 0.0 or spec.eta == 0.0:
@@ -241,6 +243,11 @@ def dephasing_exponent(t: float, spec: BathSpec) -> float:
             total = spec.omega_c**nu * _g(nu, spec.omega_c * t)
             if math.isfinite(spec.beta):
                 a = 1.0 / (spec.beta * spec.omega_c)
+                # the thermal sum's largest power factors, its first term's and its tail's: where
+                # neither is a normal double (s > 20, a from about 10^(308/nu) to 1e16) the sum
+                # has lost its digits before 2 beta^-nu could bring it back
+                if max((1.0 + a) ** -nu, (EM_N + a) ** (1.0 - nu)) < sys.float_info.min:
+                    raise _not_a_double("B2's thermal sum underflows", t, spec)
                 total += 2.0 * spec.beta**-nu * _thermal_sum(nu, a, t / spec.beta)
         b2 = 4.0 * spec.eta * total
     except OverflowError:

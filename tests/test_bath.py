@@ -204,6 +204,22 @@ class TestDephasingExponent:
             with pytest.raises(ValueError, match=r"s=80\.0, omega_c=10000\.0, t=0\.5"):
                 quantity(0.5, spec)
 
+    @pytest.mark.parametrize("a", [1e15, 1e13])
+    def test_a_thermal_sum_that_underflowed_is_a_value_error(self, a):
+        # at s = 26 every (n + a)^-nu and the tail's (EM_N + a)^(1 - nu) are subnormal
+        # or 0, so B2 kept its vacuum term alone: 8.07e-115 against mpmath's 6.20e-101
+        # at a = 1/(beta omega_c) = 1e15, and 4.9e-11 of B2 off at a = 1e13
+        spec = BathSpec(1e-6, 1e-5, 1.0 / (a * 1e-5), 26.0)
+        with pytest.raises(ValueError, match=r"^B2's thermal sum underflows in double precision "
+                                             r"at s=26\.0, omega_c=1e-05, t=1\.0$"):
+            dephasing_exponent(1.0, spec)
+
+    def test_the_tail_carries_a_thermal_sum_whose_terms_are_subnormal(self):
+        # at a = 2.3e12, (1 + a)^-nu = 9.2e-310 but (EM_N + a)^(1 - nu) = 2.1e-297
+        spec = BathSpec(1e-6, 1e-5, 1.0 / (2.3e12 * 1e-5), 26.0)
+        assert dephasing_exponent(1.0, spec) == pytest.approx(
+            mpmath_b2(1.0, spec), rel=1e-14, abs=0.0)
+
     def test_b2_vanishes_with_the_cutoff(self):
         # a = 1/(beta omega_c) is past the largest double from omega_c =
         # 1.43e-308 at 30 mK, and beta omega_c rounds to 0 at 5e-324; B2
@@ -254,8 +270,11 @@ class TestDephasingExponent:
         spec = BathSpec(eta, omega_c, 10.0**log_beta_omega_c / omega_c, s)
         try:
             b2 = 4.0 * eta * dephasing_exponent(t, spec._replace(eta=0.25))
-        except ValueError:  # the total overflows
-            b2 = math.inf
+        except ValueError as exc:  # the total overflows, or its thermal sum underflows
+            with pytest.raises(ValueError) as raised:
+                dephasing_exponent(t, spec)
+            assert str(raised.value) == str(exc)
+            return
         if math.isfinite(b2):
             assert dephasing_exponent(t, spec) == b2
         else:

@@ -946,6 +946,18 @@ class TestExitCodes:
         assert err[0].startswith("error: B2 is not finite in double precision at s=80.0, "
                                  "omega_c=10000.0, t=")
 
+    @pytest.mark.parametrize("command", [["curve", "--samples", "3"], ["tld"]])
+    def test_underflowed_thermal_sum_exits_one(self, tmp_path, capsys, command):
+        # s = 26 at a = 1/(beta omega_c) = 1e15: curve wrote B2's vacuum term alone
+        config = tmp_path / "s26.cfg"
+        config.write_text("s = 26\n")
+        out = tmp_path / "out.dat"
+        assert main(command + ["--config", str(config), "--cutoff", "1e-5", "--temp-mk",
+                               "1.1604518e11", "--t-max", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: B2's thermal sum underflows")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv,flag,key",
         [(["tld", "--quad-tol", "1e-8"], "--quad-tol", "quad_tol"),

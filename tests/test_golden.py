@@ -1,81 +1,20 @@
-"""Golden outputs: the command line runs of tests/golden/ rerun and compared.
+"""Golden outputs: each case of tests/golden/cases.py rerun and compared with its directory there.
 
-Each case is one `cli.main` run in a fresh directory.  Its golden
-directory holds the exit code, stdout and stderr, with the run's
-directory written as {dir}, and every file the run wrote.  A rerun must
-give the same exit code, the same text and keys, and numbers within a
-few ulp; `verify` is compared by its check names and pass flags, since
-its details carry numpy and BLAS round-off.
-
-    PYTHONPATH=src python tests/golden/regenerate.py [CASE ...]
-
-rewrites the golden files from the decoq on sys.path.  Regenerating one
-is an output change.
+A rerun must give the same exit code, the same text and keys, and numbers
+within a few ulp; `verify` is compared by its check names and pass flags,
+since its details carry numpy and BLAS round-off.
 """
 
-import contextlib
-import io
 import json
 import math
 import os
 import re
-from pathlib import Path
-from unittest import mock
+import subprocess
+import sys
 
 import pytest
 
-from decoq.cli import main
-
-GOLDEN = Path(__file__).parent / "golden"
-
-# config files every run finds in its directory
-CONFIGS = {
-    # D peaks near omega_c t = tan(pi/3) and falls to below the threshold by t_max
-    "s3.cfg": "s = 3\neta = 1e-9\nthreshold = 8.5e-5\nt_max = 1000\n",
-    # the same bath, with a threshold above the bound on D past t_rise
-    "s3-bound.cfg": "s = 3\neta = 1e-9\nthreshold = 9.1e-5\nt_max = 1000\n",
-    # D crosses past t_rise, falls back below the threshold and crosses again,
-    # and the bound past t_rise is above the threshold
-    "hump.cfg": (
-        "s = 2.627190751706458\ntemp_mk = 69.74256994832315\nomega_c = 44.12905023409275\n"
-        "eta = 1.0598897093789957e-09\nt_max = 0.27958368503951514\n"
-        "threshold = 9.794163274970207e-07\n"
-    ),
-    # a crossing at 2.4e-152 time units
-    "s80.cfg": "s = 80\nomega_c = 200\n",
-    # B2 overflows a double
-    "overflow.cfg": "s = 80\nomega_c = 1e4\n",
-}
-
-# case -> argv, with {dir} the run's directory
-CASES = {
-    "version": ["--version"],
-    "help": ["-h"],
-    "bad-flag": ["tld", "--thr", "1e-4"],
-    "tld": ["tld", "--out", "{dir}/tld.json"],
-    "tld-s3": ["tld", "--config", "{dir}/s3.cfg", "--out", "{dir}/tld.json"],
-    "tld-s3-bound": ["tld", "--config", "{dir}/s3-bound.cfg", "--out", "{dir}/tld.json"],
-    "tld-hump": ["tld", "--config", "{dir}/hump.cfg", "--out", "{dir}/tld.json"],
-    "tld-no-crossing": ["tld", "--t-max", "1", "--out", "{dir}/tld.json"],
-    "tld-s80": ["tld", "--config", "{dir}/s80.cfg", "--out", "{dir}/tld.json"],
-    "tld-t-max-1e300": ["tld", "--t-max", "1e300", "--out", "{dir}/tld.json"],
-    "tld-overflow": ["tld", "--config", "{dir}/overflow.cfg", "--out", "{dir}/tld.json"],
-    "curve": ["curve", "--out", "{dir}/curve.csv"],
-    "curve-log-y": ["curve", "--log-y", "--out", "{dir}/curve.csv"],
-    "curve-eta-0": ["curve", "--eta", "0", "--out", "{dir}/curve.csv"],
-    # s3.cfg sets threshold, which curve does not read
-    "curve-unread-key": ["curve", "--config", "{dir}/s3.cfg", "--out", "{dir}/curve.csv"],
-    "sweep-T-check": ["sweep", "--axis", "T", "--values", "10,30,100,300",
-                      "--out", "{dir}/sweep.csv"],
-    "sweep-eta": ["sweep", "--axis", "eta", "--values", "1e-7,1e-6,1e-5", "--log-y",
-                  "--out", "{dir}/sweep.csv"],
-    "sweep-E_J-hump": ["sweep", "--axis", "E_J", "--values", "20,51.8", "--config",
-                       "{dir}/hump.cfg", "--out", "{dir}/sweep.csv"],
-    "sweep-check-error": ["sweep", "--axis", "eta", "--values", "1e-6,-1",
-                          "--out", "{dir}/sweep.csv"],
-    "verify": ["verify", "--out", "{dir}/verify.json"],
-    "verify-corrupt-b2": ["verify", "--corrupt", "b2", "--out", "{dir}/verify.json"],
-}
+from golden.cases import CASES, GOLDEN, NUMPY_FREE, run_case
 
 # a decimal number standing alone, not the digits of a name or of a dotted version
 NUMBER = re.compile(
@@ -83,27 +22,6 @@ NUMBER = re.compile(
     re.IGNORECASE,
 )
 ULPS = 4
-
-
-def run_case(name: str, workdir: Path) -> dict:
-    """Run one case in workdir; file name -> text of everything it leaves."""
-    for config, text in CONFIGS.items():
-        (workdir / config).write_text(text)
-    argv = [arg.format(dir=workdir) for arg in CASES[name]]
-    out, err = io.StringIO(), io.StringIO()
-    # argparse wraps usage and help at the terminal's width: pin the 80
-    # columns it takes when stdout is not a terminal
-    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        code = main(argv)
-    outputs = {
-        path.name: path.read_text()
-        for path in sorted(workdir.iterdir()) if path.name not in CONFIGS
-    }
-    outputs["exit_code"] = f"{code}\n"
-    outputs["stdout.txt"] = out.getvalue().replace(str(workdir), "{dir}")
-    outputs["stderr.txt"] = err.getvalue().replace(str(workdir), "{dir}")
-    return outputs
 
 
 def _verify_view(file: str, text: str) -> str:
@@ -142,9 +60,8 @@ def mismatches(file: str, expected: str, actual: str) -> list[str]:
     if len(want) != len(got):
         out.append(f"{file}: {len(want)} lines expected, {len(got)} written")
     for lineno, (w, g) in enumerate(zip(want, got), 1):
-        w_text, g_text = NUMBER.split(w), NUMBER.split(g)
         w_nums, g_nums = NUMBER.findall(w), NUMBER.findall(g)
-        if w_text != g_text or len(w_nums) != len(g_nums):
+        if NUMBER.split(w) != NUMBER.split(g):  # the same text, so as many numbers
             out.append(f"{file}:{lineno}: expected {w!r}, got {g!r}")
             continue
         for w_num, g_num in zip(w_nums, g_nums):
@@ -166,6 +83,19 @@ def test_run_matches_its_golden_outputs(name, tmp_path):
             expected, actual = _verify_view(file, expected), _verify_view(file, actual)
         problems += mismatches(f"{golden_dir}/{file}", expected, actual)
     assert not problems, "\n".join(problems[:20])
+
+
+def test_numpy_free_cases_run_without_pytest_or_numpy(tmp_path):
+    # as tests/cross_version.sh runs them, where Python 3.12 and 3.13 have neither
+    code = ("import runpy, sys; sys.modules['pytest'] = sys.modules['numpy'] = None; "
+            "sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", code, str(GOLDEN / "cases.py"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(GOLDEN.parents[1] / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert [(tmp_path / name / "exit_code").read_text() for name in NUMPY_FREE] == [
+        (GOLDEN / name / "exit_code").read_text() for name in NUMPY_FREE
+    ]
 
 
 def test_comparison_allows_a_few_ulp_and_names_a_change():
