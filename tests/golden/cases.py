@@ -48,6 +48,9 @@ CASES = {
     "tld-s3-bound": "tld --config {dir}/s3-bound.cfg --out {dir}/tld.json",
     "tld-hump": "tld --config {dir}/hump.cfg --out {dir}/tld.json",
     "tld-no-crossing": "tld --t-max 1 --out {dir}/tld.json",
+    # the eta budget near a threshold of 1/2 is one bounded bisection, and D
+    # stays below the threshold up to t_max
+    "tld-near-half": "tld --threshold 0.49999999 --out {dir}/tld.json",
     "tld-s80": "tld --config {dir}/s80.cfg --out {dir}/tld.json",
     "tld-t-max-1e300": "tld --t-max 1e300 --out {dir}/tld.json",
     "tld-overflow": "tld --config {dir}/overflow.cfg --out {dir}/tld.json",

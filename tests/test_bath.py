@@ -231,13 +231,14 @@ class TestDephasingExponent:
             assert all(math.isfinite(v) and v >= 0.0 for v in b2)
             assert all(later <= earlier for earlier, later in zip(b2, b2[1:]))
             # the classical 4 eta omega_c t^2/beta of a bath far below kT
-            assert b2[0] == pytest.approx(4e-6 * 1e-300 * t * t / BETA_30MK, rel=1e-13)
+            assert b2[0] == pytest.approx(4e-6 * 1e-300 * t * t / BETA_30MK, rel=1e-13, abs=0.0)
 
     def test_classical_limit_where_beta_omega_c_underflows_at_a_tiny_beta(self):
         # beta omega_c = 1e-310 again puts a past the largest double, but
         # here B2 = 4 eta omega_c t^2/beta is huge, not 0
         spec = bench_spec(omega_c=1e-10, beta=1e-300)
-        assert dephasing_exponent(1.0, spec) == pytest.approx(4e-6 * 1e-10 / 1e-300, rel=1e-13)
+        assert dephasing_exponent(1.0, spec) == pytest.approx(4e-6 * 1e-10 / 1e-300,
+                                                              rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("s", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("t", [1e-6, 0.5, 1e4])
@@ -246,7 +247,7 @@ class TestDephasingExponent:
         spec = bench_spec(s=s, omega_c=1.0)
         below = dephasing_exponent(t, spec._replace(beta=0.99e-16))
         above = dephasing_exponent(t, spec._replace(beta=1.01e-16))
-        assert below == pytest.approx(above * 1.01 / 0.99, rel=1e-12)
+        assert below == pytest.approx(above * 1.01 / 0.99, rel=1e-12, abs=0.0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -747,7 +748,7 @@ class TestDiscreteBath:
         spec = bench_spec()
         bath = discretize_bath(spec, 20000, 60.0 * spec.omega_c)
         assert float(bath.g_sq.sum()) == pytest.approx(
-            spec.eta * spec.omega_c**2, rel=1e-3
+            spec.eta * spec.omega_c**2, rel=1e-3, abs=0.0
         )
 
     @pytest.mark.parametrize("t", [1e-2, 0.3, 2.0])

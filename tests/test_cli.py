@@ -89,7 +89,7 @@ class TestRunConfig:
 
     def test_bath_spec_uses_temperature(self):
         spec = RunConfig(temp_mk=30.0).bath_spec()
-        assert spec.beta == pytest.approx(temperature_to_beta(30.0), rel=1e-14)
+        assert spec.beta == pytest.approx(temperature_to_beta(30.0), rel=1e-14, abs=0.0)
 
 
 class TestConfigFile:
@@ -309,7 +309,7 @@ class TestTldCommand:
         assert report["no_crossing"] is False
         assert report["tau_ld_units"] > 0.0
         assert report["tau_ld_ps"] == pytest.approx(
-            report["tau_ld_units"] * TIME_UNIT_S * 1e12, rel=1e-12
+            report["tau_ld_units"] * TIME_UNIT_S * 1e12, rel=1e-12, abs=0.0
         )
         # gate time for the default junction: hbar/E_J with E_J = 51.8 ueV
         assert report["tau_gate_ps"] == pytest.approx(12.7068, abs=1e-3)
@@ -831,6 +831,12 @@ class TestReadme:
         assert os.access(ROOT / script, os.X_OK)
         workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
         assert f"        run: {script}\n" in workflow
+        # the script, not the console-script step, runs the cases with
+        # warnings as errors, on every interpreter
+        launches = [line for line in (ROOT / script).read_text(encoding="utf-8").splitlines()
+                    if "cases.py" in line and not line.startswith("#")]
+        assert launches and all("$py -W error tests/golden/cases.py " in line
+                                for line in launches)
 
 
 class TestSuiteLayout:
@@ -845,6 +851,18 @@ class TestSuiteLayout:
                     imports.append((path.name, node.module or ""))
         assert [(name, module) for name, module in imports
                 if module.split(".")[0].startswith("test_")] == []
+
+    def test_every_approx_states_its_absolute_tolerance(self):
+        # without abs=, pytest.approx also accepts anything within 1e-12,
+        # whatever rel says: a B2 of 2.6e-306 would match 0.0
+        loose = []
+        for path in sorted((ROOT / "tests").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "approx"
+                        and "abs" not in {keyword.arg for keyword in node.keywords}):
+                    loose.append(f"{path.name}:{node.lineno}")
+        assert loose == []
 
 
 # flag values at the edges of a double, drawn beside each flag's ordinary value

@@ -495,7 +495,7 @@ class TestFindCrossing:
     def test_monotone_analytic(self):
         d, probes = counted(lambda t: 0.5 * (1.0 - math.exp(-t)))
         tau = _bisect(d, 0.25, 0.0, 10.0)
-        assert tau == pytest.approx(math.log(2.0), rel=1e-6)
+        assert tau == pytest.approx(math.log(2.0), rel=1e-6, abs=0.0)
         assert len(probes) <= 64
 
     def test_bracket_ends_on_adjacent_doubles(self):
@@ -743,7 +743,8 @@ def eta_max_checked(threshold, spec, e_j):
     assert d(eta) >= threshold > d(math.nextafter(eta, 0.0))
     if threshold <= 0.01:
         b2 = dephasing_exponent(tau_g, spec)
-        assert eta == pytest.approx(spec.eta * -math.log1p(-2.0 * threshold) / b2, rel=1e-15)
+        assert eta == pytest.approx(spec.eta * -math.log1p(-2.0 * threshold) / b2,
+                                    rel=1e-15, abs=0.0)
     return eta
 
 

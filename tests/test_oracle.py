@@ -192,7 +192,7 @@ class TestHeldBath:
     def test_occupation_ratio_is_boltzmann(self):
         system = CompositeSystem(e_j=51.8, modes=(TruncatedBathMode(8.0, 0.5, 12),))
         _, (p,) = oracle._held(system, BETA_30MK)
-        assert p[1] / p[0] == pytest.approx(math.exp(-BETA_30MK * 8.0), rel=1e-12)
+        assert p[1] / p[0] == pytest.approx(math.exp(-BETA_30MK * 8.0), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "temp_mk, modes, levels",
@@ -444,8 +444,9 @@ class TestSplitVsClosedForm:
             merged[w] = merged.get(w, 0.0) + g2
         ref = DiscreteBath(sorted(merged), [merged[w] for w in sorted(merged)])
         assert dephasing_exponent_modes(t, bath, beta) == pytest.approx(
-            dephasing_exponent_modes(t, ref, beta), rel=1e-14)
-        assert phase_shift_modes(t, bath) == pytest.approx(phase_shift_modes(t, ref), rel=1e-14)
+            dephasing_exponent_modes(t, ref, beta), rel=1e-14, abs=0.0)
+        assert phase_shift_modes(t, bath) == pytest.approx(phase_shift_modes(t, ref),
+                                                           rel=1e-14, abs=0.0)
 
 
 class TestFactorisedAgainstDense:

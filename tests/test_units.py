@@ -19,11 +19,12 @@ def test_constants():
 
 def test_beta_at_30_mk():
     # frozen from 1/(86.17333 ueV/K * 0.030 K)
-    assert temperature_to_beta(30.0) == pytest.approx(0.3868172824855826, rel=1e-12)
+    assert temperature_to_beta(30.0) == pytest.approx(0.3868172824855826, rel=1e-12, abs=0.0)
 
 
 def test_beta_scaling():
-    assert temperature_to_beta(10.0) == pytest.approx(3.0 * temperature_to_beta(30.0), rel=1e-12)
+    assert temperature_to_beta(10.0) == pytest.approx(3.0 * temperature_to_beta(30.0),
+                                                      rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -5.0, math.nan, math.inf])
@@ -59,4 +60,4 @@ def test_beta_is_the_reciprocal_wherever_kb_t_is_not_zero(temp_mk):
 @given(st.floats(min_value=1e-3, max_value=1e4, allow_nan=False))
 def test_beta_inverts_temperature(temp_mk):
     beta = temperature_to_beta(temp_mk)
-    assert 1.0 / (beta * KB_UEV_PER_K * temp_mk * 1e-3) == pytest.approx(1.0, rel=1e-12)
+    assert 1.0 / (beta * KB_UEV_PER_K * temp_mk * 1e-3) == pytest.approx(1.0, rel=1e-12, abs=0.0)
