@@ -45,13 +45,13 @@ C_SERIES_U = 0.5
 CLASSICAL_BETA_OMEGA_C = 1e-16
 
 
-def _record(typename: str, field_names: str):
+def _record(typename: str, field_names, defaults=None):
     """namedtuple base of an immutable record that validates in its subclass's __new__.
 
     _make, and with it _replace, goes through that __new__, so a replaced
     field is checked as a constructed one is.
     """
-    base = namedtuple(typename, field_names)
+    base = namedtuple(typename, field_names, defaults=defaults)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
     return base
 

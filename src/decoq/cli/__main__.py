@@ -1,2 +1,5 @@
-from . import run
-run()
+import sys
+
+from . import main
+
+sys.exit(main())

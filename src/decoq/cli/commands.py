@@ -3,10 +3,9 @@
 import math
 import os
 import sys
-from collections import namedtuple
 
 from .. import __version__, linspace
-from ..bath import BathSpec
+from ..bath import BathSpec, _record
 from ..evolution import _check_gate_e_j, _check_threshold_and_t_max, idle_window, pure_state_norm
 from ..units import _to_ps, temperature_to_beta
 # decoq.cli binds these on first use; taken from it, a wrapper set there is what runs
@@ -27,12 +26,13 @@ REFERENCE_TAU_G_PS = 12.7
 _MAX_SAMPLES = 10**6
 
 
-class RunConfig(namedtuple("RunConfig", _FIELDS, defaults=[d for d, _, _ in _FIELDS.values()])):
+class RunConfig(_record("RunConfig", _FIELDS, defaults=[d for d, _, _ in _FIELDS.values()])):
     """Physics and numerics knobs; _COMMAND_FIELDS says which each subcommand reads."""
 
     __slots__ = ()
 
-    def validate(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_gate_e_j(self.e_j)
         self.bath_spec()
         _check_threshold_and_t_max(self.threshold, self.t_max)
@@ -42,6 +42,7 @@ class RunConfig(namedtuple("RunConfig", _FIELDS, defaults=[d for d, _, _ in _FIE
             raise ValueError(f"n_samples must be <= {_MAX_SAMPLES}, got {self.n_samples}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        return self
 
     def bath_spec(self) -> BathSpec:
         return BathSpec(eta=self.eta, omega_c=self.omega_c,
@@ -84,9 +85,7 @@ def build_config(args) -> RunConfig:
     for field in values:
         if getattr(args, field, None) is not None:
             values[field] = getattr(args, field)
-    cfg = RunConfig(**values)
-    cfg.validate()
-    return cfg
+    return RunConfig(**values)
 
 
 def _write_csv(path: str, config: dict, kind: str, columns, rows) -> None:
@@ -243,9 +242,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     field = _AXIS_TO_FIELD[args.axis]
     rows = []
     for value in args.values:
-        row_cfg = cfg._replace(**{field: value})
         try:
-            report = _tld_report(row_cfg)
+            report = _tld_report(cfg._replace(**{field: value}))
         except ValueError as exc:
             report, status = {}, f"error: {str(exc).replace(',', ';')}"
         else:

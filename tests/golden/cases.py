@@ -21,22 +21,26 @@ from decoq.cli import main
 
 GOLDEN = Path(__file__).parent
 
-# config files every run finds in its directory
-CONFIGS = {
+# the baths of the config files every run finds in its directory, as
+# RunConfig settings; a setting a bath does not name keeps its default
+BATHS = {
     # D peaks near omega_c t = tan(pi/3) and falls to below the threshold by t_max
-    "s3.cfg": "s = 3\neta = 1e-9\nthreshold = 8.5e-5\nt_max = 1000\n",
+    "s3": {"s": 3.0, "eta": 1e-9, "threshold": 8.5e-5, "t_max": 1000.0},
     # the same bath, with a threshold above the bound on D past t_rise
-    "s3-bound.cfg": "s = 3\neta = 1e-9\nthreshold = 9.1e-5\nt_max = 1000\n",
+    "s3-bound": {"s": 3.0, "eta": 1e-9, "threshold": 9.1e-5, "t_max": 1000.0},
     # D crosses past t_rise, falls back below the threshold and crosses again,
     # and the bound past t_rise is above the threshold
-    "hump.cfg": "s = 2.627190751706458\ntemp_mk = 69.74256994832315\nomega_c = 44.12905023409275\n"
-                "eta = 1.0598897093789957e-09\nt_max = 0.27958368503951514\n"
-                "threshold = 9.794163274970207e-07\n",
+    "hump": {"s": 2.627190751706458, "temp_mk": 69.74256994832315, "omega_c": 44.12905023409275,
+             "eta": 1.0598897093789957e-09, "t_max": 0.27958368503951514,
+             "threshold": 9.794163274970207e-07},
     # a crossing at 2.4e-152 time units
-    "s80.cfg": "s = 80\nomega_c = 200\n",
+    "s80": {"s": 80.0, "omega_c": 200.0},
     # B2 overflows a double
-    "overflow.cfg": "s = 80\nomega_c = 1e4\n",
+    "overflow": {"s": 80.0, "omega_c": 1e4},
 }
+# each bath as its <name>.cfg file
+CONFIGS = {f"{name}.cfg": "".join(f"{key} = {value!r}\n" for key, value in settings.items())
+           for name, settings in BATHS.items()}
 
 # case -> command line, with {dir} the run's directory
 CASES = {

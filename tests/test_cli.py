@@ -33,20 +33,14 @@ from decoq.cli import (
 from decoq import evolution
 from decoq.evolution import idle_window, low_decoherence_time, max_decoherence
 from decoq.units import TIME_UNIT_S, _to_ps, temperature_to_beta
+from golden.cases import BATHS, CONFIGS, GOLDEN
 
-GOLDEN = Path(__file__).parent / "golden"
 
-# a superohmic bath whose D crosses the threshold past t_rise, falls back
-# below it and crosses again before t_max
-HUMP_SETTINGS = {
-    "s": 2.627190751706458,
-    "temp_mk": 69.74256994832315,
-    "omega_c": 44.12905023409275,
-    "eta": 1.0598897093789957e-09,
-    "t_max": 0.27958368503951514,
-    "threshold": 9.794163274970207e-07,
-}
-HUMP_CONFIG = "".join(f"{key} = {value!r}\n" for key, value in HUMP_SETTINGS.items())
+def write_config(tmp_path, name):
+    """The bath name of tests/golden/cases.py as its config file in tmp_path."""
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(CONFIGS[path.name])
+    return path
 
 
 def read_csv(path):
@@ -64,28 +58,27 @@ def read_csv(path):
 
 class TestRunConfig:
     def test_defaults_validate(self):
-        cfg = RunConfig()
-        cfg.validate()
-        assert cfg.e_j == 51.8
+        assert RunConfig().e_j == 51.8
 
     @pytest.mark.parametrize(
-        "field,value",
+        "field,value,message",
         [
-            ("e_j", 0.0),
-            ("temp_mk", -1.0),
-            ("eta", -1e-9),
-            ("omega_c", 0.0),
-            ("s", 0.5),
-            ("threshold", 0.5),
-            ("n_samples", 1),
-            ("n_samples", 10**6 + 1),
-            ("seed", -1),
+            ("e_j", 0.0, "e_j must be positive, got 0.0"),
+            ("temp_mk", -1.0, "temperature must be positive and finite, got -1.0"),
+            ("eta", -1e-9, "eta must be finite and >= 0, got -1e-09"),
+            ("omega_c", 0.0, "omega_c must be finite and > 0, got 0.0"),
+            ("s", 0.5, "s must be finite and >= 1, got 0.5: "),
+            ("threshold", 0.5, "threshold must lie in (0, 1/2), got 0.5"),
+            ("n_samples", 1, "n_samples must be >= 2, got 1"),
+            ("n_samples", 10**6 + 1, "n_samples must be <= 1000000, got 1000001"),
+            ("seed", -1, "seed must be >= 0, got -1"),
         ],
     )
-    def test_rejects_bad_field(self, field, value):
-        cfg = RunConfig()._replace(**{field: value})
-        with pytest.raises(ValueError):
-            cfg.validate()
+    def test_rejects_bad_field(self, field, value, message):
+        # at construction, and so through _replace too, as build_config and sweep make them
+        for make in (RunConfig, RunConfig()._replace):
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
+                make(**{field: value})
 
     def test_bath_spec_uses_temperature(self):
         spec = RunConfig(temp_mk=30.0).bath_spec()
@@ -338,13 +331,12 @@ class TestTldCommand:
     def test_tiny_crossing_is_the_first_double(self, tmp_path):
         # at s = 80 B2 ~ 3.5e299 t^2, so D reaches 1e-4 near t = 2.4e-152;
         # the window must still be the first double at the threshold
-        config = tmp_path / "s80.cfg"
-        config.write_text("s = 80\n")
+        config = write_config(tmp_path, "s80")
         out = tmp_path / "tld.json"
         assert main(["tld", "--config", str(config), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         tau = report["tau_ld_units"]
-        spec = RunConfig(s=80.0).bath_spec()
+        spec = RunConfig(**BATHS["s80"]).bath_spec()
         d = lambda t: float(max_decoherence(dephasing_exponent(t, spec)))  # noqa: E731
         assert d(tau) >= 1e-4 > d(math.nextafter(tau, 0.0))
         assert tau == 2.404047425476015e-152
@@ -352,16 +344,15 @@ class TestTldCommand:
     def test_crossing_before_the_first_peak(self, tmp_path):
         # at s = 3 D peaks near omega_c t = tan(pi/3) and then falls to
         # 8.0e-5 by t_max, below the threshold it crossed on the way up
-        config = tmp_path / "s3.cfg"
-        config.write_text("s = 3\neta = 1e-9\nthreshold = 8.5e-5\nt_max = 1000\n")
+        config = write_config(tmp_path, "s3")
         out = tmp_path / "tld.json"
         assert main(["tld", "--config", str(config), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        spec = RunConfig(s=3.0, eta=1e-9).bath_spec()
-        d = lambda t: float(max_decoherence(dephasing_exponent(t, spec)))  # noqa: E731
-        assert d(1000.0) < 8.5e-5
+        cfg = RunConfig(**BATHS["s3"])
+        d = lambda t: float(max_decoherence(dephasing_exponent(t, cfg.bath_spec())))  # noqa: E731
+        assert d(cfg.t_max) < cfg.threshold
         tau = report["tau_ld_units"]
-        assert d(tau) >= 8.5e-5 > d(math.nextafter(tau, 0.0))
+        assert d(tau) >= cfg.threshold > d(math.nextafter(tau, 0.0))
         assert tau == 0.005796217996904163
         assert report["verdict"] == "low-decoherence window is shorter than the idle gate"
 
@@ -370,8 +361,7 @@ class TestTldCommand:
         # 9.759e-7 near t = 0.11 and rises again before t_max; the bound on
         # D past t_rise is above the threshold, so no first crossing is
         # proved: one error: line, exit 1 and no report
-        config = tmp_path / "hump.cfg"
-        config.write_text(HUMP_CONFIG)
+        config = write_config(tmp_path, "hump")
         out = tmp_path / "tld.json"
         assert main(["tld", "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
@@ -385,16 +375,15 @@ class TestTldCommand:
         # the s = 3 bath of test_crossing_before_the_first_peak peaks at
         # D = 8.9992e-5 near t_rise = 8.66e-3, and its bound D = 9.0040e-5
         # is below 9.1e-5, so no crossing is proved at any t
-        config = tmp_path / "s3.cfg"
-        config.write_text("s = 3\neta = 1e-9\nthreshold = 9.1e-5\nt_max = 1000\n")
+        config = write_config(tmp_path, "s3-bound")
         out = tmp_path / "tld.json"
         assert main(["tld", "--config", str(config), "--out", str(out)]) == 2
         report = json.loads(out.read_text())
         assert report["no_crossing"] and report["tau_ld_units"] is None
-        spec = RunConfig(s=3.0, eta=1e-9).bath_spec()
-        d = lambda t: float(max_decoherence(dephasing_exponent(t, spec)))  # noqa: E731
-        assert report["d_at_t_max"] == d(1000.0) < 9.1e-5
-        assert max(d(t) for t in linspace(0.5e-3, 20e-3, 2000)) < 9.1e-5
+        cfg = RunConfig(**BATHS["s3-bound"])
+        d = lambda t: float(max_decoherence(dephasing_exponent(t, cfg.bath_spec())))  # noqa: E731
+        assert report["d_at_t_max"] == d(cfg.t_max) < cfg.threshold
+        assert max(d(t) for t in linspace(0.5e-3, 20e-3, 2000)) < cfg.threshold
 
     def test_uncoupled_bath_exits_two(self, tmp_path):
         out = tmp_path / "tld.json"
@@ -620,8 +609,7 @@ class TestSweepCommand:
         # E_J does not move B2, so both rows meet the same unproved first
         # crossing past t_rise; each row is an error, which fails the check,
         # and with nothing finite to plot the skipped plot is noted
-        config = tmp_path / "hump.cfg"
-        config.write_text(HUMP_CONFIG)
+        config = write_config(tmp_path, "hump")
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--config", str(config), "--axis", "E_J", "--values", "20,51.8"]
         assert main(argv + ["--out", str(out)]) == 3
@@ -956,8 +944,7 @@ class TestExitCodes:
     def test_unrepresentable_bath_exits_one(self, tmp_path, capsys):
         # omega_c^(s-1) = 1e316 overflows a double; the run ends with one
         # error line, not a traceback
-        config = tmp_path / "s80.cfg"
-        config.write_text("s = 80\nomega_c = 1e4\n")
+        config = write_config(tmp_path, "overflow")
         assert main(["tld", "--config", str(config), "--out", str(tmp_path / "t.json")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
@@ -1198,7 +1185,7 @@ class TestLazyImport:
             "    assert main(argv + ['--out', out + name.replace(' ', '_')]) == code, name\n"
             "    loaded.append(scipy_loaded())\n"
             "    ran[name] = numpy_run()\n"
-            f"hump = RunConfig(**{HUMP_SETTINGS!r})\n"
+            f"hump = RunConfig(**{BATHS['hump']!r})\n"
             "try:\n"
             "    low_decoherence_time(hump.threshold, hump.bath_spec(), hump.t_max)\n"
             "except ValueError:\n"
@@ -1258,8 +1245,8 @@ class TestLazyImport:
              "verify"],
     )
     def test_launch_loads_only_what_it_runs(self, tmp_path, argv, code, loaded):
-        (tmp_path / "s3.cfg").write_text("s = 3\n")
-        (tmp_path / "hump.cfg").write_text(HUMP_CONFIG)
+        for name in ("s3", "hump"):
+            write_config(tmp_path, name)
         script = (
             "import contextlib, io, os, sys\n"
             f"os.chdir({str(tmp_path)!r})\n"
@@ -1283,6 +1270,15 @@ class TestLazyImport:
                     if line.startswith("import time:")]
         assert [name for name in imported if name.split(".")[0] == "decoq"] == [
             "decoq", "decoq.cli"]
+
+    @pytest.mark.parametrize("argv,code", [(["--version"], 0), (["--eta", "1", "tld"], 1),
+                                           (["tld", "--t-max", "1"], 2)])
+    def test_module_launch_exits_with_the_code_of_main(self, tmp_path, argv, code):
+        # decoq/cli/__main__.py exits with what main returns, as the console script does
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "decoq.cli", *argv], capture_output=True,
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert proc.returncode == code, proc.stderr
 
     @pytest.mark.parametrize("module", ["decoq.cli", "decoq.oracle"])
     def test_import_loads_no_dataclasses(self, module):

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from decoq import linspace
 from decoq.bath import BathSpec, _b2_peak_bound, dephasing_exponent
-from decoq.cli import PRESETS
+from decoq.cli import PRESETS, RunConfig
 from decoq.evolution import (
     COMPUTATIONAL,
     EIGENBASIS,
@@ -42,6 +42,7 @@ from decoq.states import (
     random_density_matrix,
 )
 from decoq.units import temperature_to_beta
+from golden.cases import BATHS
 from references import (
     CHI,
     charge_basis_factor,
@@ -628,24 +629,20 @@ class TestLowDecoherenceTime:
         d_end = max_decoherence(dephasing_exponent(1.0, tame))
         assert err.value.d_at_t_max == d_end < 1e-4
 
-    BETA_30MK = temperature_to_beta(30.0)
-
     @pytest.mark.parametrize(
-        "spec,threshold,t_max,outcome,calls",
+        "settings_,outcome,calls",
         [
             # the benchmark point, and the tld runs of tests/golden
-            (BathSpec(1e-6, 200.0, BETA_30MK), 1e-4, 10.0, 5.8583302660491405, 63),
-            (BathSpec(1e-6, 200.0, BETA_30MK, 80.0), 1e-4, 10.0, 2.404047425476015e-152, 63),
-            (BathSpec(1e-9, 200.0, BETA_30MK, 3.0), 8.5e-5, 1000.0, 0.005796217996904163, 63),
-            (BathSpec(1e-9, 200.0, BETA_30MK, 3.0), 9.1e-5, 1000.0, NoCrossingError, 2),
-            (BathSpec(1.0598897093789957e-09, 44.12905023409275,
-                      temperature_to_beta(69.74256994832315), 2.627190751706458),
-             9.794163274970207e-07, 0.27958368503951514, ValueError, 1),
-            (BathSpec(1e-6, 200.0, BETA_30MK), 1e-4, 1.0, NoCrossingError, 1),
+            ({}, 5.8583302660491405, 63),
+            (BATHS["s80"], 2.404047425476015e-152, 63),
+            (BATHS["s3"], 0.005796217996904163, 63),
+            (BATHS["s3-bound"], NoCrossingError, 2),
+            (BATHS["hump"], ValueError, 1),
+            ({"t_max": 1.0}, NoCrossingError, 1),
         ],
         ids=["benchmark", "s80", "s3", "s3-bound", "hump", "no-crossing"],
     )
-    def test_b2_probe_counts(self, monkeypatch, spec, threshold, t_max, outcome, calls):
+    def test_b2_probe_counts(self, monkeypatch, settings_, outcome, calls):
         # one probe at min(t_rise, t_max), then the bisection, or one at
         # t_max for the level a no-crossing error carries: D at min(t_rise, t_max)
         # is kept for the messages, and the bound past t_rise probes nothing
@@ -657,6 +654,8 @@ class TestLowDecoherenceTime:
             probes.append(t)
             return dephasing_exponent(t, spec)
 
+        cfg = RunConfig(**settings_)
+        threshold, spec, t_max = cfg.threshold, cfg.bath_spec(), cfg.t_max
         monkeypatch.setattr(decoq.evolution, "dephasing_exponent", counting)
         if isinstance(outcome, type):
             with pytest.raises(outcome):
@@ -936,11 +935,7 @@ class TestPipelineProperties:
     @settings(deadline=None)
     @given(lam=st.floats(0.1, 10.0), **dict(PIPELINE, s=st.floats(1.0, 6.0)))
     # a first crossing past t_rise, which the bound leaves unproved
-    @example(
-        s=2.627190751706458, temp_mk=69.74256994832315, omega_c=44.12905023409275,
-        eta=1.0598897093789957e-09, threshold=9.794163274970207e-07,
-        t_max=0.27958368503951514, lam=3.0,
-    )
+    @example(lam=3.0, **BATHS["hump"])
     def test_scaling_covariance(self, s, temp_mk, omega_c, eta, threshold, t_max, lam):
         # omega_c -> lam omega_c, T -> lam T and eta -> lam^(1-s) eta turn
         # B2(t) into B2(lam t) and leave the bound past t_rise as it is, so

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from decoq.bath import BathSpec
 from decoq.evolution import idle_window
 from decoq.units import TIME_UNIT_S, _to_ps, temperature_to_beta
+from golden.cases import BATHS
 from references import mpmath_born_deviation, mpmath_relaxation, on_the_rise
 
 # the benchmark point, as the command line's defaults hold it
@@ -68,7 +69,7 @@ class TestRelaxationWindow:
         assert window_at(t_max=1.0).window_set_by == "relaxation"
         assert window_at(t_max=0.3).window_set_by is None
         # s = 3 crosses at 0.0058 units, before tau_M = 0.126
-        s3 = window_at(s=3.0, eta=1e-9, threshold=8.5e-5, t_max=1000.0)
+        s3 = window_at(**BATHS["s3"])
         assert s3.window_set_by == "dephasing"
 
     def test_matches_the_first_crossing_of_the_born_deviation(self):
