@@ -168,9 +168,15 @@ def cmd_curve(cfg: RunConfig, args) -> int:
 
 # ---------------------------------------------------------------- tld
 
+def _window_keys(name: str, ratio: str, tau, tau_g: float) -> dict:
+    """A window's three keys: in time units, in ps and over the gate, all null for no window."""
+    keys = (f"{name}_units", f"{name}_ps", f"ratio_{ratio}_over_gate")
+    return dict(zip(keys, (None,) * 3 if tau is None else (tau, _to_ps(tau), tau / tau_g)))
+
+
 def _tld_report(cfg: RunConfig) -> dict:
     window = idle_window(cfg.threshold, cfg.bath_spec(), cfg.e_j, cfg.t_max)
-    tau_g, tau, relax = window.tau_g, window.tau_ld, window.tau_relax
+    tau_g, tau = window.tau_g, window.tau_ld
     tau_gate_ps = _to_ps(tau_g)
     report = {
         "version": __version__,
@@ -186,22 +192,19 @@ def _tld_report(cfg: RunConfig) -> dict:
         "d_at_gate": window.d_at_gate,
         "budget": {"eta_max": window.eta_max},
         "relaxation_rate": window.relaxation_rate,
-        "tau_ld_relax_units": relax,
-        "tau_ld_relax_ps": None if relax is None else _to_ps(relax),
-        "ratio_relax_over_gate": None if relax is None else relax / tau_g,
+        **_window_keys("tau_ld_relax", "relax", window.tau_relax, tau_g),
+        **_window_keys("tau_ld", "ld", tau, tau_g),
         "no_crossing": tau is None,
         "window_set_by": window.window_set_by,
     }
     if tau is None:
-        report.update(tau_ld_units=None, tau_ld_ps=None, d_at_t_max=window.d_at_t_max,
+        report.update(d_at_t_max=window.d_at_t_max,
                       verdict="D stays below the threshold on the whole window; "
                               "the low-decoherence time exceeds t_max")
-        return report
-    tau_ps = _to_ps(tau)
-    report.update(tau_ld_units=tau, tau_ld_ps=tau_ps, ratio_ld_over_gate=tau / tau_g,
-                  verdict="low-decoherence window covers the idle gate" if tau >= tau_g
-                  else "low-decoherence window is shorter than the idle gate")
-    report["reference"]["tau_ld_rel_dev"] = tau_ps / REFERENCE_TAU_LD_PS - 1.0
+    else:
+        report["verdict"] = ("low-decoherence window covers the idle gate" if tau >= tau_g
+                             else "low-decoherence window is shorter than the idle gate")
+        report["reference"]["tau_ld_rel_dev"] = report["tau_ld_ps"] / REFERENCE_TAU_LD_PS - 1.0
     return report
 
 

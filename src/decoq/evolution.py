@@ -111,37 +111,56 @@ def _bisect(d_of_t: Callable[[float], float], threshold: float, lo: float, hi: f
     return hi
 
 
-def low_decoherence_time(threshold: float, spec: BathSpec, t_max: float) -> float:
-    """The first double t with max_decoherence(B2(t)) >= threshold.
+Crossing = namedtuple("Crossing", "t proof probes d_end")
+
+
+def _crossing(threshold: float, spec: BathSpec, t_max: float) -> Crossing:
+    """The first double t with max_decoherence(B2(t)) >= threshold, and how it was found.
 
     For s <= 2 B2 is non-decreasing, so D rises on [0, t_max].  For s > 2
     each term of B2 rises while its argument r = omega_c t (or t / (beta m),
     m >= 1/(beta omega_c)) stays below tan(pi/s), so D rises on [0, t_rise],
     t_rise = tan(pi/s)/omega_c, and a crossing there is the first one; past
-    it only bath._b2_peak_bound, which holds at every t, is proved.  Raises
-    NoCrossingError (carrying d(t_max)) if D is proved to stay below the
-    threshold, and ValueError for a threshold outside (0, 1/2) or where
-    neither a crossing nor its absence is proved.
+    it only bath._b2_peak_bound, which holds at every t, is proved.  proof is
+    "monotone" (s <= 2) or "rise" (s > 2) for a crossing t, and "t_max" (D
+    rises on the whole window) or "bound" for a proved no crossing, t None
+    with d_end = D(t_max); probes counts the B2 calls.  ValueError for a
+    threshold outside (0, 1/2) or where neither answer is proved.
     """
     _check_threshold_and_t_max(threshold, t_max)
+    probes = 0
 
     def d_of_t(t: float) -> float:
+        nonlocal probes
+        probes += 1
         return max_decoherence(dephasing_exponent(t, spec))
 
     t_rise = math.tan(math.pi / spec.s) / spec.omega_c if spec.s > 2.0 else math.inf
     hi = min(t_rise, t_max)
     d_hi = d_of_t(hi)
     if d_hi >= threshold:
-        return _bisect(d_of_t, threshold, 0.0, hi)
+        t = _bisect(d_of_t, threshold, 0.0, hi)
+        return Crossing(t, "rise" if spec.s > 2.0 else "monotone", probes, None)
+    if hi == t_max:
+        return Crossing(None, "t_max", probes, d_hi)
     # past t_rise, a relative 1e-12 covers the round-off of B2 and of its bound
-    d_bound = max_decoherence(_b2_peak_bound(spec) * (1.0 + 1e-12)) if hi < t_max else 0.0
-    if d_bound >= threshold:  # so hi = t_rise
+    d_bound = max_decoherence(_b2_peak_bound(spec) * (1.0 + 1e-12))
+    if d_bound >= threshold:
         raise ValueError(f"first crossing past t_rise={t_rise:.6e} is not proved at s={spec.s}: "
                          f"D(t_rise)={d_hi:.6e} < threshold {threshold:.6e} "
                          f"<= D(bound)={d_bound:.6e}")
-    d_end = d_hi if hi == t_max else d_of_t(t_max)
-    raise NoCrossingError(f"decoherence level {d_end:.6e} at t_max={t_max} never reaches "
-                          f"threshold {threshold:.6e}", d_at_t_max=d_end)
+    d_end = d_of_t(t_max)
+    return Crossing(None, "bound", probes, d_end)
+
+
+def low_decoherence_time(threshold: float, spec: BathSpec, t_max: float) -> float:
+    """The first double t with max_decoherence(B2(t)) >= threshold, as `_crossing` finds it and
+    raises ValueError; NoCrossingError (carrying D(t_max)) where it proves there is none."""
+    found = _crossing(threshold, spec, t_max)
+    if found.t is None:
+        raise NoCrossingError(f"decoherence level {found.d_end:.6e} at t_max={t_max} never "
+                              f"reaches threshold {threshold:.6e}", d_at_t_max=found.d_end)
+    return found.t
 
 
 def _relaxation_window(threshold: float, spec: BathSpec, e_j: float, tau_g: float):
@@ -167,13 +186,14 @@ def _relaxation_window(threshold: float, spec: BathSpec, e_j: float, tau_g: floa
 
 
 class IdleWindow(namedtuple("IdleWindow", "tau_g d_at_gate eta_max tau_ld d_at_t_max "
-                                          "relaxation_rate tau_relax window_set_by")):
+                                          "relaxation_rate tau_relax window_set_by proof probes")):
     """The idle gate's answer, as `idle_window` finds it; times in hbar/ueV.
 
     tau_g = 1/E_J, d_at_gate = D(tau_g), eta_max the first double eta with
     D(tau_g) >= threshold, which the bath's own eta does not set; tau_ld the
     first crossing, or None for a proved no crossing, with d_at_t_max = D(t_max)
-    (else None); relaxation_rate and tau_relax the golden rule's Gamma_down and
+    (else None); proof and probes say how `_crossing` found it (its proof and
+    B2 calls); relaxation_rate and tau_relax the golden rule's Gamma_down and
     tau_M; window_set_by "dephasing" or "relaxation", whichever window is
     shorter.  Each of eta_max and the golden-rule pair is None unless a positive
     normal double (tau_M also in ps and over tau_g).  With no crossing, tau_ld
@@ -186,7 +206,7 @@ class IdleWindow(namedtuple("IdleWindow", "tau_g d_at_gate eta_max tau_ld d_at_t
 
 def idle_window(threshold: float, spec: BathSpec, e_j: float, t_max: float) -> IdleWindow:
     """The IdleWindow of a gate at E_J and a window [0, t_max]; ValueError as the argument
-    checks and low_decoherence_time raise it (an s > 2 crossing past t_rise unproved)."""
+    checks and _crossing raise it (an s > 2 crossing past t_rise unproved)."""
     _check_gate_e_j(e_j)
     _check_threshold_and_t_max(threshold, t_max)
     tau_g = 1.0 / e_j
@@ -197,13 +217,10 @@ def idle_window(threshold: float, spec: BathSpec, e_j: float, t_max: float) -> I
         eta = _bisect(lambda eta: max_decoherence(4.0 * eta * total), threshold, 0.0, math.inf)
     eta_max = eta if sys.float_info.min <= eta and 4.0 * eta * total < math.inf else None
     rate, relax = _relaxation_window(threshold, spec, e_j, tau_g)
-    try:
-        tau, d_end = low_decoherence_time(threshold, spec, t_max), None
-    except NoCrossingError as exc:
-        tau, d_end = None, exc.d_at_t_max
+    tau, proof, probes, d_end = _crossing(threshold, spec, t_max)
     shorter = relax is not None and relax < (t_max if tau is None else tau)
     set_by = "relaxation" if shorter else None if tau is None else "dephasing"
-    return IdleWindow(tau_g, d_at_gate, eta_max, tau, d_end, rate, relax, set_by)
+    return IdleWindow(tau_g, d_at_gate, eta_max, tau, d_end, rate, relax, set_by, proof, probes)
 
 
 # the one record of `states` that is still importable from here

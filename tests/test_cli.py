@@ -625,8 +625,8 @@ class TestSweepCommand:
 
     def test_check_fails_when_tau_ld_rises(self, monkeypatch, tmp_path, capsys):
         # a tau_ld that grows with eta breaks the monotonicity the check asserts
-        monkeypatch.setattr(evolution, "low_decoherence_time",
-                            lambda threshold, spec, t_max: spec.eta)
+        monkeypatch.setattr(evolution, "_crossing", lambda threshold, spec, t_max:
+                            evolution.Crossing(spec.eta, "monotone", 0, None))
         argv = ["sweep", "--axis", "eta", "--values", "1e-6,2e-6,3e-6",
                 "--out", str(tmp_path / "s.csv")]
         assert main(argv) == 3
@@ -636,13 +636,13 @@ class TestSweepCommand:
     def test_other_warnings_keep_the_suites_filter(self, monkeypatch, tmp_path):
         # filterwarnings = error is in force here, and main sets no filter
         # of its own, so a warning still fails the run
-        real = evolution.low_decoherence_time
+        real = evolution._crossing
 
         def noisy(*args, **kwargs):
             warnings.warn("not expected", UserWarning)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(evolution, "low_decoherence_time", noisy)
+        monkeypatch.setattr(evolution, "_crossing", noisy)
         argv = ["sweep", "--axis", "T", "--values", "10,30", "--out", str(tmp_path / "s.csv")]
         with pytest.raises(UserWarning, match="not expected"):
             main(argv)
@@ -656,12 +656,12 @@ class TestSweepCommand:
             "import io, sys, warnings\n"
             "import decoq.cli as cli\n"
             "import decoq.evolution as evolution\n"
-            "real = evolution.low_decoherence_time\n"
+            "real = evolution._crossing\n"
             "def noisy(*args, **kwargs):\n"
             "    warnings.warn('old', DeprecationWarning, stacklevel=2)\n"
             "    warnings.warn('odd', UserWarning, stacklevel=2)\n"
             "    return real(*args, **kwargs)\n"
-            "evolution.low_decoherence_time = noisy\n"
+            "evolution._crossing = noisy\n"
             "sys.stderr = io.StringIO()\n"
             f"code = cli.main(['sweep', '--axis', 'T', '--values', '10,30,100', "
             f"'--out', {str(tmp_path / 's.csv')!r}])\n"

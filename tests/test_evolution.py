@@ -16,6 +16,7 @@ from decoq.evolution import (
     EIGENBASIS,
     NoCrossingError,
     _bisect,
+    _crossing,
     idle_window,
     low_decoherence_time,
     max_decoherence,
@@ -630,19 +631,19 @@ class TestLowDecoherenceTime:
         assert err.value.d_at_t_max == d_end < 1e-4
 
     @pytest.mark.parametrize(
-        "settings_,outcome,calls",
+        "settings_,outcome,proof,calls",
         [
             # the benchmark point, and the tld runs of tests/golden
-            ({}, 5.8583302660491405, 63),
-            (BATHS["s80"], 2.404047425476015e-152, 63),
-            (BATHS["s3"], 0.005796217996904163, 63),
-            (BATHS["s3-bound"], NoCrossingError, 2),
-            (BATHS["hump"], ValueError, 1),
-            ({"t_max": 1.0}, NoCrossingError, 1),
+            ({}, 5.8583302660491405, "monotone", 63),
+            (BATHS["s80"], 2.404047425476015e-152, "rise", 63),
+            (BATHS["s3"], 0.005796217996904163, "rise", 63),
+            (BATHS["s3-bound"], NoCrossingError, "bound", 2),
+            (BATHS["hump"], ValueError, None, 1),
+            ({"t_max": 1.0}, NoCrossingError, "t_max", 1),
         ],
         ids=["benchmark", "s80", "s3", "s3-bound", "hump", "no-crossing"],
     )
-    def test_b2_probe_counts(self, monkeypatch, settings_, outcome, calls):
+    def test_b2_probe_counts(self, monkeypatch, settings_, outcome, proof, calls):
         # one probe at min(t_rise, t_max), then the bisection, or one at
         # t_max for the level a no-crossing error carries: D at min(t_rise, t_max)
         # is kept for the messages, and the bound past t_rise probes nothing
@@ -663,6 +664,16 @@ class TestLowDecoherenceTime:
         else:
             assert low_decoherence_time(threshold, spec, t_max) == pytest.approx(
                 outcome, rel=1e-15, abs=0.0)
+        assert len(probes) == calls
+        # _crossing names its proof and counts the probes the wrapper sees;
+        # with no proof either way it raises as low_decoherence_time does
+        probes.clear()
+        if proof is None:
+            with pytest.raises(outcome):
+                _crossing(threshold, spec, t_max)
+        else:
+            found = _crossing(threshold, spec, t_max)
+            assert (found.proof, found.probes) == (proof, len(probes))
         assert len(probes) == calls
 
     def test_threshold_validation(self):
@@ -765,6 +776,17 @@ class TestIdleWindow:
         # the abstract's verdict holds up to 36 times the default eta
         spec = BathSpec(eta=1e-6, omega_c=200.0, beta=temperature_to_beta(30.0))
         assert eta_max_checked(1e-4, spec, E_J) == 3.604201689225632e-05
+
+    def test_probes_and_the_gate_call_are_every_b2_call(self):
+        # at the defaults the root find's probes and the one eta-free call at
+        # the gate make the 64 B2 calls that TestTracedNames counts
+        import decoq.evolution
+
+        cfg = RunConfig()
+        with mock.patch.object(decoq.evolution, "dephasing_exponent",
+                               wraps=dephasing_exponent) as kernel:
+            window = idle_window(cfg.threshold, cfg.bath_spec(), cfg.e_j, cfg.t_max)
+        assert (window.proof, window.probes + 1, kernel.call_count) == ("monotone", 64, 64)
 
     def test_b2_at_the_gate_is_taken_once(self):
         # d_at_gate and the eta budget read one eta-free total, B2(tau_g) at
